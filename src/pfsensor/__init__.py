@@ -12,7 +12,7 @@ from .flowfield import (
     synth_recirculating,
     zero_field,
 )
-from .grid import StructuredGrid, ZoneMask, box_mask, empty_mask
+from .grid import StructuredGrid, box_mask
 from .markov import (
     BoundarySpec,
     ConcentrationField,
@@ -22,7 +22,6 @@ from .markov import (
     StabilityError,
     admissible_dt,
     build_markov,
-    expected_operator,
     load_markov,
     propagate,
     save_markov,
@@ -36,17 +35,7 @@ from .placement import (
     occupied_fraction,
     place_sensors,
 )
-from .tracking import (
-    BinaryTrackingMatrix,
-    ConstraintSet,
-    ScaledTrackingMatrix,
-    SensorSpec,
-    TrackingMatrix,
-    apply_constraints,
-    threshold,
-    tracking_matrix,
-    volumetric_scale,
-)
+from .tracking import detection_matrix, tracking_rows
 from .uncertainty import (
     Distribution,
     DistributionFitError,
@@ -57,7 +46,6 @@ from .uncertainty import (
     cdf_points_for,
     expectation,
     fit_kde,
-    hat_functions,
     icdf_samples,
     quadrature_rule,
 )

@@ -61,6 +61,7 @@ def _load_config(args) -> RunConfig:
             setattr(cfg, key, value)
     if getattr(args, "raw_threshold", None):
         cfg.raw_threshold = True
+    cfg.validate()
     return cfg
 
 

@@ -7,12 +7,14 @@ value a command needs can also be given or overridden on the command line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
-from .grid import StructuredGrid, ZoneMask, box_mask, empty_mask
+import numpy as np
+
+from .grid import StructuredGrid, box_mask
 from .markov import BoundarySpec
-from .tracking import ConstraintSet
 
 Box = tuple[tuple[float, float, float], tuple[float, float, float]]
 
@@ -66,28 +68,27 @@ class RunConfig:
     def boundaries(self) -> BoundarySpec:
         return BoundarySpec(outlet_sides=self.outlets)
 
-    def constraints(self, grid: StructuredGrid) -> ConstraintSet:
-        forbidden = empty_mask(grid)
-        for lo, hi in self.forbidden_boxes:
-            forbidden = forbidden.union(box_mask(grid, lo, hi))
-        if self.occupied_boxes:
-            occupied = empty_mask(grid)
-            for lo, hi in self.occupied_boxes:
-                occupied = occupied.union(box_mask(grid, lo, hi))
-            sensing_ignore = occupied.complement()
-        else:
-            sensing_ignore = empty_mask(grid)
-        return ConstraintSet(forbidden_locations=forbidden, sensing_ignore=sensing_ignore)
+    def forbidden_mask(self, grid: StructuredGrid) -> np.ndarray:
+        """States that cannot host a sensor: the union of the forbidden boxes."""
+        return _union(grid, self.forbidden_boxes)
 
-    def occupied_mask(self, grid: StructuredGrid) -> ZoneMask | None:
-        if not self.occupied_boxes:
-            return None
-        occupied = empty_mask(grid)
-        for lo, hi in self.occupied_boxes:
-            occupied = occupied.union(box_mask(grid, lo, hi))
-        return occupied
+    def occupied_mask(self, grid: StructuredGrid) -> np.ndarray | None:
+        """The occupied zone of interest, or None when no box confines it."""
+        return _union(grid, self.occupied_boxes) if self.occupied_boxes else None
+
+    def sensing_ignore_mask(self, grid: StructuredGrid) -> np.ndarray:
+        """Release states outside the zone of interest."""
+        occupied = self.occupied_mask(grid)
+        return np.zeros(grid.n_states, dtype=bool) if occupied is None else ~occupied
 
     def validate(self) -> None:
+        for key in ("dt", "diffusivity", "eps_acc", "min_coverage", "validate_tol"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
+        for key in ("spacing", "origin"):
+            if not all(math.isfinite(v) for v in getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         if self.fields and self.family:
             raise ConfigError("give either explicit field entries or a synthetic family")
         if not self.fields and not self.family:
@@ -117,6 +118,13 @@ class RunConfig:
             raise ConfigError(f"min_coverage must lie in (0, 1], got {self.min_coverage}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+
+
+def _union(grid: StructuredGrid, boxes: list[Box]) -> np.ndarray:
+    mask = np.zeros(grid.n_states, dtype=bool)
+    for lo, hi in boxes:
+        mask |= box_mask(grid, lo, hi)
+    return mask
 
 
 def _floats(key: str, raw: str, count: int | None = None) -> tuple[float, ...]:

@@ -1,4 +1,4 @@
-"""Structured rectilinear grid: state indexing, cell volumes, zone masks."""
+"""Structured rectilinear grid: state indexing, cell volumes, box masks."""
 
 from __future__ import annotations
 
@@ -81,59 +81,16 @@ class StructuredGrid:
         return tuple(n * d for n, d in zip(self.dims, self.spacing))
 
 
-@dataclass(frozen=True)
-class ZoneMask:
-    """A set of grid states, e.g. an occupied zone or a no-placement region."""
-
-    grid: StructuredGrid
-    member_states: frozenset[int]
-
-    def __post_init__(self) -> None:
-        n = self.grid.n_states
-        if any(not 0 <= k < n for k in self.member_states):
-            raise ValueError("mask contains state indices outside the grid")
-
-    def __len__(self) -> int:
-        return len(self.member_states)
-
-    def __contains__(self, k: int) -> bool:
-        return k in self.member_states
-
-    def complement(self) -> "ZoneMask":
-        everything = frozenset(range(self.grid.n_states))
-        return ZoneMask(self.grid, everything - self.member_states)
-
-    def union(self, other: "ZoneMask") -> "ZoneMask":
-        if other.grid != self.grid:
-            raise ValueError("masks refer to different grids")
-        return ZoneMask(self.grid, self.member_states | other.member_states)
-
-    def indices(self) -> np.ndarray:
-        """Member states as a sorted int array."""
-        return np.fromiter(sorted(self.member_states), dtype=np.int64, count=len(self.member_states))
-
-    def bool_array(self) -> np.ndarray:
-        out = np.zeros(self.grid.n_states, dtype=bool)
-        if self.member_states:
-            out[self.indices()] = True
-        return out
-
-
-def empty_mask(grid: StructuredGrid) -> ZoneMask:
-    return ZoneMask(grid, frozenset())
-
-
 def box_mask(
     grid: StructuredGrid,
     lo: tuple[float, float, float],
     hi: tuple[float, float, float],
-) -> ZoneMask:
-    """States whose cell centers lie inside the axis-aligned box [lo, hi].
-
-    A box that misses every cell center yields an empty mask.
+) -> np.ndarray:
+    """Boolean mask of length N: the states whose cell centers lie inside the
+    axis-aligned box [lo, hi]. A box that misses every cell center yields an
+    all-False mask.
     """
     if any(a > b for a, b in zip(lo, hi)):
         raise ValueError(f"box lo {lo} exceeds hi {hi}")
     centers = grid.cell_centers()
-    inside = np.all((centers >= np.asarray(lo)) & (centers <= np.asarray(hi)), axis=1)
-    return ZoneMask(grid, frozenset(np.flatnonzero(inside).tolist()))
+    return np.all((centers >= np.asarray(lo)) & (centers <= np.asarray(hi)), axis=1)

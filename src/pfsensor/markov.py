@@ -294,27 +294,6 @@ def propagate(
     return ConcentrationField(phi.grid, vec[:n_grid].copy())
 
 
-def expected_operator(weighted: list[tuple[MarkovMatrix, float]]) -> MarkovMatrix:
-    """Probability-weighted sum of per-scenario operators; the convex
-    combination of row-stochastic matrices is again row-stochastic."""
-    if not weighted:
-        raise ValueError("need at least one (matrix, weight) pair")
-    first, _ = weighted[0]
-    total_weight = 0.0
-    for mat, theta in weighted:
-        if mat.n_states != first.n_states:
-            raise ValueError("matrices differ in size")
-        if mat.dt != first.dt:
-            raise ValueError("matrices differ in dt")
-        if theta < 0.0:
-            raise ValueError(f"weights must be non-negative, got {theta}")
-        total_weight += theta
-    if abs(total_weight - 1.0) > 1e-9:
-        raise ValueError(f"weights sum to {total_weight}, expected 1 within 1e-9")
-    acc = sum(theta * mat.matrix for mat, theta in weighted)
-    return MarkovMatrix(matrix=sparse.csr_array(acc), dt=first.dt)
-
-
 def save_markov(path, operator: MarkovMatrix) -> None:
     mat = operator.matrix.tocoo()
     lines = [MARKOV_MAGIC, f"{operator.n_states} {mat.nnz} {operator.dt!r}"]

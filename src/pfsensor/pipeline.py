@@ -1,10 +1,14 @@
 """End-to-end orchestration: scenario generation, operator construction,
-tracking/threshold/constraint/scaling stages, placement, and report files.
+one detection matrix per scenario, placement, and report files.
 
-Scenario-level work (operator assembly, tracking pipelines, coverage
-vectors) is independent per scenario and optionally runs on a thread pool;
-all cross-scenario reductions happen in fixed scenario order so results do
-not depend on completion order or worker count.
+The config fixes the three detection-kernel inputs once per run: the
+threshold cutoff, the release weights (each cell's volume fraction, zero on
+the exit state and outside the zone of interest) and the candidate sensor
+states (everything not forbidden). Scenario-level work (operator assembly,
+detection matrices, coverage vectors) is independent per scenario and
+optionally runs on a thread pool; all cross-scenario reductions happen in
+fixed scenario order so results do not depend on completion order or worker
+count.
 """
 
 from __future__ import annotations
@@ -39,14 +43,7 @@ from .placement import (
     occupied_fraction,
     place_sensors,
 )
-from .tracking import (
-    ConstraintSet,
-    SensorSpec,
-    apply_constraints,
-    threshold,
-    tracking_matrix,
-    volumetric_scale,
-)
+from .tracking import detection_matrix
 from .uncertainty import Gaussian, cdf_points_for, fit_kde, quadrature_rule
 
 MANIFEST_NAME = "manifest.json"
@@ -130,19 +127,30 @@ def build_matrices(
     )
 
 
-def scaled_tracking(
-    operator: MarkovMatrix,
-    grid: StructuredGrid,
-    steps: int,
-    spec: SensorSpec,
-    constraints: ConstraintSet,
-    raw_threshold: bool = False,
-):
-    """One scenario's tracking -> threshold -> constraints -> scaling chain."""
-    q = tracking_matrix(operator, steps)
-    binary = threshold(q, spec, raw=raw_threshold)
-    constrained = apply_constraints(binary, constraints)
-    return volumetric_scale(constrained, grid)
+def scaled_tracking(cfg: RunConfig, grid: StructuredGrid, matrices: list[MarkovMatrix]):
+    """Each scenario's detection matrix, with volume-fraction entries.
+
+    Tracking entries range in [0, m + 1], so by default the cutoff is
+    eps_acc * (m + 1), keeping eps_acc a horizon-independent
+    detected-to-released fraction; raw_threshold compares to eps_acc itself.
+    An absorbing exit state (operators one larger than the grid) carries no
+    volume but may host a sensor.
+    """
+    cutoff = cfg.eps_acc if cfg.raw_threshold else cfg.eps_acc * (cfg.steps + 1)
+    n = matrices[0].n_states
+    cells = grid.n_states
+    if n not in (cells, cells + 1):
+        raise ValueError(f"operators have {n} states, the grid has {cells}")
+    release_weight = np.zeros(n)
+    release_weight[:cells] = grid.cell_volume / grid.total_volume
+    release_weight[:cells][cfg.sensing_ignore_mask(grid)] = 0.0
+    candidates = np.ones(n, dtype=bool)
+    candidates[:cells] = ~cfg.forbidden_mask(grid)
+    return _map_scenarios(
+        lambda op: detection_matrix(op, cfg.steps, cutoff, release_weight, candidates),
+        matrices,
+        cfg.workers,
+    )
 
 
 def run_build(cfg: RunConfig, out_dir) -> Path:
@@ -186,6 +194,8 @@ def run_build(cfg: RunConfig, out_dir) -> Path:
 
 
 def load_manifest(path) -> tuple[StructuredGrid, float, list[dict]]:
+    """Grid, dt and scenario entries of a build manifest, schema-checked:
+    every required key present and the scenario thetas summing to 1."""
     path = Path(path)
     try:
         data = json.loads(path.read_text())
@@ -193,13 +203,36 @@ def load_manifest(path) -> tuple[StructuredGrid, float, list[dict]]:
         raise ConfigError(f"cannot read manifest {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"manifest {path} is not valid JSON: {exc}") from None
-    if data.get("format") != MANIFEST_FORMAT:
-        raise ConfigError(f"manifest {path} has unknown format {data.get('format')!r}")
-    gspec = data["grid"]
-    grid = StructuredGrid(
-        tuple(gspec["dims"]), tuple(gspec["spacing"]), tuple(gspec["origin"])
+
+    def required(mapping, key, where=""):
+        if not isinstance(mapping, dict) or key not in mapping:
+            raise ConfigError(f"manifest {path} is missing '{where}{key}'")
+        return mapping[key]
+
+    if required(data, "format") != MANIFEST_FORMAT:
+        raise ConfigError(f"manifest {path} has unknown format {data['format']!r}")
+    gspec = required(data, "grid")
+    dims, spacing, origin = (
+        required(gspec, key, "grid.") for key in ("dims", "spacing", "origin")
     )
-    return grid, float(data["dt"]), data["scenarios"]
+    dt = required(data, "dt")
+    entries = required(data, "scenarios")
+    if not isinstance(entries, list) or not entries:
+        raise ConfigError(f"manifest {path}: 'scenarios' must be a non-empty list")
+    for idx, entry in enumerate(entries):
+        for key in ("xi", "theta", "matrix"):
+            required(entry, key, f"scenarios[{idx}].")
+    try:
+        grid = StructuredGrid(tuple(dims), tuple(spacing), tuple(origin))
+        dt = float(dt)
+        total = sum(float(entry["theta"]) for entry in entries)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"manifest {path}: malformed grid, dt or theta: {exc}") from None
+    if not abs(total - 1.0) <= 1e-9:
+        raise ConfigError(
+            f"manifest {path}: scenario thetas sum to {total}, expected 1 within 1e-9"
+        )
+    return grid, dt, entries
 
 
 def load_matrices(manifest_path) -> tuple[StructuredGrid, float, list[dict], list[MarkovMatrix]]:
@@ -227,29 +260,22 @@ def run_place(
         raise ConfigError("set a sensor count or a min_coverage target")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    spec = SensorSpec(cfg.eps_acc)
-    constraints = cfg.constraints(grid)
+    forbidden = cfg.forbidden_mask(grid)
     has_exit = matrices[0].n_states == grid.n_states + 1
-    if len(constraints.forbidden_locations) >= grid.n_states and not has_exit:
+    if forbidden.all() and not has_exit:
         raise ConfigError("forbidden-location mask excludes every candidate column")
-    scaled = _map_scenarios(
-        lambda op: scaled_tracking(
-            op, grid, cfg.steps, spec, constraints, cfg.raw_threshold
-        ),
-        matrices,
-        cfg.workers,
-    )
-    vectors = [coverage_vector(m) for m in scaled]
+    detections = scaled_tracking(cfg, grid, matrices)
+    vectors = [coverage_vector(m) for m in detections]
     expected_map = expected_coverage(vectors, weights)
 
     occupied = cfg.occupied_mask(grid)
     plan = place_sensors(
-        scaled,
+        detections,
         weights,
         k=cfg.sensors,
         min_coverage=cfg.min_coverage,
         removal=cfg.removal,
-        occupied_volume_fraction=occupied_fraction(occupied) if occupied else None,
+        occupied_volume_fraction=occupied_fraction(occupied) if occupied is not None else None,
     )
     plan.settings.update(
         {
@@ -258,8 +284,8 @@ def run_place(
             "eps_acc": cfg.eps_acc,
             "threshold_mode": "raw" if cfg.raw_threshold else "scaled",
             "scenario_xis": [float(x) for x in xis],
-            "forbidden_states": sorted(constraints.forbidden_locations.member_states),
-            "sensing_ignore_states": sorted(constraints.sensing_ignore.member_states),
+            "forbidden_states": np.flatnonzero(forbidden).tolist(),
+            "sensing_ignore_states": np.flatnonzero(cfg.sensing_ignore_mask(grid)).tolist(),
         }
     )
 
@@ -307,9 +333,9 @@ def release_field(cfg: RunConfig, grid: StructuredGrid) -> ConcentrationField:
     values = np.zeros(grid.n_states)
     if cfg.release_box is not None:
         mask = box_mask(grid, *cfg.release_box)
-        if not len(mask):
+        if not mask.any():
             raise ConfigError("release_box contains no cell centers")
-        values[mask.indices()] = 1.0
+        values[mask] = 1.0
     else:
         nx, ny, nz = grid.dims
         values[grid.state_index((nx // 2, ny // 2, nz // 2))] = 1.0
@@ -359,21 +385,12 @@ def expected_coverage_for_counts(cfg: RunConfig, counts: list[int]) -> list[dict
     if not cfg.family:
         raise ConfigError("convergence study needs a synthetic family config")
     ordered = sorted(counts)
-    spec = SensorSpec(cfg.eps_acc)
     maps = {}
     for m in ordered:
         sub = _with_cdf_points(cfg, cdf_points_for(m))
         grid, scenarios = scenario_set(sub)
         matrices = build_matrices(scenarios, cfg.dt, cfg.boundaries(), cfg.workers)
-        constraints = cfg.constraints(grid)
-        scaled = _map_scenarios(
-            lambda op: scaled_tracking(
-                op, grid, cfg.steps, spec, constraints, cfg.raw_threshold
-            ),
-            matrices,
-            cfg.workers,
-        )
-        vectors = [coverage_vector(s) for s in scaled]
+        vectors = [coverage_vector(d) for d in scaled_tracking(cfg, grid, matrices)]
         maps[m] = expected_coverage(vectors, [sc.weight for sc in scenarios])
     reference = maps[ordered[-1]]
     ref_norm = float(np.linalg.norm(reference))

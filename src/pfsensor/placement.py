@@ -1,11 +1,11 @@
 """Greedy expected-coverage sensor placement over a scenario ensemble.
 
-Coverage of a candidate sensor state is the volume fraction of release
-states whose contamination it would detect (a column sum of the scaled
-tracking matrix). The greedy loop places the state maximizing the
-probability-weighted expected coverage, then strikes that column and all
-release rows it covers in each scenario so later sensors are credited only
-for new volume.
+Each scenario enters as its detection matrix (see tracking.detection_matrix):
+entry (r, c) is the volume fraction of release state r when a sensor at c
+detects it. Coverage of a candidate sensor state is a column sum of that
+matrix. The greedy loop places the state maximizing the probability-weighted
+expected coverage, then strikes that column and all release rows it covers
+in each scenario so later sensors are credited only for new volume.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .grid import ZoneMask
-from .tracking import ScaledTrackingMatrix
+from scipy import sparse
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,11 +38,12 @@ class SensorPlan:
         return [s.state for s in self.sensors]
 
 
-def coverage_vector(scaled: ScaledTrackingMatrix) -> np.ndarray:
+def coverage_vector(detection: sparse.sparray) -> np.ndarray:
     """Per-column coverage: the volume fraction of release states each
     candidate sensor state observes (column-wise L1 norm; entries are
-    non-negative so the sum is the norm)."""
-    return np.asarray(scaled.matrix.sum(axis=0)).ravel()
+    non-negative so the sum is the norm). Each column is summed entry by
+    entry in row order, the same sums the greedy loop makes."""
+    return np.ones(detection.shape[0]) @ detection
 
 
 def expected_coverage(vectors: list[np.ndarray], weights) -> np.ndarray:
@@ -64,7 +63,7 @@ def expected_coverage(vectors: list[np.ndarray], weights) -> np.ndarray:
 
 
 def place_sensors(
-    scaled_matrices: list[ScaledTrackingMatrix],
+    detections: list[sparse.sparray],
     weights,
     k: int | None = None,
     min_coverage: float | None = None,
@@ -92,18 +91,18 @@ def place_sensors(
         raise ValueError(f"sensor count must be >= 1, got {k}")
     if min_coverage is not None and not 0.0 < min_coverage <= 1.0:
         raise ValueError(f"min_coverage must lie in (0, 1], got {min_coverage}")
-    if not scaled_matrices:
+    if not detections:
         raise ValueError("need at least one scenario matrix")
     w = np.asarray(list(weights), dtype=float)
-    if w.size != len(scaled_matrices):
-        raise ValueError(f"{len(scaled_matrices)} matrices for {w.size} weights")
+    if w.size != len(detections):
+        raise ValueError(f"{len(detections)} matrices for {w.size} weights")
     if np.any(w < 0.0):
         raise ValueError("scenario weights must be non-negative")
-    n = scaled_matrices[0].n_states
-    if any(m.n_states != n for m in scaled_matrices):
+    n = detections[0].shape[0]
+    if any(m.shape != (n, n) for m in detections):
         raise ValueError("scenario matrices differ in size")
 
-    mats = [m.matrix.tocsc() for m in scaled_matrices]
+    mats = [sparse.csc_array(m) for m in detections]
     row_active = [np.ones(n) for _ in mats]
     col_active = np.ones(n, dtype=bool)
 
@@ -167,6 +166,6 @@ def place_sensors(
     )
 
 
-def occupied_fraction(occupied: ZoneMask) -> float:
-    """Volume fraction of the domain taken by an occupied zone (uniform cells)."""
-    return len(occupied) / occupied.grid.n_states
+def occupied_fraction(occupied: np.ndarray) -> float:
+    """Volume fraction of the domain taken by an occupied-zone mask (uniform cells)."""
+    return np.count_nonzero(occupied) / occupied.size

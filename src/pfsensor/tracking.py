@@ -1,285 +1,86 @@
-"""Contaminant tracking matrices and their thresholded / constrained /
-volume-scaled descendants.
+"""Detection kernel: which release states a sensor at each state detects.
 
-The tracking matrix accumulates the reachability of every state from a
-constant release at every other state over a horizon of m steps. A sensor
-accuracy threshold turns it into a binary released-at-row / sensed-at-column
-relation, placement constraints strike columns and release rows, and
-volumetric scaling converts surviving pairs into volume fractions ready for
-coverage sums.
+A release at state r is detected by a sensor at state c when the tracking
+entry Q[r, c] of Q = I + P + ... + P^m reaches the sensor's cutoff. The
+kernel streams the kept release rows through the operator in blocks of unit
+vectors, thresholds each accumulated block and keeps only its pairs, so Q is
+never held whole: memory is O(n * BLOCK) plus the detected pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import sparse
 
-from .grid import StructuredGrid, ZoneMask
 from .markov import MarkovMatrix
 
-TRACKING_MAGIC = "# pfsensor-tracking v1"
-BINARY_MAGIC = "# pfsensor-tracking-binary v1"
+# release rows propagated together; one block holds two (window x BLOCK)
+# arrays, and small blocks keep them cache-resident
+BLOCK = 64
 
 
-@dataclass(frozen=True, eq=False)
-class TrackingMatrix:
-    """Accumulated transition probabilities I + P + ... + P^m."""
-
-    matrix: sparse.csr_array
-    horizon_steps: int
-    dt: float
-
-    @property
-    def n_states(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def horizon_time(self) -> float:
-        return self.horizon_steps * self.dt
+def _accumulate(p_t: sparse.csr_array, steps: int, rows: np.ndarray, lo: int, hi: int):
+    """Q[rows, lo:hi] transposed, by forward propagation X <- P^T X of unit
+    columns. The caller guarantees mass from `rows` stays inside [lo, hi)
+    for `steps` steps, so the truncated operator loses nothing."""
+    sub = p_t[lo:hi, lo:hi]
+    x = np.zeros((hi - lo, rows.size))
+    x[rows - lo, np.arange(rows.size)] = 1.0
+    acc = x.copy()
+    for _ in range(steps):
+        x = sub @ x
+        acc += x
+    return acc
 
 
-@dataclass(frozen=True)
-class SensorSpec:
-    """Dimensionless detection threshold: detected mass over released mass,
-    as prescribed by the sensor manufacturer."""
-
-    epsilon_acc: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon_acc <= 1.0:
-            raise ValueError(f"epsilon_acc must lie in [0, 1], got {self.epsilon_acc}")
+def tracking_rows(operator: MarkovMatrix, steps: int, rows) -> np.ndarray:
+    """Dense rows Q[rows, :] of the partial Neumann sum Q = I + P + ... + P^steps."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    rows = np.asarray(rows, dtype=np.int64)
+    p_t = sparse.csr_array(operator.matrix.T)
+    return _accumulate(p_t, steps, rows, 0, operator.n_states).T
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
-    """Placement constraints: states that cannot host a sensor (columns) and
-    release states outside the zone of interest (rows)."""
+def detection_matrix(
+    operator: MarkovMatrix,
+    steps: int,
+    cutoff: float,
+    release_weight: np.ndarray,
+    candidates: np.ndarray,
+) -> sparse.csc_array:
+    """Weighted detection pairs of one scenario.
 
-    forbidden_locations: ZoneMask
-    sensing_ignore: ZoneMask
-
-    def __post_init__(self) -> None:
-        if self.forbidden_locations.grid != self.sensing_ignore.grid:
-            raise ValueError("constraint masks refer to different grids")
-
-
-@dataclass(frozen=True, eq=False)
-class BinaryTrackingMatrix:
-    """Sparse boolean relation: (row, col) present means a release at `row`
-    is sensed by a sensor at `col`."""
-
-    matrix: sparse.csr_array  # bool dtype
-
-    @property
-    def n_states(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_pairs(self) -> int:
-        return int(self.matrix.nnz)
-
-    def pairs(self) -> set[tuple[int, int]]:
-        coo = self.matrix.tocoo()
-        return {(int(r), int(c)) for r, c in zip(coo.coords[0], coo.coords[1])}
-
-
-@dataclass(frozen=True, eq=False)
-class ScaledTrackingMatrix:
-    """Binary pairs weighted by the release cell's volume fraction."""
-
-    matrix: sparse.csr_array  # float dtype
-
-    @property
-    def n_states(self) -> int:
-        return self.matrix.shape[0]
-
-
-# mixing fills the powers of P toward full; once that happens, and while the
-# state count is small enough that dense n*n arrays are cheap, accumulating
-# densely avoids reallocating near-full sparse structures every step
-_DENSE_SWITCH_STATES = 6000
-_DENSE_SWITCH_DENSITY = 0.05
-
-
-def tracking_matrix(operator: MarkovMatrix, steps: int) -> TrackingMatrix:
-    """Partial Neumann sum Q = I + P + ... + P^steps via iterated
-    multiply-accumulate (sparse until the running power saturates)."""
+    Entry (r, c) is stored, with value release_weight[r], exactly when
+    release_weight[r] > 0, candidates[c] holds, and the tracking entry
+    Q[r, c] is positive and at least `cutoff`. One step moves mass at most
+    the operator's bandwidth max|i - j| away, so each block of release rows
+    propagates only through the band it can reach within `steps` steps; an
+    exit column makes that band the whole operator.
+    """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     n = operator.n_states
-    q = sparse.eye_array(n, format="csr")
-    power = sparse.eye_array(n, format="csr")
-    done = 0
-    while done < steps:
-        if n <= _DENSE_SWITCH_STATES and power.nnz >= _DENSE_SWITCH_DENSITY * n * n:
-            break
-        power = sparse.csr_array(power @ operator.matrix)
-        q = sparse.csr_array(q + power)
-        done += 1
-    if done < steps:
-        # R <- R P computed transposed so the sparse operator stays on the left
-        p_t = sparse.csr_array(operator.matrix.T)
-        power_t = power.toarray().T.copy()
-        q_dense = q.toarray()
-        for _ in range(steps - done):
-            power_t = p_t @ power_t
-            q_dense += power_t.T
-        return TrackingMatrix(
-            matrix=sparse.csr_array(q_dense), horizon_steps=steps, dt=operator.dt
+    release_weight = np.asarray(release_weight, dtype=float)
+    candidates = np.asarray(candidates, dtype=bool)
+    if release_weight.shape != (n,) or candidates.shape != (n,):
+        raise ValueError(
+            f"release weights {release_weight.shape} and candidates {candidates.shape} "
+            f"must both have length {n}"
         )
-    return TrackingMatrix(matrix=q, horizon_steps=steps, dt=operator.dt)
-
-
-def threshold(
-    tracking: TrackingMatrix, spec: SensorSpec, raw: bool = False
-) -> BinaryTrackingMatrix:
-    """Keep pairs whose accumulated probability meets the detection threshold.
-
-    Tracking entries range in [0, m + 1], so by default the threshold is
-    epsilon_acc * (m + 1), keeping epsilon_acc a horizon-independent
-    detected-to-released fraction. With raw=True the entry is compared to
-    epsilon_acc directly. Only stored entries participate; the identity term
-    guarantees diagonals are stored.
-    """
-    cutoff = spec.epsilon_acc if raw else spec.epsilon_acc * (tracking.horizon_steps + 1)
-    coo = tracking.matrix.tocoo()
-    keep = coo.data >= cutoff
-    out = sparse.coo_array(
-        (np.ones(int(keep.sum()), dtype=bool), (coo.coords[0][keep], coo.coords[1][keep])),
-        shape=coo.shape,
-    )
-    return BinaryTrackingMatrix(matrix=out.tocsr())
-
-
-def apply_constraints(
-    binary: BinaryTrackingMatrix, constraints: ConstraintSet
-) -> BinaryTrackingMatrix:
-    """Zero out forbidden-location columns and ignored release rows.
-
-    The two removals commute, and the grid may be one state smaller than the
-    matrix when an absorbing exit state is present (masks never refer to it).
-    """
-    n = binary.n_states
-    n_grid = constraints.forbidden_locations.grid.n_states
-    if n_grid not in (n, n - 1):
-        raise ValueError(f"constraint grid has {n_grid} states, matrix has {n}")
-    col_ok = np.ones(n, dtype=bool)
-    col_ok[constraints.forbidden_locations.indices()] = False
-    row_ok = np.ones(n, dtype=bool)
-    row_ok[constraints.sensing_ignore.indices()] = False
-    coo = binary.matrix.tocoo()
-    keep = row_ok[coo.coords[0]] & col_ok[coo.coords[1]]
-    out = sparse.coo_array(
-        (coo.data[keep], (coo.coords[0][keep], coo.coords[1][keep])), shape=coo.shape
-    )
-    return BinaryTrackingMatrix(matrix=out.tocsr())
-
-
-def volumetric_scale(
-    binary: BinaryTrackingMatrix, grid: StructuredGrid
-) -> ScaledTrackingMatrix:
-    """Weight each surviving pair by its release cell's share of the total
-    domain volume. An absorbing exit state (matrix one larger than the grid)
-    carries zero volume, so its release row contributes nothing.
-    """
-    n = binary.n_states
-    n_grid = grid.n_states
-    if n_grid not in (n, n - 1):
-        raise ValueError(f"grid has {n_grid} states, matrix has {n}")
-    row_volume = np.full(n, grid.cell_volume)
-    if n == n_grid + 1:
-        row_volume[-1] = 0.0
-    fractions = row_volume / grid.total_volume
-    coo = binary.matrix.tocoo()
-    vals = fractions[coo.coords[0]]
-    keep = vals > 0.0
-    out = sparse.coo_array(
-        (vals[keep], (coo.coords[0][keep], coo.coords[1][keep])), shape=coo.shape
-    )
-    return ScaledTrackingMatrix(matrix=out.tocsr())
-
-
-def save_tracking(path, tracking: TrackingMatrix) -> None:
-    coo = tracking.matrix.tocoo()
-    lines = [
-        TRACKING_MAGIC,
-        f"{tracking.n_states} {coo.nnz} {tracking.horizon_steps} {tracking.dt!r}",
-    ]
-    order = np.lexsort((coo.coords[1], coo.coords[0]))
-    for r, c, val in zip(coo.coords[0][order], coo.coords[1][order], coo.data[order]):
-        lines.append(f"{r} {c} {float(val)!r}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_tracking(path) -> TrackingMatrix:
-    from .markov import MatrixFormatError
-
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != TRACKING_MAGIC:
-        raise MatrixFormatError(f"{path}:1: missing magic line {TRACKING_MAGIC!r}")
-    parts = lines[1].split() if len(lines) > 1 else []
-    if len(parts) != 4:
-        raise MatrixFormatError(f"{path}:2: expected 'n_states nnz steps dt'")
-    try:
-        n_states, nnz, steps = int(parts[0]), int(parts[1]), int(parts[2])
-        dt = float(parts[3])
-    except ValueError:
-        raise MatrixFormatError(f"{path}:2: unparseable header {lines[1]!r}") from None
-    records = [ln for ln in lines[2:] if ln.strip()]
-    if len(records) != nnz:
-        raise MatrixFormatError(
-            f"{path}:{len(lines)}: expected {nnz} entries, found {len(records)}"
-        )
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz)
-    for idx, line in enumerate(records):
-        tok = line.split()
-        if len(tok) != 3:
-            raise MatrixFormatError(f"{path}:{3 + idx}: expected 'row col value'")
-        rows[idx], cols[idx], vals[idx] = int(tok[0]), int(tok[1]), float(tok[2])
-    matrix = sparse.coo_array((vals, (rows, cols)), shape=(n_states, n_states)).tocsr()
-    return TrackingMatrix(matrix=matrix, horizon_steps=steps, dt=dt)
-
-
-def save_binary(path, binary: BinaryTrackingMatrix) -> None:
-    coo = binary.matrix.tocoo()
-    lines = [BINARY_MAGIC, f"{binary.n_states} {coo.nnz}"]
-    order = np.lexsort((coo.coords[1], coo.coords[0]))
-    for r, c in zip(coo.coords[0][order], coo.coords[1][order]):
-        lines.append(f"{r} {c}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_binary(path) -> BinaryTrackingMatrix:
-    from .markov import MatrixFormatError
-
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != BINARY_MAGIC:
-        raise MatrixFormatError(f"{path}:1: missing magic line {BINARY_MAGIC!r}")
-    parts = lines[1].split() if len(lines) > 1 else []
-    if len(parts) != 2:
-        raise MatrixFormatError(f"{path}:2: expected 'n_states nnz'")
-    n_states, nnz = int(parts[0]), int(parts[1])
-    records = [ln for ln in lines[2:] if ln.strip()]
-    if len(records) != nnz:
-        raise MatrixFormatError(
-            f"{path}:{len(lines)}: expected {nnz} pairs, found {len(records)}"
-        )
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    for idx, line in enumerate(records):
-        tok = line.split()
-        if len(tok) != 2:
-            raise MatrixFormatError(f"{path}:{3 + idx}: expected 'row col'")
-        rows[idx], cols[idx] = int(tok[0]), int(tok[1])
-    matrix = sparse.coo_array(
-        (np.ones(nnz, dtype=bool), (rows, cols)), shape=(n_states, n_states)
-    ).tocsr()
-    return BinaryTrackingMatrix(matrix=matrix)
+    p_t = sparse.csr_array(operator.matrix.T)
+    coo = p_t.tocoo()
+    reach = steps * int(np.abs(coo.coords[0] - coo.coords[1]).max(initial=0))
+    kept = np.flatnonzero(release_weight > 0.0)
+    pair_rows = [np.empty(0, dtype=np.int64)]
+    pair_cols = [np.empty(0, dtype=np.int64)]
+    for start in range(0, kept.size, BLOCK):
+        block = kept[start : start + BLOCK]
+        lo, hi = max(0, block[0] - reach), min(n, block[-1] + reach + 1)
+        acc = _accumulate(p_t, steps, block, lo, hi)
+        hit = (acc > 0.0) & (acc >= cutoff) & candidates[lo:hi, None]
+        cols, members = np.nonzero(hit)
+        pair_rows.append(block[members])
+        pair_cols.append(cols + lo)
+    rows, cols = np.concatenate(pair_rows), np.concatenate(pair_cols)
+    return sparse.csc_array((release_weight[rows], (rows, cols)), shape=(n, n))

@@ -15,7 +15,7 @@ from scipy import sparse
 
 from pfsensor.cli import main
 from pfsensor.flowfield import FlowScenario, synth_recirculating
-from pfsensor.grid import StructuredGrid, ZoneMask, empty_mask
+from pfsensor.grid import StructuredGrid
 from pfsensor.markov import (
     ConcentrationField,
     MarkovMatrix,
@@ -26,13 +26,7 @@ from pfsensor.markov import (
 )
 from pfsensor.pde import compare_transport
 from pfsensor.placement import coverage_vector, expected_coverage, place_sensors
-from pfsensor.tracking import (
-    BinaryTrackingMatrix,
-    ConstraintSet,
-    apply_constraints,
-    tracking_matrix,
-    volumetric_scale,
-)
+from pfsensor.tracking import detection_matrix, tracking_rows
 from pfsensor.uncertainty import Gaussian, expectation, quadrature_rule
 
 SEED = int(os.environ.get("PFSENSOR_SEED", "0"))
@@ -62,15 +56,21 @@ def random_vortex_scenario(rng, max_cells=64):
 
 
 def random_scaled_matrices(rng, n, m_scenarios, density=0.35):
-    grid = StructuredGrid((n, 1, 1), (1.0, 1.0, 1.0))
-    mats = []
-    for _ in range(m_scenarios):
-        dense = rng.random((n, n)) < density
-        binary = BinaryTrackingMatrix(matrix=sparse.csr_array(dense))
-        mats.append(volumetric_scale(binary, grid))
+    """Random detection matrices on n uniform cells: each pair present with
+    the given density, valued at the release cell's volume fraction 1/n."""
+    mats = [
+        sparse.csc_array((rng.random((n, n)) < density) / n) for _ in range(m_scenarios)
+    ]
     weights = rng.random(m_scenarios)
     weights /= weights.sum()
-    return grid, mats, weights
+    return mats, weights
+
+
+def random_mask(rng, n, low, high):
+    """Mask over n states with a random count in [low, high) of them set."""
+    mask = np.zeros(n, dtype=bool)
+    mask[rng.choice(n, size=int(rng.integers(low, high)), replace=False)] = True
+    return mask
 
 
 def test_criterion_1_expectation_table():
@@ -126,8 +126,7 @@ def test_criterion_4_tracking_row_sums():
             dense /= dense.sum(axis=1, keepdims=True)
             operator = MarkovMatrix(matrix=sparse.csr_array(dense), dt=1.0)
             for m in (0, 1, 5, 20):
-                q = tracking_matrix(operator, m)
-                sums = np.asarray(q.matrix.sum(axis=1)).ravel()
+                sums = tracking_rows(operator, m, np.arange(n)).sum(axis=1)
                 assert np.abs(sums - (m + 1.0)).max() <= 1e-9
 
 
@@ -155,14 +154,14 @@ def test_criterion_6_greedy_first_sensor_optimality():
         for _ in range(500):
             n = int(rng.integers(2, 21))
             m = int(rng.integers(1, 5))
-            _, mats, weights = random_scaled_matrices(rng, n, m)
+            mats, weights = random_scaled_matrices(rng, n, m)
             plan = place_sensors(mats, weights, k=min(4, n))
             # exhaustive oracle: plain loops over every candidate state
             best_state, best_value = 0, -1.0
             for j in range(n):
                 value = 0.0
                 for w, mat in zip(weights, mats):
-                    dense = mat.matrix.toarray()
+                    dense = mat.toarray()
                     total = 0.0
                     for i in range(n):
                         total += dense[i, j]
@@ -203,41 +202,29 @@ def test_criterion_8_constraint_compliance():
         for _ in range(100):
             n = int(rng.integers(4, 24))
             m = int(rng.integers(1, 4))
-            grid, mats_raw, weights = random_scaled_matrices(rng, n, m, density=0.5)
-            forbidden = ZoneMask(
-                grid,
-                frozenset(
-                    int(k)
-                    for k in rng.choice(n, size=int(rng.integers(1, max(2, n // 2))), replace=False)
-                ),
-            )
-            ignore = ZoneMask(
-                grid,
-                frozenset(
-                    int(k)
-                    for k in rng.choice(n, size=int(rng.integers(0, max(1, n // 3) + 1)), replace=False)
-                ),
-            )
-            binaries = [
-                BinaryTrackingMatrix(matrix=mat.matrix.astype(bool)) for mat in mats_raw
-            ]
-            no_rows = ConstraintSet(forbidden, empty_mask(grid))
-            with_rows = ConstraintSet(forbidden, ignore)
-            free_cov = [
-                coverage_vector(volumetric_scale(apply_constraints(b, no_rows), grid))
-                for b in binaries
-            ]
-            masked_cov = [
-                coverage_vector(volumetric_scale(apply_constraints(b, with_rows), grid))
-                for b in binaries
-            ]
-            for free, masked in zip(free_cov, masked_cov):
-                assert np.all(masked <= free + 1e-15)  # row removal never adds coverage
-            scaled = [
-                volumetric_scale(apply_constraints(b, with_rows), grid) for b in binaries
-            ]
+            steps = int(rng.integers(0, 6))
+            cutoff = float(rng.uniform(0.0, 0.5)) * (steps + 1)
+            forbidden = random_mask(rng, n, 1, max(2, n // 2))
+            ignore = random_mask(rng, n, 0, max(1, n // 3) + 1)
+            free_weight = np.full(n, 1.0 / n)
+            masked_weight = np.where(ignore, 0.0, free_weight)
+            operators = []
+            for _ in range(m):
+                dense = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
+                dense[np.arange(n), np.arange(n)] += rng.random(n)
+                dense /= dense.sum(axis=1, keepdims=True)
+                operators.append(MarkovMatrix(matrix=sparse.csr_array(dense), dt=1.0))
+            weights = rng.random(m)
+            weights /= weights.sum()
+            scaled = []
+            for op in operators:
+                free = detection_matrix(op, steps, cutoff, free_weight, ~forbidden)
+                masked = detection_matrix(op, steps, cutoff, masked_weight, ~forbidden)
+                # row removal never adds coverage
+                assert np.all(coverage_vector(masked) <= coverage_vector(free) + 1e-15)
+                scaled.append(masked)
             plan = place_sensors(scaled, weights, k=4)
-            assert all(s not in forbidden.member_states for s in plan.states)
+            assert not forbidden[plan.states].any()
 
 
 def test_criterion_9_sample_count_convergence(tmp_path):

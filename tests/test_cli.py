@@ -124,7 +124,7 @@ def test_constrained_place_avoids_forbidden_states(tmp_path):
     best = free_plan["sensors"][0]["position"]
     lo = (best[0] - 0.051, best[1] - 0.051, 0.0)
     hi = (best[0] + 0.051, best[1] + 0.051, 1.0)
-    forbidden = box_mask(grid, lo, hi)
+    forbidden = set(np.flatnonzero(box_mask(grid, lo, hi)).tolist())
     assert len(forbidden) >= 1
     cfg2 = base_cfg(
         tmp_path,
@@ -135,8 +135,8 @@ def test_constrained_place_avoids_forbidden_states(tmp_path):
     assert main(["place", "--config", str(cfg2)]) == 0
     plan = json.loads((tmp_path / "out2" / "plan.json").read_text())
     states = {s["state"] for s in plan["sensors"]}
-    assert states.isdisjoint(forbidden.member_states)
-    assert set(plan["settings"]["forbidden_states"]) == forbidden.member_states
+    assert states.isdisjoint(forbidden)
+    assert set(plan["settings"]["forbidden_states"]) == forbidden
 
 
 def test_sensing_constraint_reports_occupied_coverage(tmp_path):
@@ -235,6 +235,79 @@ def test_outlet_pipeline_end_to_end(tmp_path):
             assert sensor["ijk"] is None and sensor["position"] is None
 
 
+@pytest.mark.parametrize(
+    "key, flags, extra",
+    [
+        ("dt", ["--dt", "nan"], {}),
+        ("dt", [], {"dt": "inf"}),
+        ("diffusivity", [], {"diffusivity": "nan"}),
+        ("eps_acc", ["--eps-acc", "nan"], {}),
+        ("min_coverage", ["--min-coverage", "nan"], {}),
+        ("validate_tol", [], {"validate_tol": "nan"}),
+        ("spacing", [], {"spacing": "0.1 nan 0.2"}),
+        ("origin", [], {"origin": "0 -inf 0"}),
+    ],
+)
+def test_build_rejects_non_finite_numbers(tmp_path, capsys, key, flags, extra):
+    cfg = base_cfg(tmp_path, **extra)
+    assert main(["build", "--config", str(cfg), *flags]) == 2
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def small_cfg(tmp_path):
+    return base_cfg(tmp_path, dims="8 8 1", dt="0.017", steps="25", cdf_points="0 0.5 1")
+
+
+def test_place_rejects_non_finite_threshold(tmp_path, capsys):
+    cfg = small_cfg(tmp_path)
+    assert main(["build", "--config", str(cfg)]) == 0
+    assert main(["place", "--config", str(cfg), "--eps-acc", "nan"]) == 2
+    assert "eps_acc must be finite" in capsys.readouterr().err
+
+
+def built_manifest(tmp_path):
+    cfg = small_cfg(tmp_path)
+    assert main(["build", "--config", str(cfg)]) == 0
+    path = tmp_path / "out" / "manifest.json"
+    return cfg, path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "keys, name",
+    [
+        (("format",), "format"),
+        (("grid",), "grid"),
+        (("grid", "dims"), "grid.dims"),
+        (("grid", "spacing"), "grid.spacing"),
+        (("grid", "origin"), "grid.origin"),
+        (("dt",), "dt"),
+        (("scenarios",), "scenarios"),
+        (("scenarios", 0, "xi"), "scenarios[0].xi"),
+        (("scenarios", 1, "theta"), "scenarios[1].theta"),
+        (("scenarios", 2, "matrix"), "scenarios[2].matrix"),
+    ],
+)
+def test_place_rejects_manifest_missing_key(tmp_path, capsys, keys, name):
+    cfg, path, manifest = built_manifest(tmp_path)
+    parent = manifest
+    for key in keys[:-1]:
+        parent = parent[key]
+    del parent[keys[-1]]
+    path.write_text(json.dumps(manifest))
+    assert main(["place", "--config", str(cfg)]) == 2
+    assert f"missing '{name}'" in capsys.readouterr().err
+
+
+def test_place_rejects_manifest_thetas_not_summing_to_one(tmp_path, capsys):
+    cfg, path, manifest = built_manifest(tmp_path)
+    for entry in manifest["scenarios"]:
+        entry["theta"] *= 2.7
+    path.write_text(json.dumps(manifest))
+    assert main(["place", "--config", str(cfg)]) == 2
+    assert "thetas sum to" in capsys.readouterr().err
+
+
 def test_converge_table_layout_and_reference_row(tmp_path):
     cfg = base_cfg(tmp_path, dims="8 8 1", dt="0.017", steps="25")
     assert main(["converge", "--config", str(cfg), "--samples", "2", "3", "5"]) == 0
@@ -266,7 +339,7 @@ def test_propagate_writes_concentration_field(tmp_path):
     field = load_field(tmp_path / "out" / "concentration-003.txt")
     # closed domain: the release mass is still in the u-component payload
     release = box_mask(field.grid, (0.2, 0.2, 0.0), (0.5, 0.5, 1.0))
-    assert field.u.sum() == pytest.approx(float(len(release)), rel=1e-9)
+    assert field.u.sum() == pytest.approx(float(np.count_nonzero(release)), rel=1e-9)
 
 
 def test_end_to_end_determinism(tmp_path):

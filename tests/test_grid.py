@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pfsensor.grid import StructuredGrid, ZoneMask, box_mask, empty_mask
+from pfsensor.config import RunConfig
+from pfsensor.grid import StructuredGrid, box_mask
 
 dims_st = st.tuples(
     st.integers(1, 6), st.integers(1, 6), st.integers(1, 4)
@@ -74,13 +75,14 @@ def test_cell_centers_match_cell_center():
 def test_box_mask_full_box():
     g = StructuredGrid((2, 2, 1), (1.0, 1.0, 1.0))
     m = box_mask(g, (0.0, 0.0, 0.0), (2.0, 2.0, 1.0))
-    assert len(m) == 4
+    assert m.dtype == bool and m.shape == (4,)
+    assert m.all()
 
 
 def test_box_mask_disjoint_box_is_empty():
     g = StructuredGrid((2, 2, 1), (1.0, 1.0, 1.0))
     m = box_mask(g, (0.0, -5.0, 0.0), (2.0, -3.0, 1.0))
-    assert len(m) == 0
+    assert not m.any()
 
 
 def test_box_mask_enumerated_centers():
@@ -88,7 +90,7 @@ def test_box_mask_enumerated_centers():
     g = StructuredGrid((4, 4, 1), (1.0, 1.0, 1.0))
     m = box_mask(g, (0.0, 0.0, 0.0), (2.0, 2.0, 1.0))
     expected = {g.state_index(ijk) for ijk in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]}
-    assert m.member_states == frozenset(expected)
+    assert set(np.flatnonzero(m).tolist()) == expected
 
 
 def test_box_mask_rejects_inverted_box():
@@ -97,28 +99,42 @@ def test_box_mask_rejects_inverted_box():
         box_mask(g, (1.0, 0.0, 0.0), (0.0, 1.0, 1.0))
 
 
+def random_box(rng, grid):
+    lo = rng.uniform(-0.5, 1.0, 3) * np.asarray(grid.extent())
+    hi = lo + rng.uniform(0.0, 1.0, 3) * np.asarray(grid.extent())
+    return tuple(lo), tuple(hi)
+
+
 @given(dims=dims_st, seed=st.integers(0, 2**31 - 1))
 def test_mask_complement_partitions_states(dims, seed):
+    # the occupied zone (a union of boxes) and the release states ignored
+    # outside it split the grid
     g = StructuredGrid(dims, (1.0, 1.0, 1.0))
     rng = np.random.default_rng(seed)
-    members = frozenset(
-        int(k) for k in rng.choice(g.n_states, size=rng.integers(0, g.n_states + 1), replace=False)
-    )
-    mask = ZoneMask(g, members)
-    comp = mask.complement()
-    assert len(mask) + len(comp) == g.n_states
-    assert mask.member_states & comp.member_states == frozenset()
-    assert mask.member_states | comp.member_states == frozenset(range(g.n_states))
+    cfg = RunConfig(occupied_boxes=[random_box(rng, g) for _ in range(rng.integers(1, 4))])
+    occupied = cfg.occupied_mask(g)
+    ignore = cfg.sensing_ignore_mask(g)
+    union = np.zeros(g.n_states, dtype=bool)
+    for lo, hi in cfg.occupied_boxes:
+        union |= box_mask(g, lo, hi)
+    assert np.array_equal(occupied, union)
+    assert np.count_nonzero(occupied) + np.count_nonzero(ignore) == g.n_states
+    assert not (occupied & ignore).any()
 
 
 def test_mask_rejects_out_of_range_indices():
-    g = StructuredGrid((2, 2, 1), (1.0, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        ZoneMask(g, frozenset({4}))
+    # a mask is one flag per grid state, so a box reaching past the domain
+    # still marks only states inside it
+    g = StructuredGrid((2, 3, 1), (1.0, 1.0, 1.0))
+    m = box_mask(g, (-5.0, -5.0, -5.0), (99.0, 1.0, 99.0))
+    assert m.shape == (g.n_states,)
+    assert np.flatnonzero(m).tolist() == [0, 1]
 
 
 def test_empty_mask_and_bool_array():
     g = StructuredGrid((2, 2, 1), (1.0, 1.0, 1.0))
-    m = empty_mask(g)
-    assert not m.bool_array().any()
-    assert m.complement().bool_array().all()
+    cfg = RunConfig()
+    assert cfg.occupied_mask(g) is None
+    for mask in (cfg.forbidden_mask(g), cfg.sensing_ignore_mask(g)):
+        assert mask.dtype == bool and mask.shape == (4,)
+        assert not mask.any()

@@ -15,7 +15,6 @@ from pfsensor.markov import (
     StabilityError,
     admissible_dt,
     build_markov,
-    expected_operator,
     load_markov,
     propagate,
     save_markov,
@@ -145,46 +144,6 @@ def test_propagate_conserves_mass_on_random_stochastic(seed, steps):
     assert out.total_mass() == pytest.approx(phi.total_mass(), rel=1e-10)
 
 
-def test_expected_operator_single_scenario_identity():
-    rng = np.random.default_rng(0)
-    op = random_stochastic(rng, 4)
-    combo = expected_operator([(op, 1.0)])
-    assert np.allclose(combo.matrix.toarray(), op.matrix.toarray())
-
-
-def test_expected_operator_of_identical_matrices():
-    rng = np.random.default_rng(1)
-    op = random_stochastic(rng, 4)
-    twin = MarkovMatrix(matrix=op.matrix.copy(), dt=op.dt)
-    combo = expected_operator([(op, 0.3), (twin, 0.7)])
-    assert np.allclose(combo.matrix.toarray(), op.matrix.toarray())
-
-
-def test_expected_operator_weighted_sum_and_row_sums():
-    rng = np.random.default_rng(2)
-    a, b = random_stochastic(rng, 4), random_stochastic(rng, 4)
-    combo = expected_operator([(a, 0.3), (b, 0.7)])
-    assert np.allclose(
-        combo.matrix.toarray(), 0.3 * a.matrix.toarray() + 0.7 * b.matrix.toarray()
-    )
-    assert np.allclose(np.asarray(combo.matrix.sum(axis=1)).ravel(), 1.0, atol=1e-12)
-    combo.validate()
-
-
-def test_expected_operator_validates_inputs():
-    rng = np.random.default_rng(3)
-    a = random_stochastic(rng, 4)
-    b = random_stochastic(rng, 5)
-    with pytest.raises(ValueError):
-        expected_operator([(a, 0.5), (b, 0.5)])
-    c = MarkovMatrix(matrix=a.matrix.copy(), dt=2.0)
-    with pytest.raises(ValueError):
-        expected_operator([(a, 0.5), (c, 0.5)])
-    d = random_stochastic(rng, 4)
-    with pytest.raises(ValueError):
-        expected_operator([(a, 0.5), (d, 0.6)])
-
-
 @given(seed=st.integers(0, 2**31 - 1))
 def test_single_step_linearity_in_operator_mixture(seed):
     rng = np.random.default_rng(seed)
@@ -193,7 +152,9 @@ def test_single_step_linearity_in_operator_mixture(seed):
     weights /= weights.sum()
     g = unit_line_grid(5)
     phi = ConcentrationField(g, rng.random(5))
-    mixed = expected_operator(list(zip(ops, weights)))
+    mixed = MarkovMatrix(
+        matrix=sparse.csr_array(sum(w * op.matrix for w, op in zip(weights, ops))), dt=1.0
+    )
     via_mixture = propagate(phi, mixed, None, 1).values
     via_average = sum(
         w * propagate(phi, op, None, 1).values for w, op in zip(weights, ops)

@@ -4,42 +4,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from pfsensor.grid import StructuredGrid, ZoneMask
 from pfsensor.placement import (
     coverage_vector,
     expected_coverage,
     occupied_fraction,
     place_sensors,
 )
-from pfsensor.tracking import BinaryTrackingMatrix, ScaledTrackingMatrix, volumetric_scale
 
 
-def line_grid(n):
-    return StructuredGrid((n, 1, 1), (1.0, 1.0, 1.0))
-
-
-def scaled_from_bool(dense_bool, grid):
-    binary = BinaryTrackingMatrix(matrix=sparse.csr_array(np.asarray(dense_bool, dtype=bool)))
-    return volumetric_scale(binary, grid)
+def scaled_from_bool(dense_bool):
+    """Detection matrix on n uniform cells: each present pair carries its
+    release cell's volume fraction 1/n."""
+    dense = np.asarray(dense_bool, dtype=bool)
+    return sparse.csc_array(dense / dense.shape[0])
 
 
 def random_instance(rng, n, m_scenarios, density=0.35):
-    grid = line_grid(n)
-    mats = [scaled_from_bool(rng.random((n, n)) < density, grid) for _ in range(m_scenarios)]
+    mats = [scaled_from_bool(rng.random((n, n)) < density) for _ in range(m_scenarios)]
     weights = rng.random(m_scenarios)
     weights /= weights.sum()
-    return grid, mats, weights
+    return mats, weights
 
 
 def brute_force_first_sensor(mats, weights):
     """Exhaustive argmax of probability-weighted covered volume, written as
     plain loops over matrix entries (independent of the library path)."""
-    n = mats[0].n_states
+    n = mats[0].shape[0]
     best_state, best_value = 0, -1.0
     for j in range(n):
         value = 0.0
         for w, m in zip(weights, mats):
-            dense = m.matrix.toarray()
+            dense = m.toarray()
             col_total = 0.0
             for i in range(n):
                 col_total += dense[i, j]
@@ -50,22 +45,18 @@ def brute_force_first_sensor(mats, weights):
 
 
 def test_coverage_vector_empty_matrix():
-    g = line_grid(3)
-    scaled = ScaledTrackingMatrix(matrix=sparse.csr_array((3, 3)))
-    assert coverage_vector(scaled).tolist() == [0.0, 0.0, 0.0]
+    assert coverage_vector(sparse.csc_array((3, 3))).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_coverage_vector_full_matrix_is_all_ones():
-    g = line_grid(5)
-    scaled = scaled_from_bool(np.ones((5, 5)), g)
+    scaled = scaled_from_bool(np.ones((5, 5)))
     assert np.allclose(coverage_vector(scaled), 1.0)
 
 
 def test_coverage_vector_single_pair():
-    g = line_grid(10)
     dense = np.zeros((10, 10), dtype=bool)
     dense[2, 5] = True
-    v = coverage_vector(scaled_from_bool(dense, g))
+    v = coverage_vector(scaled_from_bool(dense))
     assert v[5] == pytest.approx(0.1)
     assert v.sum() == pytest.approx(0.1)
 
@@ -102,17 +93,15 @@ def test_expected_coverage_is_weighted_mean(seed):
 
 
 def test_diagonal_matrix_ties_break_to_lowest_state():
-    g = line_grid(4)
-    plan = place_sensors([scaled_from_bool(np.eye(4), g)], [1.0], k=1)
+    plan = place_sensors([scaled_from_bool(np.eye(4))], [1.0], k=1)
     assert plan.states == [0]
     assert plan.sensors[0].expected_marginal == pytest.approx(0.25)
 
 
 def test_dense_column_wins():
-    g = line_grid(5)
     dense = np.eye(5, dtype=bool)
     dense[:, 3] = True
-    plan = place_sensors([scaled_from_bool(dense, g)], [1.0], k=1)
+    plan = place_sensors([scaled_from_bool(dense)], [1.0], k=1)
     assert plan.states == [3]
     assert plan.sensors[0].expected_marginal == pytest.approx(1.0)
 
@@ -125,7 +114,7 @@ def test_dense_column_wins():
 @settings(max_examples=40, deadline=None)
 def test_first_sensor_matches_exhaustive_argmax(seed, n, m):
     rng = np.random.default_rng(seed)
-    _, mats, weights = random_instance(rng, n, m)
+    mats, weights = random_instance(rng, n, m)
     plan = place_sensors(mats, weights, k=1)
     best_state, best_value = brute_force_first_sensor(mats, weights)
     if not plan.sensors:
@@ -139,7 +128,7 @@ def test_first_sensor_matches_exhaustive_argmax(seed, n, m):
 @settings(max_examples=25, deadline=None)
 def test_marginals_non_increasing_and_cumulative_bounded(seed):
     rng = np.random.default_rng(seed)
-    _, mats, weights = random_instance(rng, 12, 3, density=0.5)
+    mats, weights = random_instance(rng, 12, 3, density=0.5)
     plan = place_sensors(mats, weights, k=6)
     marginals = [s.expected_marginal for s in plan.sensors]
     assert all(a >= b - 1e-12 for a, b in zip(marginals, marginals[1:]))
@@ -150,8 +139,7 @@ def test_marginals_non_increasing_and_cumulative_bounded(seed):
 
 def test_covered_rows_disjoint_between_sensors():
     rng = np.random.default_rng(3)
-    g = line_grid(10)
-    mats = [scaled_from_bool(rng.random((10, 10)) < 0.4, g)]
+    mats = [scaled_from_bool(rng.random((10, 10)) < 0.4)]
     plan = place_sensors(mats, [1.0], k=5)
     maps = [s.coverage_map for s in plan.sensors]
     for a in range(len(maps)):
@@ -163,7 +151,7 @@ def test_covered_rows_disjoint_between_sensors():
 @settings(max_examples=20, deadline=None)
 def test_weight_scaling_preserves_argmax_sequence(seed, scale):
     rng = np.random.default_rng(seed)
-    _, mats, weights = random_instance(rng, 10, 3, density=0.4)
+    mats, weights = random_instance(rng, 10, 3, density=0.4)
     base = place_sensors(mats, weights, k=4)
     rescaled = place_sensors(mats, weights * scale, k=4)
     assert base.states == rescaled.states
@@ -171,7 +159,7 @@ def test_weight_scaling_preserves_argmax_sequence(seed, scale):
 
 def test_determinism_identical_plans():
     rng = np.random.default_rng(9)
-    _, mats, weights = random_instance(rng, 12, 2)
+    mats, weights = random_instance(rng, 12, 2)
     a = place_sensors(mats, weights, k=4)
     b = place_sensors(mats, weights, k=4)
     assert a.states == b.states
@@ -179,17 +167,15 @@ def test_determinism_identical_plans():
 
 
 def test_plan_truncated_when_budget_exceeds_coverage():
-    g = line_grid(4)
     dense = np.zeros((4, 4), dtype=bool)
     dense[0, 0] = True
-    plan = place_sensors([scaled_from_bool(dense, g)], [1.0], k=3)
+    plan = place_sensors([scaled_from_bool(dense)], [1.0], k=3)
     assert plan.states == [0]
     assert plan.truncated
 
 
 def test_min_coverage_stops_early():
-    g = line_grid(4)
-    plan = place_sensors([scaled_from_bool(np.eye(4), g)], [1.0], min_coverage=0.5)
+    plan = place_sensors([scaled_from_bool(np.eye(4))], [1.0], min_coverage=0.5)
     assert len(plan.states) == 2  # two diagonal sensors reach 0.5
     assert plan.cumulative_expected_coverage == pytest.approx(0.5)
     assert not plan.truncated
@@ -198,12 +184,11 @@ def test_min_coverage_stops_early():
 def test_literal_removal_keeps_covered_rows():
     # column 1 covers everything; under literal removal only row/col 1 vanish,
     # so sensor 2 still sees the other release rows
-    g = line_grid(3)
     dense = np.zeros((3, 3), dtype=bool)
     dense[:, 1] = True
     dense[0, 0] = True
-    covered = place_sensors([scaled_from_bool(dense, g)], [1.0], k=2, removal="covered")
-    literal = place_sensors([scaled_from_bool(dense, g)], [1.0], k=2, removal="literal")
+    covered = place_sensors([scaled_from_bool(dense)], [1.0], k=2, removal="covered")
+    literal = place_sensors([scaled_from_bool(dense)], [1.0], k=2, removal="literal")
     assert covered.states[0] == literal.states[0] == 1
     assert covered.cumulative_expected_coverage == pytest.approx(1.0)
     # literal re-counts row 0 through column 0
@@ -212,12 +197,11 @@ def test_literal_removal_keeps_covered_rows():
 
 
 def test_occupied_fraction_reporting():
-    g = line_grid(10)
-    occupied = ZoneMask(g, frozenset(range(5)))
+    occupied = np.arange(10) < 5
     dense = np.zeros((10, 10), dtype=bool)
     dense[:5, 2] = True  # sensor 2 covers exactly the occupied half
     plan = place_sensors(
-        [scaled_from_bool(dense, g)],
+        [scaled_from_bool(dense)],
         [1.0],
         k=1,
         occupied_volume_fraction=occupied_fraction(occupied),
@@ -227,8 +211,7 @@ def test_occupied_fraction_reporting():
 
 
 def test_place_sensors_argument_validation():
-    g = line_grid(3)
-    mats = [scaled_from_bool(np.eye(3), g)]
+    mats = [scaled_from_bool(np.eye(3))]
     with pytest.raises(ValueError):
         place_sensors(mats, [1.0])
     with pytest.raises(ValueError):

@@ -4,22 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from pfsensor.grid import StructuredGrid, ZoneMask, empty_mask
-from pfsensor.markov import MarkovMatrix, MatrixFormatError
-from pfsensor.tracking import (
-    BinaryTrackingMatrix,
-    ConstraintSet,
-    SensorSpec,
-    TrackingMatrix,
-    apply_constraints,
-    load_binary,
-    load_tracking,
-    save_binary,
-    save_tracking,
-    threshold,
-    tracking_matrix,
-    volumetric_scale,
-)
+from pfsensor.config import ConfigError, RunConfig
+from pfsensor.flowfield import FlowScenario, VelocityField, synth_recirculating
+from pfsensor.grid import StructuredGrid
+from pfsensor.markov import BoundarySpec, MarkovMatrix, admissible_dt, build_markov
+from pfsensor.pipeline import scaled_tracking
+from pfsensor.tracking import BLOCK, detection_matrix, tracking_rows
 
 
 def operator_from_dense(dense, dt=1.0):
@@ -32,52 +22,76 @@ def random_stochastic(rng, n):
     return operator_from_dense(m)
 
 
-def full_binary(n):
-    return BinaryTrackingMatrix(matrix=sparse.csr_array(np.ones((n, n), dtype=bool)))
-
-
 def line_grid(n):
     return StructuredGrid((n, 1, 1), (1.0, 1.0, 1.0))
+
+
+def full_q(operator, steps):
+    return tracking_rows(operator, steps, np.arange(operator.n_states))
+
+
+def pairs(operator, steps, cutoff, release_weight=None, candidates=None):
+    n = operator.n_states
+    weight = np.ones(n) if release_weight is None else np.asarray(release_weight, dtype=float)
+    cand = np.ones(n, dtype=bool) if candidates is None else np.asarray(candidates)
+    coo = detection_matrix(operator, steps, cutoff, weight, cand).tocoo()
+    return {(int(r), int(c)) for r, c in zip(coo.coords[0], coo.coords[1])}
+
+
+def run_config(**fields):
+    return RunConfig(
+        family="vortex", distribution=("gaussian", 0.5, 0.05), cdf_points=(0.5,), **fields
+    )
+
+
+def dense_oracle(p, steps, cutoff, release_weight, candidates):
+    """Detection matrix from a dense power sum; also returns Q."""
+    n = p.shape[0]
+    q = np.zeros((n, n))
+    power = np.eye(n)
+    for _ in range(steps + 1):
+        q += power
+        power = power @ p
+    hit = (q > 0.0) & (q >= cutoff)
+    hit &= (release_weight > 0.0)[:, None] & candidates[None, :]
+    return np.where(hit, release_weight[:, None], 0.0), q
 
 
 TWO_STATE = [[0.9, 0.1], [0.1, 0.9]]
 
 
 def test_tracking_zero_steps_is_identity():
-    q = tracking_matrix(operator_from_dense(TWO_STATE), 0)
-    assert np.allclose(q.matrix.toarray(), np.eye(2))
-    assert q.horizon_steps == 0
+    assert np.allclose(full_q(operator_from_dense(TWO_STATE), 0), np.eye(2))
 
 
 def test_tracking_identity_powers():
-    q = tracking_matrix(operator_from_dense(np.eye(3)), 3)
-    assert np.allclose(q.matrix.toarray(), 4.0 * np.eye(3))
+    assert np.allclose(full_q(operator_from_dense(np.eye(3)), 3), 4.0 * np.eye(3))
 
 
 def test_tracking_two_state_hand_value():
     # P^2 = [[0.82, 0.18], [0.18, 0.82]]; Q = I + P + P^2
-    q = tracking_matrix(operator_from_dense(TWO_STATE), 2)
-    assert np.allclose(q.matrix.toarray(), [[2.72, 0.28], [0.28, 2.72]], atol=1e-12)
-    assert q.horizon_time == pytest.approx(2.0)
+    q = full_q(operator_from_dense(TWO_STATE), 2)
+    assert np.allclose(q, [[2.72, 0.28], [0.28, 2.72]], atol=1e-12)
+    assert np.array_equal(tracking_rows(operator_from_dense(TWO_STATE), 2, [1]), q[[1]])
 
 
 def test_tracking_rejects_negative_steps():
+    op = operator_from_dense(TWO_STATE)
     with pytest.raises(ValueError):
-        tracking_matrix(operator_from_dense(TWO_STATE), -1)
+        tracking_rows(op, -1, [0])
+    with pytest.raises(ValueError):
+        detection_matrix(op, -1, 0.0, np.ones(2), np.ones(2, dtype=bool))
 
 
 @given(seed=st.integers(0, 2**31 - 1), steps=st.sampled_from([0, 1, 5, 20]))
 @settings(max_examples=30, deadline=None)
 def test_tracking_row_sums_equal_steps_plus_one(seed, steps):
     rng = np.random.default_rng(seed)
-    q = tracking_matrix(random_stochastic(rng, 7), steps)
-    sums = np.asarray(q.matrix.sum(axis=1)).ravel()
-    assert np.allclose(sums, steps + 1.0, atol=1e-9)
+    q = full_q(random_stochastic(rng, 7), steps)
+    assert np.allclose(q.sum(axis=1), steps + 1.0, atol=1e-9)
 
 
 def test_tracking_matches_dense_power_sum():
-    # the accumulation switches to dense arrays once powers saturate; both
-    # regimes must agree with a from-scratch matrix-power sum
     rng = np.random.default_rng(17)
     op = random_stochastic(rng, 15)
     dense_p = op.matrix.toarray()
@@ -87,46 +101,48 @@ def test_tracking_matches_dense_power_sum():
         for _ in range(m + 1):
             expected += acc
             acc = acc @ dense_p
-        q = tracking_matrix(op, m)
-        assert np.allclose(q.matrix.toarray(), expected, atol=1e-12)
+        assert np.allclose(full_q(op, m), expected, atol=1e-12)
 
 
 def test_tracking_entry_bounds():
     rng = np.random.default_rng(42)
     steps = 6
-    q = tracking_matrix(random_stochastic(rng, 5), steps)
-    dense = q.matrix.toarray()
+    dense = full_q(random_stochastic(rng, 5), steps)
     assert dense.min() >= 0.0
     assert dense.max() <= steps + 1.0
     assert np.all(np.diag(dense) >= 1.0)  # identity term
 
 
 def test_threshold_zero_keeps_all_stored_entries():
-    q = tracking_matrix(operator_from_dense(TWO_STATE), 2)
-    b = threshold(q, SensorSpec(0.0))
-    assert b.pairs() == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert pairs(operator_from_dense(TWO_STATE), 2, 0.0) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    # a zero cutoff still drops pairs the release never reaches
+    assert pairs(operator_from_dense(np.eye(2)), 2, 0.0) == {(0, 0), (1, 1)}
 
 
 def test_threshold_one_keeps_only_isolated_states():
     # only a state retaining all mass reaches m + 1
-    p = operator_from_dense([[1.0, 0.0], [0.5, 0.5]])
-    q = tracking_matrix(p, 3)
-    b = threshold(q, SensorSpec(1.0))
-    assert b.pairs() == {(0, 0)}
+    assert pairs(operator_from_dense([[1.0, 0.0], [0.5, 0.5]]), 3, 1.0 * 4) == {(0, 0)}
 
 
 def test_threshold_two_state_hand_values():
-    q = tracking_matrix(operator_from_dense(TWO_STATE), 2)
+    op = operator_from_dense(TWO_STATE)
     # cutoff 0.05 * 3 = 0.15 keeps 0.28 and 2.72
-    assert len(threshold(q, SensorSpec(0.05)).pairs()) == 4
+    assert len(pairs(op, 2, 0.05 * 3)) == 4
     # cutoff 0.1 * 3 = 0.3 drops the 0.28 off-diagonals
-    assert threshold(q, SensorSpec(0.1)).pairs() == {(0, 0), (1, 1)}
+    assert pairs(op, 2, 0.1 * 3) == {(0, 0), (1, 1)}
 
 
 def test_threshold_raw_mode_compares_entries_directly():
-    q = tracking_matrix(operator_from_dense(TWO_STATE), 2)
-    assert len(threshold(q, SensorSpec(0.28), raw=True).pairs()) == 4
-    assert threshold(q, SensorSpec(0.29), raw=True).pairs() == {(0, 0), (1, 1)}
+    op = operator_from_dense(TWO_STATE)
+    grid = line_grid(2)
+
+    def kept(eps, raw):
+        cfg = run_config(steps=2, eps_acc=eps, raw_threshold=raw)
+        return scaled_tracking(cfg, grid, [op])[0].nnz
+
+    assert kept(0.28, raw=True) == 4
+    assert kept(0.29, raw=True) == 2
+    assert kept(0.28, raw=False) == 2  # cutoff 0.28 * 3 = 0.84
 
 
 @given(
@@ -137,116 +153,164 @@ def test_threshold_raw_mode_compares_entries_directly():
 @settings(max_examples=30, deadline=None)
 def test_threshold_monotone_in_epsilon(seed, eps_lo, eps_hi):
     rng = np.random.default_rng(seed)
-    q = tracking_matrix(random_stochastic(rng, 6), 3)
-    low = threshold(q, SensorSpec(eps_lo)).pairs()
-    high = threshold(q, SensorSpec(eps_hi)).pairs()
-    assert high <= low
+    op = random_stochastic(rng, 6)
+    assert pairs(op, 3, eps_hi * 4) <= pairs(op, 3, eps_lo * 4)
 
 
 def test_sensor_spec_bounds():
-    with pytest.raises(ValueError):
-        SensorSpec(-0.1)
-    with pytest.raises(ValueError):
-        SensorSpec(1.1)
+    # the detection threshold is a fraction of the released mass
+    run_config(eps_acc=0.0).validate()
+    run_config(eps_acc=1.0).validate()
+    for bad in (-0.1, 1.1, float("nan")):
+        with pytest.raises(ConfigError, match="eps_acc"):
+            run_config(eps_acc=bad).validate()
 
 
 def test_constraints_empty_masks_are_noop():
-    g = line_grid(3)
-    b = full_binary(3)
-    cs = ConstraintSet(empty_mask(g), empty_mask(g))
-    assert apply_constraints(b, cs).pairs() == b.pairs()
+    rng = np.random.default_rng(1)
+    op = random_stochastic(rng, 3)
+    assert pairs(op, 2, 0.0) == {(r, c) for r in range(3) for c in range(3)}
 
 
 def test_constraints_all_forbidden_empties_matrix():
-    g = line_grid(3)
-    cs = ConstraintSet(empty_mask(g).complement(), empty_mask(g))
-    assert apply_constraints(full_binary(3), cs).pairs() == set()
+    rng = np.random.default_rng(2)
+    none = np.zeros(3, dtype=bool)
+    assert pairs(random_stochastic(rng, 3), 2, 0.0, candidates=none) == set()
 
 
 def test_constraints_enumerated_pairs():
-    g = line_grid(3)
-    cs = ConstraintSet(
-        forbidden_locations=ZoneMask(g, frozenset({1})),
-        sensing_ignore=ZoneMask(g, frozenset({2})),
+    rng = np.random.default_rng(3)
+    got = pairs(
+        random_stochastic(rng, 3),
+        2,
+        0.0,
+        release_weight=[1.0, 1.0, 0.0],  # release state 2 lies outside the zone
+        candidates=[True, False, True],  # state 1 cannot host a sensor
     )
-    out = apply_constraints(full_binary(3), cs)
-    assert out.pairs() == {(0, 0), (0, 2), (1, 0), (1, 2)}
+    assert got == {(0, 0), (0, 2), (1, 0), (1, 2)}
 
 
 def test_constraints_idempotent_and_commuting():
-    g = line_grid(4)
+    # the row and column masks act independently, and dropping rows or
+    # columns that hold no pair changes nothing
     rng = np.random.default_rng(5)
-    dense = rng.random((4, 4)) > 0.4
-    b = BinaryTrackingMatrix(matrix=sparse.csr_array(dense))
-    cs = ConstraintSet(
-        forbidden_locations=ZoneMask(g, frozenset({0, 2})),
-        sensing_ignore=ZoneMask(g, frozenset({3})),
-    )
-    once = apply_constraints(b, cs)
-    twice = apply_constraints(once, cs)
-    assert once.pairs() == twice.pairs()
-    cols_only = ConstraintSet(ZoneMask(g, frozenset({0, 2})), empty_mask(g))
-    rows_only = ConstraintSet(empty_mask(g), ZoneMask(g, frozenset({3})))
-    assert (
-        apply_constraints(apply_constraints(b, cols_only), rows_only).pairs()
-        == apply_constraints(apply_constraints(b, rows_only), cols_only).pairs()
-    )
+    dense = rng.random((6, 6)) * (rng.random((6, 6)) < 0.4) + np.eye(6)
+    op = operator_from_dense(dense / dense.sum(axis=1, keepdims=True))
+    rows = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+    cols = np.array([True, True, False, True, False, True])
+    both = pairs(op, 3, 0.05, rows, cols)
+    assert 0 < len(both) < 16
+    assert both == pairs(op, 3, 0.05, release_weight=rows) & pairs(op, 3, 0.05, candidates=cols)
+    hit_rows = np.zeros(6)
+    hit_rows[[r for r, _ in both]] = 1.0
+    hit_cols = np.zeros(6, dtype=bool)
+    hit_cols[[c for _, c in both]] = True
+    assert pairs(op, 3, 0.05, hit_rows, hit_cols) == both
 
 
 def test_constraint_masks_must_share_grid():
+    op = operator_from_dense(TWO_STATE)
     with pytest.raises(ValueError):
-        ConstraintSet(empty_mask(line_grid(3)), empty_mask(line_grid(4)))
+        detection_matrix(op, 2, 0.0, np.ones(3), np.ones(2, dtype=bool))
+    with pytest.raises(ValueError):
+        detection_matrix(op, 2, 0.0, np.ones(2), np.ones(3, dtype=bool))
+
+
+# random_stochastic operators have every entry of P, hence of Q, positive
 
 
 def test_volumetric_scale_uniform_grid():
-    g = line_grid(4)
-    scaled = volumetric_scale(full_binary(4), g)
-    assert np.allclose(scaled.matrix.toarray(), np.full((4, 4), 0.25))
+    rng = np.random.default_rng(4)
+    cfg = run_config(steps=2, eps_acc=0.0)
+    scaled = scaled_tracking(cfg, line_grid(4), [random_stochastic(rng, 4)])[0]
+    assert np.allclose(scaled.toarray(), np.full((4, 4), 0.25))
 
 
 def test_volumetric_scale_empty_matrix():
-    g = line_grid(3)
-    empty = BinaryTrackingMatrix(matrix=sparse.csr_array((3, 3), dtype=bool))
-    assert volumetric_scale(empty, g).matrix.nnz == 0
+    rng = np.random.default_rng(5)
+    op = random_stochastic(rng, 3)
+    detection = detection_matrix(op, 2, 0.0, np.zeros(3), np.ones(3, dtype=bool))
+    assert detection.shape == (3, 3) and detection.nnz == 0
 
 
 def test_volumetric_scale_full_matrix_column_sums_are_one():
-    g = line_grid(6)
-    scaled = volumetric_scale(full_binary(6), g)
-    assert np.allclose(np.asarray(scaled.matrix.sum(axis=0)).ravel(), 1.0)
+    rng = np.random.default_rng(6)
+    cfg = run_config(steps=3, eps_acc=0.0)
+    scaled = scaled_tracking(cfg, line_grid(6), [random_stochastic(rng, 6)])[0]
+    assert np.allclose(np.asarray(scaled.sum(axis=0)).ravel(), 1.0)
 
 
 def test_volumetric_scale_exit_state_has_zero_volume():
-    g = line_grid(3)
-    scaled = volumetric_scale(full_binary(4), g)  # one extra absorbing state
-    dense = scaled.matrix.toarray()
+    # one extra absorbing state: it may host a sensor but releases nothing
+    rng = np.random.default_rng(7)
+    cfg = run_config(steps=2, eps_acc=0.0)
+    dense = scaled_tracking(cfg, line_grid(3), [random_stochastic(rng, 4)])[0].toarray()
     assert np.allclose(dense[:3], 1.0 / 3.0)
     assert not dense[3].any()
 
 
 def test_volumetric_scale_grid_size_mismatch():
+    rng = np.random.default_rng(8)
+    cfg = run_config(steps=2, eps_acc=0.0)
     with pytest.raises(ValueError):
-        volumetric_scale(full_binary(5), line_grid(3))
+        scaled_tracking(cfg, line_grid(3), [random_stochastic(rng, 5)])
 
 
-def test_tracking_round_trip(tmp_path):
-    q = tracking_matrix(operator_from_dense(TWO_STATE), 2)
-    path = tmp_path / "q.txt"
-    save_tracking(path, q)
-    back = load_tracking(path)
-    assert back.horizon_steps == 2 and back.dt == 1.0
-    assert np.array_equal(back.matrix.toarray(), q.matrix.toarray())
+def flow_operator(rng, outlets):
+    """A vortex operator on a closed box, or a drift toward an x+ outlet that
+    gives the operator a busy exit column."""
+    nx, ny = int(rng.integers(2, 16)), int(rng.integers(2, 16))
+    grid = StructuredGrid((nx, ny, 1), (1.0 / nx, 1.0 / ny, 0.2))
+    if outlets:
+        n = grid.n_states
+        field = VelocityField(grid, np.full(n, 0.3), np.zeros(n), np.zeros(n))
+        boundaries = BoundarySpec(outlet_sides=frozenset({"x+"}))
+    else:
+        field = synth_recirculating(grid, float(rng.uniform(-1.0, 1.0)))
+        boundaries = BoundarySpec()
+    scenario = FlowScenario(field, diffusivity=float(rng.uniform(1e-4, 1e-2)))
+    dt = float(rng.uniform(0.3, 0.95)) * admissible_dt(scenario, boundaries)
+    return build_markov(scenario, dt, boundaries)
 
 
-def test_binary_round_trip(tmp_path):
-    b = threshold(tracking_matrix(operator_from_dense(TWO_STATE), 2), SensorSpec(0.1))
-    path = tmp_path / "b.txt"
-    save_binary(path, b)
-    assert load_binary(path).pairs() == b.pairs()
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    kind=st.sampled_from(["dense", "closed", "outlet"]),
+    steps=st.sampled_from([0, 1, 5, 20]),
+    eps=st.sampled_from([0.0, 1e-4, 1e-2, 0.2]),
+)
+@settings(max_examples=60, deadline=None)
+def test_detection_matches_dense_oracle(seed, kind, steps, eps):
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        op = random_stochastic(rng, int(rng.integers(2, 21)))
+    else:
+        op = flow_operator(rng, outlets=kind == "outlet")
+    n = op.n_states
+    release_weight = np.where(rng.random(n) < 0.8, rng.random(n), 0.0)
+    candidates = rng.random(n) < 0.7
+    cutoff = eps * (steps + 1)
+    got = detection_matrix(op, steps, cutoff, release_weight, candidates).toarray()
+    expected, q = dense_oracle(op.matrix.toarray(), steps, cutoff, release_weight, candidates)
+    settled = np.abs(q - cutoff) > 1e-9
+    assert np.array_equal(got[settled], expected[settled])
 
 
-def test_tracking_load_rejects_wrong_magic(tmp_path):
-    path = tmp_path / "q.txt"
-    path.write_text("# pfsensor-markov v1\n2 0 1.0\n")
-    with pytest.raises(MatrixFormatError):
-        load_tracking(path)
+def test_detection_streams_more_rows_than_one_block():
+    # a closed 20x20 vortex: 400 release rows span several blocks, and with
+    # few steps each block propagates only through its band of the grid
+    rng = np.random.default_rng(11)
+    grid = StructuredGrid((20, 20, 1), (0.05, 0.05, 0.2))
+    scenario = FlowScenario(synth_recirculating(grid, 0.5), diffusivity=1e-4)
+    op = build_markov(scenario, 0.5 * admissible_dt(scenario))
+    n = op.n_states
+    assert n > 2 * BLOCK
+    release_weight = np.full(n, 1.0 / n)
+    candidates = rng.random(n) < 0.5
+    for steps in (3, 40):
+        got = detection_matrix(op, steps, 1e-3 * (steps + 1), release_weight, candidates)
+        expected, q = dense_oracle(
+            op.matrix.toarray(), steps, 1e-3 * (steps + 1), release_weight, candidates
+        )
+        assert not np.any(np.abs(q - 1e-3 * (steps + 1)) <= 1e-9)
+        assert np.array_equal(got.toarray(), expected)

@@ -12,12 +12,33 @@ from pfsensor.uncertainty import (
     cdf_points_for,
     expectation,
     fit_kde,
-    hat_functions,
     icdf_samples,
     quadrature_rule,
 )
 
 TABLE_POINTS = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
+
+
+def hat_functions(samples, support):
+    """Return f(x) -> (M, len(x)) matrix of hat-function values.
+
+    Hat i is 1 at sample i, falls linearly to 0 at its neighbors, and is
+    extended with its end value (1 for the terminal hats, 0 otherwise)
+    beyond the sample hull out to the support bounds. The hats sum to 1
+    everywhere on the support.
+    """
+    nodes = np.asarray(samples, dtype=float)
+
+    def evaluate(x):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.empty((nodes.size, x.size))
+        for i in range(nodes.size):
+            one_hot = np.zeros(nodes.size)
+            one_hot[i] = 1.0
+            out[i] = np.interp(x, nodes, one_hot)
+        return out
+
+    return evaluate
 
 
 def test_fit_kde_symmetric_data_gives_symmetric_pdf():
