@@ -18,7 +18,6 @@ from .markov import (
     ConcentrationField,
     MarkovMatrix,
     MatrixFormatError,
-    SourceTerm,
     StabilityError,
     admissible_dt,
     build_markov,

@@ -34,17 +34,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dt", type=float, help="Markov step in seconds")
     parser.add_argument("--steps", type=int, help="horizon steps m")
     parser.add_argument("--eps-acc", type=float, dest="eps_acc", help="sensor threshold")
-    parser.add_argument(
-        "--raw-threshold",
-        action="store_true",
-        default=None,
-        help="compare tracking entries to eps_acc directly instead of eps_acc*(m+1)",
-    )
-    parser.add_argument(
-        "--removal",
-        choices=("covered", "literal"),
-        help="rows struck after placing a sensor: all covered rows, or only its own",
-    )
     parser.add_argument("--sensors", type=int, help="number of sensors to place")
     parser.add_argument(
         "--min-coverage", type=float, dest="min_coverage", help="stop at this coverage"
@@ -55,12 +44,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _load_config(args) -> RunConfig:
     cfg = parse_config(args.config)
-    for key in ("dt", "steps", "eps_acc", "removal", "sensors", "min_coverage", "workers", "out"):
+    for key in ("dt", "steps", "eps_acc", "sensors", "min_coverage", "workers", "out"):
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
-    if getattr(args, "raw_threshold", None):
-        cfg.raw_threshold = True
     cfg.validate()
     return cfg
 
@@ -144,7 +131,7 @@ def cmd_validate(args) -> int:
     results = run_validate(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "validation.json").write_text(json.dumps(results, indent=2) + "\n")
+    (out / "validation.json").write_text(json.dumps(results, indent=2, allow_nan=False) + "\n")
     worst = 0.0
     for row in results:
         status = "ok" if row["ok"] else "FAIL"
@@ -161,7 +148,7 @@ def cmd_converge(args) -> int:
     rows = expected_coverage_for_counts(cfg, list(args.samples))
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "convergence.json").write_text(json.dumps(rows, indent=2) + "\n")
+    (out / "convergence.json").write_text(json.dumps(rows, indent=2, allow_nan=False) + "\n")
     print(f"{'samples':>8}  {'error vs reference':>20}")
     for row in rows:
         err = "-" if row["reference"] else f"{row['error']:.4f}"
@@ -180,7 +167,7 @@ def cmd_propagate(args) -> int:
         )
     scenario = scenarios[args.scenario]
     operator = build_markov(scenario, cfg.dt, cfg.boundaries())
-    phi = propagate(release_field(cfg, grid), operator, None, cfg.steps)
+    phi = propagate(release_field(cfg, grid), operator, cfg.steps)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     target = out / f"concentration-{args.scenario:03d}.txt"

@@ -47,8 +47,6 @@ class RunConfig:
     fields: list[FieldEntry] = dc_field(default_factory=list)
 
     eps_acc: float = 0.0
-    raw_threshold: bool = False
-    removal: str = "covered"
     sensors: int | None = None
     min_coverage: float | None = None
     forbidden_boxes: list[Box] = dc_field(default_factory=list)
@@ -110,8 +108,6 @@ class RunConfig:
             raise ConfigError(f"steps must be >= 0, got {self.steps}")
         if not 0.0 <= self.eps_acc <= 1.0:
             raise ConfigError(f"eps_acc must lie in [0, 1], got {self.eps_acc}")
-        if self.removal not in ("covered", "literal"):
-            raise ConfigError(f"removal must be 'covered' or 'literal', got {self.removal!r}")
         if self.sensors is not None and self.sensors < 1:
             raise ConfigError(f"sensors must be >= 1, got {self.sensors}")
         if self.min_coverage is not None and not 0.0 < self.min_coverage <= 1.0:
@@ -145,15 +141,6 @@ def _ints(key: str, raw: str, count: int) -> tuple[int, ...]:
         return tuple(int(p) for p in parts)
     except ValueError:
         raise ConfigError(f"{key}: unparseable integer in {raw!r}") from None
-
-
-def _bool(key: str, raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
 
 
 def _box(key: str, raw: str) -> Box:
@@ -229,10 +216,6 @@ def _apply(cfg: RunConfig, key: str, raw: str) -> None:
             raise ConfigError(f"field: unparseable numbers in {raw!r}") from None
     elif key == "eps_acc":
         (cfg.eps_acc,) = _floats(key, raw, 1)
-    elif key == "raw_threshold":
-        cfg.raw_threshold = _bool(key, raw)
-    elif key == "removal":
-        cfg.removal = raw
     elif key == "sensors":
         (cfg.sensors,) = _ints(key, raw, 1)
     elif key == "min_coverage":

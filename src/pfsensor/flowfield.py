@@ -122,8 +122,11 @@ def _parse_floats(path, lineno: int, line: str, count: int) -> list[float]:
 
 def load_field(path) -> VelocityField:
     """Read a field file, validating the header and record count."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise FieldFormatError(f"cannot read field {path}: {exc}") from None
     if not lines or lines[0].strip() != FIELD_MAGIC:
         raise FieldFormatError(f"{path}:1: missing magic line {FIELD_MAGIC!r}")
     if len(lines) < 4:
@@ -143,7 +146,7 @@ def load_field(path) -> VelocityField:
         raise FieldFormatError(f"{path}:2: invalid grid header: {exc}") from None
 
     n = grid.n_states
-    records = [ln for ln in lines[4:] if ln.strip()]
+    records = [(lineno, ln) for lineno, ln in enumerate(lines[4:], start=5) if ln.strip()]
     if len(records) != n:
         raise FieldFormatError(
             f"{path}:{len(lines)}: expected {n} velocity records, found {len(records)}"
@@ -151,6 +154,6 @@ def load_field(path) -> VelocityField:
     u = np.empty(n)
     v = np.empty(n)
     w = np.empty(n)
-    for idx, line in enumerate(records):
-        u[idx], v[idx], w[idx] = _parse_floats(path, 5 + idx, line, 3)
+    for idx, (lineno, line) in enumerate(records):
+        u[idx], v[idx], w[idx] = _parse_floats(path, lineno, line, 3)
     return VelocityField(grid, u, v, w)

@@ -68,8 +68,8 @@ class MarkovMatrix:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dt", float(self.dt))
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (np.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         n, m = self.matrix.shape
         if n != m:
             raise ValueError(f"matrix must be square, got shape {self.matrix.shape}")
@@ -83,7 +83,8 @@ class MarkovMatrix:
 
     def validate(self, tol: float = ROW_SUM_TOL) -> None:
         data = self.matrix.data
-        if data.size and (data.min() < 0.0 or data.max() > 1.0):
+        # stated positively so that a NaN entry fails it
+        if data.size and not (data.min() >= 0.0 and data.max() <= 1.0):
             raise ValueError("matrix entries outside [0, 1]")
         drift = np.abs(self.row_sums() - 1.0)
         if drift.size and drift.max() > tol:
@@ -108,21 +109,6 @@ class ConcentrationField:
 
     def total_mass(self) -> float:
         return float(self.values.sum())
-
-
-@dataclass(frozen=True, eq=False)
-class SourceTerm:
-    """Per-state release added each Markov step (mass per step)."""
-
-    grid: StructuredGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = self.grid.n_states
-        if self.values.shape != (n,):
-            raise ValueError(f"values have shape {self.values.shape}, expected ({n},)")
-        if np.any(self.values < 0.0) or not np.all(np.isfinite(self.values)):
-            raise ValueError("source values must be finite and non-negative")
 
 
 def _outflow_rates(
@@ -258,12 +244,9 @@ def build_markov(
 
 
 def propagate(
-    phi: ConcentrationField,
-    operator: MarkovMatrix,
-    source: SourceTerm | None = None,
-    steps: int = 1,
+    phi: ConcentrationField, operator: MarkovMatrix, steps: int = 1
 ) -> ConcentrationField:
-    """Apply phi <- phi P + source for the given number of steps.
+    """Apply phi <- phi P for the given number of steps.
 
     With an exit-state operator (n_states = N + 1) the concentration vector
     is padded with a zero exit entry and the returned field keeps only the
@@ -277,20 +260,13 @@ def propagate(
         raise ValueError(
             f"operator size {n_op} does not match grid with {n_grid} states"
         )
-    if source is not None and source.grid.n_states != n_grid:
-        raise ValueError("source grid does not match concentration grid")
 
     vec = phi.values.astype(float, copy=True)
-    src = source.values if source is not None else None
     if n_op == n_grid + 1:
         vec = np.append(vec, 0.0)
-        if src is not None:
-            src = np.append(src, 0.0)
     mat = operator.matrix
     for _ in range(steps):
         vec = vec @ mat
-        if src is not None:
-            vec = vec + src
     return ConcentrationField(phi.grid, vec[:n_grid].copy())
 
 
@@ -306,8 +282,11 @@ def save_markov(path, operator: MarkovMatrix) -> None:
 
 def load_markov(path) -> MarkovMatrix:
     """Read a matrix file and validate row-stochasticity."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise MatrixFormatError(f"cannot read matrix {path}: {exc}") from None
     if not lines or lines[0].strip() != MARKOV_MAGIC:
         raise MatrixFormatError(f"{path}:1: missing magic line {MARKOV_MAGIC!r}")
     if len(lines) < 2:
@@ -329,18 +308,18 @@ def load_markov(path) -> MarkovMatrix:
     cols = np.empty(nnz, dtype=np.int64)
     vals = np.empty(nnz)
     for idx, line in enumerate(records):
-        tok = line.split()
-        if len(tok) != 3:
-            raise MatrixFormatError(f"{path}:{3 + idx}: expected 'row col value', got {line!r}")
         try:
-            rows[idx], cols[idx], vals[idx] = int(tok[0]), int(tok[1]), float(tok[2])
+            r, c, v = line.split()
+            rows[idx], cols[idx], vals[idx] = int(r), int(c), float(v)
         except ValueError:
-            raise MatrixFormatError(f"{path}:{3 + idx}: unparseable entry {line!r}") from None
+            # entries parse in file order: an earlier line with this text would have failed first
+            lineno = lines.index(line, 2) + 1
+            raise MatrixFormatError(f"{path}:{lineno}: not 'row col value': {line!r}") from None
     if nnz and (rows.min() < 0 or rows.max() >= n_states or cols.min() < 0 or cols.max() >= n_states):
         raise MatrixFormatError(f"{path}: entry index outside [0, {n_states})")
     matrix = sparse.coo_array((vals, (rows, cols)), shape=(n_states, n_states)).tocsr()
-    op = MarkovMatrix(matrix=matrix, dt=dt)
     try:
+        op = MarkovMatrix(matrix=matrix, dt=dt)
         op.validate()
     except ValueError as exc:
         raise MatrixFormatError(f"{path}: {exc}") from None

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flowfield import FlowScenario
-from .markov import ConcentrationField, SourceTerm, build_markov, propagate
+from .markov import ConcentrationField, build_markov, propagate
 
 
 @dataclass(frozen=True)
@@ -99,18 +99,12 @@ def stable_step(scenario: FlowScenario) -> float:
 
 
 def solve_pde(
-    scenario: FlowScenario,
-    phi0: ConcentrationField,
-    source_rate: SourceTerm | None,
-    cfg: PdeConfig,
+    scenario: FlowScenario, phi0: ConcentrationField, cfg: PdeConfig
 ) -> ConcentrationField:
-    """March the advection-diffusion balance to cfg.end_time on the closed
-    domain. source_rate is mass per second, scaled by the step internally."""
+    """March the advection-diffusion balance to cfg.end_time on the closed box."""
     grid = scenario.field.grid
     if phi0.grid != grid:
         raise ValueError("initial field grid does not match scenario grid")
-    if source_rate is not None and source_rate.grid != grid:
-        raise ValueError("source grid does not match scenario grid")
     nx, ny, nz = grid.dims
     vol = grid.cell_volume
 
@@ -134,9 +128,6 @@ def solve_pde(
 
     faces = _face_rates(scenario)
     phi = phi0.values.reshape(nz, ny, nx).astype(float, copy=True)
-    src = None
-    if source_rate is not None:
-        src = source_rate.values.reshape(nz, ny, nx) * step
 
     coef = step / vol
     for _ in range(n_steps):
@@ -155,8 +146,6 @@ def solve_pde(
             delta[tuple(lo)] -= flux
             delta[tuple(hi)] += flux
         phi = phi + coef * delta
-        if src is not None:
-            phi = phi + src
     # a marginally stable step can leave -1 ulp residue where the exact
     # update is zero; anything larger is a genuine scheme failure
     floor = -1e-10 * max(1.0, float(np.abs(phi).max()))
@@ -175,13 +164,13 @@ def compare_transport(
     fixed_step: float | None = None,
 ) -> float:
     """Relative L2 distance between operator-propagated and PDE-solved
-    concentration after the same horizon steps * dt (zero source)."""
+    concentration after the same horizon steps * dt."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     operator = build_markov(scenario, dt)
-    phi_markov = propagate(phi0, operator, None, steps)
+    phi_markov = propagate(phi0, operator, steps)
     cfg = PdeConfig(end_time=steps * dt, cfl_target=cfl_target, fixed_step=fixed_step)
-    phi_pde = solve_pde(scenario, phi0, None, cfg)
+    phi_pde = solve_pde(scenario, phi0, cfg)
     ref = float(np.linalg.norm(phi_pde.values))
     if ref == 0.0:
         return float(np.linalg.norm(phi_markov.values))

@@ -130,13 +130,12 @@ def build_matrices(
 def scaled_tracking(cfg: RunConfig, grid: StructuredGrid, matrices: list[MarkovMatrix]):
     """Each scenario's detection matrix, with volume-fraction entries.
 
-    Tracking entries range in [0, m + 1], so by default the cutoff is
-    eps_acc * (m + 1), keeping eps_acc a horizon-independent
-    detected-to-released fraction; raw_threshold compares to eps_acc itself.
+    Tracking entries range in [0, m + 1], so the cutoff is eps_acc * (m + 1),
+    keeping eps_acc a horizon-independent detected-to-released fraction.
     An absorbing exit state (operators one larger than the grid) carries no
     volume but may host a sensor.
     """
-    cutoff = cfg.eps_acc if cfg.raw_threshold else cfg.eps_acc * (cfg.steps + 1)
+    cutoff = cfg.eps_acc * (cfg.steps + 1)
     n = matrices[0].n_states
     cells = grid.n_states
     if n not in (cells, cells + 1):
@@ -189,13 +188,13 @@ def run_build(cfg: RunConfig, out_dir) -> Path:
         "scenarios": entries,
     }
     manifest_path = out / MANIFEST_NAME
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    manifest_path.write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n")
     return manifest_path
 
 
 def load_manifest(path) -> tuple[StructuredGrid, float, list[dict]]:
     """Grid, dt and scenario entries of a build manifest, schema-checked:
-    every required key present and the scenario thetas summing to 1."""
+    required keys, a finite dt > 0, finite xis and thetas summing to 1."""
     path = Path(path)
     try:
         data = json.loads(path.read_text())
@@ -222,12 +221,20 @@ def load_manifest(path) -> tuple[StructuredGrid, float, list[dict]]:
     for idx, entry in enumerate(entries):
         for key in ("xi", "theta", "matrix"):
             required(entry, key, f"scenarios[{idx}].")
+        if not (isinstance(entry["matrix"], str) and entry["matrix"]):
+            raise ConfigError(f"manifest {path}: 'scenarios[{idx}].matrix' must be a file name")
     try:
         grid = StructuredGrid(tuple(dims), tuple(spacing), tuple(origin))
         dt = float(dt)
+        xis = [float(entry["xi"]) for entry in entries]
         total = sum(float(entry["theta"]) for entry in entries)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"manifest {path}: malformed grid, dt or theta: {exc}") from None
+        raise ConfigError(f"manifest {path}: malformed grid, dt, xi or theta: {exc}") from None
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ConfigError(f"manifest {path}: 'dt' must be finite and positive, got {dt}")
+    for idx, xi in enumerate(xis):
+        if not np.isfinite(xi):
+            raise ConfigError(f"manifest {path}: 'scenarios[{idx}].xi' must be finite, got {xi}")
     if not abs(total - 1.0) <= 1e-9:
         raise ConfigError(
             f"manifest {path}: scenario thetas sum to {total}, expected 1 within 1e-9"
@@ -274,7 +281,6 @@ def run_place(
         weights,
         k=cfg.sensors,
         min_coverage=cfg.min_coverage,
-        removal=cfg.removal,
         occupied_volume_fraction=occupied_fraction(occupied) if occupied is not None else None,
     )
     plan.settings.update(
@@ -282,7 +288,7 @@ def run_place(
             "steps": cfg.steps,
             "dt": cfg.dt,
             "eps_acc": cfg.eps_acc,
-            "threshold_mode": "raw" if cfg.raw_threshold else "scaled",
+            "threshold_mode": "scaled",
             "scenario_xis": [float(x) for x in xis],
             "forbidden_states": np.flatnonzero(forbidden).tolist(),
             "sensing_ignore_states": np.flatnonzero(cfg.sensing_ignore_mask(grid)).tolist(),
@@ -290,7 +296,7 @@ def run_place(
     )
 
     plan_doc = plan_document(plan, grid)
-    (out / "plan.json").write_text(json.dumps(plan_doc, indent=2) + "\n")
+    (out / "plan.json").write_text(json.dumps(plan_doc, indent=2, allow_nan=False) + "\n")
     n = grid.n_states
     save_scalar_field(out / "coverage-expected.txt", grid, expected_map[:n])
     for rank, sensor in enumerate(plan.sensors, start=1):

@@ -67,7 +67,6 @@ def place_sensors(
     weights,
     k: int | None = None,
     min_coverage: float | None = None,
-    removal: str = "covered",
     occupied_volume_fraction: float | None = None,
 ) -> SensorPlan:
     """Greedily place sensors maximizing expected volumetric coverage.
@@ -75,16 +74,13 @@ def place_sensors(
     Each round recomputes per-scenario coverage vectors, picks the argmax of
     the expected vector (ties to the lowest state index), then removes the
     chosen column everywhere plus, per scenario, every release row that
-    column covered. removal="literal" instead strikes only the chosen
-    state's own row and column. Stops after k sensors, when min_coverage is
-    reached, or when no coverage remains (the plan is then flagged
-    truncated if a sensor budget was still open).
+    column covered. Stops after k sensors, when min_coverage is reached, or
+    when no coverage remains (the plan is then flagged truncated if a sensor
+    budget was still open).
 
     With a sensing constraint confining interest to an occupied zone, pass
     that zone's volume fraction to also report coverage relative to it.
     """
-    if removal not in ("covered", "literal"):
-        raise ValueError(f"removal must be 'covered' or 'literal', got {removal!r}")
     if k is None and min_coverage is None:
         raise ValueError("need a sensor count k or a min_coverage target")
     if k is not None and k < 1:
@@ -131,10 +127,7 @@ def place_sensors(
             covered = col.coords[0][row_active[i][col.coords[0]] > 0.0]
             marginals[i] = per_scenario[i][best]
             new_cover[covered] += w[i]
-            if removal == "covered":
-                row_active[i][covered] = 0.0
-            else:
-                row_active[i][best] = 0.0
+            row_active[i][covered] = 0.0
         col_active[best] = False
         cumulative += float(expected[best])
         sensors.append(
@@ -160,7 +153,7 @@ def place_sensors(
         settings={
             "k": k,
             "min_coverage": min_coverage,
-            "removal": removal,
+            "removal": "covered",
             "weights": [float(t) for t in w],
         },
     )

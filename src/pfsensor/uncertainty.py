@@ -48,16 +48,6 @@ class Distribution:
         out = np.where(inside, self._raw_pdf(x) / self._norm, 0.0)
         return out if out.ndim else float(out)
 
-    def cdf(self, x: float) -> float:
-        """Numerically integrated CDF on the support."""
-        lo, hi = self.support
-        if x <= lo:
-            return 0.0
-        if x >= hi:
-            return 1.0
-        val, _ = integrate.quad(self.pdf, lo, x, **_QUAD_OPTS)
-        return min(max(val, 0.0), 1.0)
-
 
 @dataclass(frozen=True)
 class Gaussian(Distribution):

@@ -112,7 +112,7 @@ def test_criterion_3_mass_conservation():
             operator = build_markov(scenario, 0.8 * (bound if np.isfinite(bound) else 1.0))
             grid = scenario.field.grid
             phi0 = ConcentrationField(grid, rng.random(grid.n_states))
-            out = propagate(phi0, operator, None, 1000)
+            out = propagate(phi0, operator, 1000)
             drift = abs(out.total_mass() - phi0.total_mass()) / phi0.total_mass()
             assert drift <= 1e-10
 

@@ -299,6 +299,30 @@ def test_place_rejects_manifest_missing_key(tmp_path, capsys, keys, name):
     assert f"missing '{name}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "keys, value, message",
+    [
+        (("dt",), float("nan"), "'dt' must be finite and positive"),
+        (("dt",), 0.0, "'dt' must be finite and positive"),
+        (("scenarios", 0, "xi"), float("inf"), "'scenarios[0].xi' must be finite"),
+        (("scenarios", 1, "matrix"), 5, "'scenarios[1].matrix' must be a file name"),
+        (("scenarios", 2, "matrix"), "", "'scenarios[2].matrix' must be a file name"),
+        (("scenarios", 0, "matrix"), ".", "cannot read matrix"),
+    ],
+    ids=["dt-nan", "dt-zero", "xi-inf", "matrix-int", "matrix-empty", "matrix-directory"],
+)
+def test_place_rejects_manifest_bad_value(tmp_path, capsys, keys, value, message):
+    cfg, path, manifest = built_manifest(tmp_path)
+    parent = manifest
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    path.write_text(json.dumps(manifest))
+    assert main(["place", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (path.parent / "plan.json").exists()
+
+
 def test_place_rejects_manifest_thetas_not_summing_to_one(tmp_path, capsys):
     cfg, path, manifest = built_manifest(tmp_path)
     for entry in manifest["scenarios"]:
@@ -366,9 +390,19 @@ def test_workers_do_not_change_results(tmp_path):
 
 
 def test_config_rejects_unknown_key(tmp_path):
-    path = write_cfg(tmp_path, "dims = 2 2 1\nbogus = 1\n")
-    with pytest.raises(ConfigError, match="bogus"):
-        parse_config(path)
+    for line in ("bogus = 1", "removal = literal", "raw_threshold = true"):
+        key = line.split()[0]
+        path = write_cfg(tmp_path, f"dims = 2 2 1\n{line}\n")
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(path)
+
+
+@pytest.mark.parametrize("flags", [["--removal", "literal"], ["--raw-threshold"]])
+def test_place_rejects_removed_flags(tmp_path, flags):
+    cfg = small_cfg(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["place", "--config", str(cfg), *flags])
+    assert exc.value.code == 2
 
 
 def test_config_rejects_bad_weights(tmp_path):

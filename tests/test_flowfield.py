@@ -52,6 +52,15 @@ def test_load_rejects_nonfinite_value(tmp_path):
         load_field(p)
 
 
+def test_load_reports_real_line_after_blank_lines(tmp_path):
+    p = tmp_path / "f.txt"
+    write_lines(p, [FIELD_MAGIC, "2 1 1", "1 1 1", "0 0 0", "0.1 0 0", "", "nan 0 0"])
+    with pytest.raises(FieldFormatError, match=":7:"):
+        load_field(p)
+    with pytest.raises(FieldFormatError, match="cannot read field"):
+        load_field(tmp_path / "missing.txt")
+
+
 def test_load_rejects_malformed_record(tmp_path):
     p = tmp_path / "f.txt"
     write_lines(p, [FIELD_MAGIC, "1 1 1", "1 1 1", "0 0 0", "0.1 0.2"])

@@ -11,7 +11,6 @@ from pfsensor.markov import (
     ConcentrationField,
     MarkovMatrix,
     MatrixFormatError,
-    SourceTerm,
     StabilityError,
     admissible_dt,
     build_markov,
@@ -104,7 +103,7 @@ def test_propagate_zero_steps_returns_input():
     g = unit_line_grid(3)
     op = build_markov(FlowScenario(zero_field(g), diffusivity=0.1), dt=1.0)
     phi = ConcentrationField(g, np.array([1.0, 2.0, 3.0]))
-    out = propagate(phi, op, None, 0)
+    out = propagate(phi, op, 0)
     assert np.array_equal(out.values, phi.values)
 
 
@@ -112,17 +111,8 @@ def test_propagate_identity_operator_fixed_point():
     g = unit_line_grid(3)
     op = build_markov(FlowScenario(zero_field(g), diffusivity=0.0), dt=1.0)
     phi = ConcentrationField(g, np.array([0.5, 0.0, 2.0]))
-    out = propagate(phi, op, None, 7)
+    out = propagate(phi, op, 7)
     assert np.allclose(out.values, phi.values)
-
-
-def test_propagate_adds_source_each_step():
-    g = unit_line_grid(2)
-    op = build_markov(FlowScenario(zero_field(g), diffusivity=0.0), dt=1.0)
-    phi = ConcentrationField(g, np.zeros(2))
-    src = SourceTerm(g, np.array([0.25, 0.0]))
-    out = propagate(phi, op, src, 4)
-    assert out.values.tolist() == [1.0, 0.0]
 
 
 def test_propagate_dimension_mismatch():
@@ -131,7 +121,7 @@ def test_propagate_dimension_mismatch():
     g2, g4 = unit_line_grid(2), unit_line_grid(4)
     op = build_markov(FlowScenario(zero_field(g4), diffusivity=0.0), dt=1.0)
     with pytest.raises(ValueError):
-        propagate(ConcentrationField(g2, np.zeros(2)), op, None, 1)
+        propagate(ConcentrationField(g2, np.zeros(2)), op, 1)
 
 
 @given(seed=st.integers(0, 2**31 - 1), steps=st.integers(1, 50))
@@ -140,7 +130,7 @@ def test_propagate_conserves_mass_on_random_stochastic(seed, steps):
     op = random_stochastic(rng, 6)
     g = unit_line_grid(6)
     phi = ConcentrationField(g, rng.random(6))
-    out = propagate(phi, op, None, steps)
+    out = propagate(phi, op, steps)
     assert out.total_mass() == pytest.approx(phi.total_mass(), rel=1e-10)
 
 
@@ -155,9 +145,9 @@ def test_single_step_linearity_in_operator_mixture(seed):
     mixed = MarkovMatrix(
         matrix=sparse.csr_array(sum(w * op.matrix for w, op in zip(weights, ops))), dt=1.0
     )
-    via_mixture = propagate(phi, mixed, None, 1).values
+    via_mixture = propagate(phi, mixed, 1).values
     via_average = sum(
-        w * propagate(phi, op, None, 1).values for w, op in zip(weights, ops)
+        w * propagate(phi, op, 1).values for w, op in zip(weights, ops)
     )
     assert np.allclose(via_mixture, via_average, atol=1e-12)
 
@@ -172,7 +162,7 @@ def test_outlet_side_routes_mass_to_exit():
     assert np.allclose(dense[3], [0.0, 0.0, 0.0, 1.0])  # absorbing exit
     op.validate()
     phi = ConcentrationField(g, np.array([1.0, 1.0, 1.0]))
-    out = propagate(phi, op, None, 80)
+    out = propagate(phi, op, 80)
     assert out.total_mass() < 1e-6  # the vent empties a closed-inlet domain
 
 
@@ -182,7 +172,7 @@ def test_outlet_requires_outflow_direction():
     scenario = FlowScenario(uniform_x_flow(g, 0.25), diffusivity=0.0)
     op = build_markov(scenario, 1.0, BoundarySpec(outlet_sides=frozenset({"x-"})))
     phi = ConcentrationField(g, np.ones(3))
-    out = propagate(phi, op, None, 10)
+    out = propagate(phi, op, 10)
     assert out.total_mass() == pytest.approx(3.0, rel=1e-12)
 
 
@@ -226,3 +216,23 @@ def test_load_rejects_bad_magic_and_truncation(tmp_path):
     path.write_text("# pfsensor-markov v1\n3 5 0.5\n0 0 1.0\n")
     with pytest.raises(MatrixFormatError, match="expected 5 entries"):
         load_markov(path)
+    with pytest.raises(MatrixFormatError, match="cannot read matrix"):
+        load_markov(tmp_path / "missing.txt")
+
+
+def test_load_rejects_non_finite_entry_and_dt(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("# pfsensor-markov v1\n1 1 1.0\n0 0 nan\n")
+    with pytest.raises(MatrixFormatError, match=r"entries outside \[0, 1\]"):
+        load_markov(path)
+    path.write_text("# pfsensor-markov v1\n1 1 nan\n0 0 1.0\n")
+    with pytest.raises(MatrixFormatError, match="dt must be finite"):
+        load_markov(path)
+
+
+def test_load_reports_real_line_after_blank_lines(tmp_path):
+    path = tmp_path / "m.txt"
+    for bad in ("1 1 x", "1 1"):
+        path.write_text(f"# pfsensor-markov v1\n2 2 1.0\n0 0 1.0\n\n\n{bad}\n")
+        with pytest.raises(MatrixFormatError, match=r"m\.txt:6: not 'row col value'"):
+            load_markov(path)

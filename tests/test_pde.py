@@ -3,7 +3,7 @@ import pytest
 
 from pfsensor.flowfield import FlowScenario, VelocityField, synth_recirculating, zero_field
 from pfsensor.grid import StructuredGrid
-from pfsensor.markov import ConcentrationField, SourceTerm, admissible_dt
+from pfsensor.markov import ConcentrationField, admissible_dt
 from pfsensor.pde import (
     PdeConfig,
     PdeStabilityError,
@@ -36,7 +36,7 @@ def test_still_air_leaves_field_unchanged():
     g = line_grid(5)
     sc = FlowScenario(zero_field(g), diffusivity=0.0)
     phi0 = ConcentrationField(g, np.array([0.0, 1.0, 2.0, 0.0, 0.5]))
-    out = solve_pde(sc, phi0, None, PdeConfig(end_time=3.0))
+    out = solve_pde(sc, phi0, PdeConfig(end_time=3.0))
     assert np.array_equal(out.values, phi0.values)
 
 
@@ -44,28 +44,14 @@ def test_mass_conserved_with_zero_source():
     g = StructuredGrid((20, 15, 1), (0.05, 0.07, 0.2))
     sc = FlowScenario(synth_recirculating(g, 0.4), diffusivity=1e-3)
     phi0 = delta_field(g)
-    out = solve_pde(sc, phi0, None, PdeConfig(end_time=2.0))
+    out = solve_pde(sc, phi0, PdeConfig(end_time=2.0))
     assert out.total_mass() == pytest.approx(phi0.total_mass(), rel=1e-10)
-
-
-def test_source_adds_mass_at_configured_rate():
-    g = line_grid(6)
-    sc = FlowScenario(zero_field(g), diffusivity=0.2)
-    src = np.zeros(6)
-    src[1] = 0.5  # mass per second
-    out = solve_pde(
-        sc,
-        ConcentrationField(g, np.zeros(6)),
-        SourceTerm(g, src),
-        PdeConfig(end_time=4.0),
-    )
-    assert out.total_mass() == pytest.approx(2.0, rel=1e-10)
 
 
 def test_positivity_preserved():
     g = StructuredGrid((16, 16, 1), (0.1, 0.1, 0.3))
     sc = FlowScenario(synth_recirculating(g, 1.2), diffusivity=5e-3)
-    out = solve_pde(sc, delta_field(g), None, PdeConfig(end_time=1.0, cfl_target=0.5))
+    out = solve_pde(sc, delta_field(g), PdeConfig(end_time=1.0, cfl_target=0.5))
     assert out.values.min() >= 0.0
 
 
@@ -75,7 +61,7 @@ def test_delta_diffuses_to_heat_kernel():
     n, diff, horizon = 201, 1.0, 60.0
     g = line_grid(n)
     sc = FlowScenario(zero_field(g), diffusivity=diff)
-    out = solve_pde(sc, delta_field(g), None, PdeConfig(end_time=horizon))
+    out = solve_pde(sc, delta_field(g), PdeConfig(end_time=horizon))
     x = np.arange(n) - n // 2
     exact = np.exp(-(x**2) / (4 * diff * horizon)) / np.sqrt(4 * np.pi * diff * horizon)
     err = np.linalg.norm(out.values - exact) / np.linalg.norm(exact)
@@ -87,10 +73,10 @@ def test_fixed_step_must_be_stable_and_divide_horizon():
     sc = FlowScenario(zero_field(g), diffusivity=0.4)
     bound = stable_step(sc)
     with pytest.raises(PdeStabilityError) as err:
-        solve_pde(sc, delta_field(g), None, PdeConfig(end_time=2.0, fixed_step=2 * bound))
+        solve_pde(sc, delta_field(g), PdeConfig(end_time=2.0, fixed_step=2 * bound))
     assert err.value.admissible_step == pytest.approx(bound)
     with pytest.raises(ValueError, match="divide"):
-        solve_pde(sc, delta_field(g), None, PdeConfig(end_time=1.0, fixed_step=0.3))
+        solve_pde(sc, delta_field(g), PdeConfig(end_time=1.0, fixed_step=0.3))
 
 
 def test_stable_step_matches_operator_bound():

@@ -181,21 +181,6 @@ def test_min_coverage_stops_early():
     assert not plan.truncated
 
 
-def test_literal_removal_keeps_covered_rows():
-    # column 1 covers everything; under literal removal only row/col 1 vanish,
-    # so sensor 2 still sees the other release rows
-    dense = np.zeros((3, 3), dtype=bool)
-    dense[:, 1] = True
-    dense[0, 0] = True
-    covered = place_sensors([scaled_from_bool(dense)], [1.0], k=2, removal="covered")
-    literal = place_sensors([scaled_from_bool(dense)], [1.0], k=2, removal="literal")
-    assert covered.states[0] == literal.states[0] == 1
-    assert covered.cumulative_expected_coverage == pytest.approx(1.0)
-    # literal re-counts row 0 through column 0
-    assert literal.cumulative_expected_coverage > 1.0
-    assert literal.states[1] == 0
-
-
 def test_occupied_fraction_reporting():
     occupied = np.arange(10) < 5
     dense = np.zeros((10, 10), dtype=bool)
@@ -216,7 +201,5 @@ def test_place_sensors_argument_validation():
         place_sensors(mats, [1.0])
     with pytest.raises(ValueError):
         place_sensors(mats, [1.0], k=0)
-    with pytest.raises(ValueError):
-        place_sensors(mats, [1.0], k=1, removal="other")
     with pytest.raises(ValueError):
         place_sensors(mats, [0.5, 0.5], k=1)

@@ -132,17 +132,11 @@ def test_threshold_two_state_hand_values():
     assert pairs(op, 2, 0.1 * 3) == {(0, 0), (1, 1)}
 
 
-def test_threshold_raw_mode_compares_entries_directly():
+def test_threshold_scales_eps_acc_by_horizon():
     op = operator_from_dense(TWO_STATE)
-    grid = line_grid(2)
-
-    def kept(eps, raw):
-        cfg = run_config(steps=2, eps_acc=eps, raw_threshold=raw)
-        return scaled_tracking(cfg, grid, [op])[0].nnz
-
-    assert kept(0.28, raw=True) == 4
-    assert kept(0.29, raw=True) == 2
-    assert kept(0.28, raw=False) == 2  # cutoff 0.28 * 3 = 0.84
+    cfg = run_config(steps=2, eps_acc=0.28)
+    # cutoff 0.28 * 3 = 0.84 drops the 0.28 off-diagonals
+    assert scaled_tracking(cfg, line_grid(2), [op])[0].nnz == 2
 
 
 @given(
