@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, parse_config
-from .flowfield import save_scalar_field
+from .flowfield import save_scalar_field, write_artifact
 from .markov import build_markov, propagate
 from .pipeline import (
     expected_coverage_for_counts,
@@ -129,9 +129,8 @@ def cmd_validate(args) -> int:
     if args.tolerance is not None:
         cfg.validate_tol = args.tolerance
     results = run_validate(cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "validation.json").write_text(json.dumps(results, indent=2, allow_nan=False) + "\n")
+    doc = json.dumps(results, indent=2, allow_nan=False)
+    write_artifact(Path(cfg.out) / "validation.json", [doc])
     worst = 0.0
     for row in results:
         status = "ok" if row["ok"] else "FAIL"
@@ -146,9 +145,8 @@ def cmd_validate(args) -> int:
 def cmd_converge(args) -> int:
     cfg = _load_config(args)
     rows = expected_coverage_for_counts(cfg, list(args.samples))
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "convergence.json").write_text(json.dumps(rows, indent=2, allow_nan=False) + "\n")
+    doc = json.dumps(rows, indent=2, allow_nan=False)
+    write_artifact(Path(cfg.out) / "convergence.json", [doc])
     print(f"{'samples':>8}  {'error vs reference':>20}")
     for row in rows:
         err = "-" if row["reference"] else f"{row['error']:.4f}"
@@ -168,9 +166,7 @@ def cmd_propagate(args) -> int:
     scenario = scenarios[args.scenario]
     operator = build_markov(scenario, cfg.dt, cfg.boundaries())
     phi = propagate(release_field(cfg, grid), operator, cfg.steps)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    target = out / f"concentration-{args.scenario:03d}.txt"
+    target = Path(cfg.out) / f"concentration-{args.scenario:03d}.txt"
     save_scalar_field(target, grid, phi.values)
     print(f"total mass after {cfg.steps} steps: {phi.total_mass()!r}")
     print(f"wrote {target}")

@@ -100,7 +100,7 @@ class RunConfig:
             raise ConfigError("cdf_points given without a distribution")
         if self.fields:
             total = sum(entry.theta for entry in self.fields)
-            if abs(total - 1.0) > 1e-9:
+            if not abs(total - 1.0) <= 1e-9:
                 raise ConfigError(f"field weights sum to {total}, expected 1 within 1e-9")
         if self.dt is not None and self.dt <= 0.0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
@@ -154,9 +154,10 @@ def _distribution(raw: str) -> tuple:
         raise ConfigError("distribution: empty specification")
     kind = parts[0].lower()
     if kind == "gaussian":
-        if len(parts) != 3:
-            raise ConfigError(f"distribution: expected 'gaussian mu sigma', got {raw!r}")
-        return ("gaussian", float(parts[1]), float(parts[2]))
+        mu, sigma = _floats("distribution", " ".join(parts[1:]), 2)
+        if not (math.isfinite(mu) and 0.0 < sigma < math.inf):
+            raise ConfigError(f"distribution: need a finite mu and a finite sigma > 0, got {raw!r}")
+        return ("gaussian", mu, sigma)
     if kind == "kde":
         if len(parts) != 2:
             raise ConfigError(f"distribution: expected 'kde <datafile>', got {raw!r}")
@@ -168,7 +169,7 @@ def parse_config(path) -> RunConfig:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     cfg = RunConfig(config_dir=path.parent)
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -210,10 +211,10 @@ def _apply(cfg: RunConfig, key: str, raw: str) -> None:
         parts = raw.rsplit(maxsplit=2)
         if len(parts) != 3:
             raise ConfigError(f"field: expected 'path xi theta', got {raw!r}")
-        try:
-            cfg.fields.append(FieldEntry(parts[0], float(parts[1]), float(parts[2])))
-        except ValueError:
-            raise ConfigError(f"field: unparseable numbers in {raw!r}") from None
+        xi, theta = _floats(key, " ".join(parts[1:]), 2)
+        if not (math.isfinite(xi) and 0.0 <= theta <= 1.0):
+            raise ConfigError(f"field: need a finite xi and a theta in [0, 1], got {raw!r}")
+        cfg.fields.append(FieldEntry(parts[0], xi, theta))
     elif key == "eps_acc":
         (cfg.eps_acc,) = _floats(key, raw, 1)
     elif key == "sensors":

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .grid import StructuredGrid
 
 FIELD_MAGIC = "# pfsensor-field v1"
+
+WRITE_BLOCK = 4096  # rows formatted per write; bounds the text held in memory
 
 
 class FieldFormatError(ValueError):
@@ -81,18 +86,65 @@ def synth_recirculating(grid: StructuredGrid, strength: float) -> VelocityField:
     return VelocityField(grid, strength * u_unit, strength * v_unit, zero)
 
 
+def write_artifact(path, head, columns=(), fmt="") -> None:
+    """Write the ``head`` lines, then ``fmt`` per row of the equal-length numpy
+    ``columns`` (WRITE_BLOCK rows at a time), to ``<path>.tmp`` in a directory
+    made if missing; rename that over ``path``, so no reader sees a partial file."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            fh.write("".join(line + "\n" for line in head))
+            for start in range(0, len(columns[0]) if columns else 0, WRITE_BLOCK):
+                block = zip(*(col[start : start + WRITE_BLOCK].tolist() for col in columns))
+                fh.write("".join(fmt.format(*row) for row in block))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _finite_rows(lines: list[str]) -> np.ndarray | None:
+    """The lines as a (rows, 3) array of finite floats, or None."""
+    try:
+        values = np.loadtxt(lines, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape[1] == 3 and np.isfinite(values).all() else None
+
+
+def read_table(path, magic, kind, record, error) -> tuple[list[int], np.ndarray]:
+    """Line numbers and (rows, 3) values of the non-blank lines after a magic
+    line, each three finite numbers. ``record`` names the rows: one name per
+    header row, then the body rows. Failures raise ``error`` naming the line."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeError) as exc:
+        raise error(f"cannot read {kind} {path}: {exc}") from None
+    if not lines or lines[0].strip() != magic:
+        raise error(f"{path}:1: missing magic line {magic!r}")
+    numbers = [no for no, line in enumerate(lines[1:], start=2) if line and not line.isspace()]
+    body = [lines[no - 1] for no in numbers]
+    if len(body) < len(record) - 1:
+        raise error(f"{path}:{len(lines)}: truncated header")
+    values = _finite_rows(body)
+    if values is None:
+        # the whole parse fails exactly when some single line fails it
+        bad = next(idx for idx, line in enumerate(body) if _finite_rows([line]) is None)
+        name = record[min(bad, len(record) - 1)]
+        raise error(f"{path}:{numbers[bad]}: not '{name}' (three finite numbers): {body[bad]!r}")
+    return numbers, values
+
+
 def save_field(path, field_: VelocityField) -> None:
     """Write a field file; floats use shortest round-trip formatting so a
     save/load cycle reproduces values bitwise."""
     grid = field_.grid
-    lines = [FIELD_MAGIC]
-    lines.append("{} {} {}".format(*grid.dims))
-    lines.append("{!r} {!r} {!r}".format(*(float(s) for s in grid.spacing)))
-    lines.append("{!r} {!r} {!r}".format(*(float(o) for o in grid.origin)))
-    for uu, vv, ww in zip(field_.u, field_.v, field_.w):
-        lines.append(f"{float(uu)!r} {float(vv)!r} {float(ww)!r}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    head = [FIELD_MAGIC, "{} {} {}".format(*grid.dims)]
+    head += ["{!r} {!r} {!r}".format(*map(float, v)) for v in (grid.spacing, grid.origin)]
+    write_artifact(path, head, (field_.u, field_.v, field_.w), "{!r} {!r} {!r}\n")
 
 
 def save_scalar_field(path, grid: StructuredGrid, values: np.ndarray) -> None:
@@ -100,60 +152,24 @@ def save_scalar_field(path, grid: StructuredGrid, values: np.ndarray) -> None:
     format, with the scalar in the first component and zeros elsewhere."""
     n = grid.n_states
     values = np.asarray(values, dtype=float)
-    if values.shape != (n,):
-        raise ValueError(f"scalar field has shape {values.shape}, expected ({n},)")
     save_field(path, VelocityField(grid, values, np.zeros(n), np.zeros(n)))
-
-
-def _parse_floats(path, lineno: int, line: str, count: int) -> list[float]:
-    parts = line.split()
-    if len(parts) != count:
-        raise FieldFormatError(
-            f"{path}:{lineno}: expected {count} values, found {len(parts)}"
-        )
-    try:
-        values = [float(p) for p in parts]
-    except ValueError:
-        raise FieldFormatError(f"{path}:{lineno}: unparseable number in {line!r}") from None
-    if not all(math.isfinite(x) for x in values):
-        raise FieldFormatError(f"{path}:{lineno}: non-finite value in {line!r}")
-    return values
 
 
 def load_field(path) -> VelocityField:
     """Read a field file, validating the header and record count."""
+    numbers, values = read_table(
+        path, FIELD_MAGIC, "field", ("nx ny nz", "dx dy dz", "x0 y0 z0", "u v w"), FieldFormatError
+    )
+    dims, spacing, origin = values[:3].tolist()
+    if not all(d.is_integer() for d in dims):
+        raise FieldFormatError(f"{path}:{numbers[0]}: grid dimensions must be integers, got {dims}")
     try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise FieldFormatError(f"cannot read field {path}: {exc}") from None
-    if not lines or lines[0].strip() != FIELD_MAGIC:
-        raise FieldFormatError(f"{path}:1: missing magic line {FIELD_MAGIC!r}")
-    if len(lines) < 4:
-        raise FieldFormatError(f"{path}:{len(lines)}: truncated header")
-    dims_parts = lines[1].split()
-    if len(dims_parts) != 3:
-        raise FieldFormatError(f"{path}:2: expected 'nx ny nz', got {lines[1]!r}")
-    try:
-        dims = tuple(int(p) for p in dims_parts)
-    except ValueError:
-        raise FieldFormatError(f"{path}:2: unparseable dimension in {lines[1]!r}") from None
-    spacing = tuple(_parse_floats(path, 3, lines[2], 3))
-    origin = tuple(_parse_floats(path, 4, lines[3], 3))
-    try:
-        grid = StructuredGrid(dims, spacing, origin)
+        grid = StructuredGrid(tuple(int(d) for d in dims), tuple(spacing), tuple(origin))
     except ValueError as exc:
-        raise FieldFormatError(f"{path}:2: invalid grid header: {exc}") from None
-
-    n = grid.n_states
-    records = [(lineno, ln) for lineno, ln in enumerate(lines[4:], start=5) if ln.strip()]
-    if len(records) != n:
+        raise FieldFormatError(f"{path}:{numbers[0]}: invalid grid header: {exc}") from None
+    u, v, w = np.ascontiguousarray(values[3:].T)
+    if len(u) != grid.n_states:
         raise FieldFormatError(
-            f"{path}:{len(lines)}: expected {n} velocity records, found {len(records)}"
+            f"{path}:{numbers[-1]}: expected {grid.n_states} velocity records, found {len(u)}"
         )
-    u = np.empty(n)
-    v = np.empty(n)
-    w = np.empty(n)
-    for idx, (lineno, line) in enumerate(records):
-        u[idx], v[idx], w[idx] = _parse_floats(path, lineno, line, 3)
     return VelocityField(grid, u, v, w)

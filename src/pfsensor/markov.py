@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .flowfield import FlowScenario
+from .flowfield import FlowScenario, read_table, write_artifact
 from .grid import StructuredGrid
 
 MARKOV_MAGIC = "# pfsensor-markov v1"
@@ -271,53 +271,42 @@ def propagate(
 
 
 def save_markov(path, operator: MarkovMatrix) -> None:
+    """Write a matrix file, entries in row-major order; an operator that is
+    not row-stochastic raises ValueError and nothing is written."""
+    operator.validate()
     mat = operator.matrix.tocoo()
-    lines = [MARKOV_MAGIC, f"{operator.n_states} {mat.nnz} {operator.dt!r}"]
     order = np.lexsort((mat.coords[1], mat.coords[0]))
-    for r, c, val in zip(mat.coords[0][order], mat.coords[1][order], mat.data[order]):
-        lines.append(f"{r} {c} {float(val)!r}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_artifact(
+        path,
+        [MARKOV_MAGIC, f"{operator.n_states} {mat.nnz} {operator.dt!r}"],
+        (mat.coords[0][order], mat.coords[1][order], mat.data[order]),
+        "{} {} {!r}\n",
+    )
 
 
 def load_markov(path) -> MarkovMatrix:
     """Read a matrix file and validate row-stochasticity."""
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise MatrixFormatError(f"cannot read matrix {path}: {exc}") from None
-    if not lines or lines[0].strip() != MARKOV_MAGIC:
-        raise MatrixFormatError(f"{path}:1: missing magic line {MARKOV_MAGIC!r}")
-    if len(lines) < 2:
-        raise MatrixFormatError(f"{path}:2: truncated header")
-    parts = lines[1].split()
-    if len(parts) != 3:
-        raise MatrixFormatError(f"{path}:2: expected 'n_states nnz dt', got {lines[1]!r}")
-    try:
-        n_states, nnz = int(parts[0]), int(parts[1])
-        dt = float(parts[2])
-    except ValueError:
-        raise MatrixFormatError(f"{path}:2: unparseable header {lines[1]!r}") from None
-    records = [ln for ln in lines[2:] if ln.strip()]
-    if len(records) != nnz:
+    numbers, values = read_table(
+        path, MARKOV_MAGIC, "matrix", ("n_states nnz dt", "row col value"), MatrixFormatError
+    )
+    (n_states, nnz, dt), entries = values[0].tolist(), values[1:]
+    # a row-stochastic row holds at least one entry, so n_states <= nnz
+    if not (n_states.is_integer() and nnz.is_integer() and 0 <= n_states <= nnz):
         raise MatrixFormatError(
-            f"{path}:{len(lines)}: expected {nnz} entries, found {len(records)}"
+            f"{path}:{numbers[0]}: need integers 0 <= n_states <= nnz, got {n_states:g} {nnz:g}"
         )
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz)
-    for idx, line in enumerate(records):
-        try:
-            r, c, v = line.split()
-            rows[idx], cols[idx], vals[idx] = int(r), int(c), float(v)
-        except ValueError:
-            # entries parse in file order: an earlier line with this text would have failed first
-            lineno = lines.index(line, 2) + 1
-            raise MatrixFormatError(f"{path}:{lineno}: not 'row col value': {line!r}") from None
-    if nnz and (rows.min() < 0 or rows.max() >= n_states or cols.min() < 0 or cols.max() >= n_states):
-        raise MatrixFormatError(f"{path}: entry index outside [0, {n_states})")
-    matrix = sparse.coo_array((vals, (rows, cols)), shape=(n_states, n_states)).tocsr()
+    n_states, nnz = int(n_states), int(nnz)
+    if len(entries) != nnz:
+        raise MatrixFormatError(
+            f"{path}:{numbers[-1]}: expected {nnz} entries, found {len(entries)}"
+        )
+    index = entries[:, :2]
+    bad = ((index != np.floor(index)) | (index < 0) | (index >= n_states)).any(axis=1)
+    if bad.any():
+        lineno = numbers[1 + np.argmax(bad)]
+        raise MatrixFormatError(f"{path}:{lineno}: entry index not an integer in [0, {n_states})")
+    rows, cols = index.T.astype(np.int64)
+    matrix = sparse.coo_array((entries[:, 2], (rows, cols)), shape=(n_states, n_states)).tocsr()
     try:
         op = MarkovMatrix(matrix=matrix, dt=dt)
         op.validate()

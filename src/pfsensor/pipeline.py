@@ -26,6 +26,7 @@ from .flowfield import (
     save_field,
     save_scalar_field,
     synth_recirculating,
+    write_artifact,
 )
 from .grid import StructuredGrid, box_mask
 from .markov import (
@@ -157,7 +158,6 @@ def run_build(cfg: RunConfig, out_dir) -> Path:
     if cfg.dt is None:
         raise ConfigError("dt not configured")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     grid, scenarios = scenario_set(cfg)
     matrices = build_matrices(scenarios, cfg.dt, cfg.boundaries(), cfg.workers)
     entries = []
@@ -188,7 +188,7 @@ def run_build(cfg: RunConfig, out_dir) -> Path:
         "scenarios": entries,
     }
     manifest_path = out / MANIFEST_NAME
-    manifest_path.write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n")
+    write_artifact(manifest_path, [json.dumps(manifest, indent=2, allow_nan=False)])
     return manifest_path
 
 
@@ -198,10 +198,8 @@ def load_manifest(path) -> tuple[StructuredGrid, float, list[dict]]:
     path = Path(path)
     try:
         data = json.loads(path.read_text())
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes or bad JSON
         raise ConfigError(f"cannot read manifest {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"manifest {path} is not valid JSON: {exc}") from None
 
     def required(mapping, key, where=""):
         if not isinstance(mapping, dict) or key not in mapping:
@@ -228,7 +226,7 @@ def load_manifest(path) -> tuple[StructuredGrid, float, list[dict]]:
         dt = float(dt)
         xis = [float(entry["xi"]) for entry in entries]
         total = sum(float(entry["theta"]) for entry in entries)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"manifest {path}: malformed grid, dt, xi or theta: {exc}") from None
     if not (np.isfinite(dt) and dt > 0.0):
         raise ConfigError(f"manifest {path}: 'dt' must be finite and positive, got {dt}")
@@ -245,9 +243,7 @@ def load_manifest(path) -> tuple[StructuredGrid, float, list[dict]]:
 def load_matrices(manifest_path) -> tuple[StructuredGrid, float, list[dict], list[MarkovMatrix]]:
     manifest_path = Path(manifest_path)
     grid, dt, entries = load_manifest(manifest_path)
-    matrices = []
-    for entry in entries:
-        matrices.append(load_markov(manifest_path.parent / entry["matrix"]))
+    matrices = [load_markov(manifest_path.parent / entry["matrix"]) for entry in entries]
     return grid, dt, entries, matrices
 
 
@@ -266,7 +262,6 @@ def run_place(
     if cfg.sensors is None and cfg.min_coverage is None:
         raise ConfigError("set a sensor count or a min_coverage target")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     forbidden = cfg.forbidden_mask(grid)
     has_exit = matrices[0].n_states == grid.n_states + 1
     if forbidden.all() and not has_exit:
@@ -296,7 +291,7 @@ def run_place(
     )
 
     plan_doc = plan_document(plan, grid)
-    (out / "plan.json").write_text(json.dumps(plan_doc, indent=2, allow_nan=False) + "\n")
+    write_artifact(out / "plan.json", [json.dumps(plan_doc, indent=2, allow_nan=False)])
     n = grid.n_states
     save_scalar_field(out / "coverage-expected.txt", grid, expected_map[:n])
     for rank, sensor in enumerate(plan.sensors, start=1):
@@ -360,6 +355,8 @@ def run_validate(cfg: RunConfig) -> list[dict]:
         raise ConfigError("validate needs dt and steps")
     if cfg.steps < 1:
         raise ConfigError("validate needs steps >= 1")
+    if cfg.outlets:
+        raise ConfigError(f"outlets {sorted(cfg.outlets)}: the PDE reference is a closed box")
     grid, scenarios = scenario_set(cfg)
     phi0 = release_field(cfg, grid)
     results = []

@@ -255,6 +255,34 @@ def test_build_rejects_non_finite_numbers(tmp_path, capsys, key, flags, extra):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("numbers", ["nan 1.0", "0.5 nan"])
+def test_build_rejects_non_finite_field_entry(tmp_path, capsys, numbers):
+    field_path = tmp_path / "f0.txt"
+    save_field(field_path, zero_field(StructuredGrid((4, 4, 1), (0.25, 0.25, 0.2))))
+    cfg = write_cfg(
+        tmp_path,
+        f"dt = 0.5\nsteps = 5\nfield = {field_path} {numbers}\nout = {tmp_path / 'out'}\n",
+    )
+    assert main(["build", "--config", str(cfg)]) == 2
+    assert "run.cfg:3: field" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("numbers", ["abc 1", "0.5 nan", "inf 0.05", "0.5 0"])
+def test_build_rejects_bad_distribution(tmp_path, capsys, numbers):
+    cfg = base_cfg(tmp_path, distribution=f"gaussian {numbers}")
+    assert main(["build", "--config", str(cfg)]) == 2
+    assert "run.cfg:12: distribution" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_refuses_outlets(tmp_path, capsys):
+    cfg = base_cfg(tmp_path, extra="outlets = x+\n")
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert "outlets" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "validation.json").exists()
+
+
 def small_cfg(tmp_path):
     return base_cfg(tmp_path, dims="8 8 1", dt="0.017", steps="25", cdf_points="0 0.5 1")
 

@@ -64,7 +64,7 @@ def test_load_reports_real_line_after_blank_lines(tmp_path):
 def test_load_rejects_malformed_record(tmp_path):
     p = tmp_path / "f.txt"
     write_lines(p, [FIELD_MAGIC, "1 1 1", "1 1 1", "0 0 0", "0.1 0.2"])
-    with pytest.raises(FieldFormatError, match="expected 3 values"):
+    with pytest.raises(FieldFormatError, match=r"f\.txt:5: not 'u v w'"):
         load_field(p)
 
 

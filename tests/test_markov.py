@@ -223,10 +223,10 @@ def test_load_rejects_bad_magic_and_truncation(tmp_path):
 def test_load_rejects_non_finite_entry_and_dt(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("# pfsensor-markov v1\n1 1 1.0\n0 0 nan\n")
-    with pytest.raises(MatrixFormatError, match=r"entries outside \[0, 1\]"):
+    with pytest.raises(MatrixFormatError, match=r"m\.txt:3: not 'row col value'"):
         load_markov(path)
     path.write_text("# pfsensor-markov v1\n1 1 nan\n0 0 1.0\n")
-    with pytest.raises(MatrixFormatError, match="dt must be finite"):
+    with pytest.raises(MatrixFormatError, match=r"m\.txt:2: not 'n_states nnz dt'"):
         load_markov(path)
 
 
