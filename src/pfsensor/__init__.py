@@ -17,11 +17,9 @@ from .markov import (
     BoundarySpec,
     ConcentrationField,
     MarkovMatrix,
-    MatrixFormatError,
     StabilityError,
     admissible_dt,
     build_markov,
-    load_markov,
     propagate,
     save_markov,
 )

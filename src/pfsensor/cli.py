@@ -16,7 +16,6 @@ from .flowfield import save_scalar_field, write_artifact
 from .markov import build_markov, propagate
 from .pipeline import (
     expected_coverage_for_counts,
-    load_matrices,
     release_field,
     run_build,
     run_place,
@@ -62,11 +61,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_build = sub.add_parser("build", help="build one Markov matrix per flow scenario")
     _add_common(p_build)
 
-    p_place = sub.add_parser("place", help="place sensors from built matrices")
+    p_place = sub.add_parser("place", help="place sensors; builds its own operators")
     _add_common(p_place)
-    p_place.add_argument(
-        "--manifest", help="manifest from a previous build (default: <out>/manifest.json)"
-    )
 
     p_val = sub.add_parser("validate", help="compare operator transport against the PDE solver")
     _add_common(p_val)
@@ -97,19 +93,7 @@ def cmd_build(args) -> int:
 
 def cmd_place(args) -> int:
     cfg = _load_config(args)
-    manifest = Path(args.manifest) if args.manifest else Path(cfg.out) / "manifest.json"
-    if not manifest.exists():
-        raise ConfigError(f"manifest {manifest} not found; run build first")
-    grid, dt, entries, matrices = load_matrices(manifest)
-    cfg.dt = dt  # the loaded matrices carry their own step; echo that one
-    plan, doc = run_place(
-        cfg,
-        grid,
-        matrices,
-        weights=[e["theta"] for e in entries],
-        xis=[e["xi"] for e in entries],
-        out_dir=cfg.out,
-    )
+    plan, doc = run_place(cfg)
     for rank, sensor in enumerate(doc["sensors"], start=1):
         print(
             f"sensor {rank}: state {sensor['state']} "

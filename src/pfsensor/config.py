@@ -145,7 +145,22 @@ def _ints(key: str, raw: str, count: int) -> tuple[int, ...]:
 
 def _box(key: str, raw: str) -> Box:
     vals = _floats(key, raw, 6)
-    return (vals[0], vals[1], vals[2]), (vals[3], vals[4], vals[5])
+    lo, hi = vals[:3], vals[3:]
+    # stated positively so that a NaN bound fails it
+    if not all(a <= b for a, b in zip(lo, hi)):
+        raise ConfigError(f"{key}: need lo <= hi on every axis, got {raw!r}")
+    return lo, hi
+
+
+def _cdf_points(raw: str) -> tuple[float, ...]:
+    points = _floats("cdf_points", raw)
+    if not points:
+        raise ConfigError("cdf_points: need at least one point")
+    if not all(0.0 <= p <= 1.0 for p in points):
+        raise ConfigError(f"cdf_points: points must lie in [0, 1], got {raw!r}")
+    if not all(a < b for a, b in zip(points, points[1:])):
+        raise ConfigError(f"cdf_points: points must be strictly increasing, got {raw!r}")
+    return points
 
 
 def _distribution(raw: str) -> tuple:
@@ -206,7 +221,7 @@ def _apply(cfg: RunConfig, key: str, raw: str) -> None:
     elif key == "distribution":
         cfg.distribution = _distribution(raw)
     elif key == "cdf_points":
-        cfg.cdf_points = _floats(key, raw)
+        cfg.cdf_points = _cdf_points(raw)
     elif key == "field":
         parts = raw.rsplit(maxsplit=2)
         if len(parts) != 3:
@@ -226,7 +241,10 @@ def _apply(cfg: RunConfig, key: str, raw: str) -> None:
     elif key == "occupied_box":
         cfg.occupied_boxes.append(_box(key, raw))
     elif key == "outlets":
-        cfg.outlets = frozenset(raw.split())
+        try:
+            cfg.outlets = BoundarySpec(outlet_sides=frozenset(raw.split())).outlet_sides
+        except ValueError as exc:
+            raise ConfigError(f"outlets: {exc}") from None
     elif key == "release_box":
         cfg.release_box = _box(key, raw)
     elif key == "validate_tol":

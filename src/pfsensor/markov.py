@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .flowfield import FlowScenario, read_table, write_artifact
+from .flowfield import FlowScenario, write_artifact
 from .grid import StructuredGrid
 
 MARKOV_MAGIC = "# pfsensor-markov v1"
@@ -34,10 +34,6 @@ class StabilityError(ValueError):
             f"largest admissible dt = {admissible_dt}"
         )
         self.admissible_dt = float(admissible_dt)
-
-
-class MatrixFormatError(ValueError):
-    """Raised when a matrix file cannot be parsed or fails row-sum validation."""
 
 
 @dataclass(frozen=True)
@@ -283,33 +279,3 @@ def save_markov(path, operator: MarkovMatrix) -> None:
         "{} {} {!r}\n",
     )
 
-
-def load_markov(path) -> MarkovMatrix:
-    """Read a matrix file and validate row-stochasticity."""
-    numbers, values = read_table(
-        path, MARKOV_MAGIC, "matrix", ("n_states nnz dt", "row col value"), MatrixFormatError
-    )
-    (n_states, nnz, dt), entries = values[0].tolist(), values[1:]
-    # a row-stochastic row holds at least one entry, so n_states <= nnz
-    if not (n_states.is_integer() and nnz.is_integer() and 0 <= n_states <= nnz):
-        raise MatrixFormatError(
-            f"{path}:{numbers[0]}: need integers 0 <= n_states <= nnz, got {n_states:g} {nnz:g}"
-        )
-    n_states, nnz = int(n_states), int(nnz)
-    if len(entries) != nnz:
-        raise MatrixFormatError(
-            f"{path}:{numbers[-1]}: expected {nnz} entries, found {len(entries)}"
-        )
-    index = entries[:, :2]
-    bad = ((index != np.floor(index)) | (index < 0) | (index >= n_states)).any(axis=1)
-    if bad.any():
-        lineno = numbers[1 + np.argmax(bad)]
-        raise MatrixFormatError(f"{path}:{lineno}: entry index not an integer in [0, {n_states})")
-    rows, cols = index.T.astype(np.int64)
-    matrix = sparse.coo_array((entries[:, 2], (rows, cols)), shape=(n_states, n_states)).tocsr()
-    try:
-        op = MarkovMatrix(matrix=matrix, dt=dt)
-        op.validate()
-    except ValueError as exc:
-        raise MatrixFormatError(f"{path}: {exc}") from None
-    return op

@@ -29,14 +29,7 @@ from .flowfield import (
     write_artifact,
 )
 from .grid import StructuredGrid, box_mask
-from .markov import (
-    BoundarySpec,
-    ConcentrationField,
-    MarkovMatrix,
-    build_markov,
-    load_markov,
-    save_markov,
-)
+from .markov import ConcentrationField, MarkovMatrix, build_markov, save_markov
 from .placement import (
     SensorPlan,
     coverage_vector,
@@ -45,7 +38,13 @@ from .placement import (
     place_sensors,
 )
 from .tracking import detection_matrix
-from .uncertainty import Gaussian, cdf_points_for, fit_kde, quadrature_rule
+from .uncertainty import (
+    DistributionFitError,
+    Gaussian,
+    cdf_points_for,
+    fit_kde,
+    quadrature_rule,
+)
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "pfsensor-manifest v1"
@@ -72,7 +71,10 @@ def make_distribution(cfg: RunConfig):
         raise ConfigError(f"cannot read KDE data {path}: {exc}") from None
     except ValueError:
         raise ConfigError(f"KDE data {path} contains non-numeric entries") from None
-    return fit_kde(data)
+    try:
+        return fit_kde(data)
+    except DistributionFitError as exc:
+        raise ConfigError(f"KDE data {path}: {exc}") from None
 
 
 def scenario_set(cfg: RunConfig) -> tuple[StructuredGrid, list[FlowScenario]]:
@@ -117,15 +119,17 @@ def scenario_set(cfg: RunConfig) -> tuple[StructuredGrid, list[FlowScenario]]:
     return grid, scenarios
 
 
-def build_matrices(
-    scenarios: list[FlowScenario],
-    dt: float,
-    boundaries: BoundarySpec,
-    workers: int = 1,
-) -> list[MarkovMatrix]:
-    return _map_scenarios(
-        lambda sc: build_markov(sc, dt, boundaries), scenarios, workers
+def scenario_operators(
+    cfg: RunConfig,
+) -> tuple[StructuredGrid, list[FlowScenario], list[MarkovMatrix]]:
+    """The config's grid and scenarios, with one operator per scenario at the
+    config's dt and outlets. Callers check that dt is set."""
+    grid, scenarios = scenario_set(cfg)
+    boundaries = cfg.boundaries()
+    operators = _map_scenarios(
+        lambda sc: build_markov(sc, cfg.dt, boundaries), scenarios, cfg.workers
     )
+    return grid, scenarios, operators
 
 
 def scaled_tracking(cfg: RunConfig, grid: StructuredGrid, matrices: list[MarkovMatrix]):
@@ -136,6 +140,9 @@ def scaled_tracking(cfg: RunConfig, grid: StructuredGrid, matrices: list[MarkovM
     An absorbing exit state (operators one larger than the grid) carries no
     volume but may host a sensor.
     """
+    ignore = cfg.sensing_ignore_mask(grid)
+    if ignore.all():
+        raise ConfigError("occupied_box contains no cell centers")
     cutoff = cfg.eps_acc * (cfg.steps + 1)
     n = matrices[0].n_states
     cells = grid.n_states
@@ -143,7 +150,7 @@ def scaled_tracking(cfg: RunConfig, grid: StructuredGrid, matrices: list[MarkovM
         raise ValueError(f"operators have {n} states, the grid has {cells}")
     release_weight = np.zeros(n)
     release_weight[:cells] = grid.cell_volume / grid.total_volume
-    release_weight[:cells][cfg.sensing_ignore_mask(grid)] = 0.0
+    release_weight[:cells][ignore] = 0.0
     candidates = np.ones(n, dtype=bool)
     candidates[:cells] = ~cfg.forbidden_mask(grid)
     return _map_scenarios(
@@ -154,12 +161,12 @@ def scaled_tracking(cfg: RunConfig, grid: StructuredGrid, matrices: list[MarkovM
 
 
 def run_build(cfg: RunConfig, out_dir) -> Path:
-    """Write per-scenario operator files plus a manifest; returns its path."""
+    """Write per-scenario operator and field files plus a manifest, and return
+    the manifest's path. They are an export: no command reads them back."""
     if cfg.dt is None:
         raise ConfigError("dt not configured")
     out = Path(out_dir)
-    grid, scenarios = scenario_set(cfg)
-    matrices = build_matrices(scenarios, cfg.dt, cfg.boundaries(), cfg.workers)
+    grid, scenarios, matrices = scenario_operators(cfg)
     entries = []
     for idx, (scenario, operator) in enumerate(zip(scenarios, matrices)):
         matrix_name = f"markov-{idx:03d}.txt"
@@ -192,82 +199,23 @@ def run_build(cfg: RunConfig, out_dir) -> Path:
     return manifest_path
 
 
-def load_manifest(path) -> tuple[StructuredGrid, float, list[dict]]:
-    """Grid, dt and scenario entries of a build manifest, schema-checked:
-    required keys, a finite dt > 0, finite xis and thetas summing to 1."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes or bad JSON
-        raise ConfigError(f"cannot read manifest {path}: {exc}") from None
-
-    def required(mapping, key, where=""):
-        if not isinstance(mapping, dict) or key not in mapping:
-            raise ConfigError(f"manifest {path} is missing '{where}{key}'")
-        return mapping[key]
-
-    if required(data, "format") != MANIFEST_FORMAT:
-        raise ConfigError(f"manifest {path} has unknown format {data['format']!r}")
-    gspec = required(data, "grid")
-    dims, spacing, origin = (
-        required(gspec, key, "grid.") for key in ("dims", "spacing", "origin")
-    )
-    dt = required(data, "dt")
-    entries = required(data, "scenarios")
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError(f"manifest {path}: 'scenarios' must be a non-empty list")
-    for idx, entry in enumerate(entries):
-        for key in ("xi", "theta", "matrix"):
-            required(entry, key, f"scenarios[{idx}].")
-        if not (isinstance(entry["matrix"], str) and entry["matrix"]):
-            raise ConfigError(f"manifest {path}: 'scenarios[{idx}].matrix' must be a file name")
-    try:
-        grid = StructuredGrid(tuple(dims), tuple(spacing), tuple(origin))
-        dt = float(dt)
-        xis = [float(entry["xi"]) for entry in entries]
-        total = sum(float(entry["theta"]) for entry in entries)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"manifest {path}: malformed grid, dt, xi or theta: {exc}") from None
-    if not (np.isfinite(dt) and dt > 0.0):
-        raise ConfigError(f"manifest {path}: 'dt' must be finite and positive, got {dt}")
-    for idx, xi in enumerate(xis):
-        if not np.isfinite(xi):
-            raise ConfigError(f"manifest {path}: 'scenarios[{idx}].xi' must be finite, got {xi}")
-    if not abs(total - 1.0) <= 1e-9:
-        raise ConfigError(
-            f"manifest {path}: scenario thetas sum to {total}, expected 1 within 1e-9"
-        )
-    return grid, dt, entries
-
-
-def load_matrices(manifest_path) -> tuple[StructuredGrid, float, list[dict], list[MarkovMatrix]]:
-    manifest_path = Path(manifest_path)
-    grid, dt, entries = load_manifest(manifest_path)
-    matrices = [load_markov(manifest_path.parent / entry["matrix"]) for entry in entries]
-    return grid, dt, entries, matrices
-
-
-def run_place(
-    cfg: RunConfig,
-    grid: StructuredGrid,
-    matrices: list[MarkovMatrix],
-    weights: list[float],
-    xis: list[float],
-    out_dir,
-) -> tuple[SensorPlan, dict]:
-    """Tracking through placement on prebuilt operators; writes the JSON plan
-    and the expected / per-sensor coverage map fields."""
+def run_place(cfg: RunConfig) -> tuple[SensorPlan, dict]:
+    """Operators from the config, then tracking through placement; writes the
+    JSON plan and the expected / per-sensor coverage map fields to cfg.out."""
+    if cfg.dt is None:
+        raise ConfigError("place needs dt")
     if cfg.steps is None:
         raise ConfigError("steps not configured")
     if cfg.sensors is None and cfg.min_coverage is None:
         raise ConfigError("set a sensor count or a min_coverage target")
-    out = Path(out_dir)
+    out = Path(cfg.out)
+    grid, scenarios, matrices = scenario_operators(cfg)
     forbidden = cfg.forbidden_mask(grid)
-    has_exit = matrices[0].n_states == grid.n_states + 1
-    if forbidden.all() and not has_exit:
+    if forbidden.all() and not cfg.outlets:
         raise ConfigError("forbidden-location mask excludes every candidate column")
     detections = scaled_tracking(cfg, grid, matrices)
     vectors = [coverage_vector(m) for m in detections]
+    weights = [sc.weight for sc in scenarios]
     expected_map = expected_coverage(vectors, weights)
 
     occupied = cfg.occupied_mask(grid)
@@ -284,7 +232,7 @@ def run_place(
             "dt": cfg.dt,
             "eps_acc": cfg.eps_acc,
             "threshold_mode": "scaled",
-            "scenario_xis": [float(x) for x in xis],
+            "scenario_xis": [sc.sample_value for sc in scenarios],
             "forbidden_states": np.flatnonzero(forbidden).tolist(),
             "sensing_ignore_states": np.flatnonzero(cfg.sensing_ignore_mask(grid)).tolist(),
         }
@@ -390,9 +338,7 @@ def expected_coverage_for_counts(cfg: RunConfig, counts: list[int]) -> list[dict
     ordered = sorted(counts)
     maps = {}
     for m in ordered:
-        sub = _with_cdf_points(cfg, cdf_points_for(m))
-        grid, scenarios = scenario_set(sub)
-        matrices = build_matrices(scenarios, cfg.dt, cfg.boundaries(), cfg.workers)
+        grid, scenarios, matrices = scenario_operators(_with_cdf_points(cfg, cdf_points_for(m)))
         vectors = [coverage_vector(d) for d in scaled_tracking(cfg, grid, matrices)]
         maps[m] = expected_coverage(vectors, [sc.weight for sc in scenarios])
     reference = maps[ordered[-1]]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -155,21 +156,50 @@ def test_staged_pipeline_matches_in_memory_run(tmp_path):
     staged = (tmp_path / "out" / "plan.json").read_bytes()
 
     cfg = parse_config(cfg_path)
-    grid, scenarios = scenario_set(cfg)
-    from pfsensor.pipeline import build_matrices
-
-    matrices = build_matrices(scenarios, cfg.dt, cfg.boundaries(), cfg.workers)
     cfg.out = str(tmp_path / "mem")
-    run_place(
-        cfg,
-        grid,
-        matrices,
-        weights=[s.weight for s in scenarios],
-        xis=[s.sample_value for s in scenarios],
-        out_dir=cfg.out,
-    )
+    run_place(cfg)
     in_memory = (tmp_path / "mem" / "plan.json").read_bytes()
     assert staged == in_memory
+
+
+ZONES = "occupied_box = 0 0 0 0.6 0.6 1\nforbidden_box = 0.2 0.2 0 0.5 0.5 1\n"
+
+
+@pytest.mark.parametrize("extra", [ZONES, ZONES + "outlets = x+ y-\n"], ids=["zoned", "outlets"])
+def test_place_without_build_matches_build_then_place(tmp_path, extra):
+    # eps_acc = 0.03 keeps four sensors short of covering the zone
+    built = base_cfg(tmp_path, extra=extra, eps_acc="0.03", out=tmp_path / "built")
+    assert main(["build", "--config", str(built)]) == 0
+    assert main(["place", "--config", str(built)]) == 0
+    fresh = base_cfg(tmp_path, extra=extra, eps_acc="0.03", out=tmp_path / "fresh")
+    assert main(["place", "--config", str(fresh)]) == 0
+    placed = {p.name: p.read_bytes() for p in (tmp_path / "fresh").iterdir()}
+    sensors = [f"coverage-sensor-{rank:02d}.txt" for rank in range(1, 5)]
+    assert sorted(placed) == ["coverage-expected.txt", *sensors, "plan.json"]
+    for name, data in placed.items():
+        assert (tmp_path / "built" / name).read_bytes() == data
+
+
+def test_place_needs_dt(tmp_path, capsys):
+    # place builds its operators from the config, never from a build's files
+    cfg = base_cfg(tmp_path)
+    lines = cfg.read_text().splitlines()
+    cfg.write_text("\n".join(line for line in lines if not line.startswith("dt ")))
+    assert main(["build", "--config", str(cfg), "--dt", "0.05"]) == 0
+    assert main(["place", "--config", str(cfg)]) == 2
+    assert "place needs dt" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "plan.json").exists()
+
+
+def test_place_empty_occupied_zone_exits_before_tracking(tmp_path, capsys, monkeypatch):
+    def no_tracking(*args):
+        raise AssertionError("tracking ran")
+
+    monkeypatch.setattr("pfsensor.pipeline.detection_matrix", no_tracking)
+    # cell centres sit at 0.05, 0.15, ...: this box holds none of them
+    cfg = base_cfg(tmp_path, extra="occupied_box = 0.01 0.01 0 0.04 0.04 1\n")
+    assert main(["place", "--config", str(cfg)]) == 2
+    assert "occupied_box contains no cell centers" in capsys.readouterr().err
 
 
 def test_validate_still_air_is_exact(tmp_path):
@@ -192,25 +222,6 @@ def test_validate_tolerance_breach_exits_3(tmp_path, capsys):
     code = main(["validate", "--config", str(cfg), "--tolerance", "1e-8"])
     assert code == 3
     assert "validation failed" in capsys.readouterr().out
-
-
-def test_place_rejects_corrupted_matrix_file(tmp_path, capsys):
-    cfg = base_cfg(tmp_path)
-    assert main(["build", "--config", str(cfg)]) == 0
-    target = tmp_path / "out" / "markov-000.txt"
-    lines = target.read_text().splitlines()
-    head, entries = lines[:2], lines[2:]
-    row, col, val = entries[0].split()
-    entries[0] = f"{row} {col} {float(val) * 0.5!r}"
-    target.write_text("\n".join(head + entries) + "\n")
-    assert main(["place", "--config", str(cfg)]) == 2
-    assert "row sums" in capsys.readouterr().err
-
-
-def test_place_without_manifest_exits_2(tmp_path, capsys):
-    cfg = base_cfg(tmp_path)
-    assert main(["place", "--config", str(cfg)]) == 2
-    assert "manifest" in capsys.readouterr().err
 
 
 def test_place_all_columns_forbidden_exits_with_diagnostic(tmp_path, capsys):
@@ -294,72 +305,6 @@ def test_place_rejects_non_finite_threshold(tmp_path, capsys):
     assert "eps_acc must be finite" in capsys.readouterr().err
 
 
-def built_manifest(tmp_path):
-    cfg = small_cfg(tmp_path)
-    assert main(["build", "--config", str(cfg)]) == 0
-    path = tmp_path / "out" / "manifest.json"
-    return cfg, path, json.loads(path.read_text())
-
-
-@pytest.mark.parametrize(
-    "keys, name",
-    [
-        (("format",), "format"),
-        (("grid",), "grid"),
-        (("grid", "dims"), "grid.dims"),
-        (("grid", "spacing"), "grid.spacing"),
-        (("grid", "origin"), "grid.origin"),
-        (("dt",), "dt"),
-        (("scenarios",), "scenarios"),
-        (("scenarios", 0, "xi"), "scenarios[0].xi"),
-        (("scenarios", 1, "theta"), "scenarios[1].theta"),
-        (("scenarios", 2, "matrix"), "scenarios[2].matrix"),
-    ],
-)
-def test_place_rejects_manifest_missing_key(tmp_path, capsys, keys, name):
-    cfg, path, manifest = built_manifest(tmp_path)
-    parent = manifest
-    for key in keys[:-1]:
-        parent = parent[key]
-    del parent[keys[-1]]
-    path.write_text(json.dumps(manifest))
-    assert main(["place", "--config", str(cfg)]) == 2
-    assert f"missing '{name}'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "keys, value, message",
-    [
-        (("dt",), float("nan"), "'dt' must be finite and positive"),
-        (("dt",), 0.0, "'dt' must be finite and positive"),
-        (("scenarios", 0, "xi"), float("inf"), "'scenarios[0].xi' must be finite"),
-        (("scenarios", 1, "matrix"), 5, "'scenarios[1].matrix' must be a file name"),
-        (("scenarios", 2, "matrix"), "", "'scenarios[2].matrix' must be a file name"),
-        (("scenarios", 0, "matrix"), ".", "cannot read matrix"),
-    ],
-    ids=["dt-nan", "dt-zero", "xi-inf", "matrix-int", "matrix-empty", "matrix-directory"],
-)
-def test_place_rejects_manifest_bad_value(tmp_path, capsys, keys, value, message):
-    cfg, path, manifest = built_manifest(tmp_path)
-    parent = manifest
-    for key in keys[:-1]:
-        parent = parent[key]
-    parent[keys[-1]] = value
-    path.write_text(json.dumps(manifest))
-    assert main(["place", "--config", str(cfg)]) == 2
-    assert message in capsys.readouterr().err
-    assert not (path.parent / "plan.json").exists()
-
-
-def test_place_rejects_manifest_thetas_not_summing_to_one(tmp_path, capsys):
-    cfg, path, manifest = built_manifest(tmp_path)
-    for entry in manifest["scenarios"]:
-        entry["theta"] *= 2.7
-    path.write_text(json.dumps(manifest))
-    assert main(["place", "--config", str(cfg)]) == 2
-    assert "thetas sum to" in capsys.readouterr().err
-
-
 def test_converge_table_layout_and_reference_row(tmp_path):
     cfg = base_cfg(tmp_path, dims="8 8 1", dt="0.017", steps="25")
     assert main(["converge", "--config", str(cfg), "--samples", "2", "3", "5"]) == 0
@@ -425,12 +370,33 @@ def test_config_rejects_unknown_key(tmp_path):
             parse_config(path)
 
 
-@pytest.mark.parametrize("flags", [["--removal", "literal"], ["--raw-threshold"]])
+@pytest.mark.parametrize(
+    "flags", [["--removal", "literal"], ["--raw-threshold"], ["--manifest", "m.json"]]
+)
 def test_place_rejects_removed_flags(tmp_path, flags):
     cfg = small_cfg(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(["place", "--config", str(cfg), *flags])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("outlets = x+ q+", "outlets: unknown boundary sides ['q+']"),
+        ("forbidden_box = 1 1 0 0 0 1", "forbidden_box: need lo <= hi"),
+        ("occupied_box = 0 0 1 1 1 0", "occupied_box: need lo <= hi"),
+        ("release_box = 0 0 0 nan 1 1", "release_box: need lo <= hi"),
+        ("cdf_points = 0 0.5 1.5", "cdf_points: points must lie in [0, 1]"),
+        ("cdf_points = 0 0.5 0.5", "cdf_points: points must be strictly increasing"),
+        ("cdf_points =", "cdf_points: need at least one point"),
+    ],
+    ids=["outlets", "forbidden", "occupied", "release-nan", "cdf-range", "cdf-order", "cdf-empty"],
+)
+def test_config_rejects_bad_value_naming_key_and_line(tmp_path, line, message):
+    path = write_cfg(tmp_path, f"dims = 2 2 1\n{line}\n")
+    with pytest.raises(ConfigError, match=re.escape(f"run.cfg:2: {message}")):
+        parse_config(path)
 
 
 def test_config_rejects_bad_weights(tmp_path):
@@ -452,3 +418,16 @@ def test_config_kde_distribution(tmp_path):
     grid, scenarios = scenario_set(parsed)
     assert len(scenarios) == 7
     assert sum(s.weight for s in scenarios) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [("0.4\nnan\n0.6\n", "non-finite"), ("0.5\n", "need at least 2 data points")],
+)
+def test_kde_data_errors_name_the_file(tmp_path, capsys, data, message):
+    path = tmp_path / "k.txt"
+    path.write_text(data)
+    cfg = base_cfg(tmp_path, distribution=f"kde {path}")
+    assert main(["build", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"KDE data {path}: " in err and message in err

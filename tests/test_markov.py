@@ -7,14 +7,13 @@ from scipy import sparse
 from pfsensor.flowfield import FlowScenario, VelocityField, synth_recirculating, zero_field
 from pfsensor.grid import StructuredGrid
 from pfsensor.markov import (
+    MARKOV_MAGIC,
     BoundarySpec,
     ConcentrationField,
     MarkovMatrix,
-    MatrixFormatError,
     StabilityError,
     admissible_dt,
     build_markov,
-    load_markov,
     propagate,
     save_markov,
 )
@@ -192,47 +191,11 @@ def test_markov_save_load_round_trip(tmp_path, seed):
     op = build_markov(scenario, 0.5 * admissible_dt(scenario))
     path = tmp_path / f"m-{seed}.txt"
     save_markov(path, op)
-    back = load_markov(path)
-    assert back.dt == op.dt
-    assert np.array_equal(back.matrix.toarray(), op.matrix.toarray())
+    magic, header = path.read_text().splitlines()[:2]
+    n_states, nnz, dt = header.split()
+    assert magic == MARKOV_MAGIC
+    assert (int(n_states), int(nnz), float(dt)) == (op.n_states, op.matrix.nnz, op.dt)
+    rows, cols, values = np.loadtxt(path, skiprows=2, ndmin=2).T
+    back = sparse.coo_array((values, (rows.astype(int), cols.astype(int))), shape=op.matrix.shape)
+    assert np.array_equal(back.toarray(), op.matrix.toarray())
 
-
-def test_load_rejects_corrupted_row_sums(tmp_path):
-    g = unit_line_grid(2)
-    op = build_markov(FlowScenario(zero_field(g), diffusivity=0.1), dt=1.0)
-    path = tmp_path / "m.txt"
-    save_markov(path, op)
-    text = path.read_text().replace("0.9", "0.95")
-    path.write_text(text)
-    with pytest.raises(MatrixFormatError, match="row sums"):
-        load_markov(path)
-
-
-def test_load_rejects_bad_magic_and_truncation(tmp_path):
-    path = tmp_path / "m.txt"
-    path.write_text("nonsense\n")
-    with pytest.raises(MatrixFormatError):
-        load_markov(path)
-    path.write_text("# pfsensor-markov v1\n3 5 0.5\n0 0 1.0\n")
-    with pytest.raises(MatrixFormatError, match="expected 5 entries"):
-        load_markov(path)
-    with pytest.raises(MatrixFormatError, match="cannot read matrix"):
-        load_markov(tmp_path / "missing.txt")
-
-
-def test_load_rejects_non_finite_entry_and_dt(tmp_path):
-    path = tmp_path / "m.txt"
-    path.write_text("# pfsensor-markov v1\n1 1 1.0\n0 0 nan\n")
-    with pytest.raises(MatrixFormatError, match=r"m\.txt:3: not 'row col value'"):
-        load_markov(path)
-    path.write_text("# pfsensor-markov v1\n1 1 nan\n0 0 1.0\n")
-    with pytest.raises(MatrixFormatError, match=r"m\.txt:2: not 'n_states nnz dt'"):
-        load_markov(path)
-
-
-def test_load_reports_real_line_after_blank_lines(tmp_path):
-    path = tmp_path / "m.txt"
-    for bad in ("1 1 x", "1 1"):
-        path.write_text(f"# pfsensor-markov v1\n2 2 1.0\n0 0 1.0\n\n\n{bad}\n")
-        with pytest.raises(MatrixFormatError, match=r"m\.txt:6: not 'row col value'"):
-            load_markov(path)
