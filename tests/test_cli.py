@@ -191,6 +191,16 @@ def test_place_needs_dt(tmp_path, capsys):
     assert not (tmp_path / "out" / "plan.json").exists()
 
 
+def test_place_without_manifest_exits_2(tmp_path, capsys):
+    # with no build and no manifest, dt can come only from the config
+    cfg = base_cfg(tmp_path)
+    lines = cfg.read_text().splitlines()
+    cfg.write_text("\n".join(line for line in lines if not line.startswith("dt ")))
+    assert main(["place", "--config", str(cfg)]) == 2
+    assert "place needs dt" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_place_empty_occupied_zone_exits_before_tracking(tmp_path, capsys, monkeypatch):
     def no_tracking(*args):
         raise AssertionError("tracking ran")
