@@ -48,6 +48,11 @@ def _load_config(args) -> RunConfig:
         if value is not None:
             setattr(cfg, key, value)
     cfg.validate()
+    # checked before any work, since the artifacts are written last
+    out = Path(cfg.out)
+    for part in (out, *out.parents):
+        if part.exists() and not part.is_dir():
+            raise ConfigError(f"out: {part} is not a directory")
     return cfg
 
 

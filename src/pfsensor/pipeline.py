@@ -29,7 +29,7 @@ from .flowfield import (
     write_artifact,
 )
 from .grid import StructuredGrid, box_mask
-from .markov import ConcentrationField, MarkovMatrix, build_markov, save_markov
+from .markov import ConcentrationField, MarkovMatrix, StabilityError, build_markov, save_markov
 from .placement import (
     SensorPlan,
     coverage_vector,
@@ -123,12 +123,22 @@ def scenario_operators(
     cfg: RunConfig,
 ) -> tuple[StructuredGrid, list[FlowScenario], list[MarkovMatrix]]:
     """The config's grid and scenarios, with one operator per scenario at the
-    config's dt and outlets. Callers check that dt is set."""
+    config's dt and outlets. Callers check that dt is set. A dt too large for
+    any scenario raises StabilityError with the smallest admissible dt over
+    all scenarios, so a rerun at that dt builds every operator."""
     grid, scenarios = scenario_set(cfg)
     boundaries = cfg.boundaries()
-    operators = _map_scenarios(
-        lambda sc: build_markov(sc, cfg.dt, boundaries), scenarios, cfg.workers
-    )
+
+    def build(scenario):
+        try:
+            return build_markov(scenario, cfg.dt, boundaries)
+        except StabilityError as exc:
+            return exc
+
+    operators = _map_scenarios(build, scenarios, cfg.workers)
+    unstable = [op.admissible_dt for op in operators if isinstance(op, StabilityError)]
+    if unstable:
+        raise StabilityError(cfg.dt, min(unstable))
     return grid, scenarios, operators
 
 

@@ -2,9 +2,9 @@
 
 A release at state r is detected by a sensor at state c when the tracking
 entry Q[r, c] of Q = I + P + ... + P^m reaches the sensor's cutoff. The
-kernel streams the kept release rows through the operator in blocks of unit
-vectors, thresholds each accumulated block and keeps only its pairs, so Q is
-never held whole: memory is O(n * BLOCK) plus the detected pairs.
+kernel sums the kept release rows in blocks of unit vectors e by Horner's
+rule acc <- e + P^T acc, thresholds each block and keeps only its pairs, so
+Q is never held whole: memory is O(n * BLOCK) plus the detected pairs.
 """
 
 from __future__ import annotations
@@ -14,22 +14,22 @@ from scipy import sparse
 
 from .markov import MarkovMatrix
 
-# release rows propagated together; one block holds two (window x BLOCK)
-# arrays, and small blocks keep them cache-resident
+# release rows summed together; a Horner step holds two (window x BLOCK)
+# arrays, its product's input and output; small blocks keep them cache-resident
 BLOCK = 64
 
 
 def _accumulate(p_t: sparse.csr_array, steps: int, rows: np.ndarray, lo: int, hi: int):
-    """Q[rows, lo:hi] transposed, by forward propagation X <- P^T X of unit
-    columns. The caller guarantees mass from `rows` stays inside [lo, hi)
-    for `steps` steps, so the truncated operator loses nothing."""
+    """Q[rows, lo:hi] transposed, by Horner's rule acc <- e + P^T acc on the
+    unit columns e of `rows`. The caller guarantees mass from `rows` stays in
+    [lo, hi) for `steps` steps, so the truncated operator loses nothing."""
     sub = p_t[lo:hi, lo:hi]
-    x = np.zeros((hi - lo, rows.size))
-    x[rows - lo, np.arange(rows.size)] = 1.0
-    acc = x.copy()
+    units = (rows - lo, np.arange(rows.size))
+    acc = np.zeros((hi - lo, rows.size))
+    acc[units] = 1.0
     for _ in range(steps):
-        x = sub @ x
-        acc += x
+        acc = sub @ acc
+        acc[units] += 1.0
     return acc
 
 

@@ -93,6 +93,29 @@ def test_build_unstable_dt_exits_2_with_admissible_hint(tmp_path, capsys):
     assert "admissible dt" in capsys.readouterr().err
 
 
+def test_unstable_dt_hint_is_the_ensemble_minimum(tmp_path, capsys):
+    # each scenario admits a different dt; the hint must suit all of them
+    cfg = base_cfg(tmp_path, dims="8 8 1", cdf_points="0 0.5 1")
+    assert main(["place", "--config", str(cfg), "--dt", "5"]) == 2
+    hint = re.search(r"largest admissible dt = (\S+)", capsys.readouterr().err).group(1)
+    assert main(["place", "--config", str(cfg), "--dt", hint]) == 0
+
+
+@pytest.mark.parametrize("command", ["build", "place"])
+def test_out_naming_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command):
+    def refuse(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(f"pfsensor.cli.run_{command}", refuse)
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    cfg = base_cfg(tmp_path)
+    for out in (taken, taken / "sub"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"out: {taken} is not a directory" in capsys.readouterr().err
+    assert taken.read_text() == "keep\n"
+
+
 def test_place_respects_sensor_budget(tmp_path):
     cfg = base_cfg(tmp_path)
     assert main(["build", "--config", str(cfg)]) == 0

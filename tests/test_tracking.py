@@ -308,3 +308,20 @@ def test_detection_streams_more_rows_than_one_block():
         )
         assert not np.any(np.abs(q - 1e-3 * (steps + 1)) <= 1e-9)
         assert np.array_equal(got.toarray(), expected)
+
+
+def test_horner_sum_matches_forward_power_sum_at_benchmark_horizon():
+    # Horner's rule rounds differently from summing powers; at m = 80 on a
+    # closed 20x20 vortex the two must still agree to rounding
+    grid = StructuredGrid((20, 20, 1), (0.05, 0.05, 0.2))
+    scenario = FlowScenario(synth_recirculating(grid, 0.5), diffusivity=1e-4)
+    op = build_markov(scenario, 0.5 * admissible_dt(scenario))
+    steps, n = 80, op.n_states
+    p_t = sparse.csr_array(op.matrix.T)
+    x = np.eye(n)
+    expected = x.copy()
+    for _ in range(steps):
+        x = p_t @ x
+        expected += x
+    gap = np.abs(tracking_rows(op, steps, np.arange(n)) - expected.T).max()
+    assert gap <= 1e-12 * (steps + 1)
