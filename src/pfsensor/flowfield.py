@@ -86,18 +86,29 @@ def synth_recirculating(grid: StructuredGrid, strength: float) -> VelocityField:
     return VelocityField(grid, strength * u_unit, strength * v_unit, zero)
 
 
-def write_artifact(path, head, columns=(), fmt="") -> None:
-    """Write the ``head`` lines, then ``fmt`` per row of the equal-length numpy
-    ``columns`` (WRITE_BLOCK rows at a time), to ``<path>.tmp`` in a directory
-    made if missing; rename that over ``path``, so no reader sees a partial file."""
+def _cells(values: np.ndarray) -> list[str]:
+    """``repr`` of each value's Python scalar, formatting each distinct value
+    once. Floats are keyed by their bits, so ``-0.0`` keeps its own text."""
+    keys = values.view(f"i{values.itemsize}") if values.dtype.kind == "f" else values
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    table = np.array([repr(v) for v in values[first].tolist()], dtype=object)
+    return table[inverse].tolist()
+
+
+def write_artifact(path, head, columns=()) -> None:
+    """Write the ``head`` lines, then one line per row of the equal-length numpy
+    ``columns``: the ``repr`` of each row's Python scalars, joined by spaces.
+    Rows go out WRITE_BLOCK at a time, each block formatting every distinct
+    value of a column once. The text goes to ``<path>.tmp`` in a directory made
+    if missing, then is renamed over ``path``, so no reader sees a partial file."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "w", newline="\n") as fh:
             fh.write("".join(line + "\n" for line in head))
             for start in range(0, len(columns[0]) if columns else 0, WRITE_BLOCK):
-                block = zip(*(col[start : start + WRITE_BLOCK].tolist() for col in columns))
-                fh.write("".join(fmt.format(*row) for row in block))
+                cells = [_cells(col[start : start + WRITE_BLOCK]) for col in columns]
+                fh.write("\n".join(map(" ".join, zip(*cells))) + "\n")
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -144,7 +155,7 @@ def save_field(path, field_: VelocityField) -> None:
     grid = field_.grid
     head = [FIELD_MAGIC, "{} {} {}".format(*grid.dims)]
     head += ["{!r} {!r} {!r}".format(*map(float, v)) for v in (grid.spacing, grid.origin)]
-    write_artifact(path, head, (field_.u, field_.v, field_.w), "{!r} {!r} {!r}\n")
+    write_artifact(path, head, (field_.u, field_.v, field_.w))
 
 
 def save_scalar_field(path, grid: StructuredGrid, values: np.ndarray) -> None:

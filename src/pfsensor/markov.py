@@ -267,15 +267,17 @@ def propagate(
 
 
 def save_markov(path, operator: MarkovMatrix) -> None:
-    """Write a matrix file, entries in row-major order; an operator that is
-    not row-stochastic raises ValueError and nothing is written."""
+    """Write a matrix file: ``row col value`` for each stored entry, rows in
+    order and columns ascending within a row, read straight from the CSR
+    arrays (a sorted copy only when the indices are unsorted). An operator
+    that is not row-stochastic raises ValueError and nothing is written."""
     operator.validate()
-    mat = operator.matrix.tocoo()
-    order = np.lexsort((mat.coords[1], mat.coords[0]))
+    mat = operator.matrix.tocsr()
+    if not mat.has_sorted_indices:
+        mat = mat.sorted_indices()
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
     write_artifact(
         path,
         [MARKOV_MAGIC, f"{operator.n_states} {mat.nnz} {operator.dt!r}"],
-        (mat.coords[0][order], mat.coords[1][order], mat.data[order]),
-        "{} {} {!r}\n",
+        (rows, mat.indices, mat.data),
     )
-

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flowfield import FlowScenario
-from .markov import ConcentrationField, build_markov, propagate
+from .markov import ConcentrationField, MarkovMatrix, build_markov, propagate
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,9 @@ class PdeStabilityError(ValueError):
 def _face_rates(scenario: FlowScenario):
     """Per-axis face quantities for the stencil update.
 
-    Returns a list of (axis, u_face, diff_rate, inv_vol_coeff) where u_face
-    holds the two-point mean velocity on interior faces along that axis.
+    Returns a list of (lo, hi, u_face, area, diff_rate) per axis with
+    interior faces: lo and hi index the cells below and above each face, and
+    u_face holds the two-point mean velocity on those faces.
     """
     grid = scenario.field.grid
     nx, ny, nz = grid.dims
@@ -72,9 +73,10 @@ def _face_rates(scenario: FlowScenario):
         hi = [slice(None)] * 3
         lo[ax] = slice(0, -1)
         hi[ax] = slice(1, None)
-        u_face = 0.5 * (comps[ax][tuple(lo)] + comps[ax][tuple(hi)])
+        lo, hi = tuple(lo), tuple(hi)
+        u_face = 0.5 * (comps[ax][lo] + comps[ax][hi])
         diff_rate = scenario.diffusivity * area[ax] / dist[ax]
-        faces.append((ax, u_face, area[ax], diff_rate))
+        faces.append((lo, hi, u_face, area[ax], diff_rate))
     return faces
 
 
@@ -85,13 +87,9 @@ def stable_step(scenario: FlowScenario) -> float:
     grid = scenario.field.grid
     nx, ny, nz = grid.dims
     out_rate = np.zeros((nz, ny, nx))
-    for ax, u_face, area, diff_rate in _face_rates(scenario):
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        lo[ax] = slice(0, -1)
-        hi[ax] = slice(1, None)
-        out_rate[tuple(lo)] += np.maximum(u_face, 0.0) * area + diff_rate
-        out_rate[tuple(hi)] += np.maximum(-u_face, 0.0) * area + diff_rate
+    for lo, hi, u_face, area, diff_rate in _face_rates(scenario):
+        out_rate[lo] += np.maximum(u_face, 0.0) * area + diff_rate
+        out_rate[hi] += np.maximum(-u_face, 0.0) * area + diff_rate
     peak = out_rate.max()
     if peak <= 0.0:
         return math.inf
@@ -126,26 +124,31 @@ def solve_pde(
             n_steps = max(1, math.ceil(cfg.end_time / target))
         step = cfg.end_time / n_steps
 
-    faces = _face_rates(scenario)
+    # the donor-cell velocity split is a loop invariant
+    stencil = [
+        (lo, hi, np.maximum(u_face, 0.0), np.minimum(u_face, 0.0), area, diff_rate)
+        for lo, hi, u_face, area, diff_rate in _face_rates(scenario)
+    ]
     phi = phi0.values.reshape(nz, ny, nx).astype(float, copy=True)
+    delta = np.empty_like(phi)
 
     coef = step / vol
     for _ in range(n_steps):
-        delta = np.zeros_like(phi)
-        for ax, u_face, area, diff_rate in faces:
-            lo = [slice(None)] * 3
-            hi = [slice(None)] * 3
-            lo[ax] = slice(0, -1)
-            hi[ax] = slice(1, None)
-            phi_lo = phi[tuple(lo)]
-            phi_hi = phi[tuple(hi)]
+        delta.fill(0.0)
+        for lo, hi, u_out, u_in, area, diff_rate in stencil:
+            phi_lo = phi[lo]
+            phi_hi = phi[hi]
             # mass per second through each interior face, positive lo -> hi
-            adv = area * (np.maximum(u_face, 0.0) * phi_lo + np.minimum(u_face, 0.0) * phi_hi)
-            dif = diff_rate * (phi_lo - phi_hi)
-            flux = adv + dif
-            delta[tuple(lo)] -= flux
-            delta[tuple(hi)] += flux
-        phi = phi + coef * delta
+            flux = u_out * phi_lo
+            flux += u_in * phi_hi
+            flux *= area
+            dif = phi_lo - phi_hi
+            dif *= diff_rate
+            flux += dif
+            delta[lo] -= flux
+            delta[hi] += flux
+        delta *= coef
+        phi += delta
     # a marginally stable step can leave -1 ulp residue where the exact
     # update is zero; anything larger is a genuine scheme failure
     floor = -1e-10 * max(1.0, float(np.abs(phi).max()))
@@ -165,11 +168,25 @@ def compare_transport(
 ) -> float:
     """Relative L2 distance between operator-propagated and PDE-solved
     concentration after the same horizon steps * dt."""
+    return compare_operator(
+        scenario, build_markov(scenario, dt), phi0, steps, cfl_target, fixed_step
+    )
+
+
+def compare_operator(
+    scenario: FlowScenario,
+    operator: MarkovMatrix,
+    phi0: ConcentrationField,
+    steps: int,
+    cfl_target: float = 0.45,
+    fixed_step: float | None = None,
+) -> float:
+    """compare_transport for an operator already built for the scenario on
+    the closed box: the horizon is steps * operator.dt."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    operator = build_markov(scenario, dt)
     phi_markov = propagate(phi0, operator, steps)
-    cfg = PdeConfig(end_time=steps * dt, cfl_target=cfl_target, fixed_step=fixed_step)
+    cfg = PdeConfig(end_time=steps * operator.dt, cfl_target=cfl_target, fixed_step=fixed_step)
     phi_pde = solve_pde(scenario, phi0, cfg)
     ref = float(np.linalg.norm(phi_pde.values))
     if ref == 0.0:

@@ -304,10 +304,13 @@ def release_field(cfg: RunConfig, grid: StructuredGrid) -> ConcentrationField:
 def run_validate(cfg: RunConfig) -> list[dict]:
     """Operator-vs-PDE transport comparison per scenario.
 
-    The reference marches five substeps per operator step so the measured
-    gap reflects the operator's own time-stepping error, not the reference's.
+    Every scenario's operator is built, and its stability checked, before
+    any PDE solve, as for build and place: they are the operators build
+    writes. The reference marches five substeps per operator step so the
+    measured gap reflects the operator's own time-stepping error, not the
+    reference's.
     """
-    from .pde import compare_transport
+    from .pde import compare_operator
 
     if cfg.dt is None or cfg.steps is None:
         raise ConfigError("validate needs dt and steps")
@@ -315,13 +318,11 @@ def run_validate(cfg: RunConfig) -> list[dict]:
         raise ConfigError("validate needs steps >= 1")
     if cfg.outlets:
         raise ConfigError(f"outlets {sorted(cfg.outlets)}: the PDE reference is a closed box")
-    grid, scenarios = scenario_set(cfg)
+    grid, scenarios, operators = scenario_operators(cfg)
     phi0 = release_field(cfg, grid)
     results = []
-    for idx, scenario in enumerate(scenarios):
-        err = compare_transport(
-            scenario, phi0, cfg.steps, cfg.dt, fixed_step=cfg.dt / 5.0
-        )
+    for idx, (scenario, operator) in enumerate(zip(scenarios, operators)):
+        err = compare_operator(scenario, operator, phi0, cfg.steps, fixed_step=cfg.dt / 5.0)
         results.append(
             {
                 "id": idx,

@@ -1,4 +1,5 @@
-"""The shared artifact writer and table reader, and fuzzed loaders."""
+"""The shared artifact writer and table reader, the bytes of every text export,
+and fuzzed loaders."""
 
 import warnings
 
@@ -8,15 +9,28 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from pfsensor import flowfield
+from pfsensor.cli import main
 from pfsensor.config import ConfigError, parse_config
 from pfsensor.flowfield import (
     FIELD_MAGIC,
     WRITE_BLOCK,
     FieldFormatError,
+    FlowScenario,
     load_field,
+    synth_recirculating,
     write_artifact,
 )
-from pfsensor.markov import MarkovMatrix, save_markov
+from pfsensor.grid import StructuredGrid
+from pfsensor.markov import (
+    MARKOV_MAGIC,
+    BoundarySpec,
+    MarkovMatrix,
+    admissible_dt,
+    build_markov,
+    save_markov,
+)
+from pfsensor.pipeline import scenario_operators
 
 LOADERS = [(load_field, FIELD_MAGIC, FieldFormatError)]
 
@@ -25,14 +39,53 @@ FUZZ = settings(
 )
 
 
-def test_failed_write_leaves_previous_file(tmp_path):
+def oracle_text(head, columns) -> str:
+    """Per-row formatting, the writer's contract: the head lines, then the
+    repr of each row's Python scalars joined by spaces."""
+    rows = zip(*(col.tolist() for col in columns))
+    return "".join(line + "\n" for line in head) + "".join(
+        " ".join(map(repr, row)) + "\n" for row in rows
+    )
+
+
+def markov_oracle(matrix, dt) -> str:
+    """A matrix file's text from a COO copy in lexsorted row-major order."""
+    coo = matrix.tocoo()
+    order = np.lexsort((coo.coords[1], coo.coords[0]))
+    head = [MARKOV_MAGIC, f"{matrix.shape[0]} {coo.nnz} {dt!r}"]
+    return oracle_text(head, (coo.coords[0][order], coo.coords[1][order], coo.data[order]))
+
+
+def field_oracle(field) -> str:
+    grid = field.grid
+    head = [FIELD_MAGIC, "{} {} {}".format(*grid.dims)]
+    head += [" ".join(repr(float(x)) for x in v) for v in (grid.spacing, grid.origin)]
+    return oracle_text(head, (field.u, field.v, field.w))
+
+
+def test_failed_write_leaves_previous_file(tmp_path, monkeypatch):
     target = tmp_path / "a.txt"
     write_artifact(target, ["old"])
     before = target.read_bytes()
-    # the first block is written before the second one fails to format
-    column = np.array([0.5] * WRITE_BLOCK + ["x"], dtype=object)
-    with pytest.raises(ValueError):
-        write_artifact(target, ["new"], (column,), "{:.3f}\n")
+    writes = []
+
+    def open_failing_second_block(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        real_write = fh.write
+
+        def write(text):
+            writes.append(text)
+            if len(writes) == 3:  # the head, the first block, then the second block
+                raise OSError("disk full")
+            return real_write(text)
+
+        fh.write = write
+        return fh
+
+    monkeypatch.setattr(flowfield, "open", open_failing_second_block, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write_artifact(target, ["new"], (np.zeros(WRITE_BLOCK + 1),))
+    assert len(writes) == 3
     assert target.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
 
@@ -40,10 +93,108 @@ def test_failed_write_leaves_previous_file(tmp_path):
 def test_write_streams_rows_across_blocks(tmp_path):
     target = tmp_path / "sub" / "t.txt"
     n = 2 * WRITE_BLOCK + 3
-    write_artifact(target, ["# head", "x"], (np.arange(n), np.arange(n) / 4), "{} {!r}\n")
+    write_artifact(target, ["# head", "x"], (np.arange(n), np.arange(n) / 4))
     lines = target.read_text().splitlines()
     assert lines[:2] == ["# head", "x"]
     assert lines[2:] == [f"{i} {i / 4!r}" for i in range(n)]
+
+
+# finite floats whose shortest repr sits at a boundary: signed zeros,
+# subnormals, the largest float, and both sides of repr's switches to
+# exponent notation at 1e16 and below 1e-4
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, 1e16, -1e16, 9999999999999998.0, 1.0000000000000002e16,
+    0.0001, 9.999999999999999e-05, 1e-05, 9.999999999999999e-06, 0.1, 1.0,
+]
+
+
+@st.composite
+def value_pools(draw):
+    """A column's dtype and the few values its rows repeat."""
+    dtype = draw(st.sampled_from(["int32", "int64", "float64"]))
+    if dtype == "float64":
+        values = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    else:
+        bits = 31 if dtype == "int32" else 63
+        values = st.integers(-(2**bits), 2**bits - 1)
+    return np.array(draw(st.lists(values, min_size=1, max_size=12)), dtype=dtype)
+
+
+ROWS = st.sampled_from([0, 1, WRITE_BLOCK - 1, WRITE_BLOCK, WRITE_BLOCK + 1, 2 * WRITE_BLOCK + 3])
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    pools=st.lists(value_pools(), min_size=1, max_size=3),
+    n=ROWS | st.integers(0, 3 * WRITE_BLOCK),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(pools=[np.array([0.0, -0.0, 5e-324, 1e16, 1e-05])], n=WRITE_BLOCK + 7, seed=0)
+def test_write_matches_per_row_formatting(tmp_path, pools, n, seed):
+    # rows draw from a small pool, so values repeat within and across blocks
+    rng = np.random.default_rng(seed)
+    columns = [pool[rng.integers(0, len(pool), size=n)] for pool in pools]
+    path = tmp_path / "t.txt"
+    write_artifact(path, ["# head"], columns)
+    assert path.read_bytes() == oracle_text(["# head"], columns).encode()
+
+
+def test_save_markov_sorts_unsorted_csr_indices(tmp_path):
+    grid = StructuredGrid((5, 4, 1), (0.25, 0.3, 0.2))
+    scenario = FlowScenario(synth_recirculating(grid, 0.7), diffusivity=1e-3)
+    op = build_markov(scenario, 0.5 * admissible_dt(scenario), BoundarySpec(frozenset({"x+"})))
+    indptr = op.matrix.indptr
+    # every row's entries in descending column order
+    perm = np.concatenate([np.arange(a, b)[::-1] for a, b in zip(indptr[:-1], indptr[1:])])
+    unsorted = sparse.csr_array(
+        (op.matrix.data[perm], op.matrix.indices[perm], indptr), shape=op.matrix.shape
+    )
+    assert not unsorted.has_sorted_indices
+    indices = unsorted.indices.copy()
+    save_markov(tmp_path / "m.txt", MarkovMatrix(unsorted, op.dt))
+    assert (tmp_path / "m.txt").read_bytes() == markov_oracle(unsorted, op.dt).encode()
+    assert np.array_equal(unsorted.indices, indices)
+
+
+BUILD_CFG = """\
+dims = 7 6 1
+spacing = 0.1 0.12 0.2
+diffusivity = 2e-4
+dt = 0.02
+steps = 20
+family = vortex
+distribution = gaussian 0.5 0.05
+cdf_points = 0 0.5 1
+eps_acc = 1e-4
+sensors = 3
+out = {out}
+"""
+
+
+@pytest.mark.parametrize("outlets", ["", "outlets = x+ y-"])
+def test_build_and_place_exports_match_per_row_formatting(tmp_path, outlets):
+    # pins every text export's bytes without a platform-dependent hash
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(BUILD_CFG.format(out=out) + outlets + "\n")
+    assert main(["build", "--config", str(cfg_path)]) == 0
+    assert main(["place", "--config", str(cfg_path)]) == 0
+    _, scenarios, operators = scenario_operators(parse_config(cfg_path))
+    assert operators[0].n_states == 42 + bool(outlets)
+    for idx, (scenario, op) in enumerate(zip(scenarios, operators)):
+        markov = out / f"markov-{idx:03d}.txt"
+        assert markov.read_bytes() == markov_oracle(op.matrix, op.dt).encode()
+        assert (out / f"field-{idx:03d}.txt").read_bytes() == field_oracle(scenario.field).encode()
+    assert len(list(out.glob("markov-*.txt"))) == len(list(out.glob("field-*.txt"))) == 3
+    # the coverage maps are not recomputed here: their read-back values
+    # must come out as the same text
+    coverage = sorted(out.glob("coverage-*.txt"))
+    assert [p.name for p in coverage[:2]] == ["coverage-expected.txt", "coverage-sensor-01.txt"]
+    for path in coverage:
+        assert path.read_bytes() == field_oracle(load_field(path)).encode()
 
 
 def test_save_markov_refuses_non_stochastic_operator(tmp_path):

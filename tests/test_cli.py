@@ -101,6 +101,18 @@ def test_unstable_dt_hint_is_the_ensemble_minimum(tmp_path, capsys):
     assert main(["place", "--config", str(cfg), "--dt", hint]) == 0
 
 
+def test_validate_unstable_dt_hint_is_the_ensemble_minimum(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a PDE solve ran before every scenario was checked")
+
+    cfg = base_cfg(tmp_path, dims="8 8 1", cdf_points="0 0.5 1")
+    with monkeypatch.context() as patch:
+        patch.setattr("pfsensor.pde.solve_pde", refuse)
+        assert main(["validate", "--config", str(cfg), "--dt", "5"]) == 2
+    hint = re.search(r"largest admissible dt = (\S+)", capsys.readouterr().err).group(1)
+    assert main(["validate", "--config", str(cfg), "--dt", hint, "--tolerance", "10"]) == 0
+
+
 @pytest.mark.parametrize("command", ["build", "place"])
 def test_out_naming_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command):
     def refuse(*args):
