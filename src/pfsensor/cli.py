@@ -43,7 +43,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _load_config(args) -> RunConfig:
     cfg = parse_config(args.config)
-    for key in ("dt", "steps", "eps_acc", "sensors", "min_coverage", "workers", "out"):
+    keys = ("dt", "steps", "eps_acc", "sensors", "min_coverage", "validate_tol", "workers", "out")
+    for key in keys:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
@@ -71,7 +72,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="compare operator transport against the PDE solver")
     _add_common(p_val)
-    p_val.add_argument("--tolerance", type=float, help="L2 error tolerance")
+    p_val.add_argument(
+        "--tolerance", type=float, dest="validate_tol", help="L2 error tolerance (validate_tol)"
+    )
 
     p_conv = sub.add_parser("converge", help="expected-coverage convergence in sample count")
     _add_common(p_conv)
@@ -115,8 +118,6 @@ def cmd_place(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = _load_config(args)
-    if args.tolerance is not None:
-        cfg.validate_tol = args.tolerance
     results = run_validate(cfg)
     doc = json.dumps(results, indent=2, allow_nan=False)
     write_artifact(Path(cfg.out) / "validation.json", [doc])
@@ -176,9 +177,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:
-        # covers config/parse errors, format errors and stability violations;
-        # StabilityError's message carries the admissible dt
+    except (ValueError, OSError) as exc:
+        # covers config/parse errors, format errors, stability violations
+        # (StabilityError's message carries the admissible dt) and artifacts
+        # that cannot be written, such as a target that is a directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -114,6 +114,13 @@ class RunConfig:
             raise ConfigError(f"min_coverage must lie in (0, 1], got {self.min_coverage}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        _check_tolerance(self.validate_tol)
+
+
+def _check_tolerance(value: float) -> None:
+    # NaN passes here and is reported as non-finite by RunConfig.validate
+    if value < 0.0:
+        raise ConfigError(f"validate_tol must be >= 0, got {value}")
 
 
 def _union(grid: StructuredGrid, boxes: list[Box]) -> np.ndarray:
@@ -249,6 +256,7 @@ def _apply(cfg: RunConfig, key: str, raw: str) -> None:
         cfg.release_box = _box(key, raw)
     elif key == "validate_tol":
         (cfg.validate_tol,) = _floats(key, raw, 1)
+        _check_tolerance(cfg.validate_tol)
     elif key == "workers":
         (cfg.workers,) = _ints(key, raw, 1)
     elif key == "out":

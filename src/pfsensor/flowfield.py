@@ -100,19 +100,22 @@ def write_artifact(path, head, columns=()) -> None:
     ``columns``: the ``repr`` of each row's Python scalars, joined by spaces.
     Rows go out WRITE_BLOCK at a time, each block formatting every distinct
     value of a column once. The text goes to ``<path>.tmp`` in a directory made
-    if missing, then is renamed over ``path``, so no reader sees a partial file."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    if missing, then is renamed over ``path``, so no reader sees a partial file.
+    A failed write removes the ``.tmp`` file and raises OSError naming ``path``."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "w", newline="\n") as fh:
             fh.write("".join(line + "\n" for line in head))
             for start in range(0, len(columns[0]) if columns else 0, WRITE_BLOCK):
                 cells = [_cells(col[start : start + WRITE_BLOCK]) for col in columns]
                 fh.write("\n".join(map(" ".join, zip(*cells))) + "\n")
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 

@@ -214,7 +214,10 @@ def build_markov(
     rows, cols, rates, size = _outflow_rates(scenario, boundaries)
     vol = grid.cell_volume
 
-    probs = rates * (dt / vol)
+    scale = dt / vol
+    # near-zero (subnormal) rates admit a dt so large that dt / vol overflows;
+    # dividing the rates first keeps their probabilities finite
+    probs = rates * scale if np.isfinite(scale) else rates / vol * dt
     off = sparse.coo_array((probs, (rows, cols)), shape=(size, size)).tocsr()
     off.sum_duplicates()
     row_sum = np.asarray(off.sum(axis=1)).ravel()
@@ -242,7 +245,9 @@ def build_markov(
 def propagate(
     phi: ConcentrationField, operator: MarkovMatrix, steps: int = 1
 ) -> ConcentrationField:
-    """Apply phi <- phi P for the given number of steps.
+    """Apply phi <- phi P for the given number of steps, as phi <- P^T phi
+    with P^T copied to CSR once, so each step is a row-wise product that sums
+    every entry in ascending source order, as phi P itself does.
 
     With an exit-state operator (n_states = N + 1) the concentration vector
     is padded with a zero exit entry and the returned field keeps only the
@@ -260,9 +265,9 @@ def propagate(
     vec = phi.values.astype(float, copy=True)
     if n_op == n_grid + 1:
         vec = np.append(vec, 0.0)
-    mat = operator.matrix
+    p_t = sparse.csr_array(operator.matrix.T)
     for _ in range(steps):
-        vec = vec @ mat
+        vec = p_t @ vec
     return ConcentrationField(phi.grid, vec[:n_grid].copy())
 
 

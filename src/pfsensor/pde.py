@@ -3,8 +3,10 @@ Markov-operator transport.
 
 The solver marches the semi-discrete cell balance explicitly with donor-cell
 advective fluxes and central diffusive fluxes on the closed box, the same
-physics the operator builder encodes, but implemented directly on stencil
-arrays so the two paths share no code.
+physics the operator builder encodes. It computes its own face rates and
+lays them out as the diagonals of one DIA matrix per scenario, the stepper,
+so the two paths share no code: each explicit step is one product with the
+stepper.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .flowfield import FlowScenario
 from .markov import ConcentrationField, MarkovMatrix, build_markov, propagate
@@ -49,11 +52,13 @@ class PdeStabilityError(ValueError):
 
 
 def _face_rates(scenario: FlowScenario):
-    """Per-axis face quantities for the stencil update.
+    """Per-axis transfer rates (volume/second) across interior faces.
 
-    Returns a list of (lo, hi, u_face, area, diff_rate) per axis with
-    interior faces: lo and hi index the cells below and above each face, and
-    u_face holds the two-point mean velocity on those faces.
+    Returns a list of (lo, hi, stride, up, down) per axis with interior
+    faces: lo and hi index the cells below and above each face, stride is
+    the flat-state distance between them, and up and down are the lo -> hi
+    and hi -> lo rates, donor-cell advection by the two-point mean face
+    velocity plus central diffusion.
     """
     grid = scenario.field.grid
     nx, ny, nz = grid.dims
@@ -65,6 +70,7 @@ def _face_rates(scenario: FlowScenario):
     }
     area = {2: dy * dz, 1: dx * dz, 0: dx * dy}
     dist = {2: dx, 1: dy, 0: dz}
+    stride = {2: 1, 1: nx, 0: nx * ny}
     faces = []
     for ax in (2, 1, 0):
         if comps[ax].shape[ax] < 2:
@@ -76,8 +82,20 @@ def _face_rates(scenario: FlowScenario):
         lo, hi = tuple(lo), tuple(hi)
         u_face = 0.5 * (comps[ax][lo] + comps[ax][hi])
         diff_rate = scenario.diffusivity * area[ax] / dist[ax]
-        faces.append((lo, hi, u_face, area[ax], diff_rate))
+        up = np.maximum(u_face, 0.0) * area[ax] + diff_rate
+        down = np.maximum(-u_face, 0.0) * area[ax] + diff_rate
+        faces.append((lo, hi, stride[ax], up, down))
     return faces
+
+
+def _out_rate(grid, faces) -> np.ndarray:
+    """Summed outgoing rate of each cell, shaped (nz, ny, nx)."""
+    nx, ny, nz = grid.dims
+    out_rate = np.zeros((nz, ny, nx))
+    for lo, hi, _, up, down in faces:
+        out_rate[lo] += up
+        out_rate[hi] += down
+    return out_rate
 
 
 def stable_step(scenario: FlowScenario) -> float:
@@ -85,26 +103,41 @@ def stable_step(scenario: FlowScenario) -> float:
     over the summed outgoing advective and diffusive rates, minimized over
     cells. Infinite when nothing moves."""
     grid = scenario.field.grid
-    nx, ny, nz = grid.dims
-    out_rate = np.zeros((nz, ny, nx))
-    for lo, hi, u_face, area, diff_rate in _face_rates(scenario):
-        out_rate[lo] += np.maximum(u_face, 0.0) * area + diff_rate
-        out_rate[hi] += np.maximum(-u_face, 0.0) * area + diff_rate
-    peak = out_rate.max()
+    peak = _out_rate(grid, _face_rates(scenario)).max()
     if peak <= 0.0:
         return math.inf
     return grid.cell_volume / peak
 
 
+def _stepper(scenario: FlowScenario, step: float) -> sparse.dia_array:
+    """The explicit update phi <- S phi over one step, as a DIA matrix whose
+    diagonals are the stencil arrays. Column k of the diagonal at offset
+    -stride (+stride) holds what cell k sends to its upper (lower) neighbour
+    along that axis; the main diagonal is what each cell keeps."""
+    grid = scenario.field.grid
+    nx, ny, nz = grid.dims
+    coef = step / grid.cell_volume
+    faces = _face_rates(scenario)
+    data = np.zeros((1 + 2 * len(faces), nz, ny, nx))
+    data[0] = 1.0 - coef * _out_rate(grid, faces)
+    offsets = [0]
+    for d, (lo, hi, stride, up, down) in enumerate(faces):
+        data[2 * d + 1][lo] = coef * up
+        data[2 * d + 2][hi] = coef * down
+        offsets += [-stride, stride]
+    n = grid.n_states
+    return sparse.dia_array((data.reshape(len(data), n), offsets), shape=(n, n))
+
+
 def solve_pde(
     scenario: FlowScenario, phi0: ConcentrationField, cfg: PdeConfig
 ) -> ConcentrationField:
-    """March the advection-diffusion balance to cfg.end_time on the closed box."""
+    """March the advection-diffusion balance to cfg.end_time on the closed
+    box: the step's stencil is assembled once as a DIA matrix, and each step
+    is one product with it."""
     grid = scenario.field.grid
     if phi0.grid != grid:
         raise ValueError("initial field grid does not match scenario grid")
-    nx, ny, nz = grid.dims
-    vol = grid.cell_volume
 
     bound = stable_step(scenario)
     if cfg.fixed_step is not None:
@@ -124,38 +157,17 @@ def solve_pde(
             n_steps = max(1, math.ceil(cfg.end_time / target))
         step = cfg.end_time / n_steps
 
-    # the donor-cell velocity split is a loop invariant
-    stencil = [
-        (lo, hi, np.maximum(u_face, 0.0), np.minimum(u_face, 0.0), area, diff_rate)
-        for lo, hi, u_face, area, diff_rate in _face_rates(scenario)
-    ]
-    phi = phi0.values.reshape(nz, ny, nx).astype(float, copy=True)
-    delta = np.empty_like(phi)
-
-    coef = step / vol
+    stepper = _stepper(scenario, step)
+    phi = phi0.values.astype(float, copy=True)
     for _ in range(n_steps):
-        delta.fill(0.0)
-        for lo, hi, u_out, u_in, area, diff_rate in stencil:
-            phi_lo = phi[lo]
-            phi_hi = phi[hi]
-            # mass per second through each interior face, positive lo -> hi
-            flux = u_out * phi_lo
-            flux += u_in * phi_hi
-            flux *= area
-            dif = phi_lo - phi_hi
-            dif *= diff_rate
-            flux += dif
-            delta[lo] -= flux
-            delta[hi] += flux
-        delta *= coef
-        phi += delta
+        phi = stepper @ phi
     # a marginally stable step can leave -1 ulp residue where the exact
     # update is zero; anything larger is a genuine scheme failure
     floor = -1e-10 * max(1.0, float(np.abs(phi).max()))
     if phi.min() < floor:
         raise RuntimeError(f"solver produced negative concentration {phi.min()}")
     np.maximum(phi, 0.0, out=phi)
-    return ConcentrationField(grid, phi.ravel().copy())
+    return ConcentrationField(grid, phi)
 
 
 def compare_transport(

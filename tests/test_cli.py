@@ -269,6 +269,40 @@ def test_validate_tolerance_breach_exits_3(tmp_path, capsys):
     assert "validation failed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "extra, flags, where",
+    [
+        ({"validate_tol": "-1"}, [], "run.cfg:13: "),
+        ({}, ["--tolerance", "-1"], ""),
+    ],
+    ids=["config", "flag"],
+)
+def test_validate_negative_tolerance_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, extra, flags, where
+):
+    def refuse(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr("pfsensor.cli.run_validate", refuse)
+    cfg = base_cfg(tmp_path, **extra)
+    assert main(["validate", "--config", str(cfg), *flags]) == 2
+    assert f"{where}validate_tol must be >= 0, got -1.0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, artifact", [("place", "plan.json"), ("validate", "validation.json")]
+)
+def test_artifact_path_that_is_a_directory_exits_2(tmp_path, capsys, command, artifact):
+    cfg = small_cfg(tmp_path)
+    target = tmp_path / "out" / artifact
+    target.mkdir(parents=True)
+    assert main([command, "--config", str(cfg)]) == 2
+    assert str(target) in capsys.readouterr().err
+    assert target.is_dir() and not any(target.iterdir())
+    assert not list((tmp_path / "out").glob("*.tmp"))
+
+
 def test_place_all_columns_forbidden_exits_with_diagnostic(tmp_path, capsys):
     cfg = base_cfg(tmp_path, extra="forbidden_box = -1 -1 -1 99 99 99\n")
     assert main(["build", "--config", str(cfg)]) == 0

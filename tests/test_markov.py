@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -89,6 +89,8 @@ def test_admissible_dt_infinite_for_still_air():
     diff=st.floats(0.0, 0.05),
     frac=st.floats(0.05, 0.95),
 )
+# a subnormal strength: the admissible dt over the cell volume overflows
+@example(nx=2, ny=2, xi=1.1125369292536007e-308, diff=0.0, frac=0.875)
 def test_built_matrices_row_stochastic(nx, ny, xi, diff, frac):
     g = StructuredGrid((nx, ny, 1), (1.0 / nx, 1.0 / ny, 0.5))
     scenario = FlowScenario(synth_recirculating(g, xi), diffusivity=diff)
@@ -173,6 +175,20 @@ def test_outlet_requires_outflow_direction():
     phi = ConcentrationField(g, np.ones(3))
     out = propagate(phi, op, 10)
     assert out.total_mass() == pytest.approx(3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("outlets", [frozenset(), frozenset({"x+", "y-"})])
+def test_propagate_matches_row_vector_products_bitwise(outlets):
+    g = StructuredGrid((15, 12, 1), (0.1, 0.1, 0.2))
+    scenario = FlowScenario(synth_recirculating(g, 0.5), diffusivity=1e-3)
+    op = build_markov(scenario, 0.8 * admissible_dt(scenario), BoundarySpec(outlets))
+    assert op.n_states == g.n_states + bool(outlets)
+    values = np.random.default_rng(3).random(g.n_states)
+    vec = np.append(values, 0.0) if outlets else values
+    for _ in range(30):
+        vec = vec @ op.matrix
+    out = propagate(ConcentrationField(g, values), op, 30)
+    assert np.array_equal(out.values, vec[: g.n_states])
 
 
 def test_boundary_spec_rejects_unknown_side():
