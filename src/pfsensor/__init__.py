@@ -27,12 +27,11 @@ from .pde import PdeConfig, PdeStabilityError, compare_transport, solve_pde, sta
 from .placement import (
     PlacedSensor,
     SensorPlan,
-    coverage_vector,
     expected_coverage,
     occupied_fraction,
     place_sensors,
 )
-from .tracking import detection_matrix, tracking_rows
+from .tracking import detection_matrix
 from .uncertainty import (
     Distribution,
     DistributionFitError,

@@ -17,6 +17,7 @@ from .grid import StructuredGrid, box_mask
 from .markov import BoundarySpec
 
 Box = tuple[tuple[float, float, float], tuple[float, float, float]]
+MAX_STATES = 2**31 - 1
 
 
 class ConfigError(ValueError):
@@ -87,6 +88,10 @@ class RunConfig:
         for key in ("spacing", "origin"):
             if not all(math.isfinite(v) for v in getattr(self, key)):
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
+        if self.dims is not None and math.prod(self.dims) + 1 > MAX_STATES:
+            raise ConfigError(
+                f"dims {self.dims}: cells plus an exit state exceed int32 indices ({MAX_STATES})"
+            )
         if self.fields and self.family:
             raise ConfigError("give either explicit field entries or a synthetic family")
         if not self.fields and not self.family:

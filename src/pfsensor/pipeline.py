@@ -2,19 +2,18 @@
 one detection matrix per scenario, placement, and report files.
 
 The config fixes the three detection-kernel inputs once per run: the
-threshold cutoff, the release weights (each cell's volume fraction, zero on
-the exit state and outside the zone of interest) and the candidate sensor
-states (everything not forbidden). Scenario-level work (operator assembly,
-detection matrices, coverage vectors) is independent per scenario and
-optionally runs on a thread pool; all cross-scenario reductions happen in
-fixed scenario order so results do not depend on completion order or worker
-count.
+threshold cutoff, the release mask (the zone of interest, never the exit
+state) and the candidate sensor states (everything not forbidden). Operator
+assembly and detection are independent per scenario and optionally run on a
+thread pool; cross-scenario reductions run in fixed scenario order, so
+results depend on neither completion order nor worker count.
 """
 
 from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from .grid import StructuredGrid, box_mask
 from .markov import ConcentrationField, MarkovMatrix, StabilityError, build_markov, save_markov
 from .placement import (
     SensorPlan,
-    coverage_vector,
+    coverage_vectors,
     expected_coverage,
     occupied_fraction,
     place_sensors,
@@ -143,7 +142,8 @@ def scenario_operators(
 
 
 def scaled_tracking(cfg: RunConfig, grid: StructuredGrid, matrices: list[MarkovMatrix]):
-    """Each scenario's detection matrix, with volume-fraction entries.
+    """Each scenario's detection pattern, and the volume fraction x that each
+    detected release cell carries.
 
     Tracking entries range in [0, m + 1], so the cutoff is eps_acc * (m + 1),
     keeping eps_acc a horizon-independent detected-to-released fraction.
@@ -158,16 +158,14 @@ def scaled_tracking(cfg: RunConfig, grid: StructuredGrid, matrices: list[MarkovM
     cells = grid.n_states
     if n not in (cells, cells + 1):
         raise ValueError(f"operators have {n} states, the grid has {cells}")
-    release_weight = np.zeros(n)
-    release_weight[:cells] = grid.cell_volume / grid.total_volume
-    release_weight[:cells][ignore] = 0.0
-    candidates = np.ones(n, dtype=bool)
-    candidates[:cells] = ~cfg.forbidden_mask(grid)
-    return _map_scenarios(
-        lambda op: detection_matrix(op, cfg.steps, cutoff, release_weight, candidates),
+    release = np.append(~ignore, np.zeros(n - cells, dtype=bool))
+    candidates = np.append(~cfg.forbidden_mask(grid), np.ones(n - cells, dtype=bool))
+    detections = _map_scenarios(
+        lambda op: detection_matrix(op, cfg.steps, cutoff, release, candidates),
         matrices,
         cfg.workers,
     )
+    return detections, grid.cell_volume / grid.total_volume
 
 
 def run_build(cfg: RunConfig, out_dir) -> Path:
@@ -223,15 +221,15 @@ def run_place(cfg: RunConfig) -> tuple[SensorPlan, dict]:
     forbidden = cfg.forbidden_mask(grid)
     if forbidden.all() and not cfg.outlets:
         raise ConfigError("forbidden-location mask excludes every candidate column")
-    detections = scaled_tracking(cfg, grid, matrices)
-    vectors = [coverage_vector(m) for m in detections]
+    detections, cell_fraction = scaled_tracking(cfg, grid, matrices)
     weights = [sc.weight for sc in scenarios]
-    expected_map = expected_coverage(vectors, weights)
+    expected_map = expected_coverage(coverage_vectors(detections, cell_fraction), weights)
 
     occupied = cfg.occupied_mask(grid)
     plan = place_sensors(
         detections,
         weights,
+        cell_fraction,
         k=cfg.sensors,
         min_coverage=cfg.min_coverage,
         occupied_volume_fraction=occupied_fraction(occupied) if occupied is not None else None,
@@ -349,8 +347,9 @@ def expected_coverage_for_counts(cfg: RunConfig, counts: list[int]) -> list[dict
     ordered = sorted(counts)
     maps = {}
     for m in ordered:
-        grid, scenarios, matrices = scenario_operators(_with_cdf_points(cfg, cdf_points_for(m)))
-        vectors = [coverage_vector(d) for d in scaled_tracking(cfg, grid, matrices)]
+        points = tuple(float(p) for p in cdf_points_for(m))
+        grid, scenarios, matrices = scenario_operators(replace(cfg, cdf_points=points))
+        vectors = coverage_vectors(*scaled_tracking(cfg, grid, matrices))
         maps[m] = expected_coverage(vectors, [sc.weight for sc in scenarios])
     reference = maps[ordered[-1]]
     ref_norm = float(np.linalg.norm(reference))
@@ -368,11 +367,3 @@ def expected_coverage_for_counts(cfg: RunConfig, counts: list[int]) -> list[dict
             }
         )
     return rows
-
-
-def _with_cdf_points(cfg: RunConfig, points) -> RunConfig:
-    import copy
-
-    sub = copy.copy(cfg)
-    sub.cdf_points = tuple(float(p) for p in points)
-    return sub

@@ -4,7 +4,9 @@ A release at state r is detected by a sensor at state c when the tracking
 entry Q[r, c] of Q = I + P + ... + P^m reaches the sensor's cutoff. The
 kernel sums the kept release rows in blocks of unit vectors e by Horner's
 rule acc <- e + P^T acc, thresholds each block and keeps only its pairs, so
-Q is never held whole: memory is O(n * BLOCK) plus the detected pairs.
+Q is never held whole: memory is O(n * BLOCK) plus the detected pairs, kept
+as a boolean pattern with int32 indices (5 bytes per pair). Cells are
+uniform, so placement scales pair counts by one volume fraction.
 """
 
 from __future__ import annotations
@@ -33,54 +35,48 @@ def _accumulate(p_t: sparse.csr_array, steps: int, rows: np.ndarray, lo: int, hi
     return acc
 
 
-def tracking_rows(operator: MarkovMatrix, steps: int, rows) -> np.ndarray:
-    """Dense rows Q[rows, :] of the partial Neumann sum Q = I + P + ... + P^steps."""
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    rows = np.asarray(rows, dtype=np.int64)
-    p_t = sparse.csr_array(operator.matrix.T)
-    return _accumulate(p_t, steps, rows, 0, operator.n_states).T
-
-
 def detection_matrix(
     operator: MarkovMatrix,
     steps: int,
     cutoff: float,
-    release_weight: np.ndarray,
+    release: np.ndarray,
     candidates: np.ndarray,
 ) -> sparse.csc_array:
-    """Weighted detection pairs of one scenario.
+    """Detection pattern of one scenario, as a boolean CSC matrix with int32
+    indices.
 
-    Entry (r, c) is stored, with value release_weight[r], exactly when
-    release_weight[r] > 0, candidates[c] holds, and the tracking entry
-    Q[r, c] is positive and at least `cutoff`. One step moves mass at most
-    the operator's bandwidth max|i - j| away, so each block of release rows
-    propagates only through the band it can reach within `steps` steps; an
-    exit column makes that band the whole operator.
+    Entry (r, c) is stored exactly when release[r] and candidates[c] hold
+    and the tracking entry Q[r, c] is positive and at least `cutoff`. One
+    step moves mass at most the operator's bandwidth max|i - j| away, so each
+    block of release rows propagates only through the band it can reach
+    within `steps` steps; an exit column makes that band the whole operator.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     n = operator.n_states
-    release_weight = np.asarray(release_weight, dtype=float)
+    release = np.asarray(release, dtype=bool)
     candidates = np.asarray(candidates, dtype=bool)
-    if release_weight.shape != (n,) or candidates.shape != (n,):
+    if release.shape != (n,) or candidates.shape != (n,):
         raise ValueError(
-            f"release weights {release_weight.shape} and candidates {candidates.shape} "
+            f"release mask {release.shape} and candidates {candidates.shape} "
             f"must both have length {n}"
         )
     p_t = sparse.csr_array(operator.matrix.T)
     coo = p_t.tocoo()
     reach = steps * int(np.abs(coo.coords[0] - coo.coords[1]).max(initial=0))
-    kept = np.flatnonzero(release_weight > 0.0)
-    pair_rows = [np.empty(0, dtype=np.int64)]
-    pair_cols = [np.empty(0, dtype=np.int64)]
+    kept = np.flatnonzero(release).astype(np.int32)
+    # int32 from the start: one int64 piece would promote the concatenation
+    pair_rows = [np.empty(0, dtype=np.int32)]
+    pair_cols = [np.empty(0, dtype=np.int32)]
     for start in range(0, kept.size, BLOCK):
         block = kept[start : start + BLOCK]
-        lo, hi = max(0, block[0] - reach), min(n, block[-1] + reach + 1)
+        lo, hi = max(0, int(block[0]) - reach), min(n, int(block[-1]) + reach + 1)
         acc = _accumulate(p_t, steps, block, lo, hi)
         hit = (acc > 0.0) & (acc >= cutoff) & candidates[lo:hi, None]
         cols, members = np.nonzero(hit)
         pair_rows.append(block[members])
-        pair_cols.append(cols + lo)
-    rows, cols = np.concatenate(pair_rows), np.concatenate(pair_cols)
-    return sparse.csc_array((release_weight[rows], (rows, cols)), shape=(n, n))
+        pair_cols.append((cols + lo).astype(np.int32))
+    # rebinding frees the pieces before the pattern is built from the joins
+    pair_rows, pair_cols = np.concatenate(pair_rows), np.concatenate(pair_cols)
+    data = np.ones(pair_rows.size, dtype=bool)
+    return sparse.csc_array((data, (pair_rows, pair_cols)), shape=(n, n))

@@ -25,9 +25,10 @@ from pfsensor.markov import (
     propagate,
 )
 from pfsensor.pde import compare_transport
-from pfsensor.placement import coverage_vector, expected_coverage, place_sensors
-from pfsensor.tracking import detection_matrix, tracking_rows
+from pfsensor.placement import coverage_vectors, expected_coverage, place_sensors
+from pfsensor.tracking import detection_matrix
 from pfsensor.uncertainty import Gaussian, expectation, quadrature_rule
+from test_tracking import tracking_rows
 
 SEED = int(os.environ.get("PFSENSOR_SEED", "0"))
 
@@ -155,7 +156,8 @@ def test_criterion_6_greedy_first_sensor_optimality():
             n = int(rng.integers(2, 21))
             m = int(rng.integers(1, 5))
             mats, weights = random_scaled_matrices(rng, n, m)
-            plan = place_sensors(mats, weights, k=min(4, n))
+            patterns = [mat.astype(bool) for mat in mats]
+            plan = place_sensors(patterns, weights, 1.0 / n, k=min(4, n))
             # exhaustive oracle: plain loops over every candidate state
             best_state, best_value = 0, -1.0
             for j in range(n):
@@ -206,8 +208,8 @@ def test_criterion_8_constraint_compliance():
             cutoff = float(rng.uniform(0.0, 0.5)) * (steps + 1)
             forbidden = random_mask(rng, n, 1, max(2, n // 2))
             ignore = random_mask(rng, n, 0, max(1, n // 3) + 1)
-            free_weight = np.full(n, 1.0 / n)
-            masked_weight = np.where(ignore, 0.0, free_weight)
+            free_release = np.ones(n, dtype=bool)
+            masked_release = ~ignore
             operators = []
             for _ in range(m):
                 dense = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
@@ -218,12 +220,13 @@ def test_criterion_8_constraint_compliance():
             weights /= weights.sum()
             scaled = []
             for op in operators:
-                free = detection_matrix(op, steps, cutoff, free_weight, ~forbidden)
-                masked = detection_matrix(op, steps, cutoff, masked_weight, ~forbidden)
+                free = detection_matrix(op, steps, cutoff, free_release, ~forbidden)
+                masked = detection_matrix(op, steps, cutoff, masked_release, ~forbidden)
                 # row removal never adds coverage
-                assert np.all(coverage_vector(masked) <= coverage_vector(free) + 1e-15)
+                masked_cover, free_cover = coverage_vectors([masked, free], 1.0 / n)
+                assert np.all(masked_cover <= free_cover + 1e-15)
                 scaled.append(masked)
-            plan = place_sensors(scaled, weights, k=4)
+            plan = place_sensors(scaled, weights, 1.0 / n, k=4)
             assert not forbidden[plan.states].any()
 
 

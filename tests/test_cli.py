@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pfsensor.cli import main
-from pfsensor.config import ConfigError, parse_config
+from pfsensor.config import ConfigError, RunConfig, parse_config
 from pfsensor.flowfield import load_field, save_field, zero_field
 from pfsensor.grid import StructuredGrid, box_mask
 from pfsensor.pipeline import run_place, scenario_set
@@ -245,6 +245,36 @@ def test_place_empty_occupied_zone_exits_before_tracking(tmp_path, capsys, monke
     cfg = base_cfg(tmp_path, extra="occupied_box = 0.01 0.01 0 0.04 0.04 1\n")
     assert main(["place", "--config", str(cfg)]) == 2
     assert "occupied_box contains no cell centers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["place", "build", "converge"])
+def test_grid_too_large_for_int32_pairs_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, command
+):
+    def no_work(*args):
+        raise AssertionError("a flow field was allocated")
+
+    monkeypatch.setattr("pfsensor.pipeline.synth_recirculating", no_work)
+    cfg = base_cfg(tmp_path, dims="100000 100000 1")
+    samples = ["--samples", "2", "3"] if command == "converge" else []
+    assert main([command, "--config", str(cfg), *samples]) == 2
+    err = capsys.readouterr().err
+    assert "dims (100000, 100000, 1)" in err and "2147483647" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_state_cap_counts_the_exit_state():
+    # 2**31 - 2 cells plus the exit state is the largest grid int32 pairs index
+    cfg = RunConfig(
+        dims=(2**31 - 2, 1, 1),
+        family="vortex",
+        distribution=("gaussian", 0.5, 0.05),
+        cdf_points=(0.5,),
+    )
+    cfg.validate()
+    cfg.dims = (2**31 - 1, 1, 1)
+    with pytest.raises(ConfigError, match=r"dims \(2147483647, 1, 1\)"):
+        cfg.validate()
 
 
 def test_validate_still_air_is_exact(tmp_path):

@@ -5,22 +5,27 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from pfsensor.placement import (
-    coverage_vector,
+    PlacedSensor,
+    SensorPlan,
+    coverage_vectors,
     expected_coverage,
     occupied_fraction,
     place_sensors,
 )
 
 
-def scaled_from_bool(dense_bool):
-    """Detection matrix on n uniform cells: each present pair carries its
-    release cell's volume fraction 1/n."""
-    dense = np.asarray(dense_bool, dtype=bool)
-    return sparse.csc_array(dense / dense.shape[0])
+def pattern(dense_bool):
+    """Detection pattern on n uniform cells; each pair is worth 1/n."""
+    return sparse.csc_array(np.asarray(dense_bool, dtype=bool))
+
+
+def place(mats, weights, **kwargs):
+    """place_sensors on patterns of n uniform cells (cell fraction 1/n)."""
+    return place_sensors(mats, weights, 1.0 / mats[0].shape[0], **kwargs)
 
 
 def random_instance(rng, n, m_scenarios, density=0.35):
-    mats = [scaled_from_bool(rng.random((n, n)) < density) for _ in range(m_scenarios)]
+    mats = [pattern(rng.random((n, n)) < density) for _ in range(m_scenarios)]
     weights = rng.random(m_scenarios)
     weights /= weights.sum()
     return mats, weights
@@ -34,7 +39,7 @@ def brute_force_first_sensor(mats, weights):
     for j in range(n):
         value = 0.0
         for w, m in zip(weights, mats):
-            dense = m.toarray()
+            dense = m.toarray() / n
             col_total = 0.0
             for i in range(n):
                 col_total += dense[i, j]
@@ -45,18 +50,18 @@ def brute_force_first_sensor(mats, weights):
 
 
 def test_coverage_vector_empty_matrix():
-    assert coverage_vector(sparse.csc_array((3, 3))).tolist() == [0.0, 0.0, 0.0]
+    empty = sparse.csc_array((3, 3), dtype=bool)
+    assert coverage_vectors([empty], 1.0 / 3)[0].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_coverage_vector_full_matrix_is_all_ones():
-    scaled = scaled_from_bool(np.ones((5, 5)))
-    assert np.allclose(coverage_vector(scaled), 1.0)
+    assert np.allclose(coverage_vectors([pattern(np.ones((5, 5)))], 0.2)[0], 1.0)
 
 
 def test_coverage_vector_single_pair():
     dense = np.zeros((10, 10), dtype=bool)
     dense[2, 5] = True
-    v = coverage_vector(scaled_from_bool(dense))
+    v = coverage_vectors([pattern(dense)], 0.1)[0]
     assert v[5] == pytest.approx(0.1)
     assert v.sum() == pytest.approx(0.1)
 
@@ -93,7 +98,7 @@ def test_expected_coverage_is_weighted_mean(seed):
 
 
 def test_diagonal_matrix_ties_break_to_lowest_state():
-    plan = place_sensors([scaled_from_bool(np.eye(4))], [1.0], k=1)
+    plan = place([pattern(np.eye(4))], [1.0], k=1)
     assert plan.states == [0]
     assert plan.sensors[0].expected_marginal == pytest.approx(0.25)
 
@@ -101,7 +106,7 @@ def test_diagonal_matrix_ties_break_to_lowest_state():
 def test_dense_column_wins():
     dense = np.eye(5, dtype=bool)
     dense[:, 3] = True
-    plan = place_sensors([scaled_from_bool(dense)], [1.0], k=1)
+    plan = place([pattern(dense)], [1.0], k=1)
     assert plan.states == [3]
     assert plan.sensors[0].expected_marginal == pytest.approx(1.0)
 
@@ -115,7 +120,7 @@ def test_dense_column_wins():
 def test_first_sensor_matches_exhaustive_argmax(seed, n, m):
     rng = np.random.default_rng(seed)
     mats, weights = random_instance(rng, n, m)
-    plan = place_sensors(mats, weights, k=1)
+    plan = place(mats, weights, k=1)
     best_state, best_value = brute_force_first_sensor(mats, weights)
     if not plan.sensors:
         assert best_value == pytest.approx(0.0, abs=1e-12)
@@ -129,7 +134,7 @@ def test_first_sensor_matches_exhaustive_argmax(seed, n, m):
 def test_marginals_non_increasing_and_cumulative_bounded(seed):
     rng = np.random.default_rng(seed)
     mats, weights = random_instance(rng, 12, 3, density=0.5)
-    plan = place_sensors(mats, weights, k=6)
+    plan = place(mats, weights, k=6)
     marginals = [s.expected_marginal for s in plan.sensors]
     assert all(a >= b - 1e-12 for a, b in zip(marginals, marginals[1:]))
     assert 0.0 <= plan.cumulative_expected_coverage <= 1.0 + 1e-12
@@ -139,8 +144,8 @@ def test_marginals_non_increasing_and_cumulative_bounded(seed):
 
 def test_covered_rows_disjoint_between_sensors():
     rng = np.random.default_rng(3)
-    mats = [scaled_from_bool(rng.random((10, 10)) < 0.4)]
-    plan = place_sensors(mats, [1.0], k=5)
+    mats = [pattern(rng.random((10, 10)) < 0.4)]
+    plan = place(mats, [1.0], k=5)
     maps = [s.coverage_map for s in plan.sensors]
     for a in range(len(maps)):
         for b in range(a + 1, len(maps)):
@@ -152,16 +157,16 @@ def test_covered_rows_disjoint_between_sensors():
 def test_weight_scaling_preserves_argmax_sequence(seed, scale):
     rng = np.random.default_rng(seed)
     mats, weights = random_instance(rng, 10, 3, density=0.4)
-    base = place_sensors(mats, weights, k=4)
-    rescaled = place_sensors(mats, weights * scale, k=4)
+    base = place(mats, weights, k=4)
+    rescaled = place(mats, weights * scale, k=4)
     assert base.states == rescaled.states
 
 
 def test_determinism_identical_plans():
     rng = np.random.default_rng(9)
     mats, weights = random_instance(rng, 12, 2)
-    a = place_sensors(mats, weights, k=4)
-    b = place_sensors(mats, weights, k=4)
+    a = place(mats, weights, k=4)
+    b = place(mats, weights, k=4)
     assert a.states == b.states
     assert a.cumulative_expected_coverage == b.cumulative_expected_coverage
 
@@ -169,13 +174,13 @@ def test_determinism_identical_plans():
 def test_plan_truncated_when_budget_exceeds_coverage():
     dense = np.zeros((4, 4), dtype=bool)
     dense[0, 0] = True
-    plan = place_sensors([scaled_from_bool(dense)], [1.0], k=3)
+    plan = place([pattern(dense)], [1.0], k=3)
     assert plan.states == [0]
     assert plan.truncated
 
 
 def test_min_coverage_stops_early():
-    plan = place_sensors([scaled_from_bool(np.eye(4))], [1.0], min_coverage=0.5)
+    plan = place([pattern(np.eye(4))], [1.0], min_coverage=0.5)
     assert len(plan.states) == 2  # two diagonal sensors reach 0.5
     assert plan.cumulative_expected_coverage == pytest.approx(0.5)
     assert not plan.truncated
@@ -185,8 +190,8 @@ def test_occupied_fraction_reporting():
     occupied = np.arange(10) < 5
     dense = np.zeros((10, 10), dtype=bool)
     dense[:5, 2] = True  # sensor 2 covers exactly the occupied half
-    plan = place_sensors(
-        [scaled_from_bool(dense)],
+    plan = place(
+        [pattern(dense)],
         [1.0],
         k=1,
         occupied_volume_fraction=occupied_fraction(occupied),
@@ -196,10 +201,104 @@ def test_occupied_fraction_reporting():
 
 
 def test_place_sensors_argument_validation():
-    mats = [scaled_from_bool(np.eye(3))]
+    mats = [pattern(np.eye(3))]
     with pytest.raises(ValueError):
-        place_sensors(mats, [1.0])
+        place(mats, [1.0])
     with pytest.raises(ValueError):
-        place_sensors(mats, [1.0], k=0)
+        place(mats, [1.0], k=0)
     with pytest.raises(ValueError):
-        place_sensors(mats, [0.5, 0.5], k=1)
+        place(mats, [0.5, 0.5], k=1)
+
+
+def float_place_sensors(detections, weights, k=None, min_coverage=None):
+    """The float greedy that the count greedy replaced, kept as its oracle.
+
+    `detections` hold each pair's volume fraction. Each round recomputes
+    per-scenario coverage as the float product row_active @ matrix, masks
+    the placed columns, then strikes the chosen column's active rows.
+    """
+    mats = [sparse.csc_array(m) for m in detections]
+    w = np.asarray(list(weights), dtype=float)
+    n = mats[0].shape[0]
+    row_active = [np.ones(n) for _ in mats]
+    col_active = np.ones(n, dtype=bool)
+    sensors = []
+    cumulative = 0.0
+    truncated = False
+    while True:
+        if k is not None and len(sensors) >= k:
+            break
+        if min_coverage is not None and cumulative >= min_coverage:
+            break
+        per_scenario = [row_active[i] @ mats[i] for i in range(len(mats))]
+        expected = expected_coverage(per_scenario, w)
+        expected[~col_active] = 0.0
+        if expected.max() <= 0.0:
+            truncated = (k is not None and len(sensors) < k) or (
+                min_coverage is not None and cumulative < min_coverage
+            )
+            break
+        best = int(np.argmax(expected))
+        marginals = np.empty(len(mats))
+        new_cover = np.zeros(n)
+        for i, mat in enumerate(mats):
+            col = mat[:, [best]].tocoo()
+            covered = col.coords[0][row_active[i][col.coords[0]] > 0.0]
+            marginals[i] = per_scenario[i][best]
+            new_cover[covered] += w[i]
+            row_active[i][covered] = 0.0
+        col_active[best] = False
+        cumulative += float(expected[best])
+        sensors.append(PlacedSensor(best, float(expected[best]), marginals, new_cover))
+    return SensorPlan(sensors, cumulative, truncated=truncated)
+
+
+def bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    cells=st.integers(1, 14),
+    m=st.integers(1, 4),
+    exit_state=st.booleans(),
+    density=st.sampled_from([0.0, 0.1, 0.35, 0.8, 1.0]),
+    stop=st.sampled_from(["k", "min_coverage", "both"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_count_greedy_matches_float_greedy_bitwise(seed, cells, m, exit_state, density, stop):
+    rng = np.random.default_rng(seed)
+    n = cells + exit_state
+    volume = float(rng.uniform(0.001, 2.0))
+    fraction = volume / (cells * volume)  # as the pipeline computes it
+    patterns, floats = [], []
+    for _ in range(m):
+        dense = rng.random((n, n)) < density
+        dense[rng.random(n) < 0.2] = False  # empty rows
+        dense[:, rng.random(n) < 0.2] = False  # empty columns
+        a, b = rng.integers(0, n, size=2)
+        dense[:, b] = dense[:, a]  # two columns tie in this scenario
+        if exit_state:
+            dense[n - 1] = False  # the exit state releases nothing
+        patterns.append(sparse.csc_array(dense))
+        floats.append(sparse.csc_array(np.where(dense, fraction, 0.0)))
+    weights = np.where(rng.random(m) < 0.2, 0.0, rng.random(m))
+    if weights.sum() > 0.0:
+        weights /= weights.sum()
+    k = int(rng.integers(1, n + 2)) if stop != "min_coverage" else None
+    target = float(rng.uniform(0.05, 1.0)) if stop != "k" else None
+
+    got = place_sensors(patterns, weights, fraction, k=k, min_coverage=target)
+    want = float_place_sensors(floats, weights, k=k, min_coverage=target)
+    assert got.states == want.states
+    assert got.truncated == want.truncated
+    assert bits(got.cumulative_expected_coverage) == bits(want.cumulative_expected_coverage)
+    for a, b in zip(got.sensors, want.sensors):
+        assert bits(a.expected_marginal) == bits(b.expected_marginal)
+        assert bits(a.per_scenario_marginal) == bits(b.per_scenario_marginal)
+        assert bits(a.coverage_map) == bits(b.coverage_map)
+    # the expected coverage map written before placement
+    ones = [np.ones(n) @ f for f in floats]
+    assert bits(expected_coverage(coverage_vectors(patterns, fraction), weights)) == bits(
+        expected_coverage(ones, weights)
+    )

@@ -9,7 +9,7 @@ from pfsensor.flowfield import FlowScenario, VelocityField, synth_recirculating
 from pfsensor.grid import StructuredGrid
 from pfsensor.markov import BoundarySpec, MarkovMatrix, admissible_dt, build_markov
 from pfsensor.pipeline import scaled_tracking
-from pfsensor.tracking import BLOCK, detection_matrix, tracking_rows
+from pfsensor.tracking import BLOCK, detection_matrix
 
 
 def operator_from_dense(dense, dt=1.0):
@@ -26,16 +26,40 @@ def line_grid(n):
     return StructuredGrid((n, 1, 1), (1.0, 1.0, 1.0))
 
 
+def tracking_rows(operator, steps, rows):
+    """Dense rows Q[rows, :] of the partial Neumann sum Q = I + P + ... + P^steps,
+    by the detection kernel's Horner rule acc <- e + P^T acc over the whole
+    operator: the dense oracle for the tracking entries."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    rows = np.asarray(rows, dtype=np.int64)
+    p_t = sparse.csr_array(operator.matrix.T)
+    units = (rows, np.arange(rows.size))
+    acc = np.zeros((operator.n_states, rows.size))
+    acc[units] = 1.0
+    for _ in range(steps):
+        acc = p_t @ acc
+        acc[units] += 1.0
+    return acc.T
+
+
 def full_q(operator, steps):
     return tracking_rows(operator, steps, np.arange(operator.n_states))
 
 
-def pairs(operator, steps, cutoff, release_weight=None, candidates=None):
+def pairs(operator, steps, cutoff, release=None, candidates=None):
     n = operator.n_states
-    weight = np.ones(n) if release_weight is None else np.asarray(release_weight, dtype=float)
+    rel = np.ones(n, dtype=bool) if release is None else np.asarray(release)
     cand = np.ones(n, dtype=bool) if candidates is None else np.asarray(candidates)
-    coo = detection_matrix(operator, steps, cutoff, weight, cand).tocoo()
+    coo = detection_matrix(operator, steps, cutoff, rel, cand).tocoo()
     return {(int(r), int(c)) for r, c in zip(coo.coords[0], coo.coords[1])}
+
+
+def scaled_dense(cfg, grid, operators):
+    """The first scenario's detection matrix with volume-fraction entries:
+    its pattern times the cell fraction scaled_tracking returns."""
+    patterns, fraction = scaled_tracking(cfg, grid, operators)
+    return patterns[0].toarray() * fraction
 
 
 def run_config(**fields):
@@ -44,8 +68,8 @@ def run_config(**fields):
     )
 
 
-def dense_oracle(p, steps, cutoff, release_weight, candidates):
-    """Detection matrix from a dense power sum; also returns Q."""
+def dense_oracle(p, steps, cutoff, release, candidates):
+    """Detection pattern from a dense power sum; also returns Q."""
     n = p.shape[0]
     q = np.zeros((n, n))
     power = np.eye(n)
@@ -53,8 +77,8 @@ def dense_oracle(p, steps, cutoff, release_weight, candidates):
         q += power
         power = power @ p
     hit = (q > 0.0) & (q >= cutoff)
-    hit &= (release_weight > 0.0)[:, None] & candidates[None, :]
-    return np.where(hit, release_weight[:, None], 0.0), q
+    hit &= release[:, None] & candidates[None, :]
+    return hit, q
 
 
 TWO_STATE = [[0.9, 0.1], [0.1, 0.9]]
@@ -80,7 +104,7 @@ def test_tracking_rejects_negative_steps():
     with pytest.raises(ValueError):
         tracking_rows(op, -1, [0])
     with pytest.raises(ValueError):
-        detection_matrix(op, -1, 0.0, np.ones(2), np.ones(2, dtype=bool))
+        detection_matrix(op, -1, 0.0, np.ones(2, dtype=bool), np.ones(2, dtype=bool))
 
 
 @given(seed=st.integers(0, 2**31 - 1), steps=st.sampled_from([0, 1, 5, 20]))
@@ -136,7 +160,7 @@ def test_threshold_scales_eps_acc_by_horizon():
     op = operator_from_dense(TWO_STATE)
     cfg = run_config(steps=2, eps_acc=0.28)
     # cutoff 0.28 * 3 = 0.84 drops the 0.28 off-diagonals
-    assert scaled_tracking(cfg, line_grid(2), [op])[0].nnz == 2
+    assert scaled_tracking(cfg, line_grid(2), [op])[0][0].nnz == 2
 
 
 @given(
@@ -178,7 +202,7 @@ def test_constraints_enumerated_pairs():
         random_stochastic(rng, 3),
         2,
         0.0,
-        release_weight=[1.0, 1.0, 0.0],  # release state 2 lies outside the zone
+        release=[True, True, False],  # release state 2 lies outside the zone
         candidates=[True, False, True],  # state 1 cannot host a sensor
     )
     assert got == {(0, 0), (0, 2), (1, 0), (1, 2)}
@@ -190,13 +214,13 @@ def test_constraints_idempotent_and_commuting():
     rng = np.random.default_rng(5)
     dense = rng.random((6, 6)) * (rng.random((6, 6)) < 0.4) + np.eye(6)
     op = operator_from_dense(dense / dense.sum(axis=1, keepdims=True))
-    rows = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+    rows = np.array([True, False, True, True, False, True])
     cols = np.array([True, True, False, True, False, True])
     both = pairs(op, 3, 0.05, rows, cols)
     assert 0 < len(both) < 16
-    assert both == pairs(op, 3, 0.05, release_weight=rows) & pairs(op, 3, 0.05, candidates=cols)
-    hit_rows = np.zeros(6)
-    hit_rows[[r for r, _ in both]] = 1.0
+    assert both == pairs(op, 3, 0.05, release=rows) & pairs(op, 3, 0.05, candidates=cols)
+    hit_rows = np.zeros(6, dtype=bool)
+    hit_rows[[r for r, _ in both]] = True
     hit_cols = np.zeros(6, dtype=bool)
     hit_cols[[c for _, c in both]] = True
     assert pairs(op, 3, 0.05, hit_rows, hit_cols) == both
@@ -205,9 +229,9 @@ def test_constraints_idempotent_and_commuting():
 def test_constraint_masks_must_share_grid():
     op = operator_from_dense(TWO_STATE)
     with pytest.raises(ValueError):
-        detection_matrix(op, 2, 0.0, np.ones(3), np.ones(2, dtype=bool))
+        detection_matrix(op, 2, 0.0, np.ones(3, dtype=bool), np.ones(2, dtype=bool))
     with pytest.raises(ValueError):
-        detection_matrix(op, 2, 0.0, np.ones(2), np.ones(3, dtype=bool))
+        detection_matrix(op, 2, 0.0, np.ones(2, dtype=bool), np.ones(3, dtype=bool))
 
 
 # random_stochastic operators have every entry of P, hence of Q, positive
@@ -216,29 +240,29 @@ def test_constraint_masks_must_share_grid():
 def test_volumetric_scale_uniform_grid():
     rng = np.random.default_rng(4)
     cfg = run_config(steps=2, eps_acc=0.0)
-    scaled = scaled_tracking(cfg, line_grid(4), [random_stochastic(rng, 4)])[0]
-    assert np.allclose(scaled.toarray(), np.full((4, 4), 0.25))
+    scaled = scaled_dense(cfg, line_grid(4), [random_stochastic(rng, 4)])
+    assert np.allclose(scaled, np.full((4, 4), 0.25))
 
 
 def test_volumetric_scale_empty_matrix():
     rng = np.random.default_rng(5)
     op = random_stochastic(rng, 3)
-    detection = detection_matrix(op, 2, 0.0, np.zeros(3), np.ones(3, dtype=bool))
+    detection = detection_matrix(op, 2, 0.0, np.zeros(3, dtype=bool), np.ones(3, dtype=bool))
     assert detection.shape == (3, 3) and detection.nnz == 0
 
 
 def test_volumetric_scale_full_matrix_column_sums_are_one():
     rng = np.random.default_rng(6)
     cfg = run_config(steps=3, eps_acc=0.0)
-    scaled = scaled_tracking(cfg, line_grid(6), [random_stochastic(rng, 6)])[0]
-    assert np.allclose(np.asarray(scaled.sum(axis=0)).ravel(), 1.0)
+    scaled = scaled_dense(cfg, line_grid(6), [random_stochastic(rng, 6)])
+    assert np.allclose(scaled.sum(axis=0), 1.0)
 
 
 def test_volumetric_scale_exit_state_has_zero_volume():
     # one extra absorbing state: it may host a sensor but releases nothing
     rng = np.random.default_rng(7)
     cfg = run_config(steps=2, eps_acc=0.0)
-    dense = scaled_tracking(cfg, line_grid(3), [random_stochastic(rng, 4)])[0].toarray()
+    dense = scaled_dense(cfg, line_grid(3), [random_stochastic(rng, 4)])
     assert np.allclose(dense[:3], 1.0 / 3.0)
     assert not dense[3].any()
 
@@ -281,11 +305,11 @@ def test_detection_matches_dense_oracle(seed, kind, steps, eps):
     else:
         op = flow_operator(rng, outlets=kind == "outlet")
     n = op.n_states
-    release_weight = np.where(rng.random(n) < 0.8, rng.random(n), 0.0)
+    release = rng.random(n) < 0.8
     candidates = rng.random(n) < 0.7
     cutoff = eps * (steps + 1)
-    got = detection_matrix(op, steps, cutoff, release_weight, candidates).toarray()
-    expected, q = dense_oracle(op.matrix.toarray(), steps, cutoff, release_weight, candidates)
+    got = detection_matrix(op, steps, cutoff, release, candidates).toarray()
+    expected, q = dense_oracle(op.matrix.toarray(), steps, cutoff, release, candidates)
     settled = np.abs(q - cutoff) > 1e-9
     assert np.array_equal(got[settled], expected[settled])
 
@@ -299,12 +323,12 @@ def test_detection_streams_more_rows_than_one_block():
     op = build_markov(scenario, 0.5 * admissible_dt(scenario))
     n = op.n_states
     assert n > 2 * BLOCK
-    release_weight = np.full(n, 1.0 / n)
+    release = np.ones(n, dtype=bool)
     candidates = rng.random(n) < 0.5
     for steps in (3, 40):
-        got = detection_matrix(op, steps, 1e-3 * (steps + 1), release_weight, candidates)
+        got = detection_matrix(op, steps, 1e-3 * (steps + 1), release, candidates)
         expected, q = dense_oracle(
-            op.matrix.toarray(), steps, 1e-3 * (steps + 1), release_weight, candidates
+            op.matrix.toarray(), steps, 1e-3 * (steps + 1), release, candidates
         )
         assert not np.any(np.abs(q - 1e-3 * (steps + 1)) <= 1e-9)
         assert np.array_equal(got.toarray(), expected)
@@ -325,3 +349,50 @@ def test_horner_sum_matches_forward_power_sum_at_benchmark_horizon():
         expected += x
     gap = np.abs(tracking_rows(op, steps, np.arange(n)) - expected.T).max()
     assert gap <= 1e-12 * (steps + 1)
+
+
+def closed_vortex_20():
+    grid = StructuredGrid((20, 20, 1), (0.05, 0.05, 0.2))
+    scenario = FlowScenario(synth_recirculating(grid, 0.5), diffusivity=1e-4)
+    return build_markov(scenario, 0.5 * admissible_dt(scenario))
+
+
+def drift_to_outlet():
+    grid = StructuredGrid((6, 5, 1), (1.0 / 6, 0.2, 0.2))
+    n = grid.n_states
+    field = VelocityField(grid, np.full(n, 0.3), np.zeros(n), np.zeros(n))
+    boundaries = BoundarySpec(outlet_sides=frozenset({"x+"}))
+    scenario = FlowScenario(field, diffusivity=1e-3)
+    return build_markov(scenario, 0.5 * admissible_dt(scenario, boundaries), boundaries)
+
+
+@pytest.mark.parametrize("case", ["first_block_empty", "no_row_kept", "exit_column"])
+def test_pattern_is_boolean_with_int32_indices(case):
+    # 5 bytes per pair: no float weight, and no int64 piece (an empty first
+    # block included) may promote the index arrays
+    steps = 3
+    if case == "exit_column":
+        op = drift_to_outlet()
+        n = op.n_states
+        release = np.arange(n) < n - 1  # the exit state releases nothing
+        candidates = np.ones(n, dtype=bool)
+    else:
+        op = closed_vortex_20()
+        n = op.n_states
+        release = np.full(n, case == "first_block_empty")
+        # the first block's rows reach at most steps * 20 states past state 63
+        candidates = np.arange(n) >= BLOCK + steps * 20 + 1
+    cutoff = 1e-3 * (steps + 1)
+    pattern = detection_matrix(op, steps, cutoff, release, candidates)
+    expected, q = dense_oracle(op.matrix.toarray(), steps, cutoff, release, candidates)
+    assert not np.any(np.abs(q - cutoff) <= 1e-9)
+    assert pattern.format == "csc" and pattern.shape == (n, n)
+    assert pattern.indices.dtype == np.int32 and pattern.indptr.dtype == np.int32
+    assert pattern.data.dtype == bool and pattern.data.all()
+    assert np.array_equal(pattern.toarray(), expected)
+    if case == "first_block_empty":
+        assert not expected[:BLOCK].any() and expected.any()
+    elif case == "no_row_kept":
+        assert pattern.nnz == 0
+    else:
+        assert expected[:, n - 1].any() and not expected[n - 1].any()
