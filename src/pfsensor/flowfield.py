@@ -14,7 +14,7 @@ from .grid import StructuredGrid
 
 FIELD_MAGIC = "# pfsensor-field v1"
 
-WRITE_BLOCK = 4096  # rows formatted per write; bounds the text held in memory
+WRITE_BLOCK = 4096  # rows assembled per write; bounds the text held in memory
 
 
 class FieldFormatError(ValueError):
@@ -86,30 +86,87 @@ def synth_recirculating(grid: StructuredGrid, strength: float) -> VelocityField:
     return VelocityField(grid, strength * u_unit, strength * v_unit, zero)
 
 
-def _cells(values: np.ndarray) -> list[str]:
-    """``repr`` of each value's Python scalar, formatting each distinct value
-    once. Floats are keyed by their bits, so ``-0.0`` keeps its own text."""
-    keys = values.view(f"i{values.itemsize}") if values.dtype.kind == "f" else values
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    table = np.array([repr(v) for v in values[first].tolist()], dtype=object)
-    return table[inverse].tolist()
+def _repr_table(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each value's Python scalar, as NUL-padded bytes. The texts
+    are made WRITE_BLOCK values at a time, so few Python strings are live."""
+    chunks = [
+        np.array(list(map(repr, values[start : start + WRITE_BLOCK].tolist())), dtype="S")
+        for start in range(0, len(values), WRITE_BLOCK)
+    ]
+    return np.concatenate(chunks) if chunks else np.zeros(0, dtype="S1")
+
+
+def _cell_tables(columns, n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
+    """Each column's distinct cells, formatted once for the file: the table of
+    texts, the column's keys, and the sorted distinct keys that index the
+    table (None when the keys index it directly).
+
+    Integer columns of values in ``0..n-1`` (state indices) share one table of
+    ``0..max``. Other columns key floats by their bits, so ``-0.0`` keeps its
+    own text. Only the distinct values are held for the whole file.
+    """
+    direct = [col.dtype.kind in "iu" and 0 <= col.min() and col.max() < n for col in columns]
+    top = max((int(col.max()) for col, d in zip(columns, direct) if d), default=-1)
+    states = _repr_table(np.arange(top + 1))
+    tables = []
+    for col, is_state in zip(columns, direct):
+        if is_state:
+            tables.append((states, col, None))
+            continue
+        keys = col.view(f"i{col.itemsize}") if col.dtype.kind == "f" else col
+        ordered = np.sort(keys)
+        distinct = np.append(ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]])
+        del ordered  # the sorted copy goes before the texts are made: peak memory
+        tables.append((_repr_table(distinct.view(col.dtype)), keys, distinct))
+    return tables
+
+
+def _positions(distinct: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Each key's index in the sorted distinct keys."""
+    found, inverse = np.unique(keys, return_inverse=True)
+    return np.searchsorted(distinct, found)[inverse]
+
+
+def _write_rows(fh, columns) -> None:
+    """The rows of the columns, WRITE_BLOCK at a time: each block's cells are
+    gathered from the column tables into a fixed-width byte matrix whose
+    separator bytes are set once, and its non-NUL bytes are written."""
+    n = len(columns[0])
+    tables = _cell_tables(columns, n)
+    ends = np.cumsum([table.itemsize + 1 for table, _, _ in tables]) - 1  # separators
+    text = np.zeros((min(n, WRITE_BLOCK), ends[-1] + 1), dtype=np.uint8)
+    text[:, ends] = ord(" ")
+    text[:, -1] = ord("\n")
+    for start in range(0, n, WRITE_BLOCK):
+        rows = slice(start, min(start + WRITE_BLOCK, n))
+        block = text[: rows.stop - start]
+        for (table, keys, distinct), end in zip(tables, ends):
+            cells = keys[rows] if distinct is None else _positions(distinct, keys[rows])
+            width = table.itemsize
+            block[:, end - width : end] = table[cells].view(np.uint8).reshape(-1, width)
+        fh.write(block[block != 0].tobytes())
 
 
 def write_artifact(path, head, columns=()) -> None:
-    """Write the ``head`` lines, then one line per row of the equal-length numpy
-    ``columns``: the ``repr`` of each row's Python scalars, joined by spaces.
-    Rows go out WRITE_BLOCK at a time, each block formatting every distinct
-    value of a column once. The text goes to ``<path>.tmp`` in a directory made
-    if missing, then is renamed over ``path``, so no reader sees a partial file.
-    A failed write removes the ``.tmp`` file and raises OSError naming ``path``."""
+    """Write the ``head`` lines, then one line per row of the equal-length 1-D
+    numpy ``columns``: the ``repr`` of each row's Python scalars, joined by
+    spaces. Each column's distinct values are formatted once per file, into a
+    table of bytes; rows are assembled from the tables and written WRITE_BLOCK
+    at a time. The text goes to ``<path>.tmp`` in a directory made if missing,
+    then is renamed over ``path``, so no reader sees a partial file. Columns of
+    unequal length or not 1-D raise ValueError naming ``path`` before anything
+    is written. A failed write removes the ``.tmp`` file and raises OSError
+    naming ``path``."""
+    shapes = [np.shape(col) for col in columns]
+    if any(len(shape) != 1 for shape in shapes) or len(set(shapes)) > 1:
+        raise ValueError(f"cannot write {path}: columns must be 1-D of one length, got {shapes}")
     tmp = f"{os.fspath(path)}.tmp"
     try:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "w", newline="\n") as fh:
-            fh.write("".join(line + "\n" for line in head))
-            for start in range(0, len(columns[0]) if columns else 0, WRITE_BLOCK):
-                cells = [_cells(col[start : start + WRITE_BLOCK]) for col in columns]
-                fh.write("\n".join(map(" ".join, zip(*cells))) + "\n")
+        with open(tmp, "wb") as fh:
+            fh.write("".join(line + "\n" for line in head).encode())
+            if shapes and shapes[0][0]:
+                _write_rows(fh, columns)
         os.replace(tmp, path)
     except BaseException as exc:
         with contextlib.suppress(OSError):

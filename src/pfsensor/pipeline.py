@@ -126,6 +126,13 @@ def scenario_operators(
     any scenario raises StabilityError with the smallest admissible dt over
     all scenarios, so a rerun at that dt builds every operator."""
     grid, scenarios = scenario_set(cfg)
+    return grid, scenarios, _build_operators(cfg, scenarios)
+
+
+def _build_operators(cfg: RunConfig, scenarios: list[FlowScenario]) -> list[MarkovMatrix]:
+    """One operator per scenario at the config's dt and outlets; a dt too
+    large for any of them raises StabilityError with their smallest
+    admissible dt."""
     boundaries = cfg.boundaries()
 
     def build(scenario):
@@ -138,7 +145,7 @@ def scenario_operators(
     unstable = [op.admissible_dt for op in operators if isinstance(op, StabilityError)]
     if unstable:
         raise StabilityError(cfg.dt, min(unstable))
-    return grid, scenarios, operators
+    return operators
 
 
 def scaled_tracking(cfg: RunConfig, grid: StructuredGrid, matrices: list[MarkovMatrix]):
@@ -346,11 +353,19 @@ def expected_coverage_for_counts(cfg: RunConfig, counts: list[int]) -> list[dict
         raise ConfigError("convergence study needs a synthetic family config")
     ordered = sorted(counts)
     maps = {}
+    # nested CDF points give bit-identical samples, so each distinct sample
+    # value's operator and detection pattern are built once, keyed by its bits
+    vectors = {}
     for m in ordered:
         points = tuple(float(p) for p in cdf_points_for(m))
-        grid, scenarios, matrices = scenario_operators(replace(cfg, cdf_points=points))
-        vectors = coverage_vectors(*scaled_tracking(cfg, grid, matrices))
-        maps[m] = expected_coverage(vectors, [sc.weight for sc in scenarios])
+        grid, scenarios = scenario_set(replace(cfg, cdf_points=points))
+        new = [sc for sc in scenarios if sc.sample_value.hex() not in vectors]
+        if new:
+            detections, fraction = scaled_tracking(cfg, grid, _build_operators(cfg, new))
+            keys = (sc.sample_value.hex() for sc in new)
+            vectors.update(zip(keys, coverage_vectors(detections, fraction)))
+        level = [vectors[sc.sample_value.hex()] for sc in scenarios]
+        maps[m] = expected_coverage(level, [sc.weight for sc in scenarios])
     reference = maps[ordered[-1]]
     ref_norm = float(np.linalg.norm(reference))
     rows = []

@@ -31,6 +31,7 @@ class Distribution:
     support: tuple[float, float]
 
     def _raw_pdf(self, x):
+        """Untruncated density at a float64 array or NumPy float64 scalar."""
         raise NotImplementedError
 
     def _raw_mass(self) -> float:
@@ -42,8 +43,13 @@ class Distribution:
         return self._raw_mass()
 
     def pdf(self, x):
-        x = np.asarray(x, dtype=float)
         lo, hi = self.support
+        if isinstance(x, float):
+            # scipy's quad calls once per point with a Python float: the same
+            # arithmetic on a NumPy scalar, without 0-d arrays or np.where
+            x = np.float64(x)
+            return float(self._raw_pdf(x) / self._norm) if lo <= x <= hi else 0.0
+        x = np.asarray(x, dtype=float)
         inside = (x >= lo) & (x <= hi)
         out = np.where(inside, self._raw_pdf(x) / self._norm, 0.0)
         return out if out.ndim else float(out)
@@ -65,7 +71,7 @@ class Gaussian(Distribution):
         return (self.mu - 5.0 * self.sigma, self.mu + 5.0 * self.sigma)
 
     def _raw_pdf(self, x):
-        z = (np.asarray(x, dtype=float) - self.mu) / self.sigma
+        z = (x - self.mu) / self.sigma
         return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
 
     def _raw_mass(self) -> float:
@@ -94,15 +100,17 @@ class GaussianKde(Distribution):
         return (min(self.data) - 4.0 * self.bandwidth, max(self.data) + 4.0 * self.bandwidth)
 
     def _raw_pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        pts = np.asarray(self.data)
-        z = (x[..., None] - pts) / self.bandwidth
+        z = np.subtract.outer(x, self._points) / self.bandwidth
         dens = np.exp(-0.5 * z * z).mean(axis=-1)
         return dens / (self.bandwidth * math.sqrt(2.0 * math.pi))
 
+    @cached_property
+    def _points(self) -> np.ndarray:
+        return np.asarray(self.data)
+
     def _raw_mass(self) -> float:
         lo, hi = self.support
-        pts = np.asarray(self.data)
+        pts = self._points
         root2h = self.bandwidth * math.sqrt(2.0)
         return float(0.5 * (erf((hi - pts) / root2h) - erf((lo - pts) / root2h)).mean())
 

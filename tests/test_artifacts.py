@@ -1,6 +1,7 @@
 """The shared artifact writer and table reader, the bytes of every text export,
 and fuzzed loaders."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -111,35 +112,96 @@ EDGE_FLOATS = [
 
 @st.composite
 def value_pools(draw):
-    """A column's dtype and the few values its rows repeat."""
+    """A column's dtype and the values its rows repeat: up to a dozen drawn
+    values, or more than WRITE_BLOCK generated ones, so that one table serves
+    several blocks. Integers may be state indices below the row count,
+    negative or above it, so both of the writer's table paths run."""
     dtype = draw(st.sampled_from(["int32", "int64", "float64"]))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        size = draw(st.integers(WRITE_BLOCK + 1, 2 * WRITE_BLOCK))
+        if dtype == "float64":
+            values = rng.integers(0, 2**64, size, dtype=np.uint64).view(np.float64)
+            return np.where(np.isfinite(values), values, -0.0)
+        low = draw(st.sampled_from([-3, 0, 3 * WRITE_BLOCK]))
+        return rng.integers(low, low + 3 * WRITE_BLOCK, size).astype(dtype)
     if dtype == "float64":
         values = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
     else:
         bits = 31 if dtype == "int32" else 63
-        values = st.integers(-(2**bits), 2**bits - 1)
+        values = st.integers(-(2**bits), 2**bits - 1) | st.integers(-3, 3 * WRITE_BLOCK)
     return np.array(draw(st.lists(values, min_size=1, max_size=12)), dtype=dtype)
 
 
 ROWS = st.sampled_from([0, 1, WRITE_BLOCK - 1, WRITE_BLOCK, WRITE_BLOCK + 1, 2 * WRITE_BLOCK + 3])
+STATES = np.arange(WRITE_BLOCK + 5)
 
-
-@settings(
-    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+# tier-1 runs 60 examples; `pytest --hypothesis-profile=ci` (tests/conftest.py) ten times as many
+WRITER_ORACLE = settings(
+    max_examples=600 if settings.get_current_profile_name() == "ci" else 60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
+
+
+@WRITER_ORACLE
 @given(
     pools=st.lists(value_pools(), min_size=1, max_size=3),
     n=ROWS | st.integers(0, 3 * WRITE_BLOCK),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(pools=[np.array([0.0, -0.0, 5e-324, 1e16, 1e-05])], n=WRITE_BLOCK + 7, seed=0)
+# state indices below the row count, negative ones, and ones above the row count
+@example(
+    pools=[STATES, (STATES - 3).astype(np.int32), STATES + 2 * WRITE_BLOCK + 3],
+    n=2 * WRITE_BLOCK + 3,
+    seed=1,
+)
 def test_write_matches_per_row_formatting(tmp_path, pools, n, seed):
-    # rows draw from a small pool, so values repeat within and across blocks
+    # rows draw from a pool, so values repeat within and across blocks
     rng = np.random.default_rng(seed)
     columns = [pool[rng.integers(0, len(pool), size=n)] for pool in pools]
     path = tmp_path / "t.txt"
     write_artifact(path, ["# head"], columns)
     assert path.read_bytes() == oracle_text(["# head"], columns).encode()
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        (np.arange(3), np.arange(4)),
+        (np.arange(3), np.zeros((3, 1))),
+        (np.zeros((2, 2)),),
+        (np.float64(1.0),),
+    ],
+    ids=["unequal", "column-2d", "only-2d", "scalar"],
+)
+def test_write_refuses_unequal_or_non_1d_columns(tmp_path, columns):
+    target = tmp_path / "sub" / "t.txt"
+    with pytest.raises(ValueError, match=r"cannot write .*t\.txt: columns must be 1-D"):
+        write_artifact(target, ["# head"], columns)
+    assert not any(tmp_path.iterdir())
+
+
+def test_writer_transient_memory_is_bounded(tmp_path):
+    # one fine operator's shape: 111 900 (row, col, value) rows over 22 500
+    # states, with 16 000 distinct values
+    rng = np.random.default_rng(0)
+    n = 111_900
+    rows = np.sort(rng.integers(0, 22_500, n))
+    cols = rng.integers(0, 22_500, n).astype(np.int32)
+    values = rng.standard_normal(16_000)[rng.integers(0, 16_000, n)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_artifact(tmp_path / "t.txt", ["# head"], (rows, cols, values))
+        transient = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # the distinct values' texts and one block's bytes, not a text per row
+    assert transient <= 3_000_000
+    expected = oracle_text(["# head"], (rows, cols, values))
+    assert (tmp_path / "t.txt").read_bytes() == expected.encode()
 
 
 def test_save_markov_sorts_unsorted_csr_indices(tmp_path):

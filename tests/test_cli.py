@@ -1,14 +1,19 @@
 import json
 import re
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pfsensor import pipeline
 from pfsensor.cli import main
 from pfsensor.config import ConfigError, RunConfig, parse_config
 from pfsensor.flowfield import load_field, save_field, zero_field
 from pfsensor.grid import StructuredGrid, box_mask
 from pfsensor.pipeline import run_place, scenario_set
+from pfsensor.placement import coverage_vectors, expected_coverage
+from pfsensor.uncertainty import cdf_points_for
 
 BASE_CFG = """\
 dims = 12 12 1
@@ -421,6 +426,35 @@ def test_converge_table_layout_and_reference_row(tmp_path):
     assert [r["samples"] for r in rows] == [2, 3, 5]
     assert rows[-1]["reference"] and rows[-1]["error"] is None
     assert all(r["error"] is not None for r in rows[:-1])
+
+
+def test_converge_builds_each_distinct_sample_once(tmp_path, monkeypatch):
+    # 3, 5 and 7 nested CDF points hold 7 distinct samples; the table must
+    # equal the one built from each level's own operators
+    cfg = base_cfg(tmp_path, dims="8 8 1", dt="0.017", steps="25")
+    calls = Counter()
+    with monkeypatch.context() as patch:
+        for name in ("build_markov", "detection_matrix"):
+            real = getattr(pipeline, name)
+
+            def counted(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            patch.setattr(pipeline, name, counted)
+        assert main(["converge", "--config", str(cfg), "--samples", "3", "5", "7"]) == 0
+    assert calls == {"build_markov": 7, "detection_matrix": 7}
+    rows = json.loads((tmp_path / "out" / "convergence.json").read_text())
+    run_cfg = parse_config(cfg)
+    maps = []
+    for m in (3, 5, 7):
+        points = tuple(float(p) for p in cdf_points_for(m))
+        grid, scenarios, ops = pipeline.scenario_operators(replace(run_cfg, cdf_points=points))
+        vectors = coverage_vectors(*pipeline.scaled_tracking(run_cfg, grid, ops))
+        maps.append(expected_coverage(vectors, [sc.weight for sc in scenarios]))
+    norm = float(np.linalg.norm(maps[-1]))
+    errors = [float(np.linalg.norm(level - maps[-1])) / norm for level in maps[:-1]]
+    assert [r["error"] for r in rows] == errors + [None]
 
 
 def test_converge_degenerate_family_all_errors_zero(tmp_path):

@@ -80,6 +80,25 @@ def test_gaussian_normalized_over_support():
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "dist",
+    [Gaussian(0.5, 0.05), Gaussian(-3.0, 2.0), fit_kde([0.1, 0.4, 0.45, 0.9, 1.3])],
+    ids=["gaussian", "gaussian-wide", "kde"],
+)
+def test_scalar_pdf_equals_array_pdf_bitwise(dist):
+    # quad's Python-float calls take the scalar path; both must give one value
+    lo, hi = dist.support
+    rng = np.random.default_rng(0)
+    inside = np.concatenate([rng.uniform(lo, hi, 200), [lo, hi]])
+    outside = [np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), lo - (hi - lo), hi + (hi - lo)]
+    points = np.concatenate([inside, outside])
+    array = dist.pdf(points)
+    for value in ([dist.pdf(float(x)) for x in points], [dist.pdf(np.array(x)) for x in points]):
+        assert all(type(v) is float for v in value)
+        assert np.array_equal(np.array(value).view(np.int64), array.view(np.int64))
+    assert np.all(array[: len(inside)] > 0.0) and np.all(array[len(inside) :] == 0.0)
+
+
 def test_gaussian_rejects_bad_sigma():
     with pytest.raises(ValueError):
         Gaussian(0.0, 0.0)
