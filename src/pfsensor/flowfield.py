@@ -56,11 +56,6 @@ class FlowScenario:
             raise ValueError(f"weight must lie in [0, 1], got {self.weight}")
 
 
-def zero_field(grid: StructuredGrid) -> VelocityField:
-    n = grid.n_states
-    return VelocityField(grid, np.zeros(n), np.zeros(n), np.zeros(n))
-
-
 def synth_recirculating(grid: StructuredGrid, strength: float) -> VelocityField:
     """Single-vortex recirculating flow from the stream function
     ``psi = sin(pi x / Lx) * sin(pi y / Ly)`` scaled by ``strength``.
@@ -121,12 +116,6 @@ def _cell_tables(columns, n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarr
     return tables
 
 
-def _positions(distinct: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Each key's index in the sorted distinct keys."""
-    found, inverse = np.unique(keys, return_inverse=True)
-    return np.searchsorted(distinct, found)[inverse]
-
-
 def _write_rows(fh, columns) -> None:
     """The rows of the columns, WRITE_BLOCK at a time: each block's cells are
     gathered from the column tables into a fixed-width byte matrix whose
@@ -141,7 +130,7 @@ def _write_rows(fh, columns) -> None:
         rows = slice(start, min(start + WRITE_BLOCK, n))
         block = text[: rows.stop - start]
         for (table, keys, distinct), end in zip(tables, ends):
-            cells = keys[rows] if distinct is None else _positions(distinct, keys[rows])
+            cells = keys[rows] if distinct is None else np.searchsorted(distinct, keys[rows])
             width = table.itemsize
             block[:, end - width : end] = table[cells].view(np.uint8).reshape(-1, width)
         fh.write(block[block != 0].tobytes())

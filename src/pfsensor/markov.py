@@ -181,23 +181,6 @@ def _outflow_rates(
     return empty, empty, np.empty(0), size
 
 
-def admissible_dt(scenario: FlowScenario, boundaries: BoundarySpec = CLOSED) -> float:
-    """Largest Markov step for which every diagonal entry stays non-negative:
-    min_i V_i / (sum of outgoing volumetric rates of cell i).
-
-    Returns inf when nothing moves (zero velocity and zero diffusivity).
-    """
-    grid = scenario.field.grid
-    rows, _, rates, size = _outflow_rates(scenario, boundaries)
-    total = np.zeros(size)
-    np.add.at(total, rows, rates)
-    total = total[: grid.n_states]  # exit state has no outflow
-    peak = total.max() if total.size else 0.0
-    if peak <= 0.0:
-        return float("inf")
-    return float(grid.cell_volume / peak)
-
-
 def build_markov(
     scenario: FlowScenario, dt: float, boundaries: BoundarySpec = CLOSED
 ) -> MarkovMatrix:

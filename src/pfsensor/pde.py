@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from .flowfield import FlowScenario
-from .markov import ConcentrationField, MarkovMatrix, build_markov, propagate
+from .markov import ConcentrationField, MarkovMatrix, propagate
 
 
 @dataclass(frozen=True)
@@ -170,21 +170,6 @@ def solve_pde(
     return ConcentrationField(grid, phi)
 
 
-def compare_transport(
-    scenario: FlowScenario,
-    phi0: ConcentrationField,
-    steps: int,
-    dt: float,
-    cfl_target: float = 0.45,
-    fixed_step: float | None = None,
-) -> float:
-    """Relative L2 distance between operator-propagated and PDE-solved
-    concentration after the same horizon steps * dt."""
-    return compare_operator(
-        scenario, build_markov(scenario, dt), phi0, steps, cfl_target, fixed_step
-    )
-
-
 def compare_operator(
     scenario: FlowScenario,
     operator: MarkovMatrix,
@@ -193,8 +178,9 @@ def compare_operator(
     cfl_target: float = 0.45,
     fixed_step: float | None = None,
 ) -> float:
-    """compare_transport for an operator already built for the scenario on
-    the closed box: the horizon is steps * operator.dt."""
+    """Relative L2 distance between the concentration an operator built for
+    the scenario on the closed box propagates and the PDE reference, after
+    the same horizon steps * operator.dt."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     phi_markov = propagate(phi0, operator, steps)

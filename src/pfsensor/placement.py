@@ -77,11 +77,12 @@ def place_sensors(
     Every stored pair of the `detections` patterns is worth `cell_fraction`.
     Each round picks the argmax of the expected coverage (ties to the lowest
     state index) and, per scenario, strikes every active release row it
-    covers. Stops after k sensors, when min_coverage is reached, or when no
-    coverage remains (then flagged truncated if a budget was still open).
+    covers. Stops after k sensors, when min_coverage is reached, or, flagged
+    truncated, when no coverage remains before either.
 
     With a sensing constraint confining interest to an occupied zone, pass
-    that zone's volume fraction to also report coverage relative to it.
+    that zone's volume fraction: coverage is then also reported relative to
+    it, and min_coverage and truncation are judged on that relative coverage.
     """
     if k is None and min_coverage is None:
         raise ValueError("need a sensor count k or a min_coverage target")
@@ -89,6 +90,8 @@ def place_sensors(
         raise ValueError(f"sensor count must be >= 1, got {k}")
     if min_coverage is not None and not 0.0 < min_coverage <= 1.0:
         raise ValueError(f"min_coverage must lie in (0, 1], got {min_coverage}")
+    if occupied_volume_fraction is not None and occupied_volume_fraction <= 0.0:
+        raise ValueError("occupied volume fraction must be positive")
     if not detections:
         raise ValueError("need at least one scenario matrix")
     w = np.asarray(list(weights), dtype=float)
@@ -106,6 +109,7 @@ def place_sensors(
     counts = [np.diff(m.indptr).astype(np.intp) for m in by_col]
     row_active = [np.ones(n, dtype=bool) for _ in by_col]
     table = _coverage_table(cell_fraction, n)
+    zone = 1.0 if occupied_volume_fraction is None else occupied_volume_fraction
 
     sensors: list[PlacedSensor] = []
     cumulative = 0.0
@@ -113,15 +117,13 @@ def place_sensors(
     while True:
         if k is not None and len(sensors) >= k:
             break
-        if min_coverage is not None and cumulative >= min_coverage:
+        if min_coverage is not None and cumulative / zone >= min_coverage:
             break
         per_scenario = [table[c] for c in counts]
         expected = expected_coverage(per_scenario, w)
         if expected.max() <= 0.0:
-            # residual coverage exhausted with the budget or target still open
-            truncated = (k is not None and len(sensors) < k) or (
-                min_coverage is not None and cumulative < min_coverage
-            )
+            # residual coverage exhausted: the checks above left the budget or target open
+            truncated = True
             break
         best = int(np.argmax(expected))  # argmax takes the first (lowest) index on ties
         marginals = np.array([v[best] for v in per_scenario])
@@ -147,16 +149,10 @@ def place_sensors(
             )
         )
 
-    occupied_cov = None
-    if occupied_volume_fraction is not None:
-        if occupied_volume_fraction <= 0.0:
-            raise ValueError("occupied volume fraction must be positive")
-        occupied_cov = cumulative / occupied_volume_fraction
-
     return SensorPlan(
         sensors=sensors,
         cumulative_expected_coverage=cumulative,
-        occupied_space_coverage=occupied_cov,
+        occupied_space_coverage=None if occupied_volume_fraction is None else cumulative / zone,
         truncated=truncated,
         settings={
             "k": k,

@@ -132,16 +132,15 @@ def fit_kde(data) -> GaussianKde:
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Sample values with CDF positions and probability weights."""
+    """Sample values and their probability weights."""
 
     samples: np.ndarray
-    cdf_points: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self) -> None:
         m = self.samples.shape[0]
-        if self.cdf_points.shape != (m,) or self.weights.shape != (m,):
-            raise ValueError("samples, cdf_points and weights must share one length")
+        if self.weights.shape != (m,):
+            raise ValueError("samples and weights must share one length")
         if np.any(np.diff(self.samples) <= 0.0):
             raise ValueError("samples must be strictly increasing")
         if np.any(self.weights < 0.0):
@@ -232,13 +231,12 @@ def quadrature_rule(dist: Distribution, cdf_points) -> QuadratureRule:
 
     A single sample carries the whole probability mass (its hat function is
     identically 1 on the support)."""
-    pts = np.asarray(list(cdf_points), dtype=float)
-    samples = icdf_samples(dist, pts)
+    samples = icdf_samples(dist, cdf_points)
     if samples.size == 1:
         weights = np.array([1.0])
     else:
         weights = basis_weights(samples, dist)
-    return QuadratureRule(samples=samples, cdf_points=pts, weights=weights)
+    return QuadratureRule(samples=samples, weights=weights)
 
 
 def expectation(rule: QuadratureRule, values) -> float:

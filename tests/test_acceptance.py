@@ -20,14 +20,14 @@ from pfsensor.markov import (
     ConcentrationField,
     MarkovMatrix,
     StabilityError,
-    admissible_dt,
     build_markov,
     propagate,
 )
-from pfsensor.pde import compare_transport
+from pfsensor.pde import compare_operator
 from pfsensor.placement import coverage_vectors, expected_coverage, place_sensors
 from pfsensor.tracking import detection_matrix
 from pfsensor.uncertainty import Gaussian, expectation, quadrature_rule
+from oracles import admissible_dt
 from test_tracking import tracking_rows
 
 SEED = int(os.environ.get("PFSENSOR_SEED", "0"))
@@ -144,7 +144,8 @@ def test_criterion_5_pde_markov_validation():
                 -((centers[:, 0] - 0.3) ** 2 + (centers[:, 1] - 0.3) ** 2) / (2 * 0.08**2)
             )
             phi0 = ConcentrationField(grid, blob)
-            errors.append(compare_transport(scenario, phi0, steps, dt, cfl_target=0.01))
+            operator = build_markov(scenario, dt)
+            errors.append(compare_operator(scenario, operator, phi0, steps, cfl_target=0.01))
         assert errors[1] <= 1e-2  # the 50x50 horizon-50s configuration
         assert errors[0] > errors[1] > errors[2]  # joint (dt, dx) refinement
 

@@ -27,11 +27,12 @@ from pfsensor.markov import (
     MARKOV_MAGIC,
     BoundarySpec,
     MarkovMatrix,
-    admissible_dt,
     build_markov,
     save_markov,
 )
 from pfsensor.pipeline import scenario_operators
+
+from oracles import admissible_dt
 
 LOADERS = [(load_field, FIELD_MAGIC, FieldFormatError)]
 

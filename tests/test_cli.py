@@ -9,11 +9,13 @@ import pytest
 from pfsensor import pipeline
 from pfsensor.cli import main
 from pfsensor.config import ConfigError, RunConfig, parse_config
-from pfsensor.flowfield import load_field, save_field, zero_field
+from pfsensor.flowfield import load_field, save_field
 from pfsensor.grid import StructuredGrid, box_mask
 from pfsensor.pipeline import run_place, scenario_set
 from pfsensor.placement import coverage_vectors, expected_coverage
 from pfsensor.uncertainty import cdf_points_for
+
+from oracles import zero_field
 
 BASE_CFG = """\
 dims = 12 12 1
@@ -38,13 +40,15 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 
 
 def base_cfg(tmp_path, extra="", **overrides):
+    """BASE_CFG with each override's line replaced, or dropped when None."""
     out = overrides.pop("out", tmp_path / "out")
     text = BASE_CFG.format(out=out)
     for key, value in overrides.items():
         text = "\n".join(
             line for line in text.splitlines() if not line.startswith(f"{key} ")
         )
-        text += f"\n{key} = {value}"
+        if value is not None:
+            text += f"\n{key} = {value}"
     return write_cfg(tmp_path, text + "\n" + extra)
 
 
@@ -178,6 +182,25 @@ def test_constrained_place_avoids_forbidden_states(tmp_path):
     states = {s["state"] for s in plan["sensors"]}
     assert states.isdisjoint(forbidden)
     assert set(plan["settings"]["forbidden_states"]) == forbidden
+
+
+def test_min_coverage_counts_only_the_occupied_zone(tmp_path, capsys):
+    # the zone is a quarter of the room, so whole-room coverage stays below 0.9
+    cfg = base_cfg(
+        tmp_path,
+        extra="occupied_box = 0 0 0 0.5 0.5 1\n",
+        dims="20 20 1",
+        spacing="0.05 0.05 0.2",
+        dt="0.02",
+        sensors=None,
+        min_coverage="0.9",
+    )
+    assert main(["place", "--config", str(cfg)]) == 0
+    assert "stopped early" not in capsys.readouterr().out
+    doc = json.loads((tmp_path / "out" / "plan.json").read_text())
+    assert len(doc["sensors"]) == 1
+    assert doc["occupied_space_coverage"] >= 0.9
+    assert not doc["truncated"]
 
 
 def test_sensing_constraint_reports_occupied_coverage(tmp_path):

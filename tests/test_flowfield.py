@@ -11,9 +11,10 @@ from pfsensor.flowfield import (
     load_field,
     save_field,
     synth_recirculating,
-    zero_field,
 )
 from pfsensor.grid import StructuredGrid
+
+from oracles import zero_field
 
 
 def write_lines(path, lines):

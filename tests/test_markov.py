@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from pfsensor.flowfield import FlowScenario, VelocityField, synth_recirculating, zero_field
+from pfsensor.flowfield import FlowScenario, VelocityField, synth_recirculating
 from pfsensor.grid import StructuredGrid
 from pfsensor.markov import (
     MARKOV_MAGIC,
@@ -12,11 +12,12 @@ from pfsensor.markov import (
     ConcentrationField,
     MarkovMatrix,
     StabilityError,
-    admissible_dt,
     build_markov,
     propagate,
     save_markov,
 )
+
+from oracles import admissible_dt, zero_field
 
 
 def unit_line_grid(n):

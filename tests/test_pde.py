@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from pfsensor.flowfield import FlowScenario, VelocityField, synth_recirculating, zero_field
+from pfsensor.flowfield import FlowScenario, VelocityField, synth_recirculating
 from pfsensor.grid import StructuredGrid
-from pfsensor.markov import ConcentrationField, admissible_dt
+from pfsensor.markov import ConcentrationField, build_markov
 from pfsensor.pde import (
     PdeConfig,
     PdeStabilityError,
-    compare_transport,
+    compare_operator,
     solve_pde,
     stable_step,
 )
+
+from oracles import admissible_dt, zero_field
 
 
 def line_grid(n, dx=1.0):
@@ -175,7 +177,7 @@ def test_stable_step_matches_operator_bound():
 def test_compare_transport_identity_scenario_is_exact():
     g = line_grid(6)
     sc = FlowScenario(zero_field(g), diffusivity=0.0)
-    assert compare_transport(sc, delta_field(g), steps=5, dt=0.5) == 0.0
+    assert compare_operator(sc, build_markov(sc, 0.5), delta_field(g), steps=5) == 0.0
 
 
 def test_compare_transport_matched_discretizations_coincide():
@@ -183,7 +185,7 @@ def test_compare_transport_matched_discretizations_coincide():
     g = line_grid(30)
     u = np.full(30, 0.2)
     sc = FlowScenario(VelocityField(g, u, np.zeros(30), np.zeros(30)), diffusivity=0.0)
-    err = compare_transport(sc, delta_field(g), steps=20, dt=1.0, fixed_step=1.0)
+    err = compare_operator(sc, build_markov(sc, 1.0), delta_field(g), steps=20, fixed_step=1.0)
     assert err <= 1e-12
 
 
@@ -198,5 +200,5 @@ def test_compare_transport_vortex_scenario_is_close():
     centers = g.cell_centers()
     blob = np.exp(-((centers[:, 0] - 0.3) ** 2 + (centers[:, 1] - 0.3) ** 2) / (2 * 0.08**2))
     phi0 = ConcentrationField(g, blob)
-    err = compare_transport(sc, phi0, steps=steps, dt=dt, cfl_target=0.01)
+    err = compare_operator(sc, build_markov(sc, dt), phi0, steps=steps, cfl_target=0.01)
     assert err <= 1e-2

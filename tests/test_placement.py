@@ -200,6 +200,17 @@ def test_occupied_fraction_reporting():
     assert plan.occupied_space_coverage == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("target, truncated", [(0.8, False), (0.9, True)])
+def test_min_coverage_is_a_fraction_of_the_occupied_zone(target, truncated):
+    # releases only in the occupied half; sensor 2 covers 4 of its 5 cells
+    dense = np.zeros((10, 10), dtype=bool)
+    dense[:4, 2] = True
+    plan = place([pattern(dense)], [1.0], min_coverage=target, occupied_volume_fraction=0.5)
+    assert plan.states == [2]
+    assert plan.occupied_space_coverage == pytest.approx(0.8)
+    assert plan.truncated == truncated
+
+
 def test_place_sensors_argument_validation():
     mats = [pattern(np.eye(3))]
     with pytest.raises(ValueError):

@@ -7,9 +7,11 @@ from scipy import sparse
 from pfsensor.config import ConfigError, RunConfig
 from pfsensor.flowfield import FlowScenario, VelocityField, synth_recirculating
 from pfsensor.grid import StructuredGrid
-from pfsensor.markov import BoundarySpec, MarkovMatrix, admissible_dt, build_markov
+from pfsensor.markov import BoundarySpec, MarkovMatrix, build_markov
 from pfsensor.pipeline import scaled_tracking
 from pfsensor.tracking import BLOCK, detection_matrix
+
+from oracles import admissible_dt
 
 
 def operator_from_dense(dense, dt=1.0):

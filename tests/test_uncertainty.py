@@ -212,13 +212,11 @@ def test_quadrature_rule_validates():
     with pytest.raises(ValueError):
         QuadratureRule(
             samples=np.array([0.0, 0.0]),
-            cdf_points=np.array([0.0, 1.0]),
             weights=np.array([0.5, 0.5]),
         )
     with pytest.raises(ValueError):
         QuadratureRule(
             samples=np.array([0.0, 1.0]),
-            cdf_points=np.array([0.0, 1.0]),
             weights=np.array([0.9, 0.3]),
         )
 
