@@ -174,30 +174,6 @@ def _finite_rows(lines: list[str]) -> np.ndarray | None:
     return values if values.shape[1] == 3 and np.isfinite(values).all() else None
 
 
-def read_table(path, magic, kind, record, error) -> tuple[list[int], np.ndarray]:
-    """Line numbers and (rows, 3) values of the non-blank lines after a magic
-    line, each three finite numbers. ``record`` names the rows: one name per
-    header row, then the body rows. Failures raise ``error`` naming the line."""
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeError) as exc:
-        raise error(f"cannot read {kind} {path}: {exc}") from None
-    if not lines or lines[0].strip() != magic:
-        raise error(f"{path}:1: missing magic line {magic!r}")
-    numbers = [no for no, line in enumerate(lines[1:], start=2) if line and not line.isspace()]
-    body = [lines[no - 1] for no in numbers]
-    if len(body) < len(record) - 1:
-        raise error(f"{path}:{len(lines)}: truncated header")
-    values = _finite_rows(body)
-    if values is None:
-        # the whole parse fails exactly when some single line fails it
-        bad = next(idx for idx, line in enumerate(body) if _finite_rows([line]) is None)
-        name = record[min(bad, len(record) - 1)]
-        raise error(f"{path}:{numbers[bad]}: not '{name}' (three finite numbers): {body[bad]!r}")
-    return numbers, values
-
-
 def save_field(path, field_: VelocityField) -> None:
     """Write a field file; floats use shortest round-trip formatting so a
     save/load cycle reproduces values bitwise."""
@@ -216,10 +192,28 @@ def save_scalar_field(path, grid: StructuredGrid, values: np.ndarray) -> None:
 
 
 def load_field(path) -> VelocityField:
-    """Read a field file, validating the header and record count."""
-    numbers, values = read_table(
-        path, FIELD_MAGIC, "field", ("nx ny nz", "dx dy dz", "x0 y0 z0", "u v w"), FieldFormatError
-    )
+    """Read a field file: the magic line, then non-blank lines of three finite
+    numbers, a three-line grid header and one record per state. Failures
+    raise FieldFormatError naming the line, counting blank lines."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeError) as exc:
+        raise FieldFormatError(f"cannot read field {path}: {exc}") from None
+    if not lines or lines[0].strip() != FIELD_MAGIC:
+        raise FieldFormatError(f"{path}:1: missing magic line {FIELD_MAGIC!r}")
+    numbers = [no for no, line in enumerate(lines[1:], start=2) if line and not line.isspace()]
+    body = [lines[no - 1] for no in numbers]
+    if len(body) < 3:
+        raise FieldFormatError(f"{path}:{len(lines)}: truncated header")
+    values = _finite_rows(body)
+    if values is None:
+        # the whole parse fails exactly when some single line fails it
+        bad = next(idx for idx, line in enumerate(body) if _finite_rows([line]) is None)
+        name = ("nx ny nz", "dx dy dz", "x0 y0 z0", "u v w")[min(bad, 3)]
+        raise FieldFormatError(
+            f"{path}:{numbers[bad]}: not '{name}' (three finite numbers): {body[bad]!r}"
+        )
     dims, spacing, origin = values[:3].tolist()
     if not all(d.is_integer() for d in dims):
         raise FieldFormatError(f"{path}:{numbers[0]}: grid dimensions must be integers, got {dims}")

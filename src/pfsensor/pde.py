@@ -12,43 +12,12 @@ stepper.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from .flowfield import FlowScenario
-from .markov import ConcentrationField, MarkovMatrix, propagate
-
-
-@dataclass(frozen=True)
-class PdeConfig:
-    """Explicit-solver controls. cfl_target is the fraction of the positivity
-    step bound to run at; fixed_step forces an exact step size instead (for
-    matched-discretization comparisons) and must itself be stable."""
-
-    end_time: float
-    cfl_target: float = 0.45
-    fixed_step: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.end_time <= 0.0:
-            raise ValueError(f"end_time must be positive, got {self.end_time}")
-        if not 0.0 < self.cfl_target <= 0.5:
-            raise ValueError(f"cfl_target must lie in (0, 0.5], got {self.cfl_target}")
-        if self.fixed_step is not None and self.fixed_step <= 0.0:
-            raise ValueError(f"fixed_step must be positive, got {self.fixed_step}")
-
-
-class PdeStabilityError(ValueError):
-    """Requested step violates the explicit stability bound."""
-
-    def __init__(self, step: float, admissible: float):
-        super().__init__(
-            f"step {step} exceeds the stable explicit step; "
-            f"largest admissible step = {admissible}"
-        )
-        self.admissible_step = admissible
+from .markov import ConcentrationField, MarkovMatrix, StabilityError, propagate
 
 
 def _face_rates(scenario: FlowScenario):
@@ -130,32 +99,20 @@ def _stepper(scenario: FlowScenario, step: float) -> sparse.dia_array:
 
 
 def solve_pde(
-    scenario: FlowScenario, phi0: ConcentrationField, cfg: PdeConfig
+    scenario: FlowScenario, phi0: ConcentrationField, step: float, n_steps: int
 ) -> ConcentrationField:
-    """March the advection-diffusion balance to cfg.end_time on the closed
-    box: the step's stencil is assembled once as a DIA matrix, and each step
-    is one product with it."""
+    """March the advection-diffusion balance n_steps explicit steps of size
+    step on the closed box: the step's stencil is assembled once as a DIA
+    matrix, and each step is one product with it. A step over stable_step
+    raises StabilityError."""
     grid = scenario.field.grid
     if phi0.grid != grid:
         raise ValueError("initial field grid does not match scenario grid")
-
+    if not step > 0.0 or n_steps < 1:
+        raise ValueError(f"need step > 0 and n_steps >= 1, got {step} and {n_steps}")
     bound = stable_step(scenario)
-    if cfg.fixed_step is not None:
-        if cfg.fixed_step > bound:
-            raise PdeStabilityError(cfg.fixed_step, bound)
-        step = cfg.fixed_step
-        n_steps = round(cfg.end_time / step)
-        if abs(n_steps * step - cfg.end_time) > 1e-9 * cfg.end_time or n_steps < 1:
-            raise ValueError(
-                f"fixed_step {step} does not divide end_time {cfg.end_time}"
-            )
-    else:
-        target = cfg.cfl_target * bound
-        if not math.isfinite(target):
-            n_steps = 1
-        else:
-            n_steps = max(1, math.ceil(cfg.end_time / target))
-        step = cfg.end_time / n_steps
+    if step > bound:
+        raise StabilityError(step, bound)
 
     stepper = _stepper(scenario, step)
     phi = phi0.values.astype(float, copy=True)
@@ -175,17 +132,16 @@ def compare_operator(
     operator: MarkovMatrix,
     phi0: ConcentrationField,
     steps: int,
-    cfl_target: float = 0.45,
-    fixed_step: float | None = None,
+    substeps: int,
 ) -> float:
     """Relative L2 distance between the concentration an operator built for
-    the scenario on the closed box propagates and the PDE reference, after
-    the same horizon steps * operator.dt."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    the scenario on the closed box propagates over steps operator steps and
+    the PDE reference, which marches substeps steps of operator.dt / substeps
+    per operator step."""
+    if steps < 1 or substeps < 1:
+        raise ValueError(f"steps and substeps must be >= 1, got {steps} and {substeps}")
     phi_markov = propagate(phi0, operator, steps)
-    cfg = PdeConfig(end_time=steps * operator.dt, cfl_target=cfl_target, fixed_step=fixed_step)
-    phi_pde = solve_pde(scenario, phi0, cfg)
+    phi_pde = solve_pde(scenario, phi0, operator.dt / substeps, steps * substeps)
     ref = float(np.linalg.norm(phi_pde.values))
     if ref == 0.0:
         return float(np.linalg.norm(phi_markov.values))

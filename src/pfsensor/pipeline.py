@@ -47,6 +47,8 @@ from .uncertainty import (
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "pfsensor-manifest v1"
+# explicit PDE reference substeps of dt / 5 per operator step in validate
+VALIDATE_SUBSTEPS = 5
 
 
 def _map_scenarios(fn, items, workers: int):
@@ -311,9 +313,9 @@ def run_validate(cfg: RunConfig) -> list[dict]:
 
     Every scenario's operator is built, and its stability checked, before
     any PDE solve, as for build and place: they are the operators build
-    writes. The reference marches five substeps per operator step so the
-    measured gap reflects the operator's own time-stepping error, not the
-    reference's.
+    writes. The reference marches VALIDATE_SUBSTEPS substeps per operator
+    step so the measured gap reflects the operator's own time-stepping
+    error, not the reference's.
     """
     from .pde import compare_operator
 
@@ -327,7 +329,7 @@ def run_validate(cfg: RunConfig) -> list[dict]:
     phi0 = release_field(cfg, grid)
     results = []
     for idx, (scenario, operator) in enumerate(zip(scenarios, operators)):
-        err = compare_operator(scenario, operator, phi0, cfg.steps, fixed_step=cfg.dt / 5.0)
+        err = compare_operator(scenario, operator, phi0, cfg.steps, VALIDATE_SUBSTEPS)
         results.append(
             {
                 "id": idx,

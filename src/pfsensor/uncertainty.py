@@ -31,7 +31,7 @@ class Distribution:
     support: tuple[float, float]
 
     def _raw_pdf(self, x):
-        """Untruncated density at a float64 array or NumPy float64 scalar."""
+        """Untruncated density at a NumPy float64 scalar."""
         raise NotImplementedError
 
     def _raw_mass(self) -> float:
@@ -42,17 +42,12 @@ class Distribution:
     def _norm(self) -> float:
         return self._raw_mass()
 
-    def pdf(self, x):
+    def pdf(self, x: float) -> float:
+        """Truncated density at a scalar; scipy's quad calls it once per point
+        with a Python float."""
         lo, hi = self.support
-        if isinstance(x, float):
-            # scipy's quad calls once per point with a Python float: the same
-            # arithmetic on a NumPy scalar, without 0-d arrays or np.where
-            x = np.float64(x)
-            return float(self._raw_pdf(x) / self._norm) if lo <= x <= hi else 0.0
-        x = np.asarray(x, dtype=float)
-        inside = (x >= lo) & (x <= hi)
-        out = np.where(inside, self._raw_pdf(x) / self._norm, 0.0)
-        return out if out.ndim else float(out)
+        x = np.float64(x)
+        return float(self._raw_pdf(x) / self._norm) if lo <= x <= hi else 0.0
 
 
 @dataclass(frozen=True)
@@ -148,10 +143,6 @@ class QuadratureRule:
         if abs(float(self.weights.sum()) - 1.0) > 1e-9:
             raise ValueError(f"weights sum to {self.weights.sum()}, expected 1")
 
-    @property
-    def n_samples(self) -> int:
-        return self.samples.shape[0]
-
 
 def _icdf_one(dist: Distribution, p: float) -> float:
     """Quantile by bisection on the numerically integrated CDF, to 1e-10 in
@@ -244,7 +235,7 @@ def expectation(rule: QuadratureRule, values) -> float:
     vals = np.asarray(list(values), dtype=float)
     if vals.shape != rule.weights.shape:
         raise ValueError(
-            f"got {vals.shape[0] if vals.ndim else 1} values for {rule.n_samples} samples"
+            f"got {vals.shape[0] if vals.ndim else 1} values for {rule.samples.size} samples"
         )
     return float(np.dot(rule.weights, vals))
 

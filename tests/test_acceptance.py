@@ -24,6 +24,7 @@ from pfsensor.markov import (
     propagate,
 )
 from pfsensor.pde import compare_operator
+from pfsensor.pipeline import VALIDATE_SUBSTEPS
 from pfsensor.placement import coverage_vectors, expected_coverage, place_sensors
 from pfsensor.tracking import detection_matrix
 from pfsensor.uncertainty import Gaussian, expectation, quadrature_rule
@@ -145,7 +146,7 @@ def test_criterion_5_pde_markov_validation():
             )
             phi0 = ConcentrationField(grid, blob)
             operator = build_markov(scenario, dt)
-            errors.append(compare_operator(scenario, operator, phi0, steps, cfl_target=0.01))
+            errors.append(compare_operator(scenario, operator, phi0, steps, VALIDATE_SUBSTEPS))
         assert errors[1] <= 1e-2  # the 50x50 horizon-50s configuration
         assert errors[0] > errors[1] > errors[2]  # joint (dt, dx) refinement
 

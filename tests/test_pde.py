@@ -1,16 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from pfsensor.flowfield import FlowScenario, VelocityField, synth_recirculating
 from pfsensor.grid import StructuredGrid
-from pfsensor.markov import ConcentrationField, build_markov
-from pfsensor.pde import (
-    PdeConfig,
-    PdeStabilityError,
-    compare_operator,
-    solve_pde,
-    stable_step,
-)
+from pfsensor.markov import ConcentrationField, StabilityError, build_markov
+from pfsensor.pde import compare_operator, solve_pde, stable_step
+from pfsensor.pipeline import VALIDATE_SUBSTEPS
 
 from oracles import admissible_dt, zero_field
 
@@ -23,6 +20,13 @@ def delta_field(grid, k=None, value=1.0):
     phi = np.zeros(grid.n_states)
     phi[grid.n_states // 2 if k is None else k] = value
     return ConcentrationField(grid, phi)
+
+
+def steps_to(scenario, horizon, fraction=0.45):
+    """The step and step count that march to horizon at no more than fraction
+    of the stable step: n = ceil(T / (f * stable_step)), step = T / n."""
+    n = max(1, math.ceil(horizon / (fraction * stable_step(scenario))))
+    return horizon / n, n
 
 
 def flux_loop_solve(scenario, phi0, step, n_steps):
@@ -79,7 +83,7 @@ def flux_loop_solve(scenario, phi0, step, n_steps):
 
 def assert_matches_flux_loop(scenario, phi0, n_steps):
     step = 0.9 * stable_step(scenario)
-    out = solve_pde(scenario, phi0, PdeConfig(end_time=n_steps * step, fixed_step=step))
+    out = solve_pde(scenario, phi0, step, n_steps)
     ref = flux_loop_solve(scenario, phi0, step, n_steps)
     assert np.linalg.norm(out.values - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -113,19 +117,24 @@ def test_stepper_matches_flux_loop_on_3d_random_field():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        PdeConfig(end_time=0.0)
-    with pytest.raises(ValueError):
-        PdeConfig(end_time=1.0, cfl_target=0.6)
-    with pytest.raises(ValueError):
-        PdeConfig(end_time=1.0, fixed_step=-0.1)
+    # a solve is configured by its step and step count, a comparison by its
+    # operator steps and reference substeps per operator step
+    g = line_grid(4)
+    sc = FlowScenario(zero_field(g), diffusivity=0.4)
+    for step, n_steps in ((0.0, 1), (-0.1, 1), (math.nan, 1), (0.1, 0), (0.1, -2)):
+        with pytest.raises(ValueError, match="need step > 0 and n_steps >= 1"):
+            solve_pde(sc, delta_field(g), step, n_steps)
+    operator = build_markov(sc, 0.5)
+    for steps, substeps in ((1, 0), (0, 1)):
+        with pytest.raises(ValueError, match="steps and substeps must be >= 1"):
+            compare_operator(sc, operator, delta_field(g), steps, substeps)
 
 
 def test_still_air_leaves_field_unchanged():
     g = line_grid(5)
     sc = FlowScenario(zero_field(g), diffusivity=0.0)
     phi0 = ConcentrationField(g, np.array([0.0, 1.0, 2.0, 0.0, 0.5]))
-    out = solve_pde(sc, phi0, PdeConfig(end_time=3.0))
+    out = solve_pde(sc, phi0, *steps_to(sc, 3.0))
     assert np.array_equal(out.values, phi0.values)
 
 
@@ -133,14 +142,14 @@ def test_mass_conserved_with_zero_source():
     g = StructuredGrid((20, 15, 1), (0.05, 0.07, 0.2))
     sc = FlowScenario(synth_recirculating(g, 0.4), diffusivity=1e-3)
     phi0 = delta_field(g)
-    out = solve_pde(sc, phi0, PdeConfig(end_time=2.0))
+    out = solve_pde(sc, phi0, *steps_to(sc, 2.0))
     assert out.total_mass() == pytest.approx(phi0.total_mass(), rel=1e-10)
 
 
 def test_positivity_preserved():
     g = StructuredGrid((16, 16, 1), (0.1, 0.1, 0.3))
     sc = FlowScenario(synth_recirculating(g, 1.2), diffusivity=5e-3)
-    out = solve_pde(sc, delta_field(g), PdeConfig(end_time=1.0, cfl_target=0.5))
+    out = solve_pde(sc, delta_field(g), *steps_to(sc, 1.0, fraction=0.5))
     assert out.values.min() >= 0.0
 
 
@@ -150,22 +159,21 @@ def test_delta_diffuses_to_heat_kernel():
     n, diff, horizon = 201, 1.0, 60.0
     g = line_grid(n)
     sc = FlowScenario(zero_field(g), diffusivity=diff)
-    out = solve_pde(sc, delta_field(g), PdeConfig(end_time=horizon))
+    out = solve_pde(sc, delta_field(g), *steps_to(sc, horizon))
     x = np.arange(n) - n // 2
     exact = np.exp(-(x**2) / (4 * diff * horizon)) / np.sqrt(4 * np.pi * diff * horizon)
     err = np.linalg.norm(out.values - exact) / np.linalg.norm(exact)
     assert err <= 0.05
 
 
-def test_fixed_step_must_be_stable_and_divide_horizon():
+def test_step_over_bound_raises_stability_error():
     g = line_grid(4)
     sc = FlowScenario(zero_field(g), diffusivity=0.4)
     bound = stable_step(sc)
-    with pytest.raises(PdeStabilityError) as err:
-        solve_pde(sc, delta_field(g), PdeConfig(end_time=2.0, fixed_step=2 * bound))
-    assert err.value.admissible_step == pytest.approx(bound)
-    with pytest.raises(ValueError, match="divide"):
-        solve_pde(sc, delta_field(g), PdeConfig(end_time=1.0, fixed_step=0.3))
+    with pytest.raises(StabilityError) as err:
+        solve_pde(sc, delta_field(g), np.nextafter(bound, np.inf), 1)
+    assert err.value.admissible_dt == stable_step(sc)
+    assert solve_pde(sc, delta_field(g), bound, 3).values.min() >= 0.0
 
 
 def test_stable_step_matches_operator_bound():
@@ -177,7 +185,7 @@ def test_stable_step_matches_operator_bound():
 def test_compare_transport_identity_scenario_is_exact():
     g = line_grid(6)
     sc = FlowScenario(zero_field(g), diffusivity=0.0)
-    assert compare_operator(sc, build_markov(sc, 0.5), delta_field(g), steps=5) == 0.0
+    assert compare_operator(sc, build_markov(sc, 0.5), delta_field(g), 5, 1) == 0.0
 
 
 def test_compare_transport_matched_discretizations_coincide():
@@ -185,13 +193,14 @@ def test_compare_transport_matched_discretizations_coincide():
     g = line_grid(30)
     u = np.full(30, 0.2)
     sc = FlowScenario(VelocityField(g, u, np.zeros(30), np.zeros(30)), diffusivity=0.0)
-    err = compare_operator(sc, build_markov(sc, 1.0), delta_field(g), steps=20, fixed_step=1.0)
+    err = compare_operator(sc, build_markov(sc, 1.0), delta_field(g), 20, 1)
     assert err <= 1e-12
 
 
 def test_compare_transport_vortex_scenario_is_close():
-    # operator runs at 5% of the stability bound, the reference at 1%; the
-    # gap between the two first-order-in-time paths stays under 1e-2
+    # operator runs at 5% of the stability bound, the reference at validate's
+    # substeps (1%); the gap between the two first-order-in-time paths stays
+    # under 1e-2
     n = 24
     g = StructuredGrid((n, n, 1), (1 / n, 1 / n, 0.2))
     sc = FlowScenario(synth_recirculating(g, 0.005), diffusivity=1e-5)
@@ -200,5 +209,5 @@ def test_compare_transport_vortex_scenario_is_close():
     centers = g.cell_centers()
     blob = np.exp(-((centers[:, 0] - 0.3) ** 2 + (centers[:, 1] - 0.3) ** 2) / (2 * 0.08**2))
     phi0 = ConcentrationField(g, blob)
-    err = compare_operator(sc, build_markov(sc, dt), phi0, steps=steps, cfl_target=0.01)
+    err = compare_operator(sc, build_markov(sc, dt), phi0, steps, VALIDATE_SUBSTEPS)
     assert err <= 1e-2
