@@ -62,8 +62,8 @@ def detection_matrix(
             f"must both have length {n}"
         )
     p_t = sparse.csr_array(operator.matrix.T)
-    coo = p_t.tocoo()
-    reach = steps * int(np.abs(coo.coords[0] - coo.coords[1]).max(initial=0))
+    rows = np.repeat(np.arange(n), np.diff(p_t.indptr))
+    reach = steps * int(np.abs(rows - p_t.indices).max(initial=0))
     kept = np.flatnonzero(release).astype(np.int32)
     # int32 from the start: one int64 piece would promote the concatenation
     pair_rows = [np.empty(0, dtype=np.int32)]

@@ -15,10 +15,19 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate
-from scipy.special import erf
+
+from .quadpack import quad
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-11, limit=200)
+# QUADPACK's failure codes, as quadpack.quad documents them (6, invalid
+# tolerances, cannot arise from _QUAD_OPTS)
+_QUAD_FAILURES = {
+    1: "the subdivision limit was reached",
+    2: "roundoff error prevents the requested accuracy",
+    3: "the density is too irregular at some point",
+    4: "the extrapolation did not converge",
+    5: "the integral is divergent or converges too slowly",
+}
 
 
 class DistributionFitError(ValueError):
@@ -43,8 +52,8 @@ class Distribution:
         return self._raw_mass()
 
     def pdf(self, x: float) -> float:
-        """Truncated density at a scalar; scipy's quad calls it once per point
-        with a Python float."""
+        """Truncated density at a scalar; `quadpack.quad` calls it once per
+        point with a Python float."""
         lo, hi = self.support
         x = np.float64(x)
         return float(self._raw_pdf(x) / self._norm) if lo <= x <= hi else 0.0
@@ -104,6 +113,10 @@ class GaussianKde(Distribution):
         return np.asarray(self.data)
 
     def _raw_mass(self) -> float:
+        # scipy's erf, not math.erf: the two differ in the last bit on about
+        # a fifth of arguments. Imported here, so only KDE runs load it.
+        from scipy.special import erf
+
         lo, hi = self.support
         pts = self._points
         root2h = self.bandwidth * math.sqrt(2.0)
@@ -144,6 +157,20 @@ class QuadratureRule:
             raise ValueError(f"weights sum to {self.weights.sum()}, expected 1")
 
 
+def _integral(f, a: float, b: float) -> float:
+    """Integral of f over [a, b] (0 when b <= a); a QUADPACK failure is a
+    ValueError naming the interval and the code."""
+    if b <= a:
+        return 0.0
+    value, _, ier = quad(f, a, b, **_QUAD_OPTS)
+    if ier != 0:
+        raise ValueError(
+            f"cannot integrate the density over [{a!r}, {b!r}]: "
+            f"{_QUAD_FAILURES[ier]} (QUADPACK ier={ier})"
+        )
+    return value
+
+
 def _icdf_one(dist: Distribution, p: float) -> float:
     """Quantile by bisection on the numerically integrated CDF, to 1e-10 in
     cumulative probability. Each probe integrates only from the bracket's
@@ -158,7 +185,7 @@ def _icdf_one(dist: Distribution, p: float) -> float:
     x_floor = 1e-15 * (hi - lo)
     while (fb - fa) > 1e-10 and (b - a) > x_floor:
         mid = 0.5 * (a + b)
-        fmid = fa + integrate.quad(dist.pdf, a, mid, **_QUAD_OPTS)[0]
+        fmid = fa + _integral(dist.pdf, a, mid)
         if fmid < p:
             a, fa = mid, fmid
         else:
@@ -194,22 +221,18 @@ def basis_weights(samples, dist: Distribution) -> np.ndarray:
     if nodes[0] < lo or nodes[-1] > hi:
         raise ValueError("samples must lie inside the distribution support")
 
-    def piece(f, a, b):
-        if b <= a:
-            return 0.0
-        return integrate.quad(f, a, b, **_QUAD_OPTS)[0]
-
     m = nodes.size
     theta = np.zeros(m)
+    pts = nodes.tolist()  # Python floats keep the integrands' arithmetic off NumPy scalars
     # terminal flats
-    theta[0] += piece(dist.pdf, lo, nodes[0])
-    theta[-1] += piece(dist.pdf, nodes[-1], hi)
+    theta[0] += _integral(dist.pdf, lo, pts[0])
+    theta[-1] += _integral(dist.pdf, pts[-1], hi)
     # ramps between adjacent nodes: down-ramp feeds hat i, up-ramp hat i+1
     for i in range(m - 1):
-        a, b = nodes[i], nodes[i + 1]
+        a, b = pts[i], pts[i + 1]
         width = b - a
-        theta[i] += piece(lambda x: (b - x) / width * dist.pdf(x), a, b)
-        theta[i + 1] += piece(lambda x: (x - a) / width * dist.pdf(x), a, b)
+        theta[i] += _integral(lambda x: (b - x) / width * dist.pdf(x), a, b)
+        theta[i + 1] += _integral(lambda x: (x - a) / width * dist.pdf(x), a, b)
 
     total = float(theta.sum())
     if abs(total - 1.0) > 1e-6:

@@ -2,6 +2,7 @@
 
 ``admissible_dt`` is the oracle for the admissible step that
 ``markov.StabilityError`` carries and for ``pde.stable_step``.
+``PoleDensity`` is a density that QUADPACK cannot integrate.
 """
 
 import numpy as np
@@ -9,6 +10,7 @@ import numpy as np
 from pfsensor.flowfield import FlowScenario, VelocityField
 from pfsensor.grid import StructuredGrid
 from pfsensor.markov import CLOSED, BoundarySpec, _outflow_rates
+from pfsensor.uncertainty import Distribution
 
 
 def zero_field(grid: StructuredGrid) -> VelocityField:
@@ -31,3 +33,16 @@ def admissible_dt(scenario: FlowScenario, boundaries: BoundarySpec = CLOSED) -> 
     if peak <= 0.0:
         return float("inf")
     return float(grid.cell_volume / peak)
+
+
+class PoleDensity(Distribution):
+    """1 / |x - 1/3| on [0, 1]: a pole inside the support, so the first
+    integral the inverse CDF takes, over [0, 0.5], fails with ier = 3."""
+
+    support = (0.0, 1.0)
+
+    def _raw_pdf(self, x):
+        return 1.0 / abs(x - 1.0 / 3.0)
+
+    def _raw_mass(self) -> float:
+        return 1.0

@@ -15,7 +15,7 @@ from pfsensor.pipeline import run_place, scenario_set
 from pfsensor.placement import coverage_vectors, expected_coverage
 from pfsensor.uncertainty import cdf_points_for
 
-from oracles import zero_field
+from oracles import PoleDensity, zero_field
 
 BASE_CFG = """\
 dims = 12 12 1
@@ -421,6 +421,13 @@ def test_build_rejects_bad_distribution(tmp_path, capsys, numbers):
     cfg = base_cfg(tmp_path, distribution=f"gaussian {numbers}")
     assert main(["build", "--config", str(cfg)]) == 2
     assert "run.cfg:12: distribution" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_quadpack_failure_exits_2_naming_interval_and_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("pfsensor.pipeline.make_distribution", lambda cfg: PoleDensity())
+    assert main(["build", "--config", str(base_cfg(tmp_path))]) == 2
+    assert "over [0.0, 0.5]: the density is too irregular" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

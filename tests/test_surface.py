@@ -3,6 +3,9 @@ module-level public function and class in ``src/pfsensor`` has a reader in
 ``src/`` or ``scripts/``, not only in the tests."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,3 +47,42 @@ def test_every_public_definition_has_a_program_reader():
 def test_package_init_imports_nothing():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+# Run in a fresh interpreter: the modules loaded by the time a config is
+# parsed and its quadrature rule built, for a Gaussian and then a KDE.
+IMPORT_PROBE = """
+import sys
+from pfsensor import cli  # noqa: F401  (the console script's import)
+from pfsensor.config import parse_config
+from pfsensor.pipeline import make_distribution
+from pfsensor.uncertainty import quadrature_rule
+
+HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.special")
+for path in sys.argv[1:]:
+    cfg = parse_config(path)
+    quadrature_rule(make_distribution(cfg), cfg.cdf_points)
+    print(" ".join(name for name in HEAVY if name in sys.modules))
+"""
+
+
+def test_commands_load_neither_scipy_integrate_nor_optimize(tmp_path):
+    (tmp_path / "data.txt").write_text("0.42 0.47 0.5 0.51 0.55 0.61\n")
+    configs = []
+    for name, distribution in [("gaussian", "gaussian 0.5 0.05"), ("kde", "kde data.txt")]:
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(
+            "dims = 4 4 1\nspacing = 0.1 0.1 0.1\ndt = 0.01\nsteps = 2\n"
+            f"family = vortex\ndistribution = {distribution}\ncdf_points = 0 0.5 1\n"
+        )
+        configs.append(str(path))
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    run = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, *configs],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    gaussian, kde = run.stdout.splitlines()
+    assert gaussian == ""
+    # the KDE's normalization takes scipy's erf, bit for bit
+    assert kde == "scipy.special"

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from pfsensor import uncertainty
 from pfsensor.uncertainty import (
     DistributionFitError,
     Gaussian,
@@ -15,6 +16,8 @@ from pfsensor.uncertainty import (
     icdf_samples,
     quadrature_rule,
 )
+
+from oracles import PoleDensity
 
 TABLE_POINTS = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
 
@@ -235,3 +238,33 @@ def test_kde_quadrature_pipeline_end_to_end():
     rule = quadrature_rule(kde, TABLE_POINTS)
     # expectation of xi under the rule tracks the sample mean
     assert expectation(rule, rule.samples) == pytest.approx(float(data.mean()), abs=0.01)
+
+
+def scipy_backed_quad(f, a, b, epsabs, epsrel, limit):
+    """quadpack.quad's signature on scipy's dqagse (which only warns on failure)."""
+    result, abserr = integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit)
+    return result, abserr, 0
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [Gaussian(0.5, 0.05), fit_kde([0.1, 0.4, 0.45, 0.9, 1.3])],
+    ids=["gaussian", "kde"],
+)
+def test_rule_is_bitwise_the_rule_scipy_quad_gives(dist, monkeypatch):
+    rule = quadrature_rule(dist, TABLE_POINTS)
+    monkeypatch.setattr(uncertainty, "quad", scipy_backed_quad)
+    oracle = quadrature_rule(dist, TABLE_POINTS)
+    assert rule.samples.tobytes() == oracle.samples.tobytes()
+    assert rule.weights.tobytes() == oracle.weights.tobytes()
+
+
+def test_quadpack_failure_is_an_error_naming_interval_and_code():
+    with pytest.raises(ValueError) as err:
+        quadrature_rule(PoleDensity(), [0.0, 0.5, 1.0])
+    assert str(err.value) == (
+        "cannot integrate the density over [0.0, 0.5]: "
+        "the density is too irregular at some point (QUADPACK ier=3)"
+    )
+    with pytest.raises(ValueError, match=r"over \[0.25, 0.5\].*ier=3"):
+        basis_weights([0.25, 0.5], PoleDensity())
