@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, parse_config
+from .config import ConfigError, RunConfig, apply, parse_config
 from .flowfield import save_scalar_field, write_artifact
 from .markov import build_markov, propagate
 from .pipeline import (
@@ -30,14 +30,13 @@ EXIT_TOLERANCE = 3
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="run configuration file")
-    parser.add_argument("--dt", type=float, help="Markov step in seconds")
-    parser.add_argument("--steps", type=int, help="horizon steps m")
-    parser.add_argument("--eps-acc", type=float, dest="eps_acc", help="sensor threshold")
-    parser.add_argument("--sensors", type=int, help="number of sensors to place")
-    parser.add_argument(
-        "--min-coverage", type=float, dest="min_coverage", help="stop at this coverage"
-    )
-    parser.add_argument("--workers", type=int, help="scenario-level worker threads")
+    # the values are strings: config.apply parses and checks them
+    parser.add_argument("--dt", help="Markov step in seconds")
+    parser.add_argument("--steps", help="horizon steps m")
+    parser.add_argument("--eps-acc", dest="eps_acc", help="sensor threshold")
+    parser.add_argument("--sensors", help="number of sensors to place")
+    parser.add_argument("--min-coverage", dest="min_coverage", help="stop at this coverage")
+    parser.add_argument("--workers", help="scenario-level worker threads")
     parser.add_argument("--out", help="output directory")
 
 
@@ -45,9 +44,9 @@ def _load_config(args) -> RunConfig:
     cfg = parse_config(args.config)
     keys = ("dt", "steps", "eps_acc", "sensors", "min_coverage", "validate_tol", "workers", "out")
     for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
+        raw = getattr(args, key, None)
+        if raw is not None:
+            apply(cfg, key, raw)
     cfg.validate()
     # checked before any work, since the artifacts are written last
     out = Path(cfg.out)
@@ -73,7 +72,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="compare operator transport against the PDE solver")
     _add_common(p_val)
     p_val.add_argument(
-        "--tolerance", type=float, dest="validate_tol", help="L2 error tolerance (validate_tol)"
+        "--tolerance", dest="validate_tol", help="L2 error tolerance (validate_tol)"
     )
 
     p_conv = sub.add_parser("converge", help="expected-coverage convergence in sample count")

@@ -1,8 +1,11 @@
 """Run configuration: a flat key = value text file plus CLI overrides.
 
 Lines are `key = value`; `#` starts a comment line and blank lines are
-skipped. Box-valued keys (forbidden_box, occupied_box) may repeat. Every
-value a command needs can also be given or overridden on the command line.
+skipped. Only field, forbidden_box and occupied_box may repeat; any other
+key given twice is an error. The run flags of the command line override
+their keys. A config line and a flag go through the same parser, `apply`,
+which checks each value where it is read; the cross-key rules run once all
+values are in, in `RunConfig.validate`.
 """
 
 from __future__ import annotations
@@ -81,51 +84,19 @@ class RunConfig:
         return np.zeros(grid.n_states, dtype=bool) if occupied is None else ~occupied
 
     def validate(self) -> None:
-        for key in ("dt", "diffusivity", "eps_acc", "min_coverage", "validate_tol"):
-            value = getattr(self, key)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {value}")
-        for key in ("spacing", "origin"):
-            if not all(math.isfinite(v) for v in getattr(self, key)):
-                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
-        if self.dims is not None and math.prod(self.dims) + 1 > MAX_STATES:
-            raise ConfigError(
-                f"dims {self.dims}: cells plus an exit state exceed int32 indices ({MAX_STATES})"
-            )
+        """The rules that join keys; `apply` checks each key's own value."""
         if self.fields and self.family:
             raise ConfigError("give either explicit field entries or a synthetic family")
         if not self.fields and not self.family:
             raise ConfigError("no scenario source: set 'family' or 'field' entries")
-        if self.family is not None and self.family != "vortex":
-            raise ConfigError(f"unknown synthetic family {self.family!r}")
-        if self.family:
-            if self.distribution is None or self.cdf_points is None:
-                raise ConfigError("synthetic family needs 'distribution' and 'cdf_points'")
+        if self.family and (self.distribution is None or self.cdf_points is None):
+            raise ConfigError("synthetic family needs 'distribution' and 'cdf_points'")
         if self.cdf_points is not None and self.distribution is None:
             raise ConfigError("cdf_points given without a distribution")
         if self.fields:
             total = sum(entry.theta for entry in self.fields)
             if not abs(total - 1.0) <= 1e-9:
                 raise ConfigError(f"field weights sum to {total}, expected 1 within 1e-9")
-        if self.dt is not None and self.dt <= 0.0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
-        if self.steps is not None and self.steps < 0:
-            raise ConfigError(f"steps must be >= 0, got {self.steps}")
-        if not 0.0 <= self.eps_acc <= 1.0:
-            raise ConfigError(f"eps_acc must lie in [0, 1], got {self.eps_acc}")
-        if self.sensors is not None and self.sensors < 1:
-            raise ConfigError(f"sensors must be >= 1, got {self.sensors}")
-        if self.min_coverage is not None and not 0.0 < self.min_coverage <= 1.0:
-            raise ConfigError(f"min_coverage must lie in (0, 1], got {self.min_coverage}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        _check_tolerance(self.validate_tol)
-
-
-def _check_tolerance(value: float) -> None:
-    # NaN passes here and is reported as non-finite by RunConfig.validate
-    if value < 0.0:
-        raise ConfigError(f"validate_tol must be >= 0, got {value}")
 
 
 def _union(grid: StructuredGrid, boxes: list[Box]) -> np.ndarray:
@@ -135,28 +106,37 @@ def _union(grid: StructuredGrid, boxes: list[Box]) -> np.ndarray:
     return mask
 
 
-def _floats(key: str, raw: str, count: int | None = None) -> tuple[float, ...]:
+# one-number keys: their type, their rule in words and the rule's test
+_SCALARS = {
+    "diffusivity": (float, "be >= 0", lambda v: v >= 0.0),
+    "dt": (float, "be positive", lambda v: v > 0.0),
+    "steps": (int, "be >= 0", lambda v: v >= 0),
+    "eps_acc": (float, "lie in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "sensors": (int, "be >= 1", lambda v: v >= 1),
+    "min_coverage": (float, "lie in (0, 1]", lambda v: 0.0 < v <= 1.0),
+    "validate_tol": (float, "be >= 0", lambda v: v >= 0.0),
+    "workers": (int, "be >= 1", lambda v: v >= 1),
+}
+_REPEATABLE = frozenset({"field", "forbidden_box", "occupied_box"})
+
+
+def _numbers(key: str, raw: str, count: int | None = None, kind=float, finite=True) -> tuple:
+    """The value's numbers of type `kind`; floats must be finite unless
+    `finite` is False."""
     parts = raw.split()
     if count is not None and len(parts) != count:
         raise ConfigError(f"{key}: expected {count} numbers, got {raw!r}")
     try:
-        return tuple(float(p) for p in parts)
+        values = tuple(kind(p) for p in parts)
     except ValueError:
         raise ConfigError(f"{key}: unparseable number in {raw!r}") from None
-
-
-def _ints(key: str, raw: str, count: int) -> tuple[int, ...]:
-    parts = raw.split()
-    if len(parts) != count:
-        raise ConfigError(f"{key}: expected {count} integers, got {raw!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"{key}: unparseable integer in {raw!r}") from None
+    if finite and kind is float and not all(map(math.isfinite, values)):
+        raise ConfigError(f"{key} must be finite, got {raw!r}")
+    return values
 
 
 def _box(key: str, raw: str) -> Box:
-    vals = _floats(key, raw, 6)
+    vals = _numbers(key, raw, 6, finite=False)
     lo, hi = vals[:3], vals[3:]
     # stated positively so that a NaN bound fails it
     if not all(a <= b for a, b in zip(lo, hi)):
@@ -165,7 +145,7 @@ def _box(key: str, raw: str) -> Box:
 
 
 def _cdf_points(raw: str) -> tuple[float, ...]:
-    points = _floats("cdf_points", raw)
+    points = _numbers("cdf_points", raw)
     if not points:
         raise ConfigError("cdf_points: need at least one point")
     if not all(0.0 <= p <= 1.0 for p in points):
@@ -181,9 +161,9 @@ def _distribution(raw: str) -> tuple:
         raise ConfigError("distribution: empty specification")
     kind = parts[0].lower()
     if kind == "gaussian":
-        mu, sigma = _floats("distribution", " ".join(parts[1:]), 2)
-        if not (math.isfinite(mu) and 0.0 < sigma < math.inf):
-            raise ConfigError(f"distribution: need a finite mu and a finite sigma > 0, got {raw!r}")
+        mu, sigma = _numbers("distribution", " ".join(parts[1:]), 2)
+        if not sigma > 0.0:
+            raise ConfigError(f"distribution: need sigma > 0, got {raw!r}")
         return ("gaussian", mu, sigma)
     if kind == "kde":
         if len(parts) != 2:
@@ -199,6 +179,7 @@ def parse_config(path) -> RunConfig:
     except (OSError, UnicodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     cfg = RunConfig(config_dir=path.parent)
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -207,28 +188,44 @@ def parse_config(path) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip().lower()
-        raw = raw.strip()
         try:
-            _apply(cfg, key, raw)
+            if key in first_line and key not in _REPEATABLE:
+                raise ConfigError(f"{key} already set on line {first_line[key]}")
+            apply(cfg, key, raw.strip())
         except ConfigError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        first_line.setdefault(key, lineno)
     return cfg
 
 
-def _apply(cfg: RunConfig, key: str, raw: str) -> None:
-    if key == "dims":
-        cfg.dims = _ints(key, raw, 3)
+def apply(cfg: RunConfig, key: str, raw: str) -> None:
+    """Parse and check one key's value and set it on `cfg`: the one parser
+    for a config line and a command-line flag. Repeatable keys append."""
+    if key in _SCALARS:
+        kind, rule, ok = _SCALARS[key]
+        (value,) = _numbers(key, raw, 1, kind)
+        if not ok(value):
+            raise ConfigError(f"{key} must {rule}, got {value}")
+        setattr(cfg, key, value)
+    elif key == "dims":
+        dims = _numbers(key, raw, 3, int)
+        if min(dims) < 1:
+            raise ConfigError(f"dims must be >= 1, got {dims}")
+        if math.prod(dims) + 1 > MAX_STATES:
+            raise ConfigError(
+                f"dims {dims}: cells plus an exit state exceed int32 indices ({MAX_STATES})"
+            )
+        cfg.dims = dims
     elif key == "spacing":
-        cfg.spacing = _floats(key, raw, 3)
+        spacing = _numbers(key, raw, 3)
+        if min(spacing) <= 0.0:
+            raise ConfigError(f"spacing must be > 0, got {spacing}")
+        cfg.spacing = spacing
     elif key == "origin":
-        cfg.origin = _floats(key, raw, 3)
-    elif key == "diffusivity":
-        (cfg.diffusivity,) = _floats(key, raw, 1)
-    elif key == "dt":
-        (cfg.dt,) = _floats(key, raw, 1)
-    elif key == "steps":
-        (cfg.steps,) = _ints(key, raw, 1)
+        cfg.origin = _numbers(key, raw, 3)
     elif key == "family":
+        if raw != "vortex":
+            raise ConfigError(f"unknown synthetic family {raw!r}")
         cfg.family = raw
     elif key == "distribution":
         cfg.distribution = _distribution(raw)
@@ -238,16 +235,10 @@ def _apply(cfg: RunConfig, key: str, raw: str) -> None:
         parts = raw.rsplit(maxsplit=2)
         if len(parts) != 3:
             raise ConfigError(f"field: expected 'path xi theta', got {raw!r}")
-        xi, theta = _floats(key, " ".join(parts[1:]), 2)
-        if not (math.isfinite(xi) and 0.0 <= theta <= 1.0):
-            raise ConfigError(f"field: need a finite xi and a theta in [0, 1], got {raw!r}")
+        xi, theta = _numbers(key, " ".join(parts[1:]), 2)
+        if not 0.0 <= theta <= 1.0:
+            raise ConfigError(f"field: need a theta in [0, 1], got {raw!r}")
         cfg.fields.append(FieldEntry(parts[0], xi, theta))
-    elif key == "eps_acc":
-        (cfg.eps_acc,) = _floats(key, raw, 1)
-    elif key == "sensors":
-        (cfg.sensors,) = _ints(key, raw, 1)
-    elif key == "min_coverage":
-        (cfg.min_coverage,) = _floats(key, raw, 1)
     elif key == "forbidden_box":
         cfg.forbidden_boxes.append(_box(key, raw))
     elif key == "occupied_box":
@@ -259,11 +250,6 @@ def _apply(cfg: RunConfig, key: str, raw: str) -> None:
             raise ConfigError(f"outlets: {exc}") from None
     elif key == "release_box":
         cfg.release_box = _box(key, raw)
-    elif key == "validate_tol":
-        (cfg.validate_tol,) = _floats(key, raw, 1)
-        _check_tolerance(cfg.validate_tol)
-    elif key == "workers":
-        (cfg.workers,) = _ints(key, raw, 1)
     elif key == "out":
         cfg.out = raw
     else:

@@ -70,7 +70,7 @@ class Gaussian(Distribution):
         if self.sigma <= 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
-    @property
+    @cached_property
     def support(self) -> tuple[float, float]:
         return (self.mu - 5.0 * self.sigma, self.mu + 5.0 * self.sigma)
 
@@ -99,7 +99,7 @@ class GaussianKde(Distribution):
         if self.bandwidth <= 0.0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
 
-    @property
+    @cached_property
     def support(self) -> tuple[float, float]:
         return (min(self.data) - 4.0 * self.bandwidth, max(self.data) + 4.0 * self.bandwidth)
 

@@ -8,7 +8,7 @@ import pytest
 
 from pfsensor import pipeline
 from pfsensor.cli import main
-from pfsensor.config import ConfigError, RunConfig, parse_config
+from pfsensor.config import ConfigError, RunConfig, apply, parse_config
 from pfsensor.flowfield import load_field, save_field
 from pfsensor.grid import StructuredGrid, box_mask
 from pfsensor.pipeline import run_place, scenario_set
@@ -293,16 +293,11 @@ def test_grid_too_large_for_int32_pairs_exits_2_before_any_work(
 
 def test_state_cap_counts_the_exit_state():
     # 2**31 - 2 cells plus the exit state is the largest grid int32 pairs index
-    cfg = RunConfig(
-        dims=(2**31 - 2, 1, 1),
-        family="vortex",
-        distribution=("gaussian", 0.5, 0.05),
-        cdf_points=(0.5,),
-    )
-    cfg.validate()
-    cfg.dims = (2**31 - 1, 1, 1)
+    cfg = RunConfig()
+    apply(cfg, "dims", f"{2**31 - 2} 1 1")
+    assert cfg.dims == (2**31 - 2, 1, 1)
     with pytest.raises(ConfigError, match=r"dims \(2147483647, 1, 1\)"):
-        cfg.validate()
+        apply(cfg, "dims", f"{2**31 - 1} 1 1")
 
 
 def test_validate_still_air_is_exact(tmp_path):
@@ -570,6 +565,92 @@ def test_config_rejects_bad_value_naming_key_and_line(tmp_path, line, message):
     path = write_cfg(tmp_path, f"dims = 2 2 1\n{line}\n")
     with pytest.raises(ConfigError, match=re.escape(f"run.cfg:2: {message}")):
         parse_config(path)
+
+
+def refuse_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the command ran")
+
+    for name in ("run_build", "run_validate"):
+        monkeypatch.setattr(f"pfsensor.cli.{name}", refuse)
+
+
+@pytest.mark.parametrize(
+    "key, flag, bad",
+    [
+        ("dt", "--dt", "0"),
+        ("dt", "--dt", "abc"),
+        ("steps", "--steps", "-1"),
+        ("steps", "--steps", "1.5"),
+        ("eps_acc", "--eps-acc", "2"),
+        ("sensors", "--sensors", "0"),
+        ("min_coverage", "--min-coverage", "0"),
+        ("validate_tol", "--tolerance", "-1"),
+        ("workers", "--workers", "0"),
+    ],
+)
+def test_file_and_flag_reject_a_bad_value_alike(tmp_path, capsys, monkeypatch, key, flag, bad):
+    refuse_work(monkeypatch)
+    from_file = base_cfg(tmp_path, **{key: bad})
+    lineno = from_file.read_text().splitlines().index(f"{key} = {bad}") + 1
+    assert main(["validate", "--config", str(from_file)]) == 2
+    _, _, file_message = capsys.readouterr().err.partition(f"run.cfg:{lineno}: ")
+    from_flag = base_cfg(tmp_path)
+    assert main(["validate", "--config", str(from_flag), flag, bad]) == 2
+    flag_message = capsys.readouterr().err.removeprefix("error: ")
+    assert flag_message.startswith(key)
+    assert file_message == flag_message
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, bad, message",
+    [
+        ("dims", "0 8 1", "dims must be >= 1, got (0, 8, 1)"),
+        ("spacing", "0 0.1 0.2", "spacing must be > 0, got (0.0, 0.1, 0.2)"),
+        ("diffusivity", "-1", "diffusivity must be >= 0, got -1.0"),
+        ("family", "Vortex", "unknown synthetic family 'Vortex'"),
+    ],
+)
+def test_config_value_rejected_where_it_is_read(tmp_path, capsys, monkeypatch, key, bad, message):
+    refuse_work(monkeypatch)
+    cfg = base_cfg(tmp_path, **{key: bad})
+    lineno = cfg.read_text().splitlines().index(f"{key} = {bad}") + 1
+    assert main(["build", "--config", str(cfg)]) == 2
+    assert f"run.cfg:{lineno}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unparseable_flag_exits_2_through_main(tmp_path, capsys):
+    cfg = base_cfg(tmp_path)
+    assert main(["build", "--config", str(cfg), "--dt", "abc"]) == 2
+    assert capsys.readouterr().err == "error: dt: unparseable number in 'abc'\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("dt", "0.01"), ("sensors", "2"), ("family", "vortex"), ("spacing", "1 1 1")]
+)
+def test_config_rejects_a_key_given_twice(tmp_path, capsys, key, value):
+    # the second value used to win silently: place ran at dt = 0.01
+    cfg = base_cfg(tmp_path, dims="8 8 1", extra=f"{key} = {value}\n")
+    lines = cfg.read_text().splitlines()
+    first = next(n for n, line in enumerate(lines, 1) if line.startswith(f"{key} "))
+    assert main(["place", "--config", str(cfg)]) == 2
+    assert f"run.cfg:{len(lines)}: {key} already set on line {first}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_lets_fields_and_boxes_repeat(tmp_path):
+    g = StructuredGrid((2, 2, 1), (1.0, 1.0, 1.0))
+    f = tmp_path / "f.txt"
+    save_field(f, zero_field(g))
+    boxes = "forbidden_box = 0 0 0 1 1 1\noccupied_box = 0 0 0 1 1 1\n"
+    path = write_cfg(tmp_path, f"field = {f} 0.0 0.5\nfield = {f} 1.0 0.5\n" + boxes * 2)
+    cfg = parse_config(path)
+    cfg.validate()
+    assert [entry.xi for entry in cfg.fields] == [0.0, 1.0]
+    assert len(cfg.forbidden_boxes) == len(cfg.occupied_boxes) == 2
 
 
 def test_config_rejects_bad_weights(tmp_path):

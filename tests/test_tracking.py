@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from pfsensor.config import ConfigError, RunConfig
+from pfsensor.config import ConfigError, RunConfig, apply
 from pfsensor.flowfield import FlowScenario, VelocityField, synth_recirculating
 from pfsensor.grid import StructuredGrid
 from pfsensor.markov import BoundarySpec, MarkovMatrix, build_markov
@@ -179,11 +179,13 @@ def test_threshold_monotone_in_epsilon(seed, eps_lo, eps_hi):
 
 def test_sensor_spec_bounds():
     # the detection threshold is a fraction of the released mass
-    run_config(eps_acc=0.0).validate()
-    run_config(eps_acc=1.0).validate()
+    cfg = RunConfig()
+    for good in (0.0, 1.0):
+        apply(cfg, "eps_acc", repr(good))
+        assert cfg.eps_acc == good
     for bad in (-0.1, 1.1, float("nan")):
         with pytest.raises(ConfigError, match="eps_acc"):
-            run_config(eps_acc=bad).validate()
+            apply(cfg, "eps_acc", repr(bad))
 
 
 def test_constraints_empty_masks_are_noop():
