@@ -27,6 +27,15 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_TOLERANCE = 3
 
+# the run keys each command cannot start without
+NEEDS = {
+    "build": ("dt",),
+    "place": ("dt", "steps"),
+    "validate": ("dt", "steps"),
+    "converge": ("dt", "steps"),
+    "propagate": ("dt", "steps"),
+}
+
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="run configuration file")
@@ -48,6 +57,9 @@ def _load_config(args) -> RunConfig:
         if raw is not None:
             apply(cfg, key, raw)
     cfg.validate()
+    missing = [key for key in NEEDS[args.command] if getattr(cfg, key) is None]
+    if missing:
+        raise ConfigError(f"{args.command} needs {' and '.join(missing)}")
     # checked before any work, since the artifacts are written last
     out = Path(cfg.out)
     for part in (out, *out.parents):
@@ -145,8 +157,6 @@ def cmd_converge(args) -> int:
 
 def cmd_propagate(args) -> int:
     cfg = _load_config(args)
-    if cfg.dt is None or cfg.steps is None:
-        raise ConfigError("propagate needs dt and steps")
     grid, scenarios = scenario_set(cfg)
     if not 0 <= args.scenario < len(scenarios):
         raise ConfigError(

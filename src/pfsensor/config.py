@@ -14,9 +14,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
-import numpy as np
-
-from .grid import StructuredGrid, box_mask
+from .grid import StructuredGrid
 from .markov import BoundarySpec
 
 Box = tuple[tuple[float, float, float], tuple[float, float, float]]
@@ -70,19 +68,6 @@ class RunConfig:
     def boundaries(self) -> BoundarySpec:
         return BoundarySpec(outlet_sides=self.outlets)
 
-    def forbidden_mask(self, grid: StructuredGrid) -> np.ndarray:
-        """States that cannot host a sensor: the union of the forbidden boxes."""
-        return _union(grid, self.forbidden_boxes)
-
-    def occupied_mask(self, grid: StructuredGrid) -> np.ndarray | None:
-        """The occupied zone of interest, or None when no box confines it."""
-        return _union(grid, self.occupied_boxes) if self.occupied_boxes else None
-
-    def sensing_ignore_mask(self, grid: StructuredGrid) -> np.ndarray:
-        """Release states outside the zone of interest."""
-        occupied = self.occupied_mask(grid)
-        return np.zeros(grid.n_states, dtype=bool) if occupied is None else ~occupied
-
     def validate(self) -> None:
         """The rules that join keys; `apply` checks each key's own value."""
         if self.fields and self.family:
@@ -97,13 +82,6 @@ class RunConfig:
             total = sum(entry.theta for entry in self.fields)
             if not abs(total - 1.0) <= 1e-9:
                 raise ConfigError(f"field weights sum to {total}, expected 1 within 1e-9")
-
-
-def _union(grid: StructuredGrid, boxes: list[Box]) -> np.ndarray:
-    mask = np.zeros(grid.n_states, dtype=bool)
-    for lo, hi in boxes:
-        mask |= box_mask(grid, lo, hi)
-    return mask
 
 
 # one-number keys: their type, their rule in words and the rule's test

@@ -2,11 +2,11 @@
 one detection matrix per scenario, placement, and report files.
 
 The config fixes the three detection-kernel inputs once per run: the
-threshold cutoff, the release mask (the zone of interest, never the exit
-state) and the candidate sensor states (everything not forbidden). Operator
-assembly and detection are independent per scenario and optionally run on a
-thread pool; cross-scenario reductions run in fixed scenario order, so
-results depend on neither completion order nor worker count.
+threshold cutoff, and the release and candidate masks, which only
+`detection_zones` derives from the config's boxes. Operator assembly and
+detection are independent per scenario and optionally run on a thread pool;
+cross-scenario reductions run in fixed scenario order, so results depend on
+neither completion order nor worker count.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .placement import (
     SensorPlan,
     coverage_vectors,
     expected_coverage,
-    occupied_fraction,
     place_sensors,
 )
 from .tracking import detection_matrix
@@ -124,9 +123,9 @@ def scenario_operators(
     cfg: RunConfig,
 ) -> tuple[StructuredGrid, list[FlowScenario], list[MarkovMatrix]]:
     """The config's grid and scenarios, with one operator per scenario at the
-    config's dt and outlets. Callers check that dt is set. A dt too large for
-    any scenario raises StabilityError with the smallest admissible dt over
-    all scenarios, so a rerun at that dt builds every operator."""
+    config's dt and outlets; `cli.NEEDS` checks that dt is set. A dt too
+    large for any scenario raises StabilityError with the smallest admissible
+    dt over all scenarios, so a rerun at that dt builds every operator."""
     grid, scenarios = scenario_set(cfg)
     return grid, scenarios, _build_operators(cfg, scenarios)
 
@@ -150,25 +149,41 @@ def _build_operators(cfg: RunConfig, scenarios: list[FlowScenario]) -> list[Mark
     return operators
 
 
+def detection_zones(
+    cfg: RunConfig, grid: StructuredGrid, n_states: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The detection kernel's two masks over an operator's n_states states:
+    the release states (the occupied zone, or every cell when no box
+    confines it) and the candidate sensor states (every cell outside the
+    forbidden boxes). An absorbing exit state (operators one larger than the
+    grid) never releases but may host a sensor."""
+    cells = grid.n_states
+    if n_states not in (cells, cells + 1):
+        raise ValueError(f"operators have {n_states} states, the grid has {cells}")
+    candidates = np.ones(n_states, dtype=bool)
+    for lo, hi in cfg.forbidden_boxes:
+        candidates[:cells] &= ~box_mask(grid, lo, hi)
+    if not candidates.any():
+        raise ConfigError("forbidden-location mask excludes every candidate column")
+    release = np.zeros(n_states, dtype=bool)
+    release[:cells] = not cfg.occupied_boxes
+    for lo, hi in cfg.occupied_boxes:
+        release[:cells] |= box_mask(grid, lo, hi)
+    if not release.any():
+        raise ConfigError("occupied_box contains no cell centers")
+    return release, candidates
+
+
 def scaled_tracking(cfg: RunConfig, grid: StructuredGrid, matrices: list[MarkovMatrix]):
     """Each scenario's detection pattern, and the volume fraction x that each
     detected release cell carries.
 
     Tracking entries range in [0, m + 1], so the cutoff is eps_acc * (m + 1),
     keeping eps_acc a horizon-independent detected-to-released fraction.
-    An absorbing exit state (operators one larger than the grid) carries no
-    volume but may host a sensor.
+    An absorbing exit state carries no volume.
     """
-    ignore = cfg.sensing_ignore_mask(grid)
-    if ignore.all():
-        raise ConfigError("occupied_box contains no cell centers")
+    release, candidates = detection_zones(cfg, grid, matrices[0].n_states)
     cutoff = cfg.eps_acc * (cfg.steps + 1)
-    n = matrices[0].n_states
-    cells = grid.n_states
-    if n not in (cells, cells + 1):
-        raise ValueError(f"operators have {n} states, the grid has {cells}")
-    release = np.append(~ignore, np.zeros(n - cells, dtype=bool))
-    candidates = np.append(~cfg.forbidden_mask(grid), np.ones(n - cells, dtype=bool))
     detections = _map_scenarios(
         lambda op: detection_matrix(op, cfg.steps, cutoff, release, candidates),
         matrices,
@@ -180,8 +195,6 @@ def scaled_tracking(cfg: RunConfig, grid: StructuredGrid, matrices: list[MarkovM
 def run_build(cfg: RunConfig, out_dir) -> Path:
     """Write per-scenario operator and field files plus a manifest, and return
     the manifest's path. They are an export: no command reads them back."""
-    if cfg.dt is None:
-        raise ConfigError("dt not configured")
     out = Path(out_dir)
     grid, scenarios, matrices = scenario_operators(cfg)
     entries = []
@@ -219,29 +232,23 @@ def run_build(cfg: RunConfig, out_dir) -> Path:
 def run_place(cfg: RunConfig) -> tuple[SensorPlan, dict]:
     """Operators from the config, then tracking through placement; writes the
     JSON plan and the expected / per-sensor coverage map fields to cfg.out."""
-    if cfg.dt is None:
-        raise ConfigError("place needs dt")
-    if cfg.steps is None:
-        raise ConfigError("steps not configured")
     if cfg.sensors is None and cfg.min_coverage is None:
         raise ConfigError("set a sensor count or a min_coverage target")
     out = Path(cfg.out)
     grid, scenarios, matrices = scenario_operators(cfg)
-    forbidden = cfg.forbidden_mask(grid)
-    if forbidden.all() and not cfg.outlets:
-        raise ConfigError("forbidden-location mask excludes every candidate column")
+    n = grid.n_states
+    release, candidates = detection_zones(cfg, grid, matrices[0].n_states)
     detections, cell_fraction = scaled_tracking(cfg, grid, matrices)
     weights = [sc.weight for sc in scenarios]
     expected_map = expected_coverage(coverage_vectors(detections, cell_fraction), weights)
 
-    occupied = cfg.occupied_mask(grid)
     plan = place_sensors(
         detections,
         weights,
         cell_fraction,
         k=cfg.sensors,
         min_coverage=cfg.min_coverage,
-        occupied_volume_fraction=occupied_fraction(occupied) if occupied is not None else None,
+        occupied_volume_fraction=np.count_nonzero(release) / n if cfg.occupied_boxes else None,
     )
     plan.settings.update(
         {
@@ -250,14 +257,13 @@ def run_place(cfg: RunConfig) -> tuple[SensorPlan, dict]:
             "eps_acc": cfg.eps_acc,
             "threshold_mode": "scaled",
             "scenario_xis": [sc.sample_value for sc in scenarios],
-            "forbidden_states": np.flatnonzero(forbidden).tolist(),
-            "sensing_ignore_states": np.flatnonzero(cfg.sensing_ignore_mask(grid)).tolist(),
+            "forbidden_states": np.flatnonzero(~candidates).tolist(),
+            "sensing_ignore_states": np.flatnonzero(~release[:n]).tolist(),
         }
     )
 
     plan_doc = plan_document(plan, grid)
     write_artifact(out / "plan.json", [json.dumps(plan_doc, indent=2, allow_nan=False)])
-    n = grid.n_states
     save_scalar_field(out / "coverage-expected.txt", grid, expected_map[:n])
     for rank, sensor in enumerate(plan.sensors, start=1):
         save_scalar_field(
@@ -319,8 +325,6 @@ def run_validate(cfg: RunConfig) -> list[dict]:
     """
     from .pde import compare_operator
 
-    if cfg.dt is None or cfg.steps is None:
-        raise ConfigError("validate needs dt and steps")
     if cfg.steps < 1:
         raise ConfigError("validate needs steps >= 1")
     if cfg.outlets:
@@ -349,8 +353,6 @@ def expected_coverage_for_counts(cfg: RunConfig, counts: list[int]) -> list[dict
         raise ConfigError("convergence study needs at least 2 sample counts")
     if sorted(set(counts)) != sorted(counts):
         raise ConfigError("sample counts must be distinct")
-    if cfg.dt is None or cfg.steps is None:
-        raise ConfigError("convergence study needs dt and steps")
     if not cfg.family:
         raise ConfigError("convergence study needs a synthetic family config")
     ordered = sorted(counts)

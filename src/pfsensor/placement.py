@@ -161,8 +161,3 @@ def place_sensors(
             "weights": [float(t) for t in w],
         },
     )
-
-
-def occupied_fraction(occupied: np.ndarray) -> float:
-    """Volume fraction of the domain taken by an occupied-zone mask (uniform cells)."""
-    return np.count_nonzero(occupied) / occupied.size

@@ -32,7 +32,8 @@ def admissible_dt(scenario: FlowScenario, boundaries: BoundarySpec = CLOSED) -> 
     peak = total.max() if total.size else 0.0
     if peak <= 0.0:
         return float("inf")
-    return float(grid.cell_volume / peak)
+    # a Python float division: a subnormal peak gives inf, not a warning
+    return grid.cell_volume / float(peak)
 
 
 class PoleDensity(Distribution):

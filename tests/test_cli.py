@@ -363,6 +363,55 @@ def test_place_all_columns_forbidden_exits_with_diagnostic(tmp_path, capsys):
     assert "every candidate column" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (
+            "forbidden_box = -1 -1 -1 99 99 99\n",
+            "forbidden-location mask excludes every candidate column",
+        ),
+        # cell centres sit at 0.05, 0.15, ...: this box holds none of them
+        ("occupied_box = 0.01 0.01 0 0.04 0.04 1\n", "occupied_box contains no cell centers"),
+    ],
+    ids=["all-forbidden", "empty-zone"],
+)
+def test_place_and_converge_refuse_the_same_empty_zones(tmp_path, capsys, extra, message):
+    cfg = small_cfg(tmp_path)
+    cfg.write_text(cfg.read_text() + extra)
+    assert main(["place", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["converge", "--config", str(cfg), "--samples", "2", "3"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, missing",
+    [
+        ("build", ("dt",)),
+        ("place", ("dt",)),
+        ("validate", ("dt",)),
+        ("converge", ("dt",)),
+        ("propagate", ("dt",)),
+        ("place", ("steps",)),
+        ("converge", ("dt", "steps")),
+    ],
+    ids=["build", "place", "validate", "converge", "propagate", "place-steps", "converge-both"],
+)
+def test_command_without_a_needed_key_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, command, missing
+):
+    def no_work(*args):
+        raise AssertionError("a flow field was allocated")
+
+    monkeypatch.setattr("pfsensor.pipeline.synth_recirculating", no_work)
+    cfg = base_cfg(tmp_path, **dict.fromkeys(missing))
+    samples = ["--samples", "2", "3"] if command == "converge" else []
+    assert main([command, "--config", str(cfg), *samples]) == 2
+    assert capsys.readouterr().err == f"error: {command} needs {' and '.join(missing)}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_outlet_pipeline_end_to_end(tmp_path):
     # an absorbing outlet adds one exit state; it is a legal sensor column
     cfg = base_cfg(tmp_path, extra="outlets = x+\n")

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pfsensor.config import RunConfig
+from pfsensor.config import ConfigError, RunConfig
 from pfsensor.grid import StructuredGrid, box_mask
+from pfsensor.pipeline import detection_zones
 
 dims_st = st.tuples(
     st.integers(1, 6), st.integers(1, 6), st.integers(1, 4)
@@ -107,19 +108,20 @@ def random_box(rng, grid):
 
 @given(dims=dims_st, seed=st.integers(0, 2**31 - 1))
 def test_mask_complement_partitions_states(dims, seed):
-    # the occupied zone (a union of boxes) and the release states ignored
-    # outside it split the grid
+    # the release states are the occupied zone, a union of boxes; the states
+    # outside it are the ignored ones, and a zone holding no cell is refused
     g = StructuredGrid(dims, (1.0, 1.0, 1.0))
     rng = np.random.default_rng(seed)
     cfg = RunConfig(occupied_boxes=[random_box(rng, g) for _ in range(rng.integers(1, 4))])
-    occupied = cfg.occupied_mask(g)
-    ignore = cfg.sensing_ignore_mask(g)
     union = np.zeros(g.n_states, dtype=bool)
     for lo, hi in cfg.occupied_boxes:
         union |= box_mask(g, lo, hi)
-    assert np.array_equal(occupied, union)
-    assert np.count_nonzero(occupied) + np.count_nonzero(ignore) == g.n_states
-    assert not (occupied & ignore).any()
+    if not union.any():
+        with pytest.raises(ConfigError, match="occupied_box contains no cell centers"):
+            detection_zones(cfg, g, g.n_states)
+        return
+    release, _ = detection_zones(cfg, g, g.n_states)
+    assert np.array_equal(release, union)
 
 
 def test_mask_rejects_out_of_range_indices():
@@ -132,9 +134,21 @@ def test_mask_rejects_out_of_range_indices():
 
 
 def test_empty_mask_and_bool_array():
+    # an exit state (operators one larger than the grid) never releases but
+    # may host a sensor
     g = StructuredGrid((2, 2, 1), (1.0, 1.0, 1.0))
-    cfg = RunConfig()
-    assert cfg.occupied_mask(g) is None
-    for mask in (cfg.forbidden_mask(g), cfg.sensing_ignore_mask(g)):
-        assert mask.dtype == bool and mask.shape == (4,)
-        assert not mask.any()
+    for exits in (0, 1):
+        release, candidates = detection_zones(RunConfig(), g, g.n_states + exits)
+        for mask in (release, candidates):
+            assert mask.dtype == bool and mask.shape == (4 + exits,)
+        assert release.tolist() == [True] * 4 + [False] * exits
+        assert candidates.all()
+
+
+def test_all_forbidden_leaves_only_the_exit_state_a_candidate():
+    g = StructuredGrid((2, 2, 1), (1.0, 1.0, 1.0))
+    cfg = RunConfig(forbidden_boxes=[((-1.0, -1.0, -1.0), (9.0, 9.0, 9.0))])
+    with pytest.raises(ConfigError, match="excludes every candidate column"):
+        detection_zones(cfg, g, g.n_states)
+    _, candidates = detection_zones(cfg, g, g.n_states + 1)
+    assert candidates.tolist() == [False] * 4 + [True]

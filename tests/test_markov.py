@@ -92,6 +92,8 @@ def test_admissible_dt_infinite_for_still_air():
 )
 # a subnormal strength: the admissible dt over the cell volume overflows
 @example(nx=2, ny=2, xi=1.1125369292536007e-308, diff=0.0, frac=0.875)
+# a subnormal diffusivity: the oracle's admissible dt overflows to inf
+@example(nx=2, ny=2, xi=0.0, diff=2.2250738585e-313, frac=0.5)
 def test_built_matrices_row_stochastic(nx, ny, xi, diff, frac):
     g = StructuredGrid((nx, ny, 1), (1.0 / nx, 1.0 / ny, 0.5))
     scenario = FlowScenario(synth_recirculating(g, xi), diffusivity=diff)

@@ -9,7 +9,6 @@ from pfsensor.placement import (
     SensorPlan,
     coverage_vectors,
     expected_coverage,
-    occupied_fraction,
     place_sensors,
 )
 
@@ -194,7 +193,7 @@ def test_occupied_fraction_reporting():
         [pattern(dense)],
         [1.0],
         k=1,
-        occupied_volume_fraction=occupied_fraction(occupied),
+        occupied_volume_fraction=np.count_nonzero(occupied) / occupied.size,
     )
     assert plan.cumulative_expected_coverage == pytest.approx(0.5)
     assert plan.occupied_space_coverage == pytest.approx(1.0)
