@@ -166,7 +166,7 @@ def detection_zones(
     if not candidates.any():
         raise ConfigError("forbidden-location mask excludes every candidate column")
     release = np.zeros(n_states, dtype=bool)
-    release[:cells] = not cfg.occupied_boxes
+    release[:cells] = not cfg.occupied_boxes  # no box: every cell releases
     for lo, hi in cfg.occupied_boxes:
         release[:cells] |= box_mask(grid, lo, hi)
     if not release.any():
