@@ -13,7 +13,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from pfsensor.uncertainty import Gaussian, cdf_points_for, expectation, quadrature_rule
+from pfsensor.uncertainty import cdf_points_for, expectation, gaussian, quadrature_rule
 
 MU, SIGMA = 0.5, 0.05
 CASES = [
@@ -24,7 +24,7 @@ CASES = [
 
 
 def run() -> int:
-    dist = Gaussian(MU, SIGMA)
+    dist = gaussian(MU, SIGMA)
     rule = quadrature_rule(dist, cdf_points_for(7))
     print(f"7-point rule: samples {np.round(rule.samples, 5).tolist()}")
     print(f"              weights {np.round(rule.weights, 5).tolist()}")

@@ -162,9 +162,9 @@ def cmd_propagate(args) -> int:
         raise ConfigError(
             f"scenario index {args.scenario} outside [0, {len(scenarios)})"
         )
-    scenario = scenarios[args.scenario]
-    operator = build_markov(scenario, cfg.dt, cfg.boundaries())
-    phi = propagate(release_field(cfg, grid), operator, cfg.steps)
+    phi0 = release_field(cfg, grid)
+    operator = build_markov(scenarios[args.scenario], cfg.dt, cfg.boundaries())
+    phi = propagate(phi0, operator, cfg.steps)
     target = Path(cfg.out) / f"concentration-{args.scenario:03d}.txt"
     save_scalar_field(target, grid, phi.values)
     print(f"total mass after {cfg.steps} steps: {phi.total_mass()!r}")

@@ -3,7 +3,8 @@ one detection matrix per scenario, placement, and report files.
 
 The config fixes the three detection-kernel inputs once per run: the
 threshold cutoff, and the release and candidate masks, which only
-`detection_zones` derives from the config's boxes. Operator assembly and
+`detection_zones` derives, from the config's boxes and outlets, before any
+operator is built. Operator assembly and
 detection are independent per scenario and optionally run on a thread pool;
 cross-scenario reductions run in fixed scenario order, so results depend on
 neither completion order nor worker count.
@@ -36,13 +37,7 @@ from .placement import (
     place_sensors,
 )
 from .tracking import detection_matrix
-from .uncertainty import (
-    DistributionFitError,
-    Gaussian,
-    cdf_points_for,
-    fit_kde,
-    quadrature_rule,
-)
+from .uncertainty import DistributionFitError, cdf_points_for, fit_kde, gaussian, quadrature_rule
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "pfsensor-manifest v1"
@@ -61,7 +56,7 @@ def _map_scenarios(fn, items, workers: int):
 def make_distribution(cfg: RunConfig):
     kind = cfg.distribution[0]
     if kind == "gaussian":
-        return Gaussian(mu=cfg.distribution[1], sigma=cfg.distribution[2])
+        return gaussian(cfg.distribution[1], cfg.distribution[2])
     path = Path(cfg.distribution[1])
     if not path.is_absolute():
         path = cfg.config_dir / path
@@ -119,21 +114,11 @@ def scenario_set(cfg: RunConfig) -> tuple[StructuredGrid, list[FlowScenario]]:
     return grid, scenarios
 
 
-def scenario_operators(
-    cfg: RunConfig,
-) -> tuple[StructuredGrid, list[FlowScenario], list[MarkovMatrix]]:
-    """The config's grid and scenarios, with one operator per scenario at the
-    config's dt and outlets; `cli.NEEDS` checks that dt is set. A dt too
-    large for any scenario raises StabilityError with the smallest admissible
-    dt over all scenarios, so a rerun at that dt builds every operator."""
-    grid, scenarios = scenario_set(cfg)
-    return grid, scenarios, _build_operators(cfg, scenarios)
-
-
-def _build_operators(cfg: RunConfig, scenarios: list[FlowScenario]) -> list[MarkovMatrix]:
-    """One operator per scenario at the config's dt and outlets; a dt too
-    large for any of them raises StabilityError with their smallest
-    admissible dt."""
+def build_operators(cfg: RunConfig, scenarios: list[FlowScenario]) -> list[MarkovMatrix]:
+    """One operator per scenario at the config's dt and outlets; `cli.NEEDS`
+    checks that dt is set. A dt too large for any scenario raises
+    StabilityError with the smallest admissible dt over all scenarios, so a
+    rerun at that dt builds every operator."""
     boundaries = cfg.boundaries()
 
     def build(scenario):
@@ -149,17 +134,15 @@ def _build_operators(cfg: RunConfig, scenarios: list[FlowScenario]) -> list[Mark
     return operators
 
 
-def detection_zones(
-    cfg: RunConfig, grid: StructuredGrid, n_states: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The detection kernel's two masks over an operator's n_states states:
-    the release states (the occupied zone, or every cell when no box
-    confines it) and the candidate sensor states (every cell outside the
-    forbidden boxes). An absorbing exit state (operators one larger than the
-    grid) never releases but may host a sensor."""
+def detection_zones(cfg: RunConfig, grid: StructuredGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The detection kernel's two masks over the operators' states: the
+    release states (the occupied zone, or every cell when no box confines
+    it) and the candidate sensor states (every cell outside the forbidden
+    boxes). Outlets give the operators one absorbing exit state after the
+    cells; it never releases but may host a sensor. Needs no operator, so
+    an empty zone fails before any is built."""
     cells = grid.n_states
-    if n_states not in (cells, cells + 1):
-        raise ValueError(f"operators have {n_states} states, the grid has {cells}")
+    n_states = cells + bool(cfg.outlets)
     candidates = np.ones(n_states, dtype=bool)
     for lo, hi in cfg.forbidden_boxes:
         candidates[:cells] &= ~box_mask(grid, lo, hi)
@@ -174,15 +157,20 @@ def detection_zones(
     return release, candidates
 
 
-def scaled_tracking(cfg: RunConfig, grid: StructuredGrid, matrices: list[MarkovMatrix]):
-    """Each scenario's detection pattern, and the volume fraction x that each
-    detected release cell carries.
+def scaled_tracking(
+    cfg: RunConfig,
+    grid: StructuredGrid,
+    matrices: list[MarkovMatrix],
+    zones: tuple[np.ndarray, np.ndarray],
+):
+    """Each scenario's detection pattern over the `detection_zones` masks,
+    and the volume fraction x that each detected release cell carries.
 
     Tracking entries range in [0, m + 1], so the cutoff is eps_acc * (m + 1),
     keeping eps_acc a horizon-independent detected-to-released fraction.
     An absorbing exit state carries no volume.
     """
-    release, candidates = detection_zones(cfg, grid, matrices[0].n_states)
+    release, candidates = zones
     cutoff = cfg.eps_acc * (cfg.steps + 1)
     detections = _map_scenarios(
         lambda op: detection_matrix(op, cfg.steps, cutoff, release, candidates),
@@ -196,7 +184,8 @@ def run_build(cfg: RunConfig, out_dir) -> Path:
     """Write per-scenario operator and field files plus a manifest, and return
     the manifest's path. They are an export: no command reads them back."""
     out = Path(out_dir)
-    grid, scenarios, matrices = scenario_operators(cfg)
+    grid, scenarios = scenario_set(cfg)
+    matrices = build_operators(cfg, scenarios)
     entries = []
     for idx, (scenario, operator) in enumerate(zip(scenarios, matrices)):
         matrix_name = f"markov-{idx:03d}.txt"
@@ -235,10 +224,11 @@ def run_place(cfg: RunConfig) -> tuple[SensorPlan, dict]:
     if cfg.sensors is None and cfg.min_coverage is None:
         raise ConfigError("set a sensor count or a min_coverage target")
     out = Path(cfg.out)
-    grid, scenarios, matrices = scenario_operators(cfg)
+    grid, scenarios = scenario_set(cfg)
+    release, candidates = zones = detection_zones(cfg, grid)
+    matrices = build_operators(cfg, scenarios)
+    detections, cell_fraction = scaled_tracking(cfg, grid, matrices, zones)
     n = grid.n_states
-    release, candidates = detection_zones(cfg, grid, matrices[0].n_states)
-    detections, cell_fraction = scaled_tracking(cfg, grid, matrices)
     weights = [sc.weight for sc in scenarios]
     expected_map = expected_coverage(coverage_vectors(detections, cell_fraction), weights)
 
@@ -329,8 +319,9 @@ def run_validate(cfg: RunConfig) -> list[dict]:
         raise ConfigError("validate needs steps >= 1")
     if cfg.outlets:
         raise ConfigError(f"outlets {sorted(cfg.outlets)}: the PDE reference is a closed box")
-    grid, scenarios, operators = scenario_operators(cfg)
+    grid, scenarios = scenario_set(cfg)
     phi0 = release_field(cfg, grid)
+    operators = build_operators(cfg, scenarios)
     results = []
     for idx, (scenario, operator) in enumerate(zip(scenarios, operators)):
         err = compare_operator(scenario, operator, phi0, cfg.steps, VALIDATE_SUBSTEPS)
@@ -356,6 +347,7 @@ def expected_coverage_for_counts(cfg: RunConfig, counts: list[int]) -> list[dict
     if not cfg.family:
         raise ConfigError("convergence study needs a synthetic family config")
     ordered = sorted(counts)
+    zones = detection_zones(cfg, cfg.grid())
     maps = {}
     # nested CDF points give bit-identical samples, so each distinct sample
     # value's operator and detection pattern are built once, keyed by its bits
@@ -365,7 +357,8 @@ def expected_coverage_for_counts(cfg: RunConfig, counts: list[int]) -> list[dict
         grid, scenarios = scenario_set(replace(cfg, cdf_points=points))
         new = [sc for sc in scenarios if sc.sample_value.hex() not in vectors]
         if new:
-            detections, fraction = scaled_tracking(cfg, grid, _build_operators(cfg, new))
+            operators = build_operators(cfg, new)
+            detections, fraction = scaled_tracking(cfg, grid, operators, zones)
             keys = (sc.sample_value.hex() for sc in new)
             vectors.update(zip(keys, coverage_vectors(detections, fraction)))
         level = [vectors[sc.sample_value.hex()] for sc in scenarios]

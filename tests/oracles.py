@@ -3,14 +3,20 @@
 ``admissible_dt`` is the oracle for the admissible step that
 ``markov.StabilityError`` carries and for ``pde.stable_step``.
 ``PoleDensity`` is a density that QUADPACK cannot integrate.
+``ReferenceGaussian`` is the single normal density, computed operation for
+operation as the package did before one Gaussian mixture served both
+distributions: the bitwise oracle for ``uncertainty.gaussian``'s rules.
 """
+
+import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from pfsensor.flowfield import FlowScenario, VelocityField
 from pfsensor.grid import StructuredGrid
 from pfsensor.markov import CLOSED, BoundarySpec, _outflow_rates
-from pfsensor.uncertainty import Distribution
 
 
 def zero_field(grid: StructuredGrid) -> VelocityField:
@@ -36,14 +42,39 @@ def admissible_dt(scenario: FlowScenario, boundaries: BoundarySpec = CLOSED) -> 
     return grid.cell_volume / float(peak)
 
 
-class PoleDensity(Distribution):
+class PoleDensity:
     """1 / |x - 1/3| on [0, 1]: a pole inside the support, so the first
     integral the inverse CDF takes, over [0, 0.5], fails with ier = 3."""
 
     support = (0.0, 1.0)
 
-    def _raw_pdf(self, x):
-        return 1.0 / abs(x - 1.0 / 3.0)
+    def pdf(self, x: float) -> float:
+        return 1.0 / abs(x - 1.0 / 3.0) if 0.0 <= x <= 1.0 else 0.0
 
-    def _raw_mass(self) -> float:
-        return 1.0
+
+@dataclass(frozen=True)
+class ReferenceGaussian:
+    """Normal density truncated to mu +- 5 sigma (tail mass ~6e-7)."""
+
+    mu: float
+    sigma: float
+
+    @cached_property
+    def support(self) -> tuple[float, float]:
+        return (self.mu - 5.0 * self.sigma, self.mu + 5.0 * self.sigma)
+
+    def _raw_pdf(self, x):
+        z = (x - self.mu) / self.sigma
+        return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
+
+    @cached_property
+    def _norm(self) -> float:
+        lo, hi = self.support
+        a = (lo - self.mu) / (self.sigma * math.sqrt(2.0))
+        b = (hi - self.mu) / (self.sigma * math.sqrt(2.0))
+        return 0.5 * (math.erf(b) - math.erf(a))
+
+    def pdf(self, x: float) -> float:
+        lo, hi = self.support
+        x = np.float64(x)
+        return float(self._raw_pdf(x) / self._norm) if lo <= x <= hi else 0.0

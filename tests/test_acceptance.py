@@ -27,7 +27,7 @@ from pfsensor.pde import compare_operator
 from pfsensor.pipeline import VALIDATE_SUBSTEPS
 from pfsensor.placement import coverage_vectors, expected_coverage, place_sensors
 from pfsensor.tracking import detection_matrix
-from pfsensor.uncertainty import Gaussian, expectation, quadrature_rule
+from pfsensor.uncertainty import expectation, gaussian, quadrature_rule
 from oracles import admissible_dt
 from test_tracking import tracking_rows
 
@@ -77,7 +77,7 @@ def random_mask(rng, n, low, high):
 
 def test_criterion_1_expectation_table():
     with criterion(1, "expectation-table reproduction", 1.0):
-        rule = quadrature_rule(Gaussian(0.5, 0.05), (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0))
+        rule = quadrature_rule(gaussian(0.5, 0.05), (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0))
         assert expectation(rule, rule.samples) == pytest.approx(0.499, abs=0.01)
         assert expectation(rule, rule.samples**2) == pytest.approx(0.259, abs=0.01)
         assert expectation(rule, np.exp(rule.samples)) == pytest.approx(1.656, abs=0.01)

@@ -30,7 +30,7 @@ from pfsensor.markov import (
     build_markov,
     save_markov,
 )
-from pfsensor.pipeline import scenario_operators
+from pfsensor.pipeline import build_operators, scenario_set
 
 from oracles import admissible_dt
 
@@ -245,7 +245,9 @@ def test_build_and_place_exports_match_per_row_formatting(tmp_path, outlets):
     cfg_path.write_text(BUILD_CFG.format(out=out) + outlets + "\n")
     assert main(["build", "--config", str(cfg_path)]) == 0
     assert main(["place", "--config", str(cfg_path)]) == 0
-    _, scenarios, operators = scenario_operators(parse_config(cfg_path))
+    cfg = parse_config(cfg_path)
+    _, scenarios = scenario_set(cfg)
+    operators = build_operators(cfg, scenarios)
     assert operators[0].n_states == 42 + bool(outlets)
     for idx, (scenario, op) in enumerate(zip(scenarios, operators)):
         markov = out / f"markov-{idx:03d}.txt"

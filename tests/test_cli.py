@@ -363,6 +363,14 @@ def test_place_all_columns_forbidden_exits_with_diagnostic(tmp_path, capsys):
     assert "every candidate column" in capsys.readouterr().err
 
 
+def refuse_operators(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr("pfsensor.pipeline.build_markov", refuse)
+    monkeypatch.setattr("pfsensor.cli.build_markov", refuse)
+
+
 @pytest.mark.parametrize(
     "extra, message",
     [
@@ -375,7 +383,11 @@ def test_place_all_columns_forbidden_exits_with_diagnostic(tmp_path, capsys):
     ],
     ids=["all-forbidden", "empty-zone"],
 )
-def test_place_and_converge_refuse_the_same_empty_zones(tmp_path, capsys, extra, message):
+def test_place_and_converge_refuse_the_same_empty_zones(
+    tmp_path, capsys, monkeypatch, extra, message
+):
+    # the zones need no operator, so neither command builds one
+    refuse_operators(monkeypatch)
     cfg = small_cfg(tmp_path)
     cfg.write_text(cfg.read_text() + extra)
     assert main(["place", "--config", str(cfg)]) == 2
@@ -383,6 +395,16 @@ def test_place_and_converge_refuse_the_same_empty_zones(tmp_path, capsys, extra,
     assert main(["converge", "--config", str(cfg), "--samples", "2", "3"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "propagate"])
+def test_empty_release_box_exits_2_before_any_operator(tmp_path, capsys, monkeypatch, command):
+    refuse_operators(monkeypatch)
+    cfg = small_cfg(tmp_path)
+    # cell centres sit at 0.05, 0.15, ...: this box holds none of them
+    cfg.write_text(cfg.read_text() + "release_box = 0.01 0.01 0 0.04 0.04 1\n")
+    assert main([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: release_box contains no cell centers\n"
 
 
 @pytest.mark.parametrize(
@@ -523,8 +545,10 @@ def test_converge_builds_each_distinct_sample_once(tmp_path, monkeypatch):
     maps = []
     for m in (3, 5, 7):
         points = tuple(float(p) for p in cdf_points_for(m))
-        grid, scenarios, ops = pipeline.scenario_operators(replace(run_cfg, cdf_points=points))
-        vectors = coverage_vectors(*pipeline.scaled_tracking(run_cfg, grid, ops))
+        grid, scenarios = pipeline.scenario_set(replace(run_cfg, cdf_points=points))
+        ops = pipeline.build_operators(run_cfg, scenarios)
+        zones = pipeline.detection_zones(run_cfg, grid)
+        vectors = coverage_vectors(*pipeline.scaled_tracking(run_cfg, grid, ops, zones))
         maps.append(expected_coverage(vectors, [sc.weight for sc in scenarios]))
     norm = float(np.linalg.norm(maps[-1]))
     errors = [float(np.linalg.norm(level - maps[-1])) / norm for level in maps[:-1]]

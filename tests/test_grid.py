@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -118,9 +120,9 @@ def test_mask_complement_partitions_states(dims, seed):
         union |= box_mask(g, lo, hi)
     if not union.any():
         with pytest.raises(ConfigError, match="occupied_box contains no cell centers"):
-            detection_zones(cfg, g, g.n_states)
+            detection_zones(cfg, g)
         return
-    release, _ = detection_zones(cfg, g, g.n_states)
+    release, _ = detection_zones(cfg, g)
     assert np.array_equal(release, union)
 
 
@@ -134,11 +136,11 @@ def test_mask_rejects_out_of_range_indices():
 
 
 def test_empty_mask_and_bool_array():
-    # an exit state (operators one larger than the grid) never releases but
-    # may host a sensor
+    # outlets add an exit state after the cells; it never releases but may
+    # host a sensor
     g = StructuredGrid((2, 2, 1), (1.0, 1.0, 1.0))
-    for exits in (0, 1):
-        release, candidates = detection_zones(RunConfig(), g, g.n_states + exits)
+    for exits, outlets in ((0, frozenset()), (1, frozenset({"x+"}))):
+        release, candidates = detection_zones(RunConfig(outlets=outlets), g)
         for mask in (release, candidates):
             assert mask.dtype == bool and mask.shape == (4 + exits,)
         assert release.tolist() == [True] * 4 + [False] * exits
@@ -149,6 +151,6 @@ def test_all_forbidden_leaves_only_the_exit_state_a_candidate():
     g = StructuredGrid((2, 2, 1), (1.0, 1.0, 1.0))
     cfg = RunConfig(forbidden_boxes=[((-1.0, -1.0, -1.0), (9.0, 9.0, 9.0))])
     with pytest.raises(ConfigError, match="excludes every candidate column"):
-        detection_zones(cfg, g, g.n_states)
-    _, candidates = detection_zones(cfg, g, g.n_states + 1)
+        detection_zones(cfg, g)
+    _, candidates = detection_zones(replace(cfg, outlets=frozenset({"y-"})), g)
     assert candidates.tolist() == [False] * 4 + [True]

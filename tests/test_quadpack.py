@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from pfsensor.quadpack import quad
-from pfsensor.uncertainty import _QUAD_OPTS, Gaussian, fit_kde
+from pfsensor.uncertainty import _QUAD_OPTS, fit_kde, gaussian
 
 # tier-1 runs 60 examples; `pytest --hypothesis-profile=ci` (tests/conftest.py) ten times as many
 QUAD_ORACLE = settings(
@@ -87,7 +87,7 @@ FRACTIONS = st.floats(0.0, 1.0)
     v=FRACTIONS,
 )
 def test_gaussian_pieces_match_scipy_bitwise(mu, log_sigma, u, v):
-    dist = Gaussian(mu, 10.0**log_sigma)
+    dist = gaussian(mu, 10.0**log_sigma)
     a, b = interval(dist, u, v)
     if b > a:
         for f in hat_pieces(dist, a, b):

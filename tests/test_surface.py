@@ -67,6 +67,7 @@ for path in sys.argv[1:]:
 
 
 def test_commands_load_neither_scipy_integrate_nor_optimize(tmp_path):
+    # nor scipy.special: both distributions normalise with math.erf
     (tmp_path / "data.txt").write_text("0.42 0.47 0.5 0.51 0.55 0.61\n")
     configs = []
     for name, distribution in [("gaussian", "gaussian 0.5 0.05"), ("kde", "kde data.txt")]:
@@ -82,7 +83,4 @@ def test_commands_load_neither_scipy_integrate_nor_optimize(tmp_path):
         [sys.executable, "-c", IMPORT_PROBE, *configs],
         capture_output=True, text=True, env=env, check=True, timeout=120,
     )
-    gaussian, kde = run.stdout.splitlines()
-    assert gaussian == ""
-    # the KDE's normalization takes scipy's erf, bit for bit
-    assert kde == "scipy.special"
+    assert run.stdout.splitlines() == ["", ""]

@@ -8,7 +8,7 @@ from pfsensor.config import ConfigError, RunConfig, apply
 from pfsensor.flowfield import FlowScenario, VelocityField, synth_recirculating
 from pfsensor.grid import StructuredGrid
 from pfsensor.markov import BoundarySpec, MarkovMatrix, build_markov
-from pfsensor.pipeline import scaled_tracking
+from pfsensor.pipeline import detection_zones, scaled_tracking
 from pfsensor.tracking import BLOCK, detection_matrix
 
 from oracles import admissible_dt
@@ -60,7 +60,7 @@ def pairs(operator, steps, cutoff, release=None, candidates=None):
 def scaled_dense(cfg, grid, operators):
     """The first scenario's detection matrix with volume-fraction entries:
     its pattern times the cell fraction scaled_tracking returns."""
-    patterns, fraction = scaled_tracking(cfg, grid, operators)
+    patterns, fraction = scaled_tracking(cfg, grid, operators, detection_zones(cfg, grid))
     return patterns[0].toarray() * fraction
 
 
@@ -162,7 +162,8 @@ def test_threshold_scales_eps_acc_by_horizon():
     op = operator_from_dense(TWO_STATE)
     cfg = run_config(steps=2, eps_acc=0.28)
     # cutoff 0.28 * 3 = 0.84 drops the 0.28 off-diagonals
-    assert scaled_tracking(cfg, line_grid(2), [op])[0][0].nnz == 2
+    grid = line_grid(2)
+    assert scaled_tracking(cfg, grid, [op], detection_zones(cfg, grid))[0][0].nnz == 2
 
 
 @given(
@@ -265,7 +266,7 @@ def test_volumetric_scale_full_matrix_column_sums_are_one():
 def test_volumetric_scale_exit_state_has_zero_volume():
     # one extra absorbing state: it may host a sensor but releases nothing
     rng = np.random.default_rng(7)
-    cfg = run_config(steps=2, eps_acc=0.0)
+    cfg = run_config(steps=2, eps_acc=0.0, outlets=frozenset({"x+"}))
     dense = scaled_dense(cfg, line_grid(3), [random_stochastic(rng, 4)])
     assert np.allclose(dense[:3], 1.0 / 3.0)
     assert not dense[3].any()
@@ -274,8 +275,9 @@ def test_volumetric_scale_exit_state_has_zero_volume():
 def test_volumetric_scale_grid_size_mismatch():
     rng = np.random.default_rng(8)
     cfg = run_config(steps=2, eps_acc=0.0)
-    with pytest.raises(ValueError):
-        scaled_tracking(cfg, line_grid(3), [random_stochastic(rng, 5)])
+    grid = line_grid(3)
+    with pytest.raises(ValueError, match="must both have length 5"):
+        scaled_tracking(cfg, grid, [random_stochastic(rng, 5)], detection_zones(cfg, grid))
 
 
 def flow_operator(rng, outlets):

@@ -1,23 +1,23 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
 from pfsensor import uncertainty
 from pfsensor.uncertainty import (
     DistributionFitError,
-    Gaussian,
     QuadratureRule,
     basis_weights,
     cdf_points_for,
     expectation,
     fit_kde,
+    gaussian,
     icdf_samples,
     quadrature_rule,
 )
 
-from oracles import PoleDensity
+from oracles import PoleDensity, ReferenceGaussian
 
 TABLE_POINTS = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
 
@@ -79,7 +79,7 @@ def test_fit_kde_rejects_degenerate_data():
 
 
 def test_gaussian_normalized_over_support():
-    dist = Gaussian(0.5, 0.05)
+    dist = gaussian(0.5, 0.05)
     lo, hi = dist.support
     total, _ = integrate.quad(dist.pdf, lo, hi, limit=200)
     assert total == pytest.approx(1.0, abs=1e-6)
@@ -87,7 +87,7 @@ def test_gaussian_normalized_over_support():
 
 @pytest.mark.parametrize(
     "dist",
-    [Gaussian(0.5, 0.05), Gaussian(-3.0, 2.0), fit_kde([0.1, 0.4, 0.45, 0.9, 1.3])],
+    [gaussian(0.5, 0.05), gaussian(-3.0, 2.0), fit_kde([0.1, 0.4, 0.45, 0.9, 1.3])],
     ids=["gaussian", "gaussian-wide", "kde"],
 )
 def test_float_pdf_is_positive_on_support_and_zero_outside(dist):
@@ -104,17 +104,17 @@ def test_float_pdf_is_positive_on_support_and_zero_outside(dist):
 
 def test_gaussian_rejects_bad_sigma():
     with pytest.raises(ValueError):
-        Gaussian(0.0, 0.0)
+        gaussian(0.0, 0.0)
 
 
 def test_icdf_median_of_symmetric_distribution():
-    dist = Gaussian(0.5, 0.05)
+    dist = gaussian(0.5, 0.05)
     (median,) = icdf_samples(dist, [0.5])
     assert median == pytest.approx(0.5, abs=1e-9)
 
 
 def test_icdf_endpoints_map_to_support():
-    dist = Gaussian(0.5, 0.05)
+    dist = gaussian(0.5, 0.05)
     lo, hi = dist.support
     samples = icdf_samples(dist, [0.0, 1.0])
     assert samples[0] == lo and samples[1] == hi
@@ -122,20 +122,20 @@ def test_icdf_endpoints_map_to_support():
 
 def test_icdf_standard_normal_quantile():
     # Phi^-1(0.9) = 1.2815515655; x = 0.5 + 0.05 * Phi^-1(0.9)
-    dist = Gaussian(0.5, 0.05)
+    dist = gaussian(0.5, 0.05)
     (x,) = icdf_samples(dist, [0.9])
     assert x == pytest.approx(0.56407757, abs=1e-5)
 
 
 def test_icdf_monotone():
-    dist = Gaussian(0.0, 1.0)
+    dist = gaussian(0.0, 1.0)
     pts = [0.05, 0.2, 0.5, 0.77, 0.95]
     samples = icdf_samples(dist, pts)
     assert np.all(np.diff(samples) > 0.0)
 
 
 def test_icdf_rejects_invalid_points():
-    dist = Gaussian(0.0, 1.0)
+    dist = gaussian(0.0, 1.0)
     with pytest.raises(ValueError):
         icdf_samples(dist, [0.2, 0.2, 0.5])
     with pytest.raises(ValueError):
@@ -145,21 +145,21 @@ def test_icdf_rejects_invalid_points():
 
 
 def test_two_endpoint_samples_split_symmetric_mass_evenly():
-    dist = Gaussian(0.5, 0.05)
+    dist = gaussian(0.5, 0.05)
     lo, hi = dist.support
     theta = basis_weights([lo, hi], dist)
     assert theta == pytest.approx([0.5, 0.5], abs=1e-8)
 
 
 def test_basis_weights_reject_outside_support():
-    dist = Gaussian(0.5, 0.05)
+    dist = gaussian(0.5, 0.05)
     lo, hi = dist.support
     with pytest.raises(ValueError):
         basis_weights([lo - 1.0, hi], dist)
 
 
 def test_partition_of_unity_on_dense_grid():
-    dist = Gaussian(0.5, 0.05)
+    dist = gaussian(0.5, 0.05)
     rule = quadrature_rule(dist, TABLE_POINTS)
     hats = hat_functions(rule.samples, dist.support)
     xs = np.linspace(*dist.support, 1501)
@@ -169,7 +169,7 @@ def test_partition_of_unity_on_dense_grid():
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), m=st.integers(2, 6))
 def test_basis_weights_positive_and_normalized(seed, m):
-    dist = Gaussian(0.0, 1.0)
+    dist = gaussian(0.0, 1.0)
     lo, hi = dist.support
     rng = np.random.default_rng(seed)
     samples = np.sort(rng.uniform(lo + 0.1, hi - 0.1, size=m))
@@ -183,26 +183,26 @@ def test_basis_weights_positive_and_normalized(seed, m):
 def test_expectation_table_reproduction():
     # weighted sums with the 7-point rule against the reported approximate
     # column (0.499, 0.259, 1.656); exact values 0.5, 0.2525, 1.6508
-    rule = quadrature_rule(Gaussian(0.5, 0.05), TABLE_POINTS)
+    rule = quadrature_rule(gaussian(0.5, 0.05), TABLE_POINTS)
     assert expectation(rule, rule.samples) == pytest.approx(0.499, abs=0.01)
     assert expectation(rule, rule.samples**2) == pytest.approx(0.259, abs=0.01)
     assert expectation(rule, np.exp(rule.samples)) == pytest.approx(1.656, abs=0.01)
 
 
 def test_expectation_of_constant_is_exact():
-    rule = quadrature_rule(Gaussian(0.5, 0.05), (0.0, 0.5, 1.0))
+    rule = quadrature_rule(gaussian(0.5, 0.05), (0.0, 0.5, 1.0))
     assert expectation(rule, np.full(3, 4.2)) == pytest.approx(4.2, rel=1e-12)
 
 
 def test_expectation_count_mismatch():
-    rule = quadrature_rule(Gaussian(0.5, 0.05), (0.0, 0.5, 1.0))
+    rule = quadrature_rule(gaussian(0.5, 0.05), (0.0, 0.5, 1.0))
     with pytest.raises(ValueError):
         expectation(rule, [1.0, 2.0])
 
 
 def test_quadrature_error_decreases_with_sample_count():
     # smooth convex integrand: hat interpolation error shrinks as nodes fill in
-    dist = Gaussian(0.5, 0.05)
+    dist = gaussian(0.5, 0.05)
     exact = np.exp(0.5 + 0.05**2 / 2.0)
     errors = []
     for m in (3, 5, 7, 9):
@@ -248,7 +248,7 @@ def scipy_backed_quad(f, a, b, epsabs, epsrel, limit):
 
 @pytest.mark.parametrize(
     "dist",
-    [Gaussian(0.5, 0.05), fit_kde([0.1, 0.4, 0.45, 0.9, 1.3])],
+    [gaussian(0.5, 0.05), fit_kde([0.1, 0.4, 0.45, 0.9, 1.3])],
     ids=["gaussian", "kde"],
 )
 def test_rule_is_bitwise_the_rule_scipy_quad_gives(dist, monkeypatch):
@@ -257,6 +257,34 @@ def test_rule_is_bitwise_the_rule_scipy_quad_gives(dist, monkeypatch):
     oracle = quadrature_rule(dist, TABLE_POINTS)
     assert rule.samples.tobytes() == oracle.samples.tobytes()
     assert rule.weights.tobytes() == oracle.weights.tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    mu=st.floats(-10.0, 10.0),
+    sigma=st.floats(-3.0, 1.0).map(lambda e: 10.0**e),
+    points=st.integers(2, 17).map(lambda m: tuple(cdf_points_for(m).tolist())),
+)
+@example(mu=0.5, sigma=0.05, points=(0.0, 0.5, 1.0))
+@example(mu=0.5, sigma=0.05, points=TABLE_POINTS)
+def test_gaussian_rule_is_bitwise_the_reference_gaussians(mu, sigma, points):
+    rule = quadrature_rule(gaussian(mu, sigma), points)
+    oracle = quadrature_rule(ReferenceGaussian(mu, sigma), points)
+    assert [x.hex() for x in rule.samples.tolist()] == [x.hex() for x in oracle.samples.tolist()]
+    assert [w.hex() for w in rule.weights.tolist()] == [w.hex() for w in oracle.weights.tolist()]
+
+
+def test_kde_rule_weights_are_pinned():
+    # the normaliser sums its components with math.fsum, so these bits hold
+    # on every Python version
+    rule = quadrature_rule(fit_kde([0.28, 0.52, 1.05, 1.66, 1.72]), cdf_points_for(5))
+    assert [w.hex() for w in rule.weights.tolist()] == [
+        "0x1.e547b1a5bf067p-5",
+        "0x1.5c5c60ccabec6p-2",
+        "0x1.9b0a5639ef2a5p-3",
+        "0x1.5be225cd83d5cp-2",
+        "0x1.ec9ac0a1063fbp-5",
+    ]
 
 
 def test_quadpack_failure_is_an_error_naming_interval_and_code():
