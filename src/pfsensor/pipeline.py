@@ -35,12 +35,14 @@ from .placement import (
     coverage_vectors,
     expected_coverage,
     place_sensors,
+    sensor_coverage,
 )
 from .tracking import detection_matrix
 from .uncertainty import DistributionFitError, cdf_points_for, fit_kde, gaussian, quadrature_rule
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "pfsensor-manifest v1"
+COVERAGE_MAGIC = "# pfsensor-coverage v1"
 # explicit PDE reference substeps of dt / 5 per operator step in validate
 VALIDATE_SUBSTEPS = 5
 
@@ -57,9 +59,7 @@ def make_distribution(cfg: RunConfig):
     kind = cfg.distribution[0]
     if kind == "gaussian":
         return gaussian(cfg.distribution[1], cfg.distribution[2])
-    path = Path(cfg.distribution[1])
-    if not path.is_absolute():
-        path = cfg.config_dir / path
+    path = cfg.config_dir / cfg.distribution[1]  # an absolute path replaces the directory
     try:
         data = [float(line) for line in path.read_text().split()]
     except OSError as exc:
@@ -91,9 +91,7 @@ def scenario_set(cfg: RunConfig) -> tuple[StructuredGrid, list[FlowScenario]]:
     scenarios = []
     grid = None
     for entry in cfg.fields:
-        path = Path(entry.path)
-        if not path.is_absolute():
-            path = cfg.config_dir / path
+        path = cfg.config_dir / entry.path
         field = load_field(path)
         if grid is None:
             grid = field.grid
@@ -220,7 +218,7 @@ def run_build(cfg: RunConfig, out_dir) -> Path:
 
 def run_place(cfg: RunConfig) -> tuple[SensorPlan, dict]:
     """Operators from the config, then tracking through placement; writes the
-    JSON plan and the expected / per-sensor coverage map fields to cfg.out."""
+    JSON plan, expected-coverage field and per-sensor coverage table to cfg.out."""
     if cfg.sensors is None and cfg.min_coverage is None:
         raise ConfigError("set a sensor count or a min_coverage target")
     out = Path(cfg.out)
@@ -255,10 +253,8 @@ def run_place(cfg: RunConfig) -> tuple[SensorPlan, dict]:
     plan_doc = plan_document(plan, grid)
     write_artifact(out / "plan.json", [json.dumps(plan_doc, indent=2, allow_nan=False)])
     save_scalar_field(out / "coverage-expected.txt", grid, expected_map[:n])
-    for rank, sensor in enumerate(plan.sensors, start=1):
-        save_scalar_field(
-            out / f"coverage-sensor-{rank:02d}.txt", grid, sensor.coverage_map[:n]
-        )
+    head = [COVERAGE_MAGIC, f"{n} {len(plan.sensors)}"]
+    write_artifact(out / "coverage-sensors.txt", head, sensor_coverage(plan.covered_by, weights))
     return plan, plan_doc
 
 

@@ -3,8 +3,8 @@
 Each scenario enters as its detection pattern (see tracking.detection_matrix).
 Every release cell is worth the same volume fraction x, so a column with c
 active rows covers f[c] = f[c-1] + x, f[0] = 0: bit for bit the float sum of c
-entries x. The greedy loop places the state of largest expected coverage,
-then strikes the release rows it covers and decrements their columns' counts.
+entries x. Each greedy round places the state of largest expected coverage,
+stamps the rows it covers with its rank and decrements their columns' counts.
 """
 
 from __future__ import annotations
@@ -20,21 +20,17 @@ class PlacedSensor:
     state: int
     expected_marginal: float
     per_scenario_marginal: np.ndarray
-    # probability that a release at each state is newly covered by this sensor
-    coverage_map: np.ndarray
 
 
 @dataclass(eq=False)
 class SensorPlan:
     sensors: list[PlacedSensor]
     cumulative_expected_coverage: float
+    # per scenario and release row, the rank (from 1) of its first covering sensor, or 0
+    covered_by: list[np.ndarray]
     occupied_space_coverage: float | None = None
     truncated: bool = False
     settings: dict = field(default_factory=dict)
-
-    @property
-    def states(self) -> list[int]:
-        return [s.state for s in self.sensors]
 
 
 def _coverage_table(cell_fraction: float, n: int) -> np.ndarray:
@@ -62,6 +58,18 @@ def expected_coverage(vectors: list[np.ndarray], weights) -> np.ndarray:
     for theta, vec in zip(w, vectors):
         out += theta * vec
     return out
+
+
+def sensor_coverage(covered_by: list[np.ndarray], weights) -> tuple[np.ndarray, ...]:
+    """Rows (state, rank, probability that a release at the state is newly
+    covered by the sensor of that rank), sorted by rank then state; each
+    probability adds its covering scenarios' weights in scenario order."""
+    size = covered_by[0].size
+    ranks = np.concatenate(covered_by)
+    where = np.flatnonzero(ranks)
+    keys, rows = np.unique(ranks[where] * size + where % size, return_inverse=True)
+    probability = np.bincount(rows, np.asarray(list(weights), dtype=float)[where // size])
+    return keys % size, keys // size, probability
 
 
 def place_sensors(
@@ -107,7 +115,7 @@ def place_sensors(
     by_row = [m.tocsr() for m in by_col]
     # intp counts: the table lookup each round is a 3x slower gather with int32
     counts = [np.diff(m.indptr).astype(np.intp) for m in by_col]
-    row_active = [np.ones(n, dtype=bool) for _ in by_col]
+    covered_by = [np.zeros(n, dtype=np.intp) for _ in by_col]
     table = _coverage_table(cell_fraction, n)
     zone = 1.0 if occupied_volume_fraction is None else occupied_volume_fraction
 
@@ -127,12 +135,10 @@ def place_sensors(
             break
         best = int(np.argmax(expected))  # argmax takes the first (lowest) index on ties
         marginals = np.array([v[best] for v in per_scenario])
-        new_cover = np.zeros(n)
         for i, (col_major, row_major) in enumerate(zip(by_col, by_row)):
             rows = col_major.indices[col_major.indptr[best] : col_major.indptr[best + 1]]
-            covered = rows[row_active[i][rows]]
-            new_cover[covered] += w[i]
-            row_active[i][covered] = False
+            covered = rows[covered_by[i][rows] == 0]
+            covered_by[i][covered] = len(sensors) + 1
             # each struck row's columns lose one active row; one gather of its CSR slices
             starts = row_major.indptr[covered]
             lengths = row_major.indptr[covered + 1] - starts
@@ -140,18 +146,12 @@ def place_sensors(
             struck = row_major.indices[np.arange(shift.size) + shift]
             counts[i] -= np.bincount(struck, minlength=n)
         cumulative += float(expected[best])
-        sensors.append(
-            PlacedSensor(
-                state=best,
-                expected_marginal=float(expected[best]),
-                per_scenario_marginal=marginals,
-                coverage_map=new_cover,
-            )
-        )
+        sensors.append(PlacedSensor(best, float(expected[best]), marginals))
 
     return SensorPlan(
         sensors=sensors,
         cumulative_expected_coverage=cumulative,
+        covered_by=covered_by,
         occupied_space_coverage=None if occupied_volume_fraction is None else cumulative / zone,
         truncated=truncated,
         settings={

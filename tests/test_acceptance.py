@@ -175,7 +175,7 @@ def test_criterion_6_greedy_first_sensor_optimality():
             if not plan.sensors:
                 assert best_value <= 1e-15
                 continue
-            assert plan.states[0] == best_state
+            assert plan.sensors[0].state == best_state
             assert plan.sensors[0].expected_marginal == pytest.approx(best_value)
             marginals = [s.expected_marginal for s in plan.sensors]
             assert all(a >= b - 1e-12 for a, b in zip(marginals, marginals[1:]))
@@ -229,7 +229,7 @@ def test_criterion_8_constraint_compliance():
                 assert np.all(masked_cover <= free_cover + 1e-15)
                 scaled.append(masked)
             plan = place_sensors(scaled, weights, 1.0 / n, k=4)
-            assert not forbidden[plan.states].any()
+            assert not forbidden[[s.state for s in plan.sensors]].any()
 
 
 def test_criterion_9_sample_count_convergence(tmp_path):

@@ -1,6 +1,7 @@
 """The shared artifact writer and table reader, the bytes of every text export,
 and fuzzed loaders."""
 
+import json
 import tracemalloc
 import warnings
 
@@ -254,12 +255,23 @@ def test_build_and_place_exports_match_per_row_formatting(tmp_path, outlets):
         assert markov.read_bytes() == markov_oracle(op.matrix, op.dt).encode()
         assert (out / f"field-{idx:03d}.txt").read_bytes() == field_oracle(scenario.field).encode()
     assert len(list(out.glob("markov-*.txt"))) == len(list(out.glob("field-*.txt"))) == 3
-    # the coverage maps are not recomputed here: their read-back values
+    # the coverage outputs are not recomputed here: their read-back values
     # must come out as the same text
-    coverage = sorted(out.glob("coverage-*.txt"))
-    assert [p.name for p in coverage[:2]] == ["coverage-expected.txt", "coverage-sensor-01.txt"]
-    for path in coverage:
-        assert path.read_bytes() == field_oracle(load_field(path)).encode()
+    expected = out / "coverage-expected.txt"
+    assert expected.read_bytes() == field_oracle(load_field(expected)).encode()
+    assert sorted(p.name for p in out.glob("coverage-*.txt")) == [
+        "coverage-expected.txt",
+        "coverage-sensors.txt",
+    ]
+    table = (out / "coverage-sensors.txt").read_text()
+    placed = len(json.loads((out / "plan.json").read_text())["sensors"])
+    head = ["# pfsensor-coverage v1", f"42 {placed}"]
+    assert table.splitlines()[:2] == head
+    rows = np.loadtxt(table.splitlines()[2:], ndmin=2)
+    states, ranks = rows[:, 0].astype(np.intp), rows[:, 1].astype(np.intp)
+    assert np.all(np.diff(ranks * 42 + states) > 0)  # sorted by rank, then state
+    assert set(ranks.tolist()) == set(range(1, placed + 1))
+    assert table == oracle_text(head, (states, ranks, rows[:, 2]))
 
 
 def test_save_markov_refuses_non_stochastic_operator(tmp_path):

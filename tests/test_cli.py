@@ -146,7 +146,9 @@ def test_place_respects_sensor_budget(tmp_path):
     assert 1 <= len(states) <= 4
     assert len(set(states)) == len(states)
     assert (tmp_path / "out" / "coverage-expected.txt").exists()
-    assert (tmp_path / "out" / "coverage-sensor-01.txt").exists()
+    table = (tmp_path / "out" / "coverage-sensors.txt").read_text().splitlines()
+    assert table[:2] == ["# pfsensor-coverage v1", f"144 {len(states)}"]
+    assert {int(row.split()[1]) for row in table[2:]} == set(range(1, len(states) + 1))
 
 
 def test_place_sensor_flag_overrides_config(tmp_path):
@@ -237,8 +239,7 @@ def test_place_without_build_matches_build_then_place(tmp_path, extra):
     fresh = base_cfg(tmp_path, extra=extra, eps_acc="0.03", out=tmp_path / "fresh")
     assert main(["place", "--config", str(fresh)]) == 0
     placed = {p.name: p.read_bytes() for p in (tmp_path / "fresh").iterdir()}
-    sensors = [f"coverage-sensor-{rank:02d}.txt" for rank in range(1, 5)]
-    assert sorted(placed) == ["coverage-expected.txt", *sensors, "plan.json"]
+    assert sorted(placed) == ["coverage-expected.txt", "coverage-sensors.txt", "plan.json"]
     for name, data in placed.items():
         assert (tmp_path / "built" / name).read_bytes() == data
 
@@ -745,6 +746,28 @@ def test_config_kde_distribution(tmp_path):
     grid, scenarios = scenario_set(parsed)
     assert len(scenarios) == 7
     assert sum(s.weight for s in scenarios) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_config_paths_join_the_config_directory_unless_absolute(tmp_path, monkeypatch):
+    # an absolute KDE data path is read as written; a relative field path is
+    # read from the config's directory, whatever the working directory
+    data = tmp_path / "data" / "wall.txt"
+    data.parent.mkdir()
+    data.write_text("0.42 0.47 0.5 0.51 0.55 0.61\n")
+    configs = tmp_path / "configs"
+    (configs / "fields").mkdir(parents=True)
+    still = zero_field(StructuredGrid((4, 4, 1), (0.25, 0.25, 0.2)))
+    save_field(configs / "fields" / "still.txt", still)
+    kde = base_cfg(tmp_path, distribution=f"kde {data}")
+    kde = write_cfg(configs, kde.read_text(), name="kde.cfg")
+    fields = "dt = 0.5\nsteps = 5\nfield = fields/still.txt 0.0 1.0\n"
+    fields = write_cfg(configs, fields, name="fields.cfg")
+    monkeypatch.chdir(tmp_path / "data")
+    assert data.is_absolute()
+    _, scenarios = scenario_set(parse_config(kde))
+    assert sum(s.weight for s in scenarios) == pytest.approx(1.0, abs=1e-9)
+    grid, scenarios = scenario_set(parse_config(fields))
+    assert grid.dims == (4, 4, 1) and [s.weight for s in scenarios] == [1.0]
 
 
 @pytest.mark.parametrize(

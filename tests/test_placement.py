@@ -10,6 +10,7 @@ from pfsensor.placement import (
     coverage_vectors,
     expected_coverage,
     place_sensors,
+    sensor_coverage,
 )
 
 
@@ -21,6 +22,10 @@ def pattern(dense_bool):
 def place(mats, weights, **kwargs):
     """place_sensors on patterns of n uniform cells (cell fraction 1/n)."""
     return place_sensors(mats, weights, 1.0 / mats[0].shape[0], **kwargs)
+
+
+def states(plan):
+    return [s.state for s in plan.sensors]
 
 
 def random_instance(rng, n, m_scenarios, density=0.35):
@@ -98,7 +103,7 @@ def test_expected_coverage_is_weighted_mean(seed):
 
 def test_diagonal_matrix_ties_break_to_lowest_state():
     plan = place([pattern(np.eye(4))], [1.0], k=1)
-    assert plan.states == [0]
+    assert states(plan) == [0]
     assert plan.sensors[0].expected_marginal == pytest.approx(0.25)
 
 
@@ -106,7 +111,7 @@ def test_dense_column_wins():
     dense = np.eye(5, dtype=bool)
     dense[:, 3] = True
     plan = place([pattern(dense)], [1.0], k=1)
-    assert plan.states == [3]
+    assert states(plan) == [3]
     assert plan.sensors[0].expected_marginal == pytest.approx(1.0)
 
 
@@ -124,7 +129,7 @@ def test_first_sensor_matches_exhaustive_argmax(seed, n, m):
     if not plan.sensors:
         assert best_value == pytest.approx(0.0, abs=1e-12)
         return
-    assert plan.states[0] == best_state
+    assert states(plan)[0] == best_state
     assert plan.sensors[0].expected_marginal == pytest.approx(best_value)
 
 
@@ -138,17 +143,22 @@ def test_marginals_non_increasing_and_cumulative_bounded(seed):
     assert all(a >= b - 1e-12 for a, b in zip(marginals, marginals[1:]))
     assert 0.0 <= plan.cumulative_expected_coverage <= 1.0 + 1e-12
     assert plan.cumulative_expected_coverage == pytest.approx(sum(marginals))
-    assert len(set(plan.states)) == len(plan.states)
+    assert len(set(states(plan))) == len(states(plan))
 
 
-def test_covered_rows_disjoint_between_sensors():
-    rng = np.random.default_rng(3)
-    mats = [pattern(rng.random((10, 10)) < 0.4)]
-    plan = place(mats, [1.0], k=5)
-    maps = [s.coverage_map for s in plan.sensors]
-    for a in range(len(maps)):
-        for b in range(a + 1, len(maps)):
-            assert np.dot(maps[a], maps[b]) == pytest.approx(0.0)
+@given(seed=st.integers(0, 2**31 - 1), m=st.integers(1, 3))
+@settings(max_examples=25, deadline=None)
+def test_covered_rows_disjoint_between_sensors(seed, m):
+    # each row holds one rank: the first placed sensor whose column covers it
+    rng = np.random.default_rng(seed)
+    mats, weights = random_instance(rng, 10, m, density=0.3)
+    plan = place(mats, weights, k=5)
+    placed = states(plan)
+    for mat, ranks in zip(mats, plan.covered_by):
+        dense = mat.toarray()
+        for r in range(10):
+            first = next((j for j, s in enumerate(placed, start=1) if dense[r, s]), 0)
+            assert ranks[r] == first
 
 
 @given(seed=st.integers(0, 2**31 - 1), scale=st.floats(0.1, 10.0))
@@ -158,7 +168,7 @@ def test_weight_scaling_preserves_argmax_sequence(seed, scale):
     mats, weights = random_instance(rng, 10, 3, density=0.4)
     base = place(mats, weights, k=4)
     rescaled = place(mats, weights * scale, k=4)
-    assert base.states == rescaled.states
+    assert states(base) == states(rescaled)
 
 
 def test_determinism_identical_plans():
@@ -166,7 +176,7 @@ def test_determinism_identical_plans():
     mats, weights = random_instance(rng, 12, 2)
     a = place(mats, weights, k=4)
     b = place(mats, weights, k=4)
-    assert a.states == b.states
+    assert states(a) == states(b)
     assert a.cumulative_expected_coverage == b.cumulative_expected_coverage
 
 
@@ -174,13 +184,13 @@ def test_plan_truncated_when_budget_exceeds_coverage():
     dense = np.zeros((4, 4), dtype=bool)
     dense[0, 0] = True
     plan = place([pattern(dense)], [1.0], k=3)
-    assert plan.states == [0]
+    assert states(plan) == [0]
     assert plan.truncated
 
 
 def test_min_coverage_stops_early():
     plan = place([pattern(np.eye(4))], [1.0], min_coverage=0.5)
-    assert len(plan.states) == 2  # two diagonal sensors reach 0.5
+    assert len(states(plan)) == 2  # two diagonal sensors reach 0.5
     assert plan.cumulative_expected_coverage == pytest.approx(0.5)
     assert not plan.truncated
 
@@ -205,7 +215,7 @@ def test_min_coverage_is_a_fraction_of_the_occupied_zone(target, truncated):
     dense = np.zeros((10, 10), dtype=bool)
     dense[:4, 2] = True
     plan = place([pattern(dense)], [1.0], min_coverage=target, occupied_volume_fraction=0.5)
-    assert plan.states == [2]
+    assert states(plan) == [2]
     assert plan.occupied_space_coverage == pytest.approx(0.8)
     assert plan.truncated == truncated
 
@@ -225,14 +235,16 @@ def float_place_sensors(detections, weights, k=None, min_coverage=None):
 
     `detections` hold each pair's volume fraction. Each round recomputes
     per-scenario coverage as the float product row_active @ matrix, masks
-    the placed columns, then strikes the chosen column's active rows.
+    the placed columns, then strikes the chosen column's active rows. Also
+    returns each sensor's dense map of the probability that a release at a
+    state is newly covered by it.
     """
     mats = [sparse.csc_array(m) for m in detections]
     w = np.asarray(list(weights), dtype=float)
     n = mats[0].shape[0]
     row_active = [np.ones(n) for _ in mats]
     col_active = np.ones(n, dtype=bool)
-    sensors = []
+    sensors, maps = [], []
     cumulative = 0.0
     truncated = False
     while True:
@@ -259,8 +271,9 @@ def float_place_sensors(detections, weights, k=None, min_coverage=None):
             row_active[i][covered] = 0.0
         col_active[best] = False
         cumulative += float(expected[best])
-        sensors.append(PlacedSensor(best, float(expected[best]), marginals, new_cover))
-    return SensorPlan(sensors, cumulative, truncated=truncated)
+        sensors.append(PlacedSensor(best, float(expected[best]), marginals))
+        maps.append(new_cover)
+    return SensorPlan(sensors, cumulative, covered_by=[], truncated=truncated), maps
 
 
 def bits(value):
@@ -299,14 +312,22 @@ def test_count_greedy_matches_float_greedy_bitwise(seed, cells, m, exit_state, d
     target = float(rng.uniform(0.05, 1.0)) if stop != "k" else None
 
     got = place_sensors(patterns, weights, fraction, k=k, min_coverage=target)
-    want = float_place_sensors(floats, weights, k=k, min_coverage=target)
-    assert got.states == want.states
+    want, want_maps = float_place_sensors(floats, weights, k=k, min_coverage=target)
+    assert states(got) == states(want)
     assert got.truncated == want.truncated
     assert bits(got.cumulative_expected_coverage) == bits(want.cumulative_expected_coverage)
     for a, b in zip(got.sensors, want.sensors):
         assert bits(a.expected_marginal) == bits(b.expected_marginal)
         assert bits(a.per_scenario_marginal) == bits(b.per_scenario_marginal)
-        assert bits(a.coverage_map) == bits(b.coverage_map)
+    # the per-sensor table rebuilt as dense maps, one row per rank
+    table_states, ranks, probability = sensor_coverage(got.covered_by, weights)
+    assert np.all(np.diff(ranks * n + table_states) > 0)  # sorted by rank, then state
+    maps = np.zeros((len(got.sensors), n))
+    maps[ranks - 1, table_states] = probability
+    assert bits(maps) == bits(np.reshape(want_maps, (-1, n)))
+    for rank, sensor in enumerate(got.sensors, start=1):
+        covered = fraction * probability[ranks == rank].sum()
+        assert covered == pytest.approx(sensor.expected_marginal, rel=0.0, abs=1e-12)
     # the expected coverage map written before placement
     ones = [np.ones(n) @ f for f in floats]
     assert bits(expected_coverage(coverage_vectors(patterns, fraction), weights)) == bits(

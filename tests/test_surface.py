@@ -1,5 +1,6 @@
 """The package's public surface is what the program itself uses: every
-module-level public function and class in ``src/pfsensor`` has a reader in
+module-level public function and class in ``src/pfsensor``, and every public
+method, property and dataclass field of its classes, has a reader in
 ``src/`` or ``scripts/``, not only in the tests."""
 
 import ast
@@ -12,20 +13,55 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pfsensor"
 
 
+def program_nodes():
+    """(path, node) for every syntax-tree node of src/ and scripts/."""
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            yield path, node
+
+
 def program_references() -> set[str]:
     """Every name that a Name, an Attribute or an import in src/ or scripts/
     refers to. An import in the package's ``__init__`` is a re-export, not a
     use, so it does not count; neither do mentions in docstrings."""
     names = set()
-    for path in [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py")]:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)) and path.name != "__init__.py":
-                names.update(alias.name.rpartition(".")[2] for alias in node.names)
+    for path, node in program_nodes():
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and path.name != "__init__.py":
+            names.update(alias.name.rpartition(".")[2] for alias in node.names)
     return names
+
+
+def program_attribute_reads() -> set[str]:
+    """Every attribute name that src/ or scripts/ reads (loads)."""
+    return {
+        node.attr
+        for _, node in program_nodes()
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def public_members() -> list[tuple[str, str]]:
+    """(module.Class.name, name) of each public method, property and
+    annotated field in the body of a module-level class."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    name = node.name
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    name = node.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    found.append((f"{path.stem}.{cls.name}.{name}", name))
+    return found
 
 
 def public_definitions() -> list[tuple[str, str]]:
@@ -42,6 +78,14 @@ def test_every_public_definition_has_a_program_reader():
     used = program_references()
     unread = [label for label, name in public_definitions() if name not in used]
     assert not unread, f"public names that only tests use: {unread}"
+
+
+def test_every_public_member_is_read_by_the_program():
+    read = program_attribute_reads()
+    members = public_members()
+    assert "placement.SensorPlan.covered_by" in dict(members)
+    unread = [label for label, name in members if name not in read]
+    assert not unread, f"public members that only tests read: {unread}"
 
 
 def test_package_init_imports_nothing():
