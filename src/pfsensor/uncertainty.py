@@ -73,13 +73,9 @@ class GaussianMixture:
         lo, hi = self.support
         if not lo <= x <= hi:
             return 0.0
-        if len(self.centers) == 1:  # on NumPy scalars: one-element arrays cost 4x as much
-            z = (np.float64(x) - self.centers[0]) / self.width
-            dens = np.exp(-0.5 * z * z) / (self.width * math.sqrt(2.0 * math.pi))
-        else:
-            z = (x - self._points) / self.width
-            # the sum over the count is .mean()'s arithmetic at a third of its cost
-            dens = np.exp(-0.5 * z * z).sum() / z.size / (self.width * math.sqrt(2.0 * math.pi))
+        z = (x - self._points) / self.width
+        # the sum over the count is .mean()'s arithmetic at a third of its cost
+        dens = np.exp(-0.5 * z * z).sum() / z.size / (self.width * math.sqrt(2.0 * math.pi))
         return float(dens / self._norm)
 
 

@@ -240,6 +240,10 @@ def test_place_without_build_matches_build_then_place(tmp_path, extra):
     assert main(["place", "--config", str(fresh)]) == 0
     placed = {p.name: p.read_bytes() for p in (tmp_path / "fresh").iterdir()}
     assert sorted(placed) == ["coverage-expected.txt", "coverage-sensors.txt", "plan.json"]
+    assert len(json.loads(placed["plan.json"])["sensors"]) == 4
+    table = placed["coverage-sensors.txt"].decode().splitlines()
+    assert table[1] == "144 4"
+    assert {int(row.split()[1]) for row in table[2:]} == {1, 2, 3, 4}
     for name, data in placed.items():
         assert (tmp_path / "built" / name).read_bytes() == data
 
