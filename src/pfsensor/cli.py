@@ -157,13 +157,12 @@ def cmd_converge(args) -> int:
 
 def cmd_propagate(args) -> int:
     cfg = _load_config(args)
+    count = len(cfg.fields) or len(cfg.cdf_points)
+    if not 0 <= args.scenario < count:
+        raise ConfigError(f"scenario index {args.scenario} outside [0, {count})")
     grid, scenarios = scenario_set(cfg)
-    if not 0 <= args.scenario < len(scenarios):
-        raise ConfigError(
-            f"scenario index {args.scenario} outside [0, {len(scenarios)})"
-        )
     phi0 = release_field(cfg, grid)
-    operator = build_markov(scenarios[args.scenario], cfg.dt, cfg.boundaries())
+    operator = build_markov(scenarios[args.scenario], cfg.dt, cfg.outlets)
     phi = propagate(phi0, operator, cfg.steps)
     target = Path(cfg.out) / f"concentration-{args.scenario:03d}.txt"
     save_scalar_field(target, grid, phi.values)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from .grid import StructuredGrid
-from .markov import BoundarySpec
+from .markov import SIDES
 
 Box = tuple[tuple[float, float, float], tuple[float, float, float]]
 MAX_STATES = 2**31 - 1
@@ -65,9 +65,6 @@ class RunConfig:
             raise ConfigError("grid dims not configured")
         return StructuredGrid(self.dims, self.spacing, self.origin)
 
-    def boundaries(self) -> BoundarySpec:
-        return BoundarySpec(outlet_sides=self.outlets)
-
     def validate(self) -> None:
         """The rules that join keys; `apply` checks each key's own value."""
         if self.fields and self.family:
@@ -78,6 +75,8 @@ class RunConfig:
             raise ConfigError("synthetic family needs 'distribution' and 'cdf_points'")
         if self.cdf_points is not None and self.distribution is None:
             raise ConfigError("cdf_points given without a distribution")
+        if self.family and self.dims is not None and self.dims[2] != 1:
+            raise ConfigError(f"dims {self.dims}: family {self.family} is 2D only (nz = 1)")
         if self.fields:
             total = sum(entry.theta for entry in self.fields)
             if not abs(total - 1.0) <= 1e-9:
@@ -222,10 +221,10 @@ def apply(cfg: RunConfig, key: str, raw: str) -> None:
     elif key == "occupied_box":
         cfg.occupied_boxes.append(_box(key, raw))
     elif key == "outlets":
-        try:
-            cfg.outlets = BoundarySpec(outlet_sides=frozenset(raw.split())).outlet_sides
-        except ValueError as exc:
-            raise ConfigError(f"outlets: {exc}") from None
+        bad = sorted(set(raw.split()) - set(SIDES))
+        if bad:
+            raise ConfigError(f"outlets: unknown boundary sides {bad}; valid: {SIDES}")
+        cfg.outlets = frozenset(raw.split())
     elif key == "release_box":
         cfg.release_box = _box(key, raw)
     elif key == "out":

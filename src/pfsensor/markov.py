@@ -22,7 +22,8 @@ MARKOV_MAGIC = "# pfsensor-markov v1"
 
 ROW_SUM_TOL = 1e-12
 
-_SIDES = ("x-", "x+", "y-", "y+", "z-", "z+")
+# the domain sides that `outlets` may name
+SIDES = ("x-", "x+", "y-", "y+", "z-", "z+")
 
 
 class StabilityError(ValueError):
@@ -34,25 +35,6 @@ class StabilityError(ValueError):
             f"largest admissible dt = {admissible_dt}"
         )
         self.admissible_dt = float(admissible_dt)
-
-
-@dataclass(frozen=True)
-class BoundarySpec:
-    """Which domain sides behave as absorbing outlets; all others are closed."""
-
-    outlet_sides: frozenset[str] = frozenset()
-
-    def __post_init__(self) -> None:
-        bad = self.outlet_sides - set(_SIDES)
-        if bad:
-            raise ValueError(f"unknown boundary sides {sorted(bad)}; valid: {_SIDES}")
-
-    @property
-    def has_exit(self) -> bool:
-        return bool(self.outlet_sides)
-
-
-CLOSED = BoundarySpec()
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,73 +90,55 @@ class ConcentrationField:
 
 
 def _outflow_rates(
-    scenario: FlowScenario, boundaries: BoundarySpec
+    scenario: FlowScenario, outlets: frozenset[str]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Off-diagonal volumetric transfer rates (volume/second).
 
     Returns COO triplets (rows, cols, rates) and the matrix size, which is
-    N + 1 when any side is an outlet (the extra absorbing exit state).
-    Advective rates use the upwind side of the two-point face mean; diffusive
-    rates are D * A_face / center distance.
+    N + 1 when any side is an outlet (the extra absorbing exit state, index
+    N). Advective rates use the upwind side of the two-point face mean;
+    diffusive rates are D * A_face / center distance.
     """
-    grid = scenario.field.grid
-    nx, ny, nz = grid.dims
+    field = scenario.field
+    grid = field.grid
     dx, dy, dz = grid.spacing
-    diff = scenario.diffusivity
     n = grid.n_states
-
-    state = np.arange(n).reshape(nz, ny, nx)  # [l, j, i], x fastest
-    comps = {
-        "x": scenario.field.u.reshape(nz, ny, nx),
-        "y": scenario.field.v.reshape(nz, ny, nx),
-        "z": scenario.field.w.reshape(nz, ny, nx),
+    shape = grid.dims[::-1]
+    state = np.arange(n).reshape(shape)  # [l, j, i], x fastest
+    # per axis: array axis, velocity component, face area, center distance
+    axes = {
+        "x": (2, field.u.reshape(shape), dy * dz, dx),
+        "y": (1, field.v.reshape(shape), dx * dz, dy),
+        "z": (0, field.w.reshape(shape), dx * dy, dz),
     }
-    face_area = {"x": dy * dz, "y": dx * dz, "z": dx * dy}
-    center_dist = {"x": dx, "y": dy, "z": dz}
-    axis_of = {"x": 2, "y": 1, "z": 0}
 
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    rates: list[np.ndarray] = []
+    def cut(ax: int, index) -> tuple:
+        sl = [slice(None)] * 3
+        sl[ax] = index
+        return tuple(sl)
 
-    for name in ("x", "y", "z"):
-        ax = axis_of[name]
+    rows, cols, rates = [], [], []
+    for ax, comp, area, dist in axes.values():
         if state.shape[ax] < 2:
             continue
-        comp = comps[name]
-        lo_slice = [slice(None)] * 3
-        hi_slice = [slice(None)] * 3
-        lo_slice[ax] = slice(0, -1)
-        hi_slice[ax] = slice(1, None)
-        k_lo = state[tuple(lo_slice)].ravel()
-        k_hi = state[tuple(hi_slice)].ravel()
-        u_face = 0.5 * (comp[tuple(lo_slice)].ravel() + comp[tuple(hi_slice)].ravel())
-        area = face_area[name]
-        g = diff * area / center_dist[name]
-        rows.append(k_lo)
-        cols.append(k_hi)
-        rates.append(np.maximum(u_face, 0.0) * area + g)
-        rows.append(k_hi)
-        cols.append(k_lo)
-        rates.append(np.maximum(-u_face, 0.0) * area + g)
+        lo, hi = cut(ax, slice(0, -1)), cut(ax, slice(1, None))
+        k_lo, k_hi = state[lo].ravel(), state[hi].ravel()
+        u_face = 0.5 * (comp[lo].ravel() + comp[hi].ravel())
+        g = scenario.diffusivity * area / dist
+        rows += [k_lo, k_hi]
+        cols += [k_hi, k_lo]
+        rates += [np.maximum(u_face, 0.0) * area + g, np.maximum(-u_face, 0.0) * area + g]
 
-    size = n
-    if boundaries.has_exit:
-        size = n + 1
-        exit_state = n
-        for side in sorted(boundaries.outlet_sides):
-            name, sign = side[0], side[1]
-            ax = axis_of[name]
-            sl = [slice(None)] * 3
-            sl[ax] = -1 if sign == "+" else 0
-            k_bnd = state[tuple(sl)].ravel()
-            u_bnd = comps[name][tuple(sl)].ravel()
-            outward = u_bnd if sign == "+" else -u_bnd
-            rate = np.maximum(outward, 0.0) * face_area[name]
-            rows.append(k_bnd)
-            cols.append(np.full(k_bnd.shape, exit_state))
-            rates.append(rate)
+    for side in sorted(outlets):
+        ax, comp, area, _ = axes[side[0]]
+        sl = cut(ax, -1 if side[1] == "+" else 0)
+        k_bnd = state[sl].ravel()
+        outward = comp[sl].ravel() if side[1] == "+" else -comp[sl].ravel()
+        rows.append(k_bnd)
+        cols.append(np.full(k_bnd.shape, n))
+        rates.append(np.maximum(outward, 0.0) * area)
 
+    size = n + bool(outlets)
     if rows:
         return np.concatenate(rows), np.concatenate(cols), np.concatenate(rates), size
     empty = np.empty(0, dtype=np.int64)
@@ -182,9 +146,10 @@ def _outflow_rates(
 
 
 def build_markov(
-    scenario: FlowScenario, dt: float, boundaries: BoundarySpec = CLOSED
+    scenario: FlowScenario, dt: float, outlets: frozenset[str] = frozenset()
 ) -> MarkovMatrix:
-    """Assemble the one-step transition matrix for a flow scenario.
+    """Assemble the one-step transition matrix for a flow scenario, with an
+    absorbing exit state after the cells when `outlets` names any side.
 
     Raises StabilityError (carrying the admissible step) when dt makes any
     diagonal entry negative. Rows whose off-diagonal sum exceeds 1 by at most
@@ -194,7 +159,7 @@ def build_markov(
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     grid = scenario.field.grid
-    rows, cols, rates, size = _outflow_rates(scenario, boundaries)
+    rows, cols, rates, size = _outflow_rates(scenario, outlets)
     vol = grid.cell_volume
 
     scale = dt / vol
@@ -203,14 +168,12 @@ def build_markov(
     probs = rates * scale if np.isfinite(scale) else rates / vol * dt
     off = sparse.coo_array((probs, (rows, cols)), shape=(size, size)).tocsr()
     off.sum_duplicates()
+    # the exit row holds no off-diagonal entry: its sum is 0 and its diagonal 1
     row_sum = np.asarray(off.sum(axis=1)).ravel()
-    if boundaries.has_exit:
-        row_sum[-1] = 0.0  # absorbing exit row only holds its diagonal
 
-    overshoot = row_sum.max() - 1.0 if row_sum.size else -1.0
+    overshoot = row_sum.max() - 1.0
     if overshoot > ROW_SUM_TOL:
-        interior = row_sum[: grid.n_states]
-        raise StabilityError(dt, dt / interior.max())
+        raise StabilityError(dt, dt / row_sum.max())
     if overshoot > 0.0:
         hot = np.flatnonzero(row_sum > 1.0)
         scale = np.ones(size)
@@ -218,10 +181,7 @@ def build_markov(
         off = sparse.csr_array(sparse.diags_array(scale) @ off)
         row_sum[hot] = 1.0
 
-    diag = 1.0 - row_sum
-    if boundaries.has_exit:
-        diag[-1] = 1.0
-    matrix = sparse.csr_array(off + sparse.diags_array(diag))
+    matrix = sparse.csr_array(off + sparse.diags_array(1.0 - row_sum))
     return MarkovMatrix(matrix=matrix, dt=dt)
 
 

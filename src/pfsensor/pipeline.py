@@ -117,11 +117,10 @@ def build_operators(cfg: RunConfig, scenarios: list[FlowScenario]) -> list[Marko
     checks that dt is set. A dt too large for any scenario raises
     StabilityError with the smallest admissible dt over all scenarios, so a
     rerun at that dt builds every operator."""
-    boundaries = cfg.boundaries()
 
     def build(scenario):
         try:
-            return build_markov(scenario, cfg.dt, boundaries)
+            return build_markov(scenario, cfg.dt, cfg.outlets)
         except StabilityError as exc:
             return exc
 
@@ -238,19 +237,20 @@ def run_place(cfg: RunConfig) -> tuple[SensorPlan, dict]:
         min_coverage=cfg.min_coverage,
         occupied_volume_fraction=np.count_nonzero(release) / n if cfg.occupied_boxes else None,
     )
-    plan.settings.update(
-        {
-            "steps": cfg.steps,
-            "dt": cfg.dt,
-            "eps_acc": cfg.eps_acc,
-            "threshold_mode": "scaled",
-            "scenario_xis": [sc.sample_value for sc in scenarios],
-            "forbidden_states": np.flatnonzero(~candidates).tolist(),
-            "sensing_ignore_states": np.flatnonzero(~release[:n]).tolist(),
-        }
-    )
-
-    plan_doc = plan_document(plan, grid)
+    settings = {
+        "k": cfg.sensors,
+        "min_coverage": cfg.min_coverage,
+        "removal": "covered",
+        "weights": weights,
+        "steps": cfg.steps,
+        "dt": cfg.dt,
+        "eps_acc": cfg.eps_acc,
+        "threshold_mode": "scaled",
+        "scenario_xis": [sc.sample_value for sc in scenarios],
+        "forbidden_states": np.flatnonzero(~candidates).tolist(),
+        "sensing_ignore_states": np.flatnonzero(~release[:n]).tolist(),
+    }
+    plan_doc = plan_document(plan, grid, settings)
     write_artifact(out / "plan.json", [json.dumps(plan_doc, indent=2, allow_nan=False)])
     save_scalar_field(out / "coverage-expected.txt", grid, expected_map[:n])
     head = [COVERAGE_MAGIC, f"{n} {len(plan.sensors)}"]
@@ -258,7 +258,7 @@ def run_place(cfg: RunConfig) -> tuple[SensorPlan, dict]:
     return plan, plan_doc
 
 
-def plan_document(plan: SensorPlan, grid: StructuredGrid) -> dict:
+def plan_document(plan: SensorPlan, grid: StructuredGrid, settings: dict) -> dict:
     sensors = []
     for sensor in plan.sensors:
         if sensor.state < grid.n_states:
@@ -281,7 +281,7 @@ def plan_document(plan: SensorPlan, grid: StructuredGrid) -> dict:
         "cumulative_expected_coverage": plan.cumulative_expected_coverage,
         "occupied_space_coverage": plan.occupied_space_coverage,
         "truncated": plan.truncated,
-        "settings": plan.settings,
+        "settings": settings,
     }
 
 
@@ -340,6 +340,8 @@ def expected_coverage_for_counts(cfg: RunConfig, counts: list[int]) -> list[dict
         raise ConfigError("convergence study needs at least 2 sample counts")
     if sorted(set(counts)) != sorted(counts):
         raise ConfigError("sample counts must be distinct")
+    if min(counts) < 2:
+        raise ConfigError(f"sample counts must each be >= 2, got {sorted(counts)}")
     if not cfg.family:
         raise ConfigError("convergence study needs a synthetic family config")
     ordered = sorted(counts)

@@ -9,7 +9,7 @@ stamps the rows it covers with its rank and decrements their columns' counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -30,7 +30,6 @@ class SensorPlan:
     covered_by: list[np.ndarray]
     occupied_space_coverage: float | None = None
     truncated: bool = False
-    settings: dict = field(default_factory=dict)
 
 
 def _coverage_table(cell_fraction: float, n: int) -> np.ndarray:
@@ -154,10 +153,4 @@ def place_sensors(
         covered_by=covered_by,
         occupied_space_coverage=None if occupied_volume_fraction is None else cumulative / zone,
         truncated=truncated,
-        settings={
-            "k": k,
-            "min_coverage": min_coverage,
-            "removal": "covered",
-            "weights": [float(t) for t in w],
-        },
     )

@@ -26,7 +26,6 @@ from pfsensor.flowfield import (
 from pfsensor.grid import StructuredGrid
 from pfsensor.markov import (
     MARKOV_MAGIC,
-    BoundarySpec,
     MarkovMatrix,
     build_markov,
     save_markov,
@@ -209,7 +208,7 @@ def test_writer_transient_memory_is_bounded(tmp_path):
 def test_save_markov_sorts_unsorted_csr_indices(tmp_path):
     grid = StructuredGrid((5, 4, 1), (0.25, 0.3, 0.2))
     scenario = FlowScenario(synth_recirculating(grid, 0.7), diffusivity=1e-3)
-    op = build_markov(scenario, 0.5 * admissible_dt(scenario), BoundarySpec(frozenset({"x+"})))
+    op = build_markov(scenario, 0.5 * admissible_dt(scenario), frozenset({"x+"}))
     indptr = op.matrix.indptr
     # every row's entries in descending column order
     perm = np.concatenate([np.arange(a, b)[::-1] for a, b in zip(indptr[:-1], indptr[1:])])

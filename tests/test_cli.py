@@ -576,6 +576,37 @@ def test_converge_needs_two_counts(tmp_path, capsys):
     assert "at least 2" in capsys.readouterr().err
 
 
+def test_converge_rejects_a_count_below_two_naming_the_counts(tmp_path, capsys):
+    cfg = base_cfg(tmp_path)
+    assert main(["converge", "--config", str(cfg), "--samples", "1", "3"]) == 2
+    assert capsys.readouterr().err == "error: sample counts must each be >= 2, got [1, 3]\n"
+
+
+@pytest.mark.parametrize("index", ["7", "-1"])
+def test_propagate_rejects_a_scenario_index_before_any_work(tmp_path, capsys, monkeypatch, index):
+    def refuse(*args):
+        raise AssertionError("the quadrature ran")
+
+    monkeypatch.setattr("pfsensor.pipeline.quadrature_rule", refuse)
+    cfg = base_cfg(tmp_path, cdf_points="0 0.5 1")
+    assert main(["propagate", "--config", str(cfg), "--scenario", index]) == 2
+    assert capsys.readouterr().err == f"error: scenario index {index} outside [0, 3)\n"
+
+
+def test_vortex_with_nz_above_one_exits_2_naming_dims_before_any_work(
+    tmp_path, capsys, monkeypatch
+):
+    def refuse(*args):
+        raise AssertionError("the quadrature ran")
+
+    monkeypatch.setattr("pfsensor.pipeline.quadrature_rule", refuse)
+    cfg = base_cfg(tmp_path, dims="8 8 2")
+    assert main(["build", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: dims (8, 8, 2): family vortex is 2D only (nz = 1)\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_propagate_writes_concentration_field(tmp_path):
     cfg = base_cfg(tmp_path, extra="release_box = 0.2 0.2 0 0.5 0.5 1\n")
     assert main(["propagate", "--config", str(cfg), "--scenario", "3"]) == 0

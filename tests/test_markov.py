@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -8,7 +10,6 @@ from pfsensor.flowfield import FlowScenario, VelocityField, synth_recirculating
 from pfsensor.grid import StructuredGrid
 from pfsensor.markov import (
     MARKOV_MAGIC,
-    BoundarySpec,
     ConcentrationField,
     MarkovMatrix,
     StabilityError,
@@ -159,7 +160,7 @@ def test_single_step_linearity_in_operator_mixture(seed):
 def test_outlet_side_routes_mass_to_exit():
     g = unit_line_grid(3)
     scenario = FlowScenario(uniform_x_flow(g, 0.25), diffusivity=0.0)
-    op = build_markov(scenario, 1.0, BoundarySpec(outlet_sides=frozenset({"x+"})))
+    op = build_markov(scenario, 1.0, frozenset({"x+"}))
     assert op.n_states == 4
     dense = op.matrix.toarray()
     assert np.allclose(dense[2], [0.0, 0.0, 0.75, 0.25])  # last cell drains out
@@ -174,17 +175,36 @@ def test_outlet_requires_outflow_direction():
     # inflow side as outlet contributes nothing (max(0, -u) = 0)
     g = unit_line_grid(3)
     scenario = FlowScenario(uniform_x_flow(g, 0.25), diffusivity=0.0)
-    op = build_markov(scenario, 1.0, BoundarySpec(outlet_sides=frozenset({"x-"})))
+    op = build_markov(scenario, 1.0, frozenset({"x-"}))
     phi = ConcentrationField(g, np.ones(3))
     out = propagate(phi, op, 10)
     assert out.total_mass() == pytest.approx(3.0, rel=1e-12)
+
+
+def test_outflow_through_two_sides_is_pinned(tmp_path):
+    # u > 0 and v < 0 in every cell, so both outlet walls drain into the exit
+    # state; the x+/y- corner cell (state 4) sums one exit entry from each
+    g = StructuredGrid((5, 4, 1), (0.25, 0.3, 0.2))
+    i, j = np.meshgrid(np.arange(5), np.arange(4))
+    u, v = (0.3 + 0.05 * i).ravel(), -(0.2 + 0.04 * j).ravel()
+    scenario = FlowScenario(VelocityField(g, u, v, np.zeros(g.n_states)), diffusivity=1e-3)
+    op = build_markov(scenario, 0.05, frozenset({"x+", "y-"}))
+    n = g.n_states
+    dense = op.matrix.toarray()
+    assert np.array_equal(dense[n], np.eye(n + 1)[n])
+    assert np.flatnonzero(dense[:n, n]).tolist() == [0, 1, 2, 3, 4, 9, 14, 19]
+    # rates times dt / volume: x+ face 0.5 * 0.06, y- face 0.2 * 0.05
+    assert dense[4, n] == pytest.approx((0.5 * 0.06 + 0.2 * 0.05) * 0.05 / 0.015, rel=1e-12)
+    save_markov(tmp_path / "outlet.txt", op)
+    digest = hashlib.sha256((tmp_path / "outlet.txt").read_bytes()).hexdigest()
+    assert digest == "c50ae35246bbf68bc7e976c8d83c0c59ca62f45c41eefa45fc162152b0b01cb6"
 
 
 @pytest.mark.parametrize("outlets", [frozenset(), frozenset({"x+", "y-"})])
 def test_propagate_matches_row_vector_products_bitwise(outlets):
     g = StructuredGrid((15, 12, 1), (0.1, 0.1, 0.2))
     scenario = FlowScenario(synth_recirculating(g, 0.5), diffusivity=1e-3)
-    op = build_markov(scenario, 0.8 * admissible_dt(scenario), BoundarySpec(outlets))
+    op = build_markov(scenario, 0.8 * admissible_dt(scenario), outlets)
     assert op.n_states == g.n_states + bool(outlets)
     values = np.random.default_rng(3).random(g.n_states)
     vec = np.append(values, 0.0) if outlets else values
@@ -192,11 +212,6 @@ def test_propagate_matches_row_vector_products_bitwise(outlets):
         vec = vec @ op.matrix
     out = propagate(ConcentrationField(g, values), op, 30)
     assert np.array_equal(out.values, vec[: g.n_states])
-
-
-def test_boundary_spec_rejects_unknown_side():
-    with pytest.raises(ValueError):
-        BoundarySpec(outlet_sides=frozenset({"north"}))
 
 
 @settings(

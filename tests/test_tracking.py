@@ -7,7 +7,7 @@ from scipy import sparse
 from pfsensor.config import ConfigError, RunConfig, apply
 from pfsensor.flowfield import FlowScenario, VelocityField, synth_recirculating
 from pfsensor.grid import StructuredGrid
-from pfsensor.markov import BoundarySpec, MarkovMatrix, build_markov
+from pfsensor.markov import MarkovMatrix, build_markov
 from pfsensor.pipeline import detection_zones, scaled_tracking
 from pfsensor.tracking import BLOCK, detection_matrix
 
@@ -288,13 +288,12 @@ def flow_operator(rng, outlets):
     if outlets:
         n = grid.n_states
         field = VelocityField(grid, np.full(n, 0.3), np.zeros(n), np.zeros(n))
-        boundaries = BoundarySpec(outlet_sides=frozenset({"x+"}))
     else:
         field = synth_recirculating(grid, float(rng.uniform(-1.0, 1.0)))
-        boundaries = BoundarySpec()
+    sides = frozenset({"x+"} if outlets else ())
     scenario = FlowScenario(field, diffusivity=float(rng.uniform(1e-4, 1e-2)))
-    dt = float(rng.uniform(0.3, 0.95)) * admissible_dt(scenario, boundaries)
-    return build_markov(scenario, dt, boundaries)
+    dt = float(rng.uniform(0.3, 0.95)) * admissible_dt(scenario, sides)
+    return build_markov(scenario, dt, sides)
 
 
 @given(
@@ -367,9 +366,9 @@ def drift_to_outlet():
     grid = StructuredGrid((6, 5, 1), (1.0 / 6, 0.2, 0.2))
     n = grid.n_states
     field = VelocityField(grid, np.full(n, 0.3), np.zeros(n), np.zeros(n))
-    boundaries = BoundarySpec(outlet_sides=frozenset({"x+"}))
+    outlets = frozenset({"x+"})
     scenario = FlowScenario(field, diffusivity=1e-3)
-    return build_markov(scenario, 0.5 * admissible_dt(scenario, boundaries), boundaries)
+    return build_markov(scenario, 0.5 * admissible_dt(scenario, outlets), outlets)
 
 
 @pytest.mark.parametrize("case", ["first_block_empty", "no_row_kept", "exit_column"])
