@@ -4,8 +4,12 @@ one detection matrix per scenario, placement, and report files.
 The config fixes the three detection-kernel inputs once per run: the
 threshold cutoff, and the release and candidate masks, which only
 `detection_zones` derives, from the config's boxes and outlets, before any
-operator is built. Operator assembly and
-detection are independent per scenario and optionally run on a thread pool;
+operator is built. Every command that needs the ensemble checks its
+stability from the face rates alone (`check_stability`), so an unstable dt
+fails before any operator exists; `build` and `validate` then hold one
+operator at a time, each built, written or compared, and dropped before the
+next. For `place` and `converge`, operator assembly and detection are
+independent per scenario and optionally run on a thread pool;
 cross-scenario reductions run in fixed scenario order, so results depend on
 neither completion order nor worker count.
 """
@@ -29,7 +33,14 @@ from .flowfield import (
     write_artifact,
 )
 from .grid import StructuredGrid, box_mask
-from .markov import ConcentrationField, MarkovMatrix, StabilityError, build_markov, save_markov
+from .markov import (
+    ConcentrationField,
+    MarkovMatrix,
+    StabilityError,
+    admissible_dt,
+    build_markov,
+    save_markov,
+)
 from .placement import (
     SensorPlan,
     coverage_vectors,
@@ -112,23 +123,23 @@ def scenario_set(cfg: RunConfig) -> tuple[StructuredGrid, list[FlowScenario]]:
     return grid, scenarios
 
 
+def check_stability(cfg: RunConfig, scenarios: list[FlowScenario]) -> None:
+    """Raise StabilityError with the smallest admissible dt over all
+    scenarios when the config's dt exceeds it, so a rerun at that dt builds
+    every operator; `cli.NEEDS` checks that dt is set. Reads only the face
+    rates: no operator is built."""
+    bound = min(admissible_dt(scenario, cfg.outlets) for scenario in scenarios)
+    if cfg.dt > bound:
+        raise StabilityError(cfg.dt, bound)
+
+
 def build_operators(cfg: RunConfig, scenarios: list[FlowScenario]) -> list[MarkovMatrix]:
-    """One operator per scenario at the config's dt and outlets; `cli.NEEDS`
-    checks that dt is set. A dt too large for any scenario raises
-    StabilityError with the smallest admissible dt over all scenarios, so a
-    rerun at that dt builds every operator."""
-
-    def build(scenario):
-        try:
-            return build_markov(scenario, cfg.dt, cfg.outlets)
-        except StabilityError as exc:
-            return exc
-
-    operators = _map_scenarios(build, scenarios, cfg.workers)
-    unstable = [op.admissible_dt for op in operators if isinstance(op, StabilityError)]
-    if unstable:
-        raise StabilityError(cfg.dt, min(unstable))
-    return operators
+    """One operator per scenario at the config's dt and outlets, all held at
+    once, after `check_stability`."""
+    check_stability(cfg, scenarios)
+    return _map_scenarios(
+        lambda scenario: build_markov(scenario, cfg.dt, cfg.outlets), scenarios, cfg.workers
+    )
 
 
 def detection_zones(cfg: RunConfig, grid: StructuredGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -179,15 +190,17 @@ def scaled_tracking(
 
 def run_build(cfg: RunConfig, out_dir) -> Path:
     """Write per-scenario operator and field files plus a manifest, and return
-    the manifest's path. They are an export: no command reads them back."""
+    the manifest's path. They are an export: no command reads them back.
+    Stability is checked for every scenario before anything is written; each
+    operator is then built, written and dropped before the next."""
     out = Path(out_dir)
     grid, scenarios = scenario_set(cfg)
-    matrices = build_operators(cfg, scenarios)
+    check_stability(cfg, scenarios)
     entries = []
-    for idx, (scenario, operator) in enumerate(zip(scenarios, matrices)):
+    for idx, scenario in enumerate(scenarios):
         matrix_name = f"markov-{idx:03d}.txt"
         field_name = f"field-{idx:03d}.txt"
-        save_markov(out / matrix_name, operator)
+        save_markov(out / matrix_name, build_markov(scenario, cfg.dt, cfg.outlets))
         save_field(out / field_name, scenario.field)
         entries.append(
             {
@@ -303,11 +316,12 @@ def release_field(cfg: RunConfig, grid: StructuredGrid) -> ConcentrationField:
 def run_validate(cfg: RunConfig) -> list[dict]:
     """Operator-vs-PDE transport comparison per scenario.
 
-    Every scenario's operator is built, and its stability checked, before
-    any PDE solve, as for build and place: they are the operators build
-    writes. The reference marches VALIDATE_SUBSTEPS substeps per operator
-    step so the measured gap reflects the operator's own time-stepping
-    error, not the reference's.
+    Every scenario's stability is checked before any operator is built or
+    PDE solved, as for build and place. Each operator, the one build writes
+    for the scenario, is then built, compared and dropped before the next.
+    The reference marches VALIDATE_SUBSTEPS substeps per operator step so
+    the measured gap reflects the operator's own time-stepping error, not
+    the reference's.
     """
     from .pde import compare_operator
 
@@ -317,10 +331,12 @@ def run_validate(cfg: RunConfig) -> list[dict]:
         raise ConfigError(f"outlets {sorted(cfg.outlets)}: the PDE reference is a closed box")
     grid, scenarios = scenario_set(cfg)
     phi0 = release_field(cfg, grid)
-    operators = build_operators(cfg, scenarios)
+    check_stability(cfg, scenarios)
     results = []
-    for idx, (scenario, operator) in enumerate(zip(scenarios, operators)):
+    for idx, scenario in enumerate(scenarios):
+        operator = build_markov(scenario, cfg.dt, cfg.outlets)
         err = compare_operator(scenario, operator, phi0, cfg.steps, VALIDATE_SUBSTEPS)
+        del operator  # dropped before the next scenario's is built
         results.append(
             {
                 "id": idx,

@@ -1,5 +1,6 @@
 import json
 import re
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -15,7 +16,7 @@ from pfsensor.pipeline import run_place, scenario_set
 from pfsensor.placement import coverage_vectors, expected_coverage
 from pfsensor.uncertainty import cdf_points_for
 
-from oracles import PoleDensity, zero_field
+from oracles import PoleDensity, admissible_dt, zero_field
 
 BASE_CFG = """\
 dims = 12 12 1
@@ -108,6 +109,48 @@ def test_unstable_dt_hint_is_the_ensemble_minimum(tmp_path, capsys):
     assert main(["place", "--config", str(cfg), "--dt", "5"]) == 2
     hint = re.search(r"largest admissible dt = (\S+)", capsys.readouterr().err).group(1)
     assert main(["place", "--config", str(cfg), "--dt", hint]) == 0
+
+
+def test_build_unstable_dt_writes_nothing_and_the_hint_builds_every_scenario(
+    tmp_path, capsys, monkeypatch
+):
+    def refuse(*args):
+        raise AssertionError("an operator was built before every scenario was checked")
+
+    cfg = base_cfg(tmp_path, dims="8 8 1", cdf_points="0 0.5 1")
+    with monkeypatch.context() as patch:
+        patch.setattr("pfsensor.pipeline.build_markov", refuse)
+        assert main(["build", "--config", str(cfg), "--dt", "5"]) == 2
+    hint = re.search(r"largest admissible dt = (\S+)", capsys.readouterr().err).group(1)
+    assert not (tmp_path / "out").exists()
+    _, scenarios = scenario_set(parse_config(cfg))
+    assert float(hint) == min(admissible_dt(sc) for sc in scenarios)
+    assert main(["build", "--config", str(cfg), "--dt", hint]) == 0
+    written = sorted(p.name for p in (tmp_path / "out").iterdir())
+    fields, matrices = [[f"{kind}-{i:03d}.txt" for i in range(3)] for kind in ("field", "markov")]
+    assert written == [*fields, "manifest.json", *matrices]
+
+
+@pytest.mark.parametrize("command", ["build", "validate"])
+def test_build_and_validate_hold_one_operator_at_a_time(tmp_path, monkeypatch, command):
+    counts = Counter()
+
+    def dropped():
+        counts["live"] -= 1
+
+    def counted(*args, real=pipeline.build_markov):
+        operator = real(*args)
+        counts["calls"] += 1
+        counts["live"] += 1
+        counts["peak"] = max(counts["peak"], counts["live"])
+        weakref.finalize(operator, dropped)
+        return operator
+
+    monkeypatch.setattr(pipeline, "build_markov", counted)
+    cfg = base_cfg(tmp_path, dims="8 8 1", dt="0.017", steps="25", cdf_points="0 0.5 1")
+    cfg.write_text(cfg.read_text() + "workers = 1\nvalidate_tol = 10\n")
+    assert main([command, "--config", str(cfg)]) == 0
+    assert (counts["calls"], counts["peak"], counts["live"]) == (3, 1, 0)
 
 
 def test_validate_unstable_dt_hint_is_the_ensemble_minimum(tmp_path, capsys, monkeypatch):
@@ -372,6 +415,7 @@ def refuse_operators(monkeypatch):
     def refuse(*args):
         raise AssertionError("an operator was built")
 
+    monkeypatch.setattr("pfsensor.pipeline.admissible_dt", refuse)
     monkeypatch.setattr("pfsensor.pipeline.build_markov", refuse)
     monkeypatch.setattr("pfsensor.cli.build_markov", refuse)
 

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from pfsensor import markov
 from pfsensor.flowfield import FlowScenario, VelocityField, synth_recirculating
 from pfsensor.grid import StructuredGrid
 from pfsensor.markov import (
@@ -102,6 +103,33 @@ def test_built_matrices_row_stochastic(nx, ny, xi, diff, frac):
     dt = frac * bound if np.isfinite(bound) else 1.0
     op = build_markov(scenario, dt)
     op.validate()  # entries in [0, 1], row sums within 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nx=st.integers(2, 12),
+    ny=st.integers(2, 12),
+    xi=st.floats(-2.0, 2.0),
+    diff=st.floats(0.0, 0.05),
+    outlets=st.sampled_from([frozenset(), frozenset({"x+"}), frozenset({"x-", "y+"})]),
+)
+@example(nx=2, ny=2, xi=1.1125369292536007e-308, diff=0.0, outlets=frozenset())
+@example(nx=2, ny=2, xi=1.1125369292536007e-308, diff=0.0, outlets=frozenset({"x+"}))
+@example(nx=2, ny=2, xi=0.0, diff=2.2250738585e-313, outlets=frozenset())
+@example(nx=2, ny=2, xi=0.0, diff=2.2250738585e-313, outlets=frozenset({"x-", "y+"}))
+def test_admissible_dt_is_the_oracle_and_the_build_bound(nx, ny, xi, diff, outlets):
+    g = StructuredGrid((nx, ny, 1), (1.0 / nx, 1.0 / ny, 0.5))
+    scenario = FlowScenario(synth_recirculating(g, xi), diffusivity=diff)
+    bound = markov.admissible_dt(scenario, outlets)
+    assert bound == admissible_dt(scenario, outlets)
+    op = build_markov(scenario, bound if np.isfinite(bound) else 1.0, outlets)
+    op.validate()
+    assert op.n_states == g.n_states + bool(outlets)
+    assert op.matrix.indices.dtype == op.matrix.indptr.dtype == np.int32
+    if np.isfinite(bound):
+        with pytest.raises(StabilityError) as err:
+            build_markov(scenario, float(np.nextafter(bound, np.inf)), outlets)
+        assert err.value.admissible_dt == bound
 
 
 def test_propagate_zero_steps_returns_input():
