@@ -3,8 +3,9 @@
 
 Builds a seven-realization flow ensemble from an uncertain vortex strength,
 validates the transfer operators against the PDE reference, places sensors
-with and without an occupied-zone constraint, and prints the quantities a
-report would tabulate (per-scenario marginals, expected coverage).
+outside an occupied zone while sensing releases from it, checks the expected
+coverage's convergence in sample count, and prints the quantities a report
+would tabulate (per-scenario marginals, expected coverage).
 
 Usage: python scripts/vortex_demo.py [--out DIR] [--sensors K]
 """

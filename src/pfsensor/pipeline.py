@@ -4,13 +4,12 @@ one detection matrix per scenario, placement, and report files.
 The config fixes the three detection-kernel inputs once per run: the
 threshold cutoff, and the release and candidate masks, which only
 `detection_zones` derives, from the config's boxes and outlets, before any
-operator is built. Every command that needs the ensemble checks its
-stability from the face rates alone (`check_stability`), so an unstable dt
-fails before any operator exists; `build` and `validate` then hold one
-operator at a time, each built, written or compared, and dropped before the
-next. For `place` and `converge`, operator assembly and detection are
-independent per scenario and optionally run on a thread pool;
-cross-scenario reductions run in fixed scenario order, so results depend on
+operator is built. `build`, `place`, `validate` and `converge` reach the
+ensemble's operators through `each_operator` alone: it checks stability from
+the face rates, so an unstable dt fails before any operator exists, then
+builds, uses and drops each scenario's operator in its own task on a pool of
+`workers` threads, so at most `workers` operators are alive at once.
+Cross-scenario reductions run in fixed scenario order, so results depend on
 neither completion order nor worker count.
 """
 
@@ -56,14 +55,6 @@ MANIFEST_FORMAT = "pfsensor-manifest v1"
 COVERAGE_MAGIC = "# pfsensor-coverage v1"
 # explicit PDE reference substeps of dt / 5 per operator step in validate
 VALIDATE_SUBSTEPS = 5
-
-
-def _map_scenarios(fn, items, workers: int):
-    """Order-preserving map, threaded when workers > 1."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def make_distribution(cfg: RunConfig):
@@ -123,23 +114,29 @@ def scenario_set(cfg: RunConfig) -> tuple[StructuredGrid, list[FlowScenario]]:
     return grid, scenarios
 
 
-def check_stability(cfg: RunConfig, scenarios: list[FlowScenario]) -> None:
-    """Raise StabilityError with the smallest admissible dt over all
-    scenarios when the config's dt exceeds it, so a rerun at that dt builds
-    every operator; `cli.NEEDS` checks that dt is set. Reads only the face
-    rates: no operator is built."""
+def each_operator(cfg: RunConfig, scenarios: list[FlowScenario], use) -> list:
+    """`use(idx, operator)` for each scenario's operator at the config's dt
+    and outlets, with the results in scenario order.
+
+    First, reading only the face rates, raise StabilityError with the
+    smallest admissible dt over all scenarios when the config's dt exceeds
+    it, so no operator is built and a rerun at that dt builds every one;
+    `cli.NEEDS` checks that dt is set. Each operator is then built inside
+    its scenario's task and dropped when `use` returns, so at most
+    `cfg.workers` operators are alive at once.
+    """
     bound = min(admissible_dt(scenario, cfg.outlets) for scenario in scenarios)
     if cfg.dt > bound:
         raise StabilityError(cfg.dt, bound)
 
+    def task(idx: int):
+        return use(idx, build_markov(scenarios[idx], cfg.dt, cfg.outlets))
 
-def build_operators(cfg: RunConfig, scenarios: list[FlowScenario]) -> list[MarkovMatrix]:
-    """One operator per scenario at the config's dt and outlets, all held at
-    once, after `check_stability`."""
-    check_stability(cfg, scenarios)
-    return _map_scenarios(
-        lambda scenario: build_markov(scenario, cfg.dt, cfg.outlets), scenarios, cfg.workers
-    )
+    indices = range(len(scenarios))
+    if cfg.workers <= 1 or len(scenarios) <= 1:
+        return [task(idx) for idx in indices]
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        return list(pool.map(task, indices))
 
 
 def detection_zones(cfg: RunConfig, grid: StructuredGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -165,52 +162,45 @@ def detection_zones(cfg: RunConfig, grid: StructuredGrid) -> tuple[np.ndarray, n
     return release, candidates
 
 
-def scaled_tracking(
-    cfg: RunConfig,
-    grid: StructuredGrid,
-    matrices: list[MarkovMatrix],
-    zones: tuple[np.ndarray, np.ndarray],
-):
-    """Each scenario's detection pattern over the `detection_zones` masks,
-    and the volume fraction x that each detected release cell carries.
+def detection_patterns(
+    cfg: RunConfig, scenarios: list[FlowScenario], zones: tuple[np.ndarray, np.ndarray]
+) -> list:
+    """Each scenario's detection pattern over the `detection_zones` masks.
 
     Tracking entries range in [0, m + 1], so the cutoff is eps_acc * (m + 1),
     keeping eps_acc a horizon-independent detected-to-released fraction.
-    An absorbing exit state carries no volume.
     """
     release, candidates = zones
     cutoff = cfg.eps_acc * (cfg.steps + 1)
-    detections = _map_scenarios(
-        lambda op: detection_matrix(op, cfg.steps, cutoff, release, candidates),
-        matrices,
-        cfg.workers,
+    return each_operator(
+        cfg,
+        scenarios,
+        lambda idx, op: detection_matrix(op, cfg.steps, cutoff, release, candidates),
     )
-    return detections, grid.cell_volume / grid.total_volume
 
 
 def run_build(cfg: RunConfig, out_dir) -> Path:
     """Write per-scenario operator and field files plus a manifest, and return
     the manifest's path. They are an export: no command reads them back.
-    Stability is checked for every scenario before anything is written; each
-    operator is then built, written and dropped before the next."""
+    Stability is checked for every scenario before anything is written."""
     out = Path(out_dir)
     grid, scenarios = scenario_set(cfg)
-    check_stability(cfg, scenarios)
-    entries = []
-    for idx, scenario in enumerate(scenarios):
+
+    def export(idx: int, operator: MarkovMatrix) -> dict:
+        scenario = scenarios[idx]
         matrix_name = f"markov-{idx:03d}.txt"
         field_name = f"field-{idx:03d}.txt"
-        save_markov(out / matrix_name, build_markov(scenario, cfg.dt, cfg.outlets))
+        save_markov(out / matrix_name, operator)
         save_field(out / field_name, scenario.field)
-        entries.append(
-            {
-                "id": idx,
-                "xi": scenario.sample_value,
-                "theta": scenario.weight,
-                "matrix": matrix_name,
-                "field": field_name,
-            }
-        )
+        return {
+            "id": idx,
+            "xi": scenario.sample_value,
+            "theta": scenario.weight,
+            "matrix": matrix_name,
+            "field": field_name,
+        }
+
+    entries = each_operator(cfg, scenarios, export)
     manifest = {
         "format": MANIFEST_FORMAT,
         "grid": {
@@ -234,10 +224,12 @@ def run_place(cfg: RunConfig) -> tuple[SensorPlan, dict]:
     if cfg.sensors is None and cfg.min_coverage is None:
         raise ConfigError("set a sensor count or a min_coverage target")
     out = Path(cfg.out)
+    # the zones need only the grid, so a family config checks them before its quadrature
+    zones = detection_zones(cfg, cfg.grid()) if cfg.family else None
     grid, scenarios = scenario_set(cfg)
-    release, candidates = zones = detection_zones(cfg, grid)
-    matrices = build_operators(cfg, scenarios)
-    detections, cell_fraction = scaled_tracking(cfg, grid, matrices, zones)
+    release, candidates = zones = zones or detection_zones(cfg, grid)
+    detections = detection_patterns(cfg, scenarios, zones)
+    cell_fraction = grid.cell_volume / grid.total_volume
     n = grid.n_states
     weights = [sc.weight for sc in scenarios]
     expected_map = expected_coverage(coverage_vectors(detections, cell_fraction), weights)
@@ -317,8 +309,7 @@ def run_validate(cfg: RunConfig) -> list[dict]:
     """Operator-vs-PDE transport comparison per scenario.
 
     Every scenario's stability is checked before any operator is built or
-    PDE solved, as for build and place. Each operator, the one build writes
-    for the scenario, is then built, compared and dropped before the next.
+    PDE solved. Each scenario's operator is the one build writes for it.
     The reference marches VALIDATE_SUBSTEPS substeps per operator step so
     the measured gap reflects the operator's own time-stepping error, not
     the reference's.
@@ -331,22 +322,19 @@ def run_validate(cfg: RunConfig) -> list[dict]:
         raise ConfigError(f"outlets {sorted(cfg.outlets)}: the PDE reference is a closed box")
     grid, scenarios = scenario_set(cfg)
     phi0 = release_field(cfg, grid)
-    check_stability(cfg, scenarios)
-    results = []
-    for idx, scenario in enumerate(scenarios):
-        operator = build_markov(scenario, cfg.dt, cfg.outlets)
+
+    def compare(idx: int, operator: MarkovMatrix) -> dict:
+        scenario = scenarios[idx]
         err = compare_operator(scenario, operator, phi0, cfg.steps, VALIDATE_SUBSTEPS)
-        del operator  # dropped before the next scenario's is built
-        results.append(
-            {
-                "id": idx,
-                "xi": scenario.sample_value,
-                "l2_error": err,
-                "tolerance": cfg.validate_tol,
-                "ok": bool(err <= cfg.validate_tol),
-            }
-        )
-    return results
+        return {
+            "id": idx,
+            "xi": scenario.sample_value,
+            "l2_error": err,
+            "tolerance": cfg.validate_tol,
+            "ok": bool(err <= cfg.validate_tol),
+        }
+
+    return each_operator(cfg, scenarios, compare)
 
 
 def expected_coverage_for_counts(cfg: RunConfig, counts: list[int]) -> list[dict]:
@@ -371,8 +359,8 @@ def expected_coverage_for_counts(cfg: RunConfig, counts: list[int]) -> list[dict
         grid, scenarios = scenario_set(replace(cfg, cdf_points=points))
         new = [sc for sc in scenarios if sc.sample_value.hex() not in vectors]
         if new:
-            operators = build_operators(cfg, new)
-            detections, fraction = scaled_tracking(cfg, grid, operators, zones)
+            detections = detection_patterns(cfg, new, zones)
+            fraction = grid.cell_volume / grid.total_volume
             keys = (sc.sample_value.hex() for sc in new)
             vectors.update(zip(keys, coverage_vectors(detections, fraction)))
         level = [vectors[sc.sample_value.hex()] for sc in scenarios]

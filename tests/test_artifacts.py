@@ -30,7 +30,7 @@ from pfsensor.markov import (
     build_markov,
     save_markov,
 )
-from pfsensor.pipeline import build_operators, scenario_set
+from pfsensor.pipeline import scenario_set
 
 from oracles import admissible_dt
 
@@ -247,7 +247,7 @@ def test_build_and_place_exports_match_per_row_formatting(tmp_path, outlets):
     assert main(["place", "--config", str(cfg_path)]) == 0
     cfg = parse_config(cfg_path)
     _, scenarios = scenario_set(cfg)
-    operators = build_operators(cfg, scenarios)
+    operators = [build_markov(sc, cfg.dt, cfg.outlets) for sc in scenarios]
     assert operators[0].n_states == 42 + bool(outlets)
     for idx, (scenario, op) in enumerate(zip(scenarios, operators)):
         markov = out / f"markov-{idx:03d}.txt"

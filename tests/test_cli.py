@@ -12,8 +12,10 @@ from pfsensor.cli import main
 from pfsensor.config import ConfigError, RunConfig, apply, parse_config
 from pfsensor.flowfield import load_field, save_field
 from pfsensor.grid import StructuredGrid, box_mask
+from pfsensor.markov import build_markov
 from pfsensor.pipeline import run_place, scenario_set
 from pfsensor.placement import coverage_vectors, expected_coverage
+from pfsensor.tracking import detection_matrix
 from pfsensor.uncertainty import cdf_points_for
 
 from oracles import PoleDensity, admissible_dt, zero_field
@@ -131,8 +133,15 @@ def test_build_unstable_dt_writes_nothing_and_the_hint_builds_every_scenario(
     assert written == [*fields, "manifest.json", *matrices]
 
 
-@pytest.mark.parametrize("command", ["build", "validate"])
-def test_build_and_validate_hold_one_operator_at_a_time(tmp_path, monkeypatch, command):
+@pytest.mark.parametrize(
+    "command, calls",
+    [(["build"], 3), (["validate"], 3), (["place"], 3), (["converge", "--samples", "3", "5"], 5)],
+    ids=["build", "validate", "place", "converge"],
+)
+def test_every_ensemble_command_holds_one_operator_at_a_time(
+    tmp_path, monkeypatch, command, calls
+):
+    # workers = 1: each operator is dropped before the next is built
     counts = Counter()
 
     def dropped():
@@ -149,8 +158,8 @@ def test_build_and_validate_hold_one_operator_at_a_time(tmp_path, monkeypatch, c
     monkeypatch.setattr(pipeline, "build_markov", counted)
     cfg = base_cfg(tmp_path, dims="8 8 1", dt="0.017", steps="25", cdf_points="0 0.5 1")
     cfg.write_text(cfg.read_text() + "workers = 1\nvalidate_tol = 10\n")
-    assert main([command, "--config", str(cfg)]) == 0
-    assert (counts["calls"], counts["peak"], counts["live"]) == (3, 1, 0)
+    assert main([*command, "--config", str(cfg)]) == 0
+    assert (counts["calls"], counts["peak"], counts["live"]) == (calls, 1, 0)
 
 
 def test_validate_unstable_dt_hint_is_the_ensemble_minimum(tmp_path, capsys, monkeypatch):
@@ -411,6 +420,10 @@ def test_place_all_columns_forbidden_exits_with_diagnostic(tmp_path, capsys):
     assert "every candidate column" in capsys.readouterr().err
 
 
+def refuse_quadrature(*args):
+    raise AssertionError("the quadrature ran")
+
+
 def refuse_operators(monkeypatch):
     def refuse(*args):
         raise AssertionError("an operator was built")
@@ -435,8 +448,10 @@ def refuse_operators(monkeypatch):
 def test_place_and_converge_refuse_the_same_empty_zones(
     tmp_path, capsys, monkeypatch, extra, message
 ):
-    # the zones need no operator, so neither command builds one
+    # the zones need only the grid, so neither command builds an operator
+    # or runs the quadrature
     refuse_operators(monkeypatch)
+    monkeypatch.setattr("pfsensor.pipeline.quadrature_rule", refuse_quadrature)
     cfg = small_cfg(tmp_path)
     cfg.write_text(cfg.read_text() + extra)
     assert main(["place", "--config", str(cfg)]) == 2
@@ -595,9 +610,11 @@ def test_converge_builds_each_distinct_sample_once(tmp_path, monkeypatch):
     for m in (3, 5, 7):
         points = tuple(float(p) for p in cdf_points_for(m))
         grid, scenarios = pipeline.scenario_set(replace(run_cfg, cdf_points=points))
-        ops = pipeline.build_operators(run_cfg, scenarios)
-        zones = pipeline.detection_zones(run_cfg, grid)
-        vectors = coverage_vectors(*pipeline.scaled_tracking(run_cfg, grid, ops, zones))
+        release, candidates = pipeline.detection_zones(run_cfg, grid)
+        steps, cutoff = run_cfg.steps, run_cfg.eps_acc * (run_cfg.steps + 1)
+        ops = [build_markov(sc, run_cfg.dt, run_cfg.outlets) for sc in scenarios]
+        detections = [detection_matrix(op, steps, cutoff, release, candidates) for op in ops]
+        vectors = coverage_vectors(detections, grid.cell_volume / grid.total_volume)
         maps.append(expected_coverage(vectors, [sc.weight for sc in scenarios]))
     norm = float(np.linalg.norm(maps[-1]))
     errors = [float(np.linalg.norm(level - maps[-1])) / norm for level in maps[:-1]]
@@ -628,10 +645,7 @@ def test_converge_rejects_a_count_below_two_naming_the_counts(tmp_path, capsys):
 
 @pytest.mark.parametrize("index", ["7", "-1"])
 def test_propagate_rejects_a_scenario_index_before_any_work(tmp_path, capsys, monkeypatch, index):
-    def refuse(*args):
-        raise AssertionError("the quadrature ran")
-
-    monkeypatch.setattr("pfsensor.pipeline.quadrature_rule", refuse)
+    monkeypatch.setattr("pfsensor.pipeline.quadrature_rule", refuse_quadrature)
     cfg = base_cfg(tmp_path, cdf_points="0 0.5 1")
     assert main(["propagate", "--config", str(cfg), "--scenario", index]) == 2
     assert capsys.readouterr().err == f"error: scenario index {index} outside [0, 3)\n"
@@ -640,10 +654,7 @@ def test_propagate_rejects_a_scenario_index_before_any_work(tmp_path, capsys, mo
 def test_vortex_with_nz_above_one_exits_2_naming_dims_before_any_work(
     tmp_path, capsys, monkeypatch
 ):
-    def refuse(*args):
-        raise AssertionError("the quadrature ran")
-
-    monkeypatch.setattr("pfsensor.pipeline.quadrature_rule", refuse)
+    monkeypatch.setattr("pfsensor.pipeline.quadrature_rule", refuse_quadrature)
     cfg = base_cfg(tmp_path, dims="8 8 2")
     assert main(["build", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
@@ -672,15 +683,22 @@ def test_end_to_end_determinism(tmp_path):
 
 
 def test_workers_do_not_change_results(tmp_path):
-    cfg1 = base_cfg(tmp_path, out=tmp_path / "w1")
-    assert main(["build", "--config", str(cfg1), "--workers", "1"]) == 0
-    assert main(["place", "--config", str(cfg1), "--workers", "1"]) == 0
-    cfg4 = base_cfg(tmp_path, out=tmp_path / "w4")
-    assert main(["build", "--config", str(cfg4), "--workers", "4"]) == 0
-    assert main(["place", "--config", str(cfg4), "--workers", "4"]) == 0
-    a = json.loads((tmp_path / "w1" / "plan.json").read_text())
-    b = json.loads((tmp_path / "w4" / "plan.json").read_text())
-    assert a["sensors"] == b["sensors"]
+    # every file each ensemble command writes, byte for byte
+    commands = [["build"], ["place"], ["validate"], ["converge", "--samples", "2", "3", "5"]]
+    written = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        cfg = base_cfg(
+            tmp_path, dims="8 8 1", dt="0.017", steps="25", cdf_points="0 0.5 1", out=out
+        )
+        cfg.write_text(cfg.read_text() + "validate_tol = 10\n")
+        for command in commands:
+            assert main([*command, "--config", str(cfg), "--workers", workers]) == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    # the manifest, 3 operators and 3 fields, the plan and 2 coverage files,
+    # validation.json and convergence.json
+    assert len(written[0]) == 12
+    assert written[0] == written[1]
 
 
 def test_config_rejects_unknown_key(tmp_path):

@@ -8,7 +8,8 @@ from pfsensor.config import ConfigError, RunConfig, apply
 from pfsensor.flowfield import FlowScenario, VelocityField, synth_recirculating
 from pfsensor.grid import StructuredGrid
 from pfsensor.markov import MarkovMatrix, build_markov
-from pfsensor.pipeline import detection_zones, scaled_tracking
+from pfsensor import pipeline
+from pfsensor.pipeline import detection_patterns, detection_zones
 from pfsensor.tracking import BLOCK, detection_matrix
 
 from oracles import admissible_dt
@@ -57,11 +58,14 @@ def pairs(operator, steps, cutoff, release=None, candidates=None):
     return {(int(r), int(c)) for r, c in zip(coo.coords[0], coo.coords[1])}
 
 
-def scaled_dense(cfg, grid, operators):
-    """The first scenario's detection matrix with volume-fraction entries:
-    its pattern times the cell fraction scaled_tracking returns."""
-    patterns, fraction = scaled_tracking(cfg, grid, operators, detection_zones(cfg, grid))
-    return patterns[0].toarray() * fraction
+def scaled_dense(cfg, grid, operator):
+    """The detection matrix with volume-fraction entries: the operator's
+    pattern over the config's zones at the eps_acc * (m + 1) cutoff, times
+    the cell fraction."""
+    release, candidates = detection_zones(cfg, grid)
+    cutoff = cfg.eps_acc * (cfg.steps + 1)
+    pattern = detection_matrix(operator, cfg.steps, cutoff, release, candidates)
+    return pattern.toarray() * (grid.cell_volume / grid.total_volume)
 
 
 def run_config(**fields):
@@ -158,12 +162,15 @@ def test_threshold_two_state_hand_values():
     assert pairs(op, 2, 0.1 * 3) == {(0, 0), (1, 1)}
 
 
-def test_threshold_scales_eps_acc_by_horizon():
-    op = operator_from_dense(TWO_STATE)
-    cfg = run_config(steps=2, eps_acc=0.28)
-    # cutoff 0.28 * 3 = 0.84 drops the 0.28 off-diagonals
+def test_threshold_scales_eps_acc_by_horizon(monkeypatch):
+    # the still scenario admits any dt; its operator is the hand-valued one
+    monkeypatch.setattr(pipeline, "build_markov", lambda *args: operator_from_dense(TWO_STATE))
+    cfg = run_config(steps=2, eps_acc=0.28, dt=1.0)
     grid = line_grid(2)
-    assert scaled_tracking(cfg, grid, [op], detection_zones(cfg, grid))[0][0].nnz == 2
+    still = FlowScenario(VelocityField(grid, *np.zeros((3, 2))))
+    # cutoff 0.28 * 3 = 0.84 drops the 0.28 off-diagonals
+    [pattern] = detection_patterns(cfg, [still], detection_zones(cfg, grid))
+    assert pattern.nnz == 2
 
 
 @given(
@@ -245,7 +252,7 @@ def test_constraint_masks_must_share_grid():
 def test_volumetric_scale_uniform_grid():
     rng = np.random.default_rng(4)
     cfg = run_config(steps=2, eps_acc=0.0)
-    scaled = scaled_dense(cfg, line_grid(4), [random_stochastic(rng, 4)])
+    scaled = scaled_dense(cfg, line_grid(4), random_stochastic(rng, 4))
     assert np.allclose(scaled, np.full((4, 4), 0.25))
 
 
@@ -259,7 +266,7 @@ def test_volumetric_scale_empty_matrix():
 def test_volumetric_scale_full_matrix_column_sums_are_one():
     rng = np.random.default_rng(6)
     cfg = run_config(steps=3, eps_acc=0.0)
-    scaled = scaled_dense(cfg, line_grid(6), [random_stochastic(rng, 6)])
+    scaled = scaled_dense(cfg, line_grid(6), random_stochastic(rng, 6))
     assert np.allclose(scaled.sum(axis=0), 1.0)
 
 
@@ -267,7 +274,7 @@ def test_volumetric_scale_exit_state_has_zero_volume():
     # one extra absorbing state: it may host a sensor but releases nothing
     rng = np.random.default_rng(7)
     cfg = run_config(steps=2, eps_acc=0.0, outlets=frozenset({"x+"}))
-    dense = scaled_dense(cfg, line_grid(3), [random_stochastic(rng, 4)])
+    dense = scaled_dense(cfg, line_grid(3), random_stochastic(rng, 4))
     assert np.allclose(dense[:3], 1.0 / 3.0)
     assert not dense[3].any()
 
@@ -277,7 +284,7 @@ def test_volumetric_scale_grid_size_mismatch():
     cfg = run_config(steps=2, eps_acc=0.0)
     grid = line_grid(3)
     with pytest.raises(ValueError, match="must both have length 5"):
-        scaled_tracking(cfg, grid, [random_stochastic(rng, 5)], detection_zones(cfg, grid))
+        scaled_dense(cfg, grid, random_stochastic(rng, 5))
 
 
 def flow_operator(rng, outlets):
