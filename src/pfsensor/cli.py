@@ -7,20 +7,17 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, apply, parse_config
-from .flowfield import save_scalar_field, write_artifact
-from .markov import build_markov, propagate
 from .pipeline import (
+    PLAN_NAME,
     expected_coverage_for_counts,
-    release_field,
     run_build,
     run_place,
+    run_propagate,
     run_validate,
-    scenario_set,
 )
 
 EXIT_OK = 0
@@ -103,51 +100,41 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_build(args) -> int:
-    cfg = _load_config(args)
-    manifest = run_build(cfg, cfg.out)
-    print(f"wrote {manifest}")
+def cmd_build(cfg: RunConfig, args) -> int:
+    print(f"wrote {run_build(cfg)}")
     return EXIT_OK
 
 
-def cmd_place(args) -> int:
-    cfg = _load_config(args)
-    plan, doc = run_place(cfg)
+def cmd_place(cfg: RunConfig, args) -> int:
+    doc = run_place(cfg)
     for rank, sensor in enumerate(doc["sensors"], start=1):
         print(
             f"sensor {rank}: state {sensor['state']} "
             f"marginal coverage {sensor['expected_marginal']:.6f}"
         )
-    print(f"expected coverage: {plan.cumulative_expected_coverage:.6f}")
-    if plan.occupied_space_coverage is not None:
-        print(f"occupied-space coverage: {plan.occupied_space_coverage:.6f}")
-    if plan.truncated:
+    print(f"expected coverage: {doc['cumulative_expected_coverage']:.6f}")
+    if doc["occupied_space_coverage"] is not None:
+        print(f"occupied-space coverage: {doc['occupied_space_coverage']:.6f}")
+    if doc["truncated"]:
         print("warning: placement stopped early; remaining coverage is zero")
-    print(f"wrote {Path(cfg.out) / 'plan.json'}")
+    print(f"wrote {Path(cfg.out) / PLAN_NAME}")
     return EXIT_OK
 
 
-def cmd_validate(args) -> int:
-    cfg = _load_config(args)
+def cmd_validate(cfg: RunConfig, args) -> int:
     results = run_validate(cfg)
-    doc = json.dumps(results, indent=2, allow_nan=False)
-    write_artifact(Path(cfg.out) / "validation.json", [doc])
-    worst = 0.0
     for row in results:
         status = "ok" if row["ok"] else "FAIL"
         print(f"scenario {row['id']} (xi={row['xi']}): L2 error {row['l2_error']:.3e} {status}")
-        worst = max(worst, row["l2_error"])
     if any(not row["ok"] for row in results):
+        worst = max(row["l2_error"] for row in results)
         print(f"validation failed: worst L2 error {worst:.3e} > {cfg.validate_tol}")
         return EXIT_TOLERANCE
     return EXIT_OK
 
 
-def cmd_converge(args) -> int:
-    cfg = _load_config(args)
+def cmd_converge(cfg: RunConfig, args) -> int:
     rows = expected_coverage_for_counts(cfg, list(args.samples))
-    doc = json.dumps(rows, indent=2, allow_nan=False)
-    write_artifact(Path(cfg.out) / "convergence.json", [doc])
     print(f"{'samples':>8}  {'error vs reference':>20}")
     for row in rows:
         err = "-" if row["reference"] else f"{row['error']:.4f}"
@@ -155,17 +142,8 @@ def cmd_converge(args) -> int:
     return EXIT_OK
 
 
-def cmd_propagate(args) -> int:
-    cfg = _load_config(args)
-    count = len(cfg.fields) or len(cfg.cdf_points)
-    if not 0 <= args.scenario < count:
-        raise ConfigError(f"scenario index {args.scenario} outside [0, {count})")
-    grid, scenarios = scenario_set(cfg)
-    phi0 = release_field(cfg, grid)
-    operator = build_markov(scenarios[args.scenario], cfg.dt, cfg.outlets)
-    phi = propagate(phi0, operator, cfg.steps)
-    target = Path(cfg.out) / f"concentration-{args.scenario:03d}.txt"
-    save_scalar_field(target, grid, phi.values)
+def cmd_propagate(cfg: RunConfig, args) -> int:
+    phi, target = run_propagate(cfg, args.scenario)
     print(f"total mass after {cfg.steps} steps: {phi.total_mass()!r}")
     print(f"wrote {target}")
     return EXIT_OK
@@ -184,7 +162,7 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](_load_config(args), args)
     except (ValueError, OSError) as exc:
         # covers config/parse errors, format errors, stability violations
         # (StabilityError's message carries the admissible dt) and artifacts

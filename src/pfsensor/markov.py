@@ -59,13 +59,13 @@ class MarkovMatrix:
     def row_sums(self) -> np.ndarray:
         return np.asarray(self.matrix.sum(axis=1)).ravel()
 
-    def validate(self, tol: float = ROW_SUM_TOL) -> None:
+    def validate(self) -> None:
         data = self.matrix.data
         # stated positively so that a NaN entry fails it
         if data.size and not (data.min() >= 0.0 and data.max() <= 1.0):
             raise ValueError("matrix entries outside [0, 1]")
         drift = np.abs(self.row_sums() - 1.0)
-        if drift.size and drift.max() > tol:
+        if drift.size and drift.max() > ROW_SUM_TOL:
             raise ValueError(f"row sums deviate from 1 by up to {drift.max():.3e}")
 
 
@@ -200,9 +200,7 @@ def build_markov(
     return MarkovMatrix(matrix=matrix, dt=dt)
 
 
-def propagate(
-    phi: ConcentrationField, operator: MarkovMatrix, steps: int = 1
-) -> ConcentrationField:
+def propagate(phi: ConcentrationField, operator: MarkovMatrix, steps: int) -> ConcentrationField:
     """Apply phi <- phi P for the given number of steps, as phi <- P^T phi
     with P^T copied to CSR once, so each step is a row-wise product that sums
     every entry in ascending source order, as phi P itself does.

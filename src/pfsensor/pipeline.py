@@ -1,16 +1,16 @@
-"""End-to-end orchestration: scenario generation, operator construction,
-one detection matrix per scenario, placement, and report files.
+"""End-to-end orchestration: each command's stages and every artifact it
+writes (the JSON ones through `write_json`); the CLI only parses and prints.
 
 The config fixes the three detection-kernel inputs once per run: the
 threshold cutoff, and the release and candidate masks, which only
 `detection_zones` derives, from the config's boxes and outlets, before any
-operator is built. `build`, `place`, `validate` and `converge` reach the
-ensemble's operators through `each_operator` alone: it checks stability from
-the face rates, so an unstable dt fails before any operator exists, then
-builds, uses and drops each scenario's operator in its own task on a pool of
-`workers` threads, so at most `workers` operators are alive at once.
-Cross-scenario reductions run in fixed scenario order, so results depend on
-neither completion order nor worker count.
+operator is built. All five commands reach their operators through
+`each_operator` alone: it checks stability from the face rates, so an
+unstable dt fails before any operator exists, then builds, uses and drops
+each scenario's operator in its own task on a pool of `workers` threads, so
+at most `workers` operators are alive at once. Cross-scenario reductions run
+in fixed scenario order, so results depend on neither completion order nor
+worker count.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .markov import (
     StabilityError,
     admissible_dt,
     build_markov,
+    propagate,
     save_markov,
 )
 from .placement import (
@@ -51,6 +52,7 @@ from .tracking import detection_matrix
 from .uncertainty import DistributionFitError, cdf_points_for, fit_kde, gaussian, quadrature_rule
 
 MANIFEST_NAME = "manifest.json"
+PLAN_NAME = "plan.json"
 MANIFEST_FORMAT = "pfsensor-manifest v1"
 COVERAGE_MAGIC = "# pfsensor-coverage v1"
 # explicit PDE reference substeps of dt / 5 per operator step in validate
@@ -80,7 +82,12 @@ def scenario_set(cfg: RunConfig) -> tuple[StructuredGrid, list[FlowScenario]]:
     cfg.validate()
     if cfg.family:
         grid = cfg.grid()
-        rule = quadrature_rule(make_distribution(cfg), cfg.cdf_points)
+        dist = make_distribution(cfg)
+        try:
+            rule = quadrature_rule(dist, cfg.cdf_points)
+        except ValueError as exc:
+            named = " ".join(map(str, cfg.distribution))
+            raise ConfigError(f"cdf_points under distribution {named}: {exc}") from None
         return grid, [
             FlowScenario(
                 field=synth_recirculating(grid, float(xi)),
@@ -179,11 +186,16 @@ def detection_patterns(
     )
 
 
-def run_build(cfg: RunConfig, out_dir) -> Path:
-    """Write per-scenario operator and field files plus a manifest, and return
-    the manifest's path. They are an export: no command reads them back.
-    Stability is checked for every scenario before anything is written."""
-    out = Path(out_dir)
+def write_json(path: Path, doc) -> None:
+    """Write one JSON artifact; NaN or infinity raises ValueError first."""
+    write_artifact(path, [json.dumps(doc, indent=2, allow_nan=False)])
+
+
+def run_build(cfg: RunConfig) -> Path:
+    """Write per-scenario operator and field files plus a manifest to cfg.out,
+    and return the manifest's path. They are an export: no command reads them
+    back. Stability is checked for every scenario before anything is written."""
+    out = Path(cfg.out)
     grid, scenarios = scenario_set(cfg)
 
     def export(idx: int, operator: MarkovMatrix) -> dict:
@@ -214,13 +226,14 @@ def run_build(cfg: RunConfig, out_dir) -> Path:
         "scenarios": entries,
     }
     manifest_path = out / MANIFEST_NAME
-    write_artifact(manifest_path, [json.dumps(manifest, indent=2, allow_nan=False)])
+    write_json(manifest_path, manifest)
     return manifest_path
 
 
-def run_place(cfg: RunConfig) -> tuple[SensorPlan, dict]:
+def run_place(cfg: RunConfig) -> dict:
     """Operators from the config, then tracking through placement; writes the
-    JSON plan, expected-coverage field and per-sensor coverage table to cfg.out."""
+    plan, expected-coverage field and per-sensor coverage table to cfg.out and
+    returns the plan document as written."""
     if cfg.sensors is None and cfg.min_coverage is None:
         raise ConfigError("set a sensor count or a min_coverage target")
     out = Path(cfg.out)
@@ -256,11 +269,11 @@ def run_place(cfg: RunConfig) -> tuple[SensorPlan, dict]:
         "sensing_ignore_states": np.flatnonzero(~release[:n]).tolist(),
     }
     plan_doc = plan_document(plan, grid, settings)
-    write_artifact(out / "plan.json", [json.dumps(plan_doc, indent=2, allow_nan=False)])
+    write_json(out / PLAN_NAME, plan_doc)
     save_scalar_field(out / "coverage-expected.txt", grid, expected_map[:n])
     head = [COVERAGE_MAGIC, f"{n} {len(plan.sensors)}"]
     write_artifact(out / "coverage-sensors.txt", head, sensor_coverage(plan.covered_by, weights))
-    return plan, plan_doc
+    return plan_doc
 
 
 def plan_document(plan: SensorPlan, grid: StructuredGrid, settings: dict) -> dict:
@@ -305,8 +318,25 @@ def release_field(cfg: RunConfig, grid: StructuredGrid) -> ConcentrationField:
     return ConcentrationField(grid, values)
 
 
+def run_propagate(cfg: RunConfig, index: int) -> tuple[ConcentrationField, Path]:
+    """The release field after cfg.steps steps of scenario `index`'s operator,
+    and the path it is written to; a bad index fails before any work."""
+    count = len(cfg.fields) or len(cfg.cdf_points)
+    if not 0 <= index < count:
+        raise ConfigError(f"scenario index {index} outside [0, {count})")
+    grid, scenarios = scenario_set(cfg)
+    phi0 = release_field(cfg, grid)
+    [phi] = each_operator(
+        cfg, scenarios[index : index + 1], lambda _, op: propagate(phi0, op, cfg.steps)
+    )
+    target = Path(cfg.out) / f"concentration-{index:03d}.txt"
+    save_scalar_field(target, grid, phi.values)
+    return phi, target
+
+
 def run_validate(cfg: RunConfig) -> list[dict]:
-    """Operator-vs-PDE transport comparison per scenario.
+    """Operator-vs-PDE transport comparison per scenario, written to
+    validation.json in cfg.out.
 
     Every scenario's stability is checked before any operator is built or
     PDE solved. Each scenario's operator is the one build writes for it.
@@ -334,12 +364,15 @@ def run_validate(cfg: RunConfig) -> list[dict]:
             "ok": bool(err <= cfg.validate_tol),
         }
 
-    return each_operator(cfg, scenarios, compare)
+    results = each_operator(cfg, scenarios, compare)
+    write_json(Path(cfg.out) / "validation.json", results)
+    return results
 
 
 def expected_coverage_for_counts(cfg: RunConfig, counts: list[int]) -> list[dict]:
     """Expected pre-placement coverage per sample count, with the relative
-    norm error of each level against the largest count as reference."""
+    norm error of each level against the largest count as reference,
+    written to convergence.json in cfg.out."""
     if len(counts) < 2:
         raise ConfigError("convergence study needs at least 2 sample counts")
     if sorted(set(counts)) != sorted(counts):
@@ -368,16 +401,10 @@ def expected_coverage_for_counts(cfg: RunConfig, counts: list[int]) -> list[dict
     reference = maps[ordered[-1]]
     ref_norm = float(np.linalg.norm(reference))
     rows = []
-    for m in ordered:
-        if m == ordered[-1]:
-            rows.append({"samples": m, "error": None, "reference": True})
-            continue
+    for m in ordered[:-1]:
         err = float(np.linalg.norm(maps[m] - reference))
-        rows.append(
-            {
-                "samples": m,
-                "error": err / ref_norm if ref_norm > 0.0 else err,
-                "reference": False,
-            }
-        )
+        error = err / ref_norm if ref_norm > 0.0 else err
+        rows.append({"samples": m, "error": error, "reference": False})
+    rows.append({"samples": ordered[-1], "error": None, "reference": True})
+    write_json(Path(cfg.out) / "convergence.json", rows)
     return rows

@@ -135,8 +135,14 @@ def test_build_unstable_dt_writes_nothing_and_the_hint_builds_every_scenario(
 
 @pytest.mark.parametrize(
     "command, calls",
-    [(["build"], 3), (["validate"], 3), (["place"], 3), (["converge", "--samples", "3", "5"], 5)],
-    ids=["build", "validate", "place", "converge"],
+    [
+        (["build"], 3),
+        (["validate"], 3),
+        (["place"], 3),
+        (["converge", "--samples", "3", "5"], 5),
+        (["propagate"], 1),
+    ],
+    ids=["build", "validate", "place", "converge", "propagate"],
 )
 def test_every_ensemble_command_holds_one_operator_at_a_time(
     tmp_path, monkeypatch, command, calls
@@ -430,7 +436,6 @@ def refuse_operators(monkeypatch):
 
     monkeypatch.setattr("pfsensor.pipeline.admissible_dt", refuse)
     monkeypatch.setattr("pfsensor.pipeline.build_markov", refuse)
-    monkeypatch.setattr("pfsensor.cli.build_markov", refuse)
 
 
 @pytest.mark.parametrize(
@@ -558,6 +563,17 @@ def test_quadpack_failure_exits_2_naming_interval_and_code(tmp_path, capsys, mon
     monkeypatch.setattr("pfsensor.pipeline.make_distribution", lambda cfg: PoleDensity())
     assert main(["build", "--config", str(base_cfg(tmp_path))]) == 2
     assert "over [0.0, 0.5]: the density is too irregular" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cdf_points_that_break_the_quadrature_exit_2_naming_the_key(tmp_path, capsys):
+    # distinct CDF points whose inverse-CDF samples round to one value
+    cfg = base_cfg(tmp_path, cdf_points="0.3 0.3000000000001 1")
+    assert main(["place", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: cdf_points under distribution gaussian 0.5 0.05: "
+        "samples must be strictly increasing\n"
+    )
     assert not (tmp_path / "out").exists()
 
 

@@ -88,6 +88,17 @@ def test_every_public_member_is_read_by_the_program():
     assert not unread, f"public members that only tests read: {unread}"
 
 
+def test_cli_imports_only_config_and_pipeline_from_the_package():
+    # the CLI parses, dispatches and prints; pipeline runs every command
+    sources = set()
+    for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):
+        if isinstance(node, ast.Import):
+            sources.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            sources.add("." * node.level + (node.module or ""))
+    assert {s for s in sources if s.startswith((".", "pfsensor"))} == {".config", ".pipeline"}
+
+
 def test_package_init_imports_nothing():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
