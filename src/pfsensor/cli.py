@@ -144,7 +144,7 @@ def cmd_converge(cfg: RunConfig, args) -> int:
 
 def cmd_propagate(cfg: RunConfig, args) -> int:
     phi, target = run_propagate(cfg, args.scenario)
-    print(f"total mass after {cfg.steps} steps: {phi.total_mass()!r}")
+    print(f"total mass after {cfg.steps} steps: {float(phi.sum())!r}")
     print(f"wrote {target}")
     return EXIT_OK
 

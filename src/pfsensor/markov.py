@@ -10,13 +10,13 @@ grid states.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from .flowfield import FlowScenario, write_artifact
-from .grid import StructuredGrid
 
 MARKOV_MAGIC = "# pfsensor-markov v1"
 
@@ -43,50 +43,6 @@ class MarkovMatrix:
 
     matrix: sparse.csr_array
     dt: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dt", float(self.dt))
-        if not (np.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be finite and positive, got {self.dt}")
-        n, m = self.matrix.shape
-        if n != m:
-            raise ValueError(f"matrix must be square, got shape {self.matrix.shape}")
-
-    @property
-    def n_states(self) -> int:
-        return self.matrix.shape[0]
-
-    def row_sums(self) -> np.ndarray:
-        return np.asarray(self.matrix.sum(axis=1)).ravel()
-
-    def validate(self) -> None:
-        data = self.matrix.data
-        # stated positively so that a NaN entry fails it
-        if data.size and not (data.min() >= 0.0 and data.max() <= 1.0):
-            raise ValueError("matrix entries outside [0, 1]")
-        drift = np.abs(self.row_sums() - 1.0)
-        if drift.size and drift.max() > ROW_SUM_TOL:
-            raise ValueError(f"row sums deviate from 1 by up to {drift.max():.3e}")
-
-
-@dataclass(frozen=True, eq=False)
-class ConcentrationField:
-    """Per-state contaminant density (dimensionless mass fraction)."""
-
-    grid: StructuredGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = self.grid.n_states
-        if self.values.shape != (n,):
-            raise ValueError(f"values have shape {self.values.shape}, expected ({n},)")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("concentration contains non-finite values")
-        if np.any(self.values < 0.0):
-            raise ValueError("concentration must be non-negative")
-
-    def total_mass(self) -> float:
-        return float(self.values.sum())
 
 
 def _outflow_rates(
@@ -172,8 +128,9 @@ def build_markov(
     rows whose off-diagonal sum still exceeds 1 by rounding (at most 1e-12
     at normal rates) are rescaled to sum to 1.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    # before any arithmetic: a NaN or infinite dt would build NaN entries
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     rows, cols, rates, size = _outflow_rates(scenario, outlets)
     vol = scenario.field.grid.cell_volume
     bound = _admissible(rows, rates, size, vol)
@@ -197,48 +154,52 @@ def build_markov(
         row_sum[hot] = 1.0
 
     matrix = sparse.csr_array(off + sparse.diags_array(1.0 - row_sum))
-    return MarkovMatrix(matrix=matrix, dt=dt)
+    return MarkovMatrix(matrix=matrix, dt=float(dt))
 
 
-def propagate(phi: ConcentrationField, operator: MarkovMatrix, steps: int) -> ConcentrationField:
+def propagate(phi: np.ndarray, operator: MarkovMatrix, steps: int) -> np.ndarray:
     """Apply phi <- phi P for the given number of steps, as phi <- P^T phi
     with P^T copied to CSR once, so each step is a row-wise product that sums
     every entry in ascending source order, as phi P itself does.
 
-    With an exit-state operator (n_states = N + 1) the concentration vector
-    is padded with a zero exit entry and the returned field keeps only the
-    grid states; mass absorbed at the outlet simply leaves the domain.
+    With an exit-state operator (one state more than phi) the concentration
+    vector is padded with a zero exit entry and the returned vector keeps
+    only the grid states; mass absorbed at the outlet simply leaves the domain.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    n_grid = phi.grid.n_states
-    n_op = operator.n_states
+    n_grid = phi.size
+    n_op = operator.matrix.shape[0]
     if n_op not in (n_grid, n_grid + 1):
-        raise ValueError(
-            f"operator size {n_op} does not match grid with {n_grid} states"
-        )
+        raise ValueError(f"operator size {n_op} does not match grid with {n_grid} states")
 
-    vec = phi.values.astype(float, copy=True)
+    vec = phi.astype(float, copy=True)
     if n_op == n_grid + 1:
         vec = np.append(vec, 0.0)
     p_t = sparse.csr_array(operator.matrix.T)
     for _ in range(steps):
         vec = p_t @ vec
-    return ConcentrationField(phi.grid, vec[:n_grid].copy())
+    return vec[:n_grid]
 
 
 def save_markov(path, operator: MarkovMatrix) -> None:
     """Write a matrix file: ``row col value`` for each stored entry, rows in
     order and columns ascending within a row, read straight from the CSR
     arrays (a sorted copy only when the indices are unsorted). An operator
-    that is not row-stochastic raises ValueError and nothing is written."""
-    operator.validate()
+    whose entries leave [0, 1] or whose rows drift from 1 by more than
+    ROW_SUM_TOL raises ValueError and nothing is written."""
     mat = operator.matrix.tocsr()
+    # stated positively so that a NaN entry fails it
+    if mat.data.size and not (mat.data.min() >= 0.0 and mat.data.max() <= 1.0):
+        raise ValueError("matrix entries outside [0, 1]")
+    drift = np.abs(mat.sum(axis=1) - 1.0)
+    if drift.size and drift.max() > ROW_SUM_TOL:
+        raise ValueError(f"row sums deviate from 1 by up to {drift.max():.3e}")
     if not mat.has_sorted_indices:
         mat = mat.sorted_indices()
     rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
     write_artifact(
         path,
-        [MARKOV_MAGIC, f"{operator.n_states} {mat.nnz} {operator.dt!r}"],
+        [MARKOV_MAGIC, f"{mat.shape[0]} {mat.nnz} {operator.dt!r}"],
         (rows, mat.indices, mat.data),
     )

@@ -8,9 +8,10 @@ operator is built. All five commands reach their operators through
 `each_operator` alone: it checks stability from the face rates, so an
 unstable dt fails before any operator exists, then builds, uses and drops
 each scenario's operator in its own task on a pool of `workers` threads, so
-at most `workers` operators are alive at once. Cross-scenario reductions run
-in fixed scenario order, so results depend on neither completion order nor
-worker count.
+at most `workers` operators are alive at once. `propagate` makes only the
+scenario it runs: one synthesized field, or one slice of the loaded files.
+Cross-scenario reductions run in fixed scenario order, so results depend on
+neither completion order nor worker count.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .flowfield import (
 )
 from .grid import StructuredGrid, box_mask
 from .markov import (
-    ConcentrationField,
     MarkovMatrix,
     StabilityError,
     admissible_dt,
@@ -303,7 +303,7 @@ def plan_document(plan: SensorPlan, grid: StructuredGrid, settings: dict) -> dic
     }
 
 
-def release_field(cfg: RunConfig, grid: StructuredGrid) -> ConcentrationField:
+def release_field(cfg: RunConfig, grid: StructuredGrid) -> np.ndarray:
     """Initial contaminant distribution: unit density inside the configured
     release box, or a unit point release at the domain-center cell."""
     values = np.zeros(grid.n_states)
@@ -315,22 +315,26 @@ def release_field(cfg: RunConfig, grid: StructuredGrid) -> ConcentrationField:
     else:
         nx, ny, nz = grid.dims
         values[grid.state_index((nx // 2, ny // 2, nz // 2))] = 1.0
-    return ConcentrationField(grid, values)
+    return values
 
 
-def run_propagate(cfg: RunConfig, index: int) -> tuple[ConcentrationField, Path]:
+def run_propagate(cfg: RunConfig, index: int) -> tuple[np.ndarray, Path]:
     """The release field after cfg.steps steps of scenario `index`'s operator,
-    and the path it is written to; a bad index fails before any work."""
+    and the path it is written to; a bad index fails before any work. A family
+    config samples only the chosen CDF point, which keeps its bits: the
+    inverse CDF maps each point on its own."""
     count = len(cfg.fields) or len(cfg.cdf_points)
     if not 0 <= index < count:
         raise ConfigError(f"scenario index {index} outside [0, {count})")
-    grid, scenarios = scenario_set(cfg)
+    if cfg.family:
+        grid, scenarios = scenario_set(replace(cfg, cdf_points=cfg.cdf_points[index : index + 1]))
+    else:
+        grid, scenarios = scenario_set(cfg)  # every file: the grid check needs them all
+        scenarios = scenarios[index : index + 1]
     phi0 = release_field(cfg, grid)
-    [phi] = each_operator(
-        cfg, scenarios[index : index + 1], lambda _, op: propagate(phi0, op, cfg.steps)
-    )
+    [phi] = each_operator(cfg, scenarios, lambda _, op: propagate(phi0, op, cfg.steps))
     target = Path(cfg.out) / f"concentration-{index:03d}.txt"
-    save_scalar_field(target, grid, phi.values)
+    save_scalar_field(target, grid, phi)
     return phi, target
 
 

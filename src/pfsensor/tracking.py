@@ -53,7 +53,7 @@ def detection_matrix(
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    n = operator.n_states
+    n = operator.matrix.shape[0]
     release = np.asarray(release, dtype=bool)
     candidates = np.asarray(candidates, dtype=bool)
     if release.shape != (n,) or candidates.shape != (n,):

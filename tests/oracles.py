@@ -2,6 +2,7 @@
 
 ``admissible_dt`` is the oracle for the admissible step that
 ``markov.StabilityError`` carries and for ``pde.stable_step``.
+``assert_row_stochastic`` checks a built operator's invariants.
 ``PoleDensity`` is a density that QUADPACK cannot integrate.
 ``ReferenceGaussian`` is the single normal density, computed operation for
 operation as the package did before one Gaussian mixture served both
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from pfsensor.flowfield import FlowScenario, VelocityField
 from pfsensor.grid import StructuredGrid
@@ -40,6 +42,15 @@ def admissible_dt(scenario: FlowScenario, outlets: frozenset[str] = frozenset())
         return float("inf")
     # a Python float division: a subnormal peak gives inf, not a warning
     return grid.cell_volume / float(peak)
+
+
+def assert_row_stochastic(matrix) -> None:
+    """Every stored entry lies in [0, 1], so a NaN fails, and every row sums
+    to 1 within 1e-12, summed entry by entry in row order."""
+    coo = sparse.coo_array(matrix)
+    assert np.all((coo.data >= 0.0) & (coo.data <= 1.0)), "entries outside [0, 1]"
+    sums = np.bincount(coo.coords[0], weights=coo.data, minlength=coo.shape[0])
+    assert np.abs(sums - 1.0).max() <= 1e-12, f"row sums drift by {np.abs(sums - 1.0).max()}"
 
 
 class PoleDensity:

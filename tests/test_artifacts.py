@@ -2,6 +2,7 @@
 and fuzzed loaders."""
 
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -248,7 +249,7 @@ def test_build_and_place_exports_match_per_row_formatting(tmp_path, outlets):
     cfg = parse_config(cfg_path)
     _, scenarios = scenario_set(cfg)
     operators = [build_markov(sc, cfg.dt, cfg.outlets) for sc in scenarios]
-    assert operators[0].n_states == 42 + bool(outlets)
+    assert operators[0].matrix.shape[0] == 42 + bool(outlets)
     for idx, (scenario, op) in enumerate(zip(scenarios, operators)):
         markov = out / f"markov-{idx:03d}.txt"
         assert markov.read_bytes() == markov_oracle(op.matrix, op.dt).encode()
@@ -276,6 +277,17 @@ def test_build_and_place_exports_match_per_row_formatting(tmp_path, outlets):
 def test_save_markov_refuses_non_stochastic_operator(tmp_path):
     op = MarkovMatrix(sparse.csr_array(np.array([[0.5, 0.4], [0.0, 1.0]])), dt=1.0)
     with pytest.raises(ValueError, match="row sums"):
+        save_markov(tmp_path / "m.txt", op)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("entry", [-0.25, math.nan], ids=["negative", "nan"])
+def test_save_markov_refuses_an_entry_outside_the_unit_interval(tmp_path, entry):
+    # the negative entry leaves its row summing to exactly 1, and a NaN row
+    # sum passes a drift bound, so only the entry check refuses either
+    dense = np.array([[0.75, 0.5, entry], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    op = MarkovMatrix(sparse.csr_array(dense), dt=1.0)
+    with pytest.raises(ValueError, match=r"matrix entries outside \[0, 1\]"):
         save_markov(tmp_path / "m.txt", op)
     assert not any(tmp_path.iterdir())
 

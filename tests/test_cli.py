@@ -10,10 +10,10 @@ import pytest
 from pfsensor import pipeline
 from pfsensor.cli import main
 from pfsensor.config import ConfigError, RunConfig, apply, parse_config
-from pfsensor.flowfield import load_field, save_field
+from pfsensor.flowfield import load_field, save_field, save_scalar_field
 from pfsensor.grid import StructuredGrid, box_mask
-from pfsensor.markov import build_markov
-from pfsensor.pipeline import run_place, scenario_set
+from pfsensor.markov import build_markov, propagate
+from pfsensor.pipeline import release_field, run_place, scenario_set
 from pfsensor.placement import coverage_vectors, expected_coverage
 from pfsensor.tracking import detection_matrix
 from pfsensor.uncertainty import cdf_points_for
@@ -685,6 +685,26 @@ def test_propagate_writes_concentration_field(tmp_path):
     # closed domain: the release mass is still in the u-component payload
     release = box_mask(field.grid, (0.2, 0.2, 0.0), (0.5, 0.5, 1.0))
     assert field.u.sum() == pytest.approx(float(np.count_nonzero(release)), rel=1e-9)
+
+
+def test_propagate_synthesizes_only_the_chosen_scenario(tmp_path, monkeypatch):
+    # the chosen CDF point alone gives the sample it has in the whole ensemble
+    cfg = base_cfg(tmp_path, dims="8 8 1", dt="0.017", steps="25", cdf_points="0 0.5 1")
+    parsed = parse_config(cfg)
+    grid, scenarios = scenario_set(parsed)
+    operator = build_markov(scenarios[2], parsed.dt, parsed.outlets)
+    expected = tmp_path / "expected.txt"
+    save_scalar_field(expected, grid, propagate(release_field(parsed, grid), operator, 25))
+    calls = Counter()
+
+    def counted(*args, real=pipeline.synth_recirculating):
+        calls["synth"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, "synth_recirculating", counted)
+    assert main(["propagate", "--config", str(cfg), "--scenario", "2"]) == 0
+    assert calls["synth"] == 1
+    assert (tmp_path / "out" / "concentration-002.txt").read_bytes() == expected.read_bytes()
 
 
 def test_end_to_end_determinism(tmp_path):

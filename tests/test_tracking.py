@@ -38,7 +38,7 @@ def tracking_rows(operator, steps, rows):
     rows = np.asarray(rows, dtype=np.int64)
     p_t = sparse.csr_array(operator.matrix.T)
     units = (rows, np.arange(rows.size))
-    acc = np.zeros((operator.n_states, rows.size))
+    acc = np.zeros((operator.matrix.shape[0], rows.size))
     acc[units] = 1.0
     for _ in range(steps):
         acc = p_t @ acc
@@ -47,11 +47,11 @@ def tracking_rows(operator, steps, rows):
 
 
 def full_q(operator, steps):
-    return tracking_rows(operator, steps, np.arange(operator.n_states))
+    return tracking_rows(operator, steps, np.arange(operator.matrix.shape[0]))
 
 
 def pairs(operator, steps, cutoff, release=None, candidates=None):
-    n = operator.n_states
+    n = operator.matrix.shape[0]
     rel = np.ones(n, dtype=bool) if release is None else np.asarray(release)
     cand = np.ones(n, dtype=bool) if candidates is None else np.asarray(candidates)
     coo = detection_matrix(operator, steps, cutoff, rel, cand).tocoo()
@@ -316,7 +316,7 @@ def test_detection_matches_dense_oracle(seed, kind, steps, eps):
         op = random_stochastic(rng, int(rng.integers(2, 21)))
     else:
         op = flow_operator(rng, outlets=kind == "outlet")
-    n = op.n_states
+    n = op.matrix.shape[0]
     release = rng.random(n) < 0.8
     candidates = rng.random(n) < 0.7
     cutoff = eps * (steps + 1)
@@ -333,7 +333,7 @@ def test_detection_streams_more_rows_than_one_block():
     grid = StructuredGrid((20, 20, 1), (0.05, 0.05, 0.2))
     scenario = FlowScenario(synth_recirculating(grid, 0.5), diffusivity=1e-4)
     op = build_markov(scenario, 0.5 * admissible_dt(scenario))
-    n = op.n_states
+    n = op.matrix.shape[0]
     assert n > 2 * BLOCK
     release = np.ones(n, dtype=bool)
     candidates = rng.random(n) < 0.5
@@ -352,7 +352,7 @@ def test_horner_sum_matches_forward_power_sum_at_benchmark_horizon():
     grid = StructuredGrid((20, 20, 1), (0.05, 0.05, 0.2))
     scenario = FlowScenario(synth_recirculating(grid, 0.5), diffusivity=1e-4)
     op = build_markov(scenario, 0.5 * admissible_dt(scenario))
-    steps, n = 80, op.n_states
+    steps, n = 80, op.matrix.shape[0]
     p_t = sparse.csr_array(op.matrix.T)
     x = np.eye(n)
     expected = x.copy()
@@ -385,12 +385,12 @@ def test_pattern_is_boolean_with_int32_indices(case):
     steps = 3
     if case == "exit_column":
         op = drift_to_outlet()
-        n = op.n_states
+        n = op.matrix.shape[0]
         release = np.arange(n) < n - 1  # the exit state releases nothing
         candidates = np.ones(n, dtype=bool)
     else:
         op = closed_vortex_20()
-        n = op.n_states
+        n = op.matrix.shape[0]
         release = np.full(n, case == "first_block_empty")
         # the first block's rows reach at most steps * 20 states past state 63
         candidates = np.arange(n) >= BLOCK + steps * 20 + 1
