@@ -694,7 +694,8 @@ def test_propagate_synthesizes_only_the_chosen_scenario(tmp_path, monkeypatch):
     grid, scenarios = scenario_set(parsed)
     operator = build_markov(scenarios[2], parsed.dt, parsed.outlets)
     expected = tmp_path / "expected.txt"
-    save_scalar_field(expected, grid, propagate(release_field(parsed, grid), operator, 25))
+    phi = propagate(release_field(parsed, grid), operator, parsed.steps)
+    save_scalar_field(expected, grid, phi)
     calls = Counter()
 
     def counted(*args, real=pipeline.synth_recirculating):
