@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,19 @@ class StructuredGrid:
             raise ValueError(f"grid dims must be positive, got {self.dims}")
         if min(self.spacing) <= 0.0:
             raise ValueError(f"grid spacing must be positive, got {self.spacing}")
+        far = tuple(x0 + n * d for x0, n, d in zip(self.origin, self.dims, self.spacing))
+        # stated positively so that NaN fails; a volume that underflows to 0, or
+        # a volume or corner that overflows, breaks every rate and coverage
+        if not (
+            self.cell_volume > 0.0
+            and math.isfinite(self.total_volume)
+            and all(map(math.isfinite, far))
+        ):
+            raise ValueError(
+                f"grid spacing {self.spacing} on dims {self.dims} needs a positive cell "
+                "volume and a finite total volume and far corner, got "
+                f"{self.cell_volume}, {self.total_volume} and {far}"
+            )
 
     @property
     def n_states(self) -> int:

@@ -62,7 +62,10 @@ VALIDATE_SUBSTEPS = 5
 def make_distribution(cfg: RunConfig):
     kind = cfg.distribution[0]
     if kind == "gaussian":
-        return gaussian(cfg.distribution[1], cfg.distribution[2])
+        try:
+            return gaussian(cfg.distribution[1], cfg.distribution[2])
+        except ValueError as exc:
+            raise ConfigError(f"distribution: {exc}") from None
     path = cfg.config_dir / cfg.distribution[1]  # an absolute path replaces the directory
     try:
         data = [float(line) for line in path.read_text().split()]

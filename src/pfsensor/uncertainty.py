@@ -14,14 +14,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
+from pathlib import Path
 
 import numpy as np
+import scipy
 
-from .quadpack import quad
 
+def _load_qagse():
+    """scipy's compiled dqagse, the routine `scipy.integrate.quad` runs on a
+    finite interval, loaded from its extension file: importing
+    `scipy.integrate` runs its package __init__, which costs about 30 MB of RSS."""
+    where = str(Path(scipy.__file__).parent / "integrate")
+    spec = PathFinder.find_spec("_quadpack", [where])
+    if spec is None:
+        raise ImportError(f"scipy's compiled QUADPACK (_quadpack) not found in {where}")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._qagse
+
+
+_qagse = _load_qagse()
+# in _qagse's argument order
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-11, limit=200)
-# QUADPACK's failure codes, as quadpack.quad documents them (6, invalid
-# tolerances, cannot arise from _QUAD_OPTS)
+# dqagse's failure codes, its ier (6, invalid tolerances, cannot arise from
+# _QUAD_OPTS)
 _QUAD_FAILURES = {
     1: "the subdivision limit was reached",
     2: "roundoff error prevents the requested accuracy",
@@ -49,6 +67,9 @@ class GaussianMixture:
     def __post_init__(self) -> None:
         if not self.width > 0.0:
             raise ValueError(f"width must be positive, got {self.width}")
+        # the quadrature takes its bounds from the support
+        if not all(map(math.isfinite, self.support)):
+            raise ValueError(f"support {self.support} is not finite")
 
     @cached_property
     def support(self) -> tuple[float, float]:
@@ -68,8 +89,8 @@ class GaussianMixture:
         return 0.5 * math.fsum(erfs) / len(self.centers)
 
     def pdf(self, x: float) -> float:
-        """Truncated density at a scalar; `quadpack.quad` calls it once per
-        point with a Python float."""
+        """Truncated density at a scalar; scipy's compiled dqagse calls it once
+        per point with a Python float."""
         lo, hi = self.support
         if not lo <= x <= hi:
             return 0.0
@@ -93,7 +114,11 @@ def fit_kde(data) -> GaussianMixture:
         raise DistributionFitError(f"need at least 2 data points, got {arr.size}")
     if not np.all(np.isfinite(arr)):
         raise DistributionFitError("data contains non-finite values")
-    std = float(arr.std(ddof=1))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            std = float(arr.std(ddof=1))
+    except FloatingPointError:
+        raise DistributionFitError("data standard deviation overflows") from None
     if std == 0.0:
         raise DistributionFitError("data has zero variance; no density to fit")
     h = 1.06 * std * arr.size ** (-0.2)
@@ -124,7 +149,7 @@ def _integral(f, a: float, b: float) -> float:
     ValueError naming the interval and the code."""
     if b <= a:
         return 0.0
-    value, _, ier = quad(f, a, b, **_QUAD_OPTS)
+    value, _, ier = _qagse(f, a, b, (), 0, *_QUAD_OPTS.values())
     if ier != 0:
         raise ValueError(
             f"cannot integrate the density over [{a!r}, {b!r}]: "

@@ -559,6 +559,35 @@ def test_build_rejects_bad_distribution(tmp_path, capsys, numbers):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["place", "build"])
+@pytest.mark.parametrize("spacing", ["1e300 1e300 1e300", "1e-120 1e-120 1e-120"])
+def test_spacing_whose_volume_overflows_or_underflows_exits_2_naming_spacing(
+    tmp_path, capsys, command, spacing
+):
+    cfg = base_cfg(tmp_path, dims="6 6 1", spacing=spacing)
+    assert main([command, "--config", str(cfg)]) == 2
+    assert "error: grid spacing" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "distribution, message",
+    [
+        ("kde big.txt", "KDE data {tmp}/big.txt: data standard deviation overflows"),
+        ("gaussian 1e308 1e308", "distribution: support (-inf, inf) is not finite"),
+    ],
+    ids=["kde", "gaussian"],
+)
+def test_spread_that_overflows_exits_2_naming_the_key_or_file(
+    tmp_path, capsys, distribution, message
+):
+    (tmp_path / "big.txt").write_text("1e308\n-1e308\n")
+    cfg = base_cfg(tmp_path, distribution=distribution)
+    assert main(["place", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_quadpack_failure_exits_2_naming_interval_and_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("pfsensor.pipeline.make_distribution", lambda cfg: PoleDensity())
     assert main(["build", "--config", str(base_cfg(tmp_path))]) == 2

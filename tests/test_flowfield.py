@@ -62,6 +62,13 @@ def test_load_reports_real_line_after_blank_lines(tmp_path):
         load_field(tmp_path / "missing.txt")
 
 
+def test_load_rejects_a_header_whose_volume_overflows(tmp_path):
+    p = tmp_path / "f.txt"
+    write_lines(p, [FIELD_MAGIC, "1 1 1", "1e300 1e300 1e300", "0 0 0", "0 0 0"])
+    with pytest.raises(FieldFormatError, match=r"f\.txt:2: invalid grid header: grid spacing"):
+        load_field(p)
+
+
 def test_load_rejects_malformed_record(tmp_path):
     p = tmp_path / "f.txt"
     write_lines(p, [FIELD_MAGIC, "1 1 1", "1 1 1", "0 0 0", "0.1 0.2"])

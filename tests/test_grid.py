@@ -47,6 +47,22 @@ def test_invalid_grid_rejected():
         StructuredGrid((2, 2, 1), (1.0, 0.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "spacing, origin",
+    [
+        ((1e300, 1e300, 1e300), (0.0, 0.0, 0.0)),  # the cell volume overflows
+        ((1e-120, 1e-120, 1e-120), (0.0, 0.0, 0.0)),  # the cell volume underflows to 0
+        ((1e154, 1e154, 0.1), (0.0, 0.0, 0.0)),  # only the total volume overflows
+        ((1e306, 1e-300, 1.0), (1.79e308, 0.0, 0.0)),  # only the far corner overflows
+        ((float("nan"), 1.0, 1.0), (0.0, 0.0, 0.0)),
+    ],
+    ids=["volume-overflow", "volume-underflow", "total-overflow", "corner-overflow", "nan"],
+)
+def test_grid_without_finite_volumes_and_corner_is_rejected_naming_spacing(spacing, origin):
+    with pytest.raises(ValueError, match="grid spacing"):
+        StructuredGrid((6, 6, 1), spacing, origin)
+
+
 @given(dims=dims_st, data=st.data())
 def test_state_index_round_trip(dims, data):
     g = StructuredGrid(dims, (0.5, 0.25, 1.0))

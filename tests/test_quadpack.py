@@ -1,9 +1,11 @@
-"""The QUADPACK port against scipy.integrate.quad as a bitwise oracle.
+"""The compiled dqagse that pfsensor loads from scipy's extension file,
+against scipy.integrate.quad as a bitwise oracle.
 
-Both run the same dqagse, so the result, the error estimate, the number of
-subintervals and the failure code must agree exactly, not to a tolerance.
-The subinterval count is read from the port's function evaluations: dqagse
-makes 21 per rule and two rules per bisection, 42 * last - 21 in all.
+The loader must find the very routine scipy.integrate.quad runs, so the
+result, the error estimate, the number of subintervals and the failure code
+must agree exactly, not to a tolerance, on every exit of dqagse. The
+subinterval count is read from the function evaluations: dqagse makes 21 per
+rule and two rules per bisection, 42 * last - 21 in all.
 """
 
 import math
@@ -13,14 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from pfsensor.quadpack import quad
-from pfsensor.uncertainty import _QUAD_OPTS, fit_kde, gaussian
+from pfsensor.uncertainty import _QUAD_OPTS, _qagse, fit_kde, gaussian
 
-# tier-1 runs 60 examples; `pytest --hypothesis-profile=ci` (tests/conftest.py) ten times as many
-QUAD_ORACLE = settings(
-    max_examples=600 if settings.get_current_profile_name() == "ci" else 60,
-    deadline=None,
-)
+QUAD_ORACLE = settings(max_examples=60, deadline=None)
 
 # scipy reports a nonzero ier only through the message that replaces it
 SCIPY_IER = {
@@ -52,7 +49,7 @@ def assert_bitwise(f, a, b, epsabs=_QUAD_OPTS["epsabs"], epsrel=_QUAD_OPTS["epsr
         calls += 1
         return f(x)
 
-    result, abserr, ier = quad(counted, a, b, epsabs, epsrel, limit)
+    result, abserr, ier = _qagse(counted, a, b, (), 0, epsabs, epsrel, limit)
     last, rest = divmod(calls + 21, 42)
     assert rest == 0
     got = (result.hex(), abserr.hex(), calls, last, ier)
@@ -61,7 +58,7 @@ def assert_bitwise(f, a, b, epsabs=_QUAD_OPTS["epsabs"], epsrel=_QUAD_OPTS["epsr
 
 
 def hat_pieces(dist, a, b):
-    """The integrands basis_weights hands to quad on one node interval."""
+    """The integrands basis_weights integrates on one node interval."""
     width = b - a
     return [
         dist.pdf,
@@ -176,5 +173,5 @@ def test_hard_integrands_reach_extrapolation_and_every_failure_code():
 
 
 def test_invalid_tolerances_or_limit_return_ier_6():
-    assert quad(math.exp, 0.0, 1.0, 0.0, 1e-20, 50) == (0.0, 0.0, 6)
-    assert quad(math.exp, 0.0, 1.0, 1e-10, 1e-10, 0) == (0.0, 0.0, 6)
+    assert _qagse(math.exp, 0.0, 1.0, (), 0, 0.0, 1e-20, 50) == (0.0, 0.0, 6)
+    assert _qagse(math.exp, 0.0, 1.0, (), 0, 1e-10, 1e-10, 0) == (0.0, 0.0, 6)

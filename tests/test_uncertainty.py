@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -76,6 +79,9 @@ def test_fit_kde_rejects_degenerate_data():
         fit_kde([2.0, 2.0, 2.0])
     with pytest.raises(DistributionFitError):
         fit_kde([0.0, np.nan])
+    # and with no RuntimeWarning, which the suite turns into an error
+    with pytest.raises(DistributionFitError, match="standard deviation overflows"):
+        fit_kde([1e308, -1e308])
 
 
 def test_gaussian_normalized_over_support():
@@ -91,7 +97,7 @@ def test_gaussian_normalized_over_support():
     ids=["gaussian", "gaussian-wide", "kde"],
 )
 def test_float_pdf_is_positive_on_support_and_zero_outside(dist):
-    # quad calls pdf once per point with a Python float
+    # dqagse calls pdf once per point with a Python float
     lo, hi = dist.support
     rng = np.random.default_rng(0)
     inside = [*rng.uniform(lo, hi, 200).tolist(), lo, hi]
@@ -105,6 +111,9 @@ def test_float_pdf_is_positive_on_support_and_zero_outside(dist):
 def test_gaussian_rejects_bad_sigma():
     with pytest.raises(ValueError):
         gaussian(0.0, 0.0)
+    # the quadrature takes its bounds from the support
+    with pytest.raises(ValueError, match=r"support \(-inf, inf\) is not finite"):
+        gaussian(1e308, 1e308)
 
 
 def test_icdf_median_of_symmetric_distribution():
@@ -240,9 +249,11 @@ def test_kde_quadrature_pipeline_end_to_end():
     assert expectation(rule, rule.samples) == pytest.approx(float(data.mean()), abs=0.01)
 
 
-def scipy_backed_quad(f, a, b, epsabs, epsrel, limit):
-    """quadpack.quad's signature on scipy's dqagse (which only warns on failure)."""
-    result, abserr = integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit)
+def scipy_backed_qagse(f, a, b, args, full_output, epsabs, epsrel, limit):
+    """_qagse's signature on scipy.integrate.quad (which only warns on
+    failure), pinning the order and values of the options the rule passes."""
+    assert (args, full_output, epsabs, epsrel, limit) == ((), 0, 1e-13, 1e-11, 200)
+    result, abserr = integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-11, limit=200)
     return result, abserr, 0
 
 
@@ -253,7 +264,7 @@ def scipy_backed_quad(f, a, b, epsabs, epsrel, limit):
 )
 def test_rule_is_bitwise_the_rule_scipy_quad_gives(dist, monkeypatch):
     rule = quadrature_rule(dist, TABLE_POINTS)
-    monkeypatch.setattr(uncertainty, "quad", scipy_backed_quad)
+    monkeypatch.setattr(uncertainty, "_qagse", scipy_backed_qagse)
     oracle = quadrature_rule(dist, TABLE_POINTS)
     assert rule.samples.tobytes() == oracle.samples.tobytes()
     assert rule.weights.tobytes() == oracle.weights.tobytes()
@@ -296,3 +307,34 @@ def test_quadpack_failure_is_an_error_naming_interval_and_code():
     )
     with pytest.raises(ValueError, match=r"over \[0.25, 0.5\].*ier=3"):
         basis_weights([0.25, 0.5], PoleDensity())
+
+
+# scipy reports a nonzero ier only through the message that replaces it
+SCIPY_MESSAGES = {
+    1: "The maximum number of subdivisions",
+    3: "Extremely bad integrand behavior",
+    5: "The integral is probably divergent",
+}
+SMOOTH = gaussian(0.5, 0.05)
+
+
+@pytest.mark.parametrize(
+    "f, a, b, ier",
+    [
+        (lambda x: (0.5 - x) / 0.05 * SMOOTH.pdf(x), 0.45, 0.5, 0),
+        (lambda x: 1.0 / x, 0.0, 1.0, 1),
+        (lambda x: 1.0 / abs(x - 1.0 / 3.0), 0.0, 1.0, 3),
+        (lambda x: math.sin(1e4 * x), 0.0, 1.0, 5),
+    ],
+    ids=["smooth", "divergent", "pole", "fast-sine"],
+)
+def test_integral_is_scipy_quad_or_the_failure_scipy_reports(f, a, b, ier):
+    value, _, _, *message = integrate.quad(f, a, b, **uncertainty._QUAD_OPTS, full_output=1)
+    if ier == 0:
+        assert message == []
+        assert uncertainty._integral(f, a, b).hex() == value.hex()
+        return
+    assert message[0].startswith(SCIPY_MESSAGES[ier])
+    want = f"{uncertainty._QUAD_FAILURES[ier]} (QUADPACK ier={ier})"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        uncertainty._integral(f, a, b)
