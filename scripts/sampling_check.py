@@ -25,18 +25,18 @@ CASES = [
 
 def run() -> int:
     dist = gaussian(MU, SIGMA)
-    rule = quadrature_rule(dist, cdf_points_for(7))
-    print(f"7-point rule: samples {np.round(rule.samples, 5).tolist()}")
-    print(f"              weights {np.round(rule.weights, 5).tolist()}")
+    samples, weights = quadrature_rule(dist, cdf_points_for(7))
+    print(f"7-point rule: samples {np.round(samples, 5).tolist()}")
+    print(f"              weights {np.round(weights, 5).tolist()}")
     print(f"{'function':>10} {'exact':>10} {'weighted sum':>14} {'abs err':>10}")
     for name, fn, exact in CASES:
-        approx = expectation(rule, fn(rule.samples))
+        approx = expectation(weights, fn(samples))
         print(f"{name:>10} {exact:>10.4f} {approx:>14.4f} {abs(approx - exact):>10.2e}")
 
     print("\nerror in E[exp(xi)] vs sample count:")
     for m in (2, 3, 5, 7, 9, 17, 33):
-        rule_m = quadrature_rule(dist, cdf_points_for(m))
-        err = abs(expectation(rule_m, np.exp(rule_m.samples)) - CASES[2][2])
+        samples_m, weights_m = quadrature_rule(dist, cdf_points_for(m))
+        err = abs(expectation(weights_m, np.exp(samples_m)) - CASES[2][2])
         print(f"  M = {m:>2}: {err:.2e}")
     return 0
 

@@ -39,10 +39,11 @@ class StabilityError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class MarkovMatrix:
-    """Row-stochastic transition matrix over grid states for one step dt."""
+    """`build_markov`'s result: the row-stochastic transition matrix over the
+    grid states, which every consumer takes on its own. It stays a record
+    because perfbench's trace counts `markov.nnz` from `result.matrix`."""
 
     matrix: sparse.csr_array
-    dt: float
 
 
 def _outflow_rates(
@@ -154,10 +155,10 @@ def build_markov(
         row_sum[hot] = 1.0
 
     matrix = sparse.csr_array(off + sparse.diags_array(1.0 - row_sum))
-    return MarkovMatrix(matrix=matrix, dt=float(dt))
+    return MarkovMatrix(matrix=matrix)
 
 
-def propagate(phi: np.ndarray, operator: MarkovMatrix, steps: int) -> np.ndarray:
+def propagate(phi: np.ndarray, matrix: sparse.csr_array, steps: int) -> np.ndarray:
     """Apply phi <- phi P for the given number of steps, as phi <- P^T phi
     with P^T copied to CSR once, so each step is a row-wise product that sums
     every entry in ascending source order, as phi P itself does.
@@ -169,26 +170,27 @@ def propagate(phi: np.ndarray, operator: MarkovMatrix, steps: int) -> np.ndarray
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     n_grid = phi.size
-    n_op = operator.matrix.shape[0]
+    n_op = matrix.shape[0]
     if n_op not in (n_grid, n_grid + 1):
         raise ValueError(f"operator size {n_op} does not match grid with {n_grid} states")
 
     vec = phi.astype(float, copy=True)
     if n_op == n_grid + 1:
         vec = np.append(vec, 0.0)
-    p_t = sparse.csr_array(operator.matrix.T)
+    p_t = sparse.csr_array(matrix.T)
     for _ in range(steps):
         vec = p_t @ vec
     return vec[:n_grid]
 
 
-def save_markov(path, operator: MarkovMatrix) -> None:
+def save_markov(path, matrix: sparse.csr_array, dt: float) -> None:
     """Write a matrix file: ``row col value`` for each stored entry, rows in
     order and columns ascending within a row, read straight from the CSR
-    arrays (a sorted copy only when the indices are unsorted). An operator
-    whose entries leave [0, 1] or whose rows drift from 1 by more than
-    ROW_SUM_TOL raises ValueError and nothing is written."""
-    mat = operator.matrix.tocsr()
+    arrays (a sorted copy only when the indices are unsorted), under a header
+    that records the step dt. An operator whose entries leave [0, 1] or whose
+    rows drift from 1 by more than ROW_SUM_TOL raises ValueError and nothing
+    is written."""
+    mat = matrix.tocsr()
     # stated positively so that a NaN entry fails it
     if mat.data.size and not (mat.data.min() >= 0.0 and mat.data.max() <= 1.0):
         raise ValueError("matrix entries outside [0, 1]")
@@ -200,6 +202,6 @@ def save_markov(path, operator: MarkovMatrix) -> None:
     rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
     write_artifact(
         path,
-        [MARKOV_MAGIC, f"{mat.shape[0]} {mat.nnz} {operator.dt!r}"],
+        [MARKOV_MAGIC, f"{mat.shape[0]} {mat.nnz} {dt!r}"],
         (rows, mat.indices, mat.data),
     )

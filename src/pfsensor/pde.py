@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from .flowfield import FlowScenario
-from .markov import MarkovMatrix, StabilityError, propagate
+from .markov import StabilityError, propagate
 
 
 def _face_rates(scenario: FlowScenario):
@@ -126,16 +126,21 @@ def solve_pde(scenario: FlowScenario, phi0: np.ndarray, step: float, n_steps: in
 
 
 def compare_operator(
-    scenario: FlowScenario, operator: MarkovMatrix, phi0: np.ndarray, steps: int, substeps: int
+    scenario: FlowScenario,
+    matrix: sparse.csr_array,
+    dt: float,
+    phi0: np.ndarray,
+    steps: int,
+    substeps: int,
 ) -> float:
-    """Relative L2 distance between the concentration an operator built for
-    the scenario on the closed box propagates over steps operator steps and
-    the PDE reference, which marches substeps steps of operator.dt / substeps
-    per operator step."""
+    """Relative L2 distance between the concentration an operator matrix
+    built for the scenario on the closed box at step dt propagates over
+    steps operator steps and the PDE reference, which marches substeps steps
+    of dt / substeps per operator step."""
     if steps < 1 or substeps < 1:
         raise ValueError(f"steps and substeps must be >= 1, got {steps} and {substeps}")
-    phi_markov = propagate(phi0, operator, steps)
-    phi_pde = solve_pde(scenario, phi0, operator.dt / substeps, steps * substeps)
+    phi_markov = propagate(phi0, matrix, steps)
+    phi_pde = solve_pde(scenario, phi0, dt / substeps, steps * substeps)
     ref = float(np.linalg.norm(phi_pde))
     if ref == 0.0:
         return float(np.linalg.norm(phi_markov))

@@ -34,7 +34,6 @@ from .flowfield import (
 )
 from .grid import StructuredGrid, box_mask
 from .markov import (
-    MarkovMatrix,
     StabilityError,
     admissible_dt,
     build_markov,
@@ -87,7 +86,7 @@ def scenario_set(cfg: RunConfig) -> tuple[StructuredGrid, list[FlowScenario]]:
         grid = cfg.grid()
         dist = make_distribution(cfg)
         try:
-            rule = quadrature_rule(dist, cfg.cdf_points)
+            samples, weights = quadrature_rule(dist, cfg.cdf_points)
         except ValueError as exc:
             named = " ".join(map(str, cfg.distribution))
             raise ConfigError(f"cdf_points under distribution {named}: {exc}") from None
@@ -98,7 +97,7 @@ def scenario_set(cfg: RunConfig) -> tuple[StructuredGrid, list[FlowScenario]]:
                 sample_value=float(xi),
                 weight=float(theta),
             )
-            for xi, theta in zip(rule.samples, rule.weights)
+            for xi, theta in zip(samples, weights)
         ]
     scenarios = []
     grid = None
@@ -125,8 +124,8 @@ def scenario_set(cfg: RunConfig) -> tuple[StructuredGrid, list[FlowScenario]]:
 
 
 def each_operator(cfg: RunConfig, scenarios: list[FlowScenario], use) -> list:
-    """`use(idx, operator)` for each scenario's operator at the config's dt
-    and outlets, with the results in scenario order.
+    """`use(idx, matrix)` for each scenario's operator matrix at the config's
+    dt and outlets, with the results in scenario order.
 
     First, reading only the face rates, raise StabilityError with the
     smallest admissible dt over all scenarios when the config's dt exceeds
@@ -140,7 +139,7 @@ def each_operator(cfg: RunConfig, scenarios: list[FlowScenario], use) -> list:
         raise StabilityError(cfg.dt, bound)
 
     def task(idx: int):
-        return use(idx, build_markov(scenarios[idx], cfg.dt, cfg.outlets))
+        return use(idx, build_markov(scenarios[idx], cfg.dt, cfg.outlets).matrix)
 
     indices = range(len(scenarios))
     if cfg.workers <= 1 or len(scenarios) <= 1:
@@ -201,11 +200,11 @@ def run_build(cfg: RunConfig) -> Path:
     out = Path(cfg.out)
     grid, scenarios = scenario_set(cfg)
 
-    def export(idx: int, operator: MarkovMatrix) -> dict:
+    def export(idx: int, matrix) -> dict:
         scenario = scenarios[idx]
         matrix_name = f"markov-{idx:03d}.txt"
         field_name = f"field-{idx:03d}.txt"
-        save_markov(out / matrix_name, operator)
+        save_markov(out / matrix_name, matrix, cfg.dt)
         save_field(out / field_name, scenario.field)
         return {
             "id": idx,
@@ -360,9 +359,9 @@ def run_validate(cfg: RunConfig) -> list[dict]:
     grid, scenarios = scenario_set(cfg)
     phi0 = release_field(cfg, grid)
 
-    def compare(idx: int, operator: MarkovMatrix) -> dict:
+    def compare(idx: int, matrix) -> dict:
         scenario = scenarios[idx]
-        err = compare_operator(scenario, operator, phi0, cfg.steps, VALIDATE_SUBSTEPS)
+        err = compare_operator(scenario, matrix, cfg.dt, phi0, cfg.steps, VALIDATE_SUBSTEPS)
         return {
             "id": idx,
             "xi": scenario.sample_value,

@@ -14,8 +14,6 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .markov import MarkovMatrix
-
 # release rows summed together; a Horner step holds two (window x BLOCK)
 # arrays, its product's input and output; small blocks keep them cache-resident
 BLOCK = 64
@@ -36,7 +34,7 @@ def _accumulate(p_t: sparse.csr_array, steps: int, rows: np.ndarray, lo: int, hi
 
 
 def detection_matrix(
-    operator: MarkovMatrix,
+    matrix: sparse.csr_array,
     steps: int,
     cutoff: float,
     release: np.ndarray,
@@ -53,7 +51,7 @@ def detection_matrix(
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    n = operator.matrix.shape[0]
+    n = matrix.shape[0]
     release = np.asarray(release, dtype=bool)
     candidates = np.asarray(candidates, dtype=bool)
     if release.shape != (n,) or candidates.shape != (n,):
@@ -61,7 +59,7 @@ def detection_matrix(
             f"release mask {release.shape} and candidates {candidates.shape} "
             f"must both have length {n}"
         )
-    p_t = sparse.csr_array(operator.matrix.T)
+    p_t = sparse.csr_array(matrix.T)
     rows = np.repeat(np.arange(n), np.diff(p_t.indptr))
     reach = steps * int(np.abs(rows - p_t.indices).max(initial=0))
     kept = np.flatnonzero(release).astype(np.int32)

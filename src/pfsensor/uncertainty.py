@@ -119,29 +119,12 @@ def fit_kde(data) -> GaussianMixture:
             std = float(arr.std(ddof=1))
     except FloatingPointError:
         raise DistributionFitError("data standard deviation overflows") from None
+    if std == 0.0 and arr.max() > arr.min():
+        raise DistributionFitError("data standard deviation underflows")
     if std == 0.0:
         raise DistributionFitError("data has zero variance; no density to fit")
     h = 1.06 * std * arr.size ** (-0.2)
     return GaussianMixture(tuple(arr.tolist()), h, 4.0)
-
-
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
-    """Sample values and their probability weights."""
-
-    samples: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = self.samples.shape[0]
-        if self.weights.shape != (m,):
-            raise ValueError("samples and weights must share one length")
-        if np.any(np.diff(self.samples) <= 0.0):
-            raise ValueError("samples must be strictly increasing")
-        if np.any(self.weights < 0.0):
-            raise ValueError("weights must be non-negative")
-        if abs(float(self.weights.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"weights sum to {self.weights.sum()}, expected 1")
 
 
 def _integral(f, a: float, b: float) -> float:
@@ -227,8 +210,8 @@ def basis_weights(samples, dist: GaussianMixture) -> np.ndarray:
     return theta / total
 
 
-def quadrature_rule(dist: GaussianMixture, cdf_points) -> QuadratureRule:
-    """Samples at the given CDF positions plus their basis-function weights.
+def quadrature_rule(dist: GaussianMixture, cdf_points) -> tuple[np.ndarray, np.ndarray]:
+    """Samples at the given CDF positions and their basis-function weights.
 
     A single sample carries the whole probability mass (its hat function is
     identically 1 on the support)."""
@@ -237,17 +220,17 @@ def quadrature_rule(dist: GaussianMixture, cdf_points) -> QuadratureRule:
         weights = np.array([1.0])
     else:
         weights = basis_weights(samples, dist)
-    return QuadratureRule(samples=samples, weights=weights)
+    return samples, weights
 
 
-def expectation(rule: QuadratureRule, values) -> float:
+def expectation(weights: np.ndarray, values) -> float:
     """Weighted sample sum approximating the expectation integral."""
     vals = np.asarray(list(values), dtype=float)
-    if vals.shape != rule.weights.shape:
+    if vals.shape != weights.shape:
         raise ValueError(
-            f"got {vals.shape[0] if vals.ndim else 1} values for {rule.samples.size} samples"
+            f"got {vals.shape[0] if vals.ndim else 1} values for {weights.size} samples"
         )
-    return float(np.dot(rule.weights, vals))
+    return float(np.dot(weights, vals))
 
 
 # Nested CDF-point ladder used by the sample-count convergence study; odd

@@ -27,7 +27,6 @@ from pfsensor.flowfield import (
 from pfsensor.grid import StructuredGrid
 from pfsensor.markov import (
     MARKOV_MAGIC,
-    MarkovMatrix,
     build_markov,
     save_markov,
 )
@@ -209,17 +208,18 @@ def test_writer_transient_memory_is_bounded(tmp_path):
 def test_save_markov_sorts_unsorted_csr_indices(tmp_path):
     grid = StructuredGrid((5, 4, 1), (0.25, 0.3, 0.2))
     scenario = FlowScenario(synth_recirculating(grid, 0.7), diffusivity=1e-3)
-    op = build_markov(scenario, 0.5 * admissible_dt(scenario), frozenset({"x+"}))
-    indptr = op.matrix.indptr
+    dt = 0.5 * admissible_dt(scenario)
+    op = build_markov(scenario, dt, frozenset({"x+"})).matrix
+    indptr = op.indptr
     # every row's entries in descending column order
     perm = np.concatenate([np.arange(a, b)[::-1] for a, b in zip(indptr[:-1], indptr[1:])])
     unsorted = sparse.csr_array(
-        (op.matrix.data[perm], op.matrix.indices[perm], indptr), shape=op.matrix.shape
+        (op.data[perm], op.indices[perm], indptr), shape=op.shape
     )
     assert not unsorted.has_sorted_indices
     indices = unsorted.indices.copy()
-    save_markov(tmp_path / "m.txt", MarkovMatrix(unsorted, op.dt))
-    assert (tmp_path / "m.txt").read_bytes() == markov_oracle(unsorted, op.dt).encode()
+    save_markov(tmp_path / "m.txt", unsorted, dt)
+    assert (tmp_path / "m.txt").read_bytes() == markov_oracle(unsorted, dt).encode()
     assert np.array_equal(unsorted.indices, indices)
 
 
@@ -248,11 +248,11 @@ def test_build_and_place_exports_match_per_row_formatting(tmp_path, outlets):
     assert main(["place", "--config", str(cfg_path)]) == 0
     cfg = parse_config(cfg_path)
     _, scenarios = scenario_set(cfg)
-    operators = [build_markov(sc, cfg.dt, cfg.outlets) for sc in scenarios]
-    assert operators[0].matrix.shape[0] == 42 + bool(outlets)
+    operators = [build_markov(sc, cfg.dt, cfg.outlets).matrix for sc in scenarios]
+    assert operators[0].shape[0] == 42 + bool(outlets)
     for idx, (scenario, op) in enumerate(zip(scenarios, operators)):
         markov = out / f"markov-{idx:03d}.txt"
-        assert markov.read_bytes() == markov_oracle(op.matrix, op.dt).encode()
+        assert markov.read_bytes() == markov_oracle(op, cfg.dt).encode()
         assert (out / f"field-{idx:03d}.txt").read_bytes() == field_oracle(scenario.field).encode()
     assert len(list(out.glob("markov-*.txt"))) == len(list(out.glob("field-*.txt"))) == 3
     # the coverage outputs are not recomputed here: their read-back values
@@ -275,9 +275,9 @@ def test_build_and_place_exports_match_per_row_formatting(tmp_path, outlets):
 
 
 def test_save_markov_refuses_non_stochastic_operator(tmp_path):
-    op = MarkovMatrix(sparse.csr_array(np.array([[0.5, 0.4], [0.0, 1.0]])), dt=1.0)
+    op = sparse.csr_array(np.array([[0.5, 0.4], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="row sums"):
-        save_markov(tmp_path / "m.txt", op)
+        save_markov(tmp_path / "m.txt", op, 1.0)
     assert not any(tmp_path.iterdir())
 
 
@@ -286,9 +286,9 @@ def test_save_markov_refuses_an_entry_outside_the_unit_interval(tmp_path, entry)
     # the negative entry leaves its row summing to exactly 1, and a NaN row
     # sum passes a drift bound, so only the entry check refuses either
     dense = np.array([[0.75, 0.5, entry], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    op = MarkovMatrix(sparse.csr_array(dense), dt=1.0)
+    op = sparse.csr_array(dense)
     with pytest.raises(ValueError, match=r"matrix entries outside \[0, 1\]"):
-        save_markov(tmp_path / "m.txt", op)
+        save_markov(tmp_path / "m.txt", op, 1.0)
     assert not any(tmp_path.iterdir())
 
 

@@ -158,7 +158,7 @@ def test_every_ensemble_command_holds_one_operator_at_a_time(
         counts["calls"] += 1
         counts["live"] += 1
         counts["peak"] = max(counts["peak"], counts["live"])
-        weakref.finalize(operator, dropped)
+        weakref.finalize(operator.matrix, dropped)
         return operator
 
     monkeypatch.setattr(pipeline, "build_markov", counted)
@@ -304,6 +304,33 @@ def test_place_without_build_matches_build_then_place(tmp_path, extra):
     assert {int(row.split()[1]) for row in table[2:]} == {1, 2, 3, 4}
     for name, data in placed.items():
         assert (tmp_path / "built" / name).read_bytes() == data
+
+
+@pytest.mark.parametrize("extra", [ZONES, ZONES + "outlets = x+ y-\n"], ids=["zoned", "outlets"])
+def test_place_from_build_field_exports_matches_the_family_place(tmp_path, extra):
+    # build's field files with the manifest's xi and theta are a field config
+    # for the same ensemble, so placing from them gives the family's bytes
+    family = base_cfg(tmp_path, extra=extra, eps_acc="0.03", out=tmp_path / "family")
+    assert main(["build", "--config", str(family)]) == 0
+    assert main(["place", "--config", str(family)]) == 0
+    manifest = json.loads((tmp_path / "family" / "manifest.json").read_text())
+    fields = "".join(
+        f"field = {tmp_path / 'family' / entry['field']} {entry['xi']!r} {entry['theta']!r}\n"
+        for entry in manifest["scenarios"]
+    )
+    exported = base_cfg(
+        tmp_path,
+        extra=extra + fields,
+        eps_acc="0.03",
+        family=None,
+        distribution=None,
+        cdf_points=None,
+        out=tmp_path / "fields",
+    )
+    assert main(["place", "--config", str(exported)]) == 0
+    for name in ("plan.json", "coverage-expected.txt", "coverage-sensors.txt"):
+        placed = (tmp_path / "fields" / name).read_bytes()
+        assert placed == (tmp_path / "family" / name).read_bytes()
 
 
 def test_place_needs_dt(tmp_path, capsys):
@@ -657,7 +684,7 @@ def test_converge_builds_each_distinct_sample_once(tmp_path, monkeypatch):
         grid, scenarios = pipeline.scenario_set(replace(run_cfg, cdf_points=points))
         release, candidates = pipeline.detection_zones(run_cfg, grid)
         steps, cutoff = run_cfg.steps, run_cfg.eps_acc * (run_cfg.steps + 1)
-        ops = [build_markov(sc, run_cfg.dt, run_cfg.outlets) for sc in scenarios]
+        ops = [build_markov(sc, run_cfg.dt, run_cfg.outlets).matrix for sc in scenarios]
         detections = [detection_matrix(op, steps, cutoff, release, candidates) for op in ops]
         vectors = coverage_vectors(detections, grid.cell_volume / grid.total_volume)
         maps.append(expected_coverage(vectors, [sc.weight for sc in scenarios]))
@@ -721,7 +748,7 @@ def test_propagate_synthesizes_only_the_chosen_scenario(tmp_path, monkeypatch):
     cfg = base_cfg(tmp_path, dims="8 8 1", dt="0.017", steps="25", cdf_points="0 0.5 1")
     parsed = parse_config(cfg)
     grid, scenarios = scenario_set(parsed)
-    operator = build_markov(scenarios[2], parsed.dt, parsed.outlets)
+    operator = build_markov(scenarios[2], parsed.dt, parsed.outlets).matrix
     expected = tmp_path / "expected.txt"
     phi = propagate(release_field(parsed, grid), operator, parsed.steps)
     save_scalar_field(expected, grid, phi)
@@ -935,7 +962,11 @@ def test_config_paths_join_the_config_directory_unless_absolute(tmp_path, monkey
 
 @pytest.mark.parametrize(
     "data, message",
-    [("0.4\nnan\n0.6\n", "non-finite"), ("0.5\n", "need at least 2 data points")],
+    [
+        ("0.4\nnan\n0.6\n", "non-finite"),
+        ("0.5\n", "need at least 2 data points"),
+        ("0\n1e-300\n", "standard deviation underflows"),
+    ],
 )
 def test_kde_data_errors_name_the_file(tmp_path, capsys, data, message):
     path = tmp_path / "k.txt"

@@ -12,7 +12,6 @@ from pfsensor.flowfield import FlowScenario, VelocityField, synth_recirculating
 from pfsensor.grid import StructuredGrid
 from pfsensor.markov import (
     MARKOV_MAGIC,
-    MarkovMatrix,
     StabilityError,
     build_markov,
     propagate,
@@ -35,27 +34,28 @@ def uniform_x_flow(grid, speed):
 def random_stochastic(rng, n):
     m = rng.random((n, n))
     m /= m.sum(axis=1, keepdims=True)
-    return MarkovMatrix(matrix=sparse.csr_array(m), dt=1.0)
+    return sparse.csr_array(m)
 
 
 def test_no_transport_gives_identity():
     g = unit_line_grid(3)
-    op = build_markov(FlowScenario(zero_field(g), diffusivity=0.0), dt=1.0)
-    assert np.allclose(op.matrix.toarray(), np.eye(3))
+    op = build_markov(FlowScenario(zero_field(g), diffusivity=0.0), dt=1.0).matrix
+    assert np.allclose(op.toarray(), np.eye(3))
 
 
 def test_two_cell_diffusion_hand_value():
     # G/V = D * A * dt / (d * V) = 0.1 with D = 0.1, unit everything
     g = unit_line_grid(2)
-    op = build_markov(FlowScenario(zero_field(g), diffusivity=0.1), dt=1.0)
-    assert np.allclose(op.matrix.toarray(), [[0.9, 0.1], [0.1, 0.9]], atol=1e-15)
+    op = build_markov(FlowScenario(zero_field(g), diffusivity=0.1), dt=1.0).matrix
+    assert np.allclose(op.toarray(), [[0.9, 0.1], [0.1, 0.9]], atol=1e-15)
 
 
 def test_three_cell_uniform_advection_hand_rows():
     # u = 0.25 -> advective fraction 0.25 per unit step; last cell is closed
     g = unit_line_grid(3)
-    op = build_markov(FlowScenario(uniform_x_flow(g, 0.25), diffusivity=0.0), dt=1.0)
-    dense = op.matrix.toarray()
+    scenario = FlowScenario(uniform_x_flow(g, 0.25), diffusivity=0.0)
+    op = build_markov(scenario, dt=1.0).matrix
+    dense = op.toarray()
     assert np.allclose(dense[0], [0.75, 0.25, 0.0], atol=1e-15)
     assert np.allclose(dense[1], [0.0, 0.75, 0.25], atol=1e-15)
     assert np.allclose(dense[2], [0.0, 0.0, 1.0], atol=1e-15)
@@ -75,8 +75,8 @@ def test_stability_error_reports_admissible_dt():
     with pytest.raises(StabilityError) as err:
         build_markov(scenario, dt=5.0)
     assert err.value.admissible_dt == pytest.approx(2.5)
-    rebuilt = build_markov(scenario, dt=err.value.admissible_dt)
-    assert_row_stochastic(rebuilt.matrix)
+    rebuilt = build_markov(scenario, dt=err.value.admissible_dt).matrix
+    assert_row_stochastic(rebuilt)
 
 
 @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
@@ -111,8 +111,8 @@ def test_built_matrices_row_stochastic(nx, ny, xi, diff, frac):
     scenario = FlowScenario(synth_recirculating(g, xi), diffusivity=diff)
     bound = admissible_dt(scenario)
     dt = frac * bound if np.isfinite(bound) else 1.0
-    op = build_markov(scenario, dt)
-    assert_row_stochastic(op.matrix)  # entries in [0, 1], row sums within 1e-12
+    op = build_markov(scenario, dt).matrix
+    assert_row_stochastic(op)  # entries in [0, 1], row sums within 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -132,10 +132,10 @@ def test_admissible_dt_is_the_oracle_and_the_build_bound(nx, ny, xi, diff, outle
     scenario = FlowScenario(synth_recirculating(g, xi), diffusivity=diff)
     bound = markov.admissible_dt(scenario, outlets)
     assert bound == admissible_dt(scenario, outlets)
-    op = build_markov(scenario, bound if np.isfinite(bound) else 1.0, outlets)
-    assert_row_stochastic(op.matrix)
-    assert op.matrix.shape[0] == g.n_states + bool(outlets)
-    assert op.matrix.indices.dtype == op.matrix.indptr.dtype == np.int32
+    op = build_markov(scenario, bound if np.isfinite(bound) else 1.0, outlets).matrix
+    assert_row_stochastic(op)
+    assert op.shape[0] == g.n_states + bool(outlets)
+    assert op.indices.dtype == op.indptr.dtype == np.int32
     if np.isfinite(bound):
         with pytest.raises(StabilityError) as err:
             build_markov(scenario, float(np.nextafter(bound, np.inf)), outlets)
@@ -144,7 +144,7 @@ def test_admissible_dt_is_the_oracle_and_the_build_bound(nx, ny, xi, diff, outle
 
 def test_propagate_zero_steps_returns_input():
     g = unit_line_grid(3)
-    op = build_markov(FlowScenario(zero_field(g), diffusivity=0.1), dt=1.0)
+    op = build_markov(FlowScenario(zero_field(g), diffusivity=0.1), dt=1.0).matrix
     phi = np.array([1.0, 2.0, 3.0])
     out = propagate(phi, op, 0)
     assert np.array_equal(out, phi)
@@ -152,7 +152,7 @@ def test_propagate_zero_steps_returns_input():
 
 def test_propagate_identity_operator_fixed_point():
     g = unit_line_grid(3)
-    op = build_markov(FlowScenario(zero_field(g), diffusivity=0.0), dt=1.0)
+    op = build_markov(FlowScenario(zero_field(g), diffusivity=0.0), dt=1.0).matrix
     phi = np.array([0.5, 0.0, 2.0])
     out = propagate(phi, op, 7)
     assert np.allclose(out, phi)
@@ -161,7 +161,8 @@ def test_propagate_identity_operator_fixed_point():
 def test_propagate_dimension_mismatch():
     # grids differing by one state are indistinguishable from an exit-state
     # operator, so use a clearly incompatible pair
-    op = build_markov(FlowScenario(zero_field(unit_line_grid(4)), diffusivity=0.0), dt=1.0)
+    scenario = FlowScenario(zero_field(unit_line_grid(4)), diffusivity=0.0)
+    op = build_markov(scenario, dt=1.0).matrix
     with pytest.raises(ValueError, match="operator size 4 does not match grid with 2 states"):
         propagate(np.zeros(2), op, 1)
 
@@ -182,9 +183,7 @@ def test_single_step_linearity_in_operator_mixture(seed):
     weights = rng.random(3)
     weights /= weights.sum()
     phi = rng.random(5)
-    mixed = MarkovMatrix(
-        matrix=sparse.csr_array(sum(w * op.matrix for w, op in zip(weights, ops))), dt=1.0
-    )
+    mixed = sparse.csr_array(sum(w * op for w, op in zip(weights, ops)))
     via_mixture = propagate(phi, mixed, 1)
     via_average = sum(w * propagate(phi, op, 1) for w, op in zip(weights, ops))
     assert np.allclose(via_mixture, via_average, atol=1e-12)
@@ -193,12 +192,12 @@ def test_single_step_linearity_in_operator_mixture(seed):
 def test_outlet_side_routes_mass_to_exit():
     g = unit_line_grid(3)
     scenario = FlowScenario(uniform_x_flow(g, 0.25), diffusivity=0.0)
-    op = build_markov(scenario, 1.0, frozenset({"x+"}))
-    assert op.matrix.shape[0] == 4
-    dense = op.matrix.toarray()
+    op = build_markov(scenario, 1.0, frozenset({"x+"})).matrix
+    assert op.shape[0] == 4
+    dense = op.toarray()
     assert np.allclose(dense[2], [0.0, 0.0, 0.75, 0.25])  # last cell drains out
     assert np.allclose(dense[3], [0.0, 0.0, 0.0, 1.0])  # absorbing exit
-    assert_row_stochastic(op.matrix)
+    assert_row_stochastic(op)
     out = propagate(np.ones(3), op, 80)
     assert out.sum() < 1e-6  # the vent empties a closed-inlet domain
 
@@ -207,7 +206,7 @@ def test_outlet_requires_outflow_direction():
     # inflow side as outlet contributes nothing (max(0, -u) = 0)
     g = unit_line_grid(3)
     scenario = FlowScenario(uniform_x_flow(g, 0.25), diffusivity=0.0)
-    op = build_markov(scenario, 1.0, frozenset({"x-"}))
+    op = build_markov(scenario, 1.0, frozenset({"x-"})).matrix
     out = propagate(np.ones(3), op, 10)
     assert out.sum() == pytest.approx(3.0, rel=1e-12)
 
@@ -219,14 +218,14 @@ def test_outflow_through_two_sides_is_pinned(tmp_path):
     i, j = np.meshgrid(np.arange(5), np.arange(4))
     u, v = (0.3 + 0.05 * i).ravel(), -(0.2 + 0.04 * j).ravel()
     scenario = FlowScenario(VelocityField(g, u, v, np.zeros(g.n_states)), diffusivity=1e-3)
-    op = build_markov(scenario, 0.05, frozenset({"x+", "y-"}))
+    op = build_markov(scenario, 0.05, frozenset({"x+", "y-"})).matrix
     n = g.n_states
-    dense = op.matrix.toarray()
+    dense = op.toarray()
     assert np.array_equal(dense[n], np.eye(n + 1)[n])
     assert np.flatnonzero(dense[:n, n]).tolist() == [0, 1, 2, 3, 4, 9, 14, 19]
     # rates times dt / volume: x+ face 0.5 * 0.06, y- face 0.2 * 0.05
     assert dense[4, n] == pytest.approx((0.5 * 0.06 + 0.2 * 0.05) * 0.05 / 0.015, rel=1e-12)
-    save_markov(tmp_path / "outlet.txt", op)
+    save_markov(tmp_path / "outlet.txt", op, 0.05)
     digest = hashlib.sha256((tmp_path / "outlet.txt").read_bytes()).hexdigest()
     assert digest == "c50ae35246bbf68bc7e976c8d83c0c59ca62f45c41eefa45fc162152b0b01cb6"
 
@@ -235,12 +234,12 @@ def test_outflow_through_two_sides_is_pinned(tmp_path):
 def test_propagate_matches_row_vector_products_bitwise(outlets):
     g = StructuredGrid((15, 12, 1), (0.1, 0.1, 0.2))
     scenario = FlowScenario(synth_recirculating(g, 0.5), diffusivity=1e-3)
-    op = build_markov(scenario, 0.8 * admissible_dt(scenario), outlets)
-    assert op.matrix.shape[0] == g.n_states + bool(outlets)
+    op = build_markov(scenario, 0.8 * admissible_dt(scenario), outlets).matrix
+    assert op.shape[0] == g.n_states + bool(outlets)
     values = np.random.default_rng(3).random(g.n_states)
     vec = np.append(values, 0.0) if outlets else values
     for _ in range(30):
-        vec = vec @ op.matrix
+        vec = vec @ op
     out = propagate(values, op, 30)
     assert np.array_equal(out, vec[: g.n_states])
 
@@ -253,14 +252,15 @@ def test_markov_save_load_round_trip(tmp_path, seed):
     rng = np.random.default_rng(seed)
     g = StructuredGrid((4, 3, 1), (0.25, 0.3, 1.0))
     scenario = FlowScenario(synth_recirculating(g, rng.uniform(0.1, 1.0)), diffusivity=1e-3)
-    op = build_markov(scenario, 0.5 * admissible_dt(scenario))
+    step = 0.5 * admissible_dt(scenario)
+    op = build_markov(scenario, step).matrix
     path = tmp_path / f"m-{seed}.txt"
-    save_markov(path, op)
+    save_markov(path, op, step)
     magic, header = path.read_text().splitlines()[:2]
     n_states, nnz, dt = header.split()
     assert magic == MARKOV_MAGIC
-    assert (int(n_states), int(nnz), float(dt)) == (op.matrix.shape[0], op.matrix.nnz, op.dt)
+    assert (int(n_states), int(nnz), float(dt)) == (op.shape[0], op.nnz, step)
     rows, cols, values = np.loadtxt(path, skiprows=2, ndmin=2).T
-    back = sparse.coo_array((values, (rows.astype(int), cols.astype(int))), shape=op.matrix.shape)
-    assert np.array_equal(back.toarray(), op.matrix.toarray())
+    back = sparse.coo_array((values, (rows.astype(int), cols.astype(int))), shape=op.shape)
+    assert np.array_equal(back.toarray(), op.toarray())
 

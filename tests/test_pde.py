@@ -128,10 +128,10 @@ def test_config_validation():
     for phi0 in (np.zeros(5), np.zeros((4, 1))):
         with pytest.raises(ValueError, match=r"initial field has shape .*, expected \(4,\)"):
             solve_pde(sc, phi0, 0.1, 1)
-    operator = build_markov(sc, 0.5)
+    operator = build_markov(sc, 0.5).matrix
     for steps, substeps in ((1, 0), (0, 1)):
         with pytest.raises(ValueError, match="steps and substeps must be >= 1"):
-            compare_operator(sc, operator, delta_field(g), steps, substeps)
+            compare_operator(sc, operator, 0.5, delta_field(g), steps, substeps)
 
 
 def test_still_air_leaves_field_unchanged():
@@ -189,7 +189,7 @@ def test_stable_step_matches_operator_bound():
 def test_compare_transport_identity_scenario_is_exact():
     g = line_grid(6)
     sc = FlowScenario(zero_field(g), diffusivity=0.0)
-    assert compare_operator(sc, build_markov(sc, 0.5), delta_field(g), 5, 1) == 0.0
+    assert compare_operator(sc, build_markov(sc, 0.5).matrix, 0.5, delta_field(g), 5, 1) == 0.0
 
 
 def test_compare_transport_matched_discretizations_coincide():
@@ -197,7 +197,7 @@ def test_compare_transport_matched_discretizations_coincide():
     g = line_grid(30)
     u = np.full(30, 0.2)
     sc = FlowScenario(VelocityField(g, u, np.zeros(30), np.zeros(30)), diffusivity=0.0)
-    err = compare_operator(sc, build_markov(sc, 1.0), delta_field(g), 20, 1)
+    err = compare_operator(sc, build_markov(sc, 1.0).matrix, 1.0, delta_field(g), 20, 1)
     assert err <= 1e-12
 
 
@@ -212,5 +212,5 @@ def test_compare_transport_vortex_scenario_is_close():
     dt = 20.0 / steps
     centers = g.cell_centers()
     phi0 = np.exp(-((centers[:, 0] - 0.3) ** 2 + (centers[:, 1] - 0.3) ** 2) / (2 * 0.08**2))
-    err = compare_operator(sc, build_markov(sc, dt), phi0, steps, VALIDATE_SUBSTEPS)
+    err = compare_operator(sc, build_markov(sc, dt).matrix, dt, phi0, steps, VALIDATE_SUBSTEPS)
     assert err <= 1e-2

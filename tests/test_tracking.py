@@ -15,8 +15,8 @@ from pfsensor.tracking import BLOCK, detection_matrix
 from oracles import admissible_dt
 
 
-def operator_from_dense(dense, dt=1.0):
-    return MarkovMatrix(matrix=sparse.csr_array(np.asarray(dense, dtype=float)), dt=dt)
+def operator_from_dense(dense):
+    return sparse.csr_array(np.asarray(dense, dtype=float))
 
 
 def random_stochastic(rng, n):
@@ -36,9 +36,9 @@ def tracking_rows(operator, steps, rows):
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     rows = np.asarray(rows, dtype=np.int64)
-    p_t = sparse.csr_array(operator.matrix.T)
+    p_t = sparse.csr_array(operator.T)
     units = (rows, np.arange(rows.size))
-    acc = np.zeros((operator.matrix.shape[0], rows.size))
+    acc = np.zeros((operator.shape[0], rows.size))
     acc[units] = 1.0
     for _ in range(steps):
         acc = p_t @ acc
@@ -47,11 +47,11 @@ def tracking_rows(operator, steps, rows):
 
 
 def full_q(operator, steps):
-    return tracking_rows(operator, steps, np.arange(operator.matrix.shape[0]))
+    return tracking_rows(operator, steps, np.arange(operator.shape[0]))
 
 
 def pairs(operator, steps, cutoff, release=None, candidates=None):
-    n = operator.matrix.shape[0]
+    n = operator.shape[0]
     rel = np.ones(n, dtype=bool) if release is None else np.asarray(release)
     cand = np.ones(n, dtype=bool) if candidates is None else np.asarray(candidates)
     coo = detection_matrix(operator, steps, cutoff, rel, cand).tocoo()
@@ -124,7 +124,7 @@ def test_tracking_row_sums_equal_steps_plus_one(seed, steps):
 def test_tracking_matches_dense_power_sum():
     rng = np.random.default_rng(17)
     op = random_stochastic(rng, 15)
-    dense_p = op.matrix.toarray()
+    dense_p = op.toarray()
     for m in (0, 1, 4, 12):
         expected = np.zeros_like(dense_p)
         acc = np.eye(15)
@@ -164,7 +164,9 @@ def test_threshold_two_state_hand_values():
 
 def test_threshold_scales_eps_acc_by_horizon(monkeypatch):
     # the still scenario admits any dt; its operator is the hand-valued one
-    monkeypatch.setattr(pipeline, "build_markov", lambda *args: operator_from_dense(TWO_STATE))
+    monkeypatch.setattr(
+        pipeline, "build_markov", lambda *args: MarkovMatrix(operator_from_dense(TWO_STATE))
+    )
     cfg = run_config(steps=2, eps_acc=0.28, dt=1.0)
     grid = line_grid(2)
     still = FlowScenario(VelocityField(grid, *np.zeros((3, 2))))
@@ -300,7 +302,7 @@ def flow_operator(rng, outlets):
     sides = frozenset({"x+"} if outlets else ())
     scenario = FlowScenario(field, diffusivity=float(rng.uniform(1e-4, 1e-2)))
     dt = float(rng.uniform(0.3, 0.95)) * admissible_dt(scenario, sides)
-    return build_markov(scenario, dt, sides)
+    return build_markov(scenario, dt, sides).matrix
 
 
 @given(
@@ -316,12 +318,12 @@ def test_detection_matches_dense_oracle(seed, kind, steps, eps):
         op = random_stochastic(rng, int(rng.integers(2, 21)))
     else:
         op = flow_operator(rng, outlets=kind == "outlet")
-    n = op.matrix.shape[0]
+    n = op.shape[0]
     release = rng.random(n) < 0.8
     candidates = rng.random(n) < 0.7
     cutoff = eps * (steps + 1)
     got = detection_matrix(op, steps, cutoff, release, candidates).toarray()
-    expected, q = dense_oracle(op.matrix.toarray(), steps, cutoff, release, candidates)
+    expected, q = dense_oracle(op.toarray(), steps, cutoff, release, candidates)
     settled = np.abs(q - cutoff) > 1e-9
     assert np.array_equal(got[settled], expected[settled])
 
@@ -332,15 +334,15 @@ def test_detection_streams_more_rows_than_one_block():
     rng = np.random.default_rng(11)
     grid = StructuredGrid((20, 20, 1), (0.05, 0.05, 0.2))
     scenario = FlowScenario(synth_recirculating(grid, 0.5), diffusivity=1e-4)
-    op = build_markov(scenario, 0.5 * admissible_dt(scenario))
-    n = op.matrix.shape[0]
+    op = build_markov(scenario, 0.5 * admissible_dt(scenario)).matrix
+    n = op.shape[0]
     assert n > 2 * BLOCK
     release = np.ones(n, dtype=bool)
     candidates = rng.random(n) < 0.5
     for steps in (3, 40):
         got = detection_matrix(op, steps, 1e-3 * (steps + 1), release, candidates)
         expected, q = dense_oracle(
-            op.matrix.toarray(), steps, 1e-3 * (steps + 1), release, candidates
+            op.toarray(), steps, 1e-3 * (steps + 1), release, candidates
         )
         assert not np.any(np.abs(q - 1e-3 * (steps + 1)) <= 1e-9)
         assert np.array_equal(got.toarray(), expected)
@@ -351,9 +353,9 @@ def test_horner_sum_matches_forward_power_sum_at_benchmark_horizon():
     # closed 20x20 vortex the two must still agree to rounding
     grid = StructuredGrid((20, 20, 1), (0.05, 0.05, 0.2))
     scenario = FlowScenario(synth_recirculating(grid, 0.5), diffusivity=1e-4)
-    op = build_markov(scenario, 0.5 * admissible_dt(scenario))
-    steps, n = 80, op.matrix.shape[0]
-    p_t = sparse.csr_array(op.matrix.T)
+    op = build_markov(scenario, 0.5 * admissible_dt(scenario)).matrix
+    steps, n = 80, op.shape[0]
+    p_t = sparse.csr_array(op.T)
     x = np.eye(n)
     expected = x.copy()
     for _ in range(steps):
@@ -366,7 +368,7 @@ def test_horner_sum_matches_forward_power_sum_at_benchmark_horizon():
 def closed_vortex_20():
     grid = StructuredGrid((20, 20, 1), (0.05, 0.05, 0.2))
     scenario = FlowScenario(synth_recirculating(grid, 0.5), diffusivity=1e-4)
-    return build_markov(scenario, 0.5 * admissible_dt(scenario))
+    return build_markov(scenario, 0.5 * admissible_dt(scenario)).matrix
 
 
 def drift_to_outlet():
@@ -375,7 +377,7 @@ def drift_to_outlet():
     field = VelocityField(grid, np.full(n, 0.3), np.zeros(n), np.zeros(n))
     outlets = frozenset({"x+"})
     scenario = FlowScenario(field, diffusivity=1e-3)
-    return build_markov(scenario, 0.5 * admissible_dt(scenario, outlets), outlets)
+    return build_markov(scenario, 0.5 * admissible_dt(scenario, outlets), outlets).matrix
 
 
 @pytest.mark.parametrize("case", ["first_block_empty", "no_row_kept", "exit_column"])
@@ -385,18 +387,18 @@ def test_pattern_is_boolean_with_int32_indices(case):
     steps = 3
     if case == "exit_column":
         op = drift_to_outlet()
-        n = op.matrix.shape[0]
+        n = op.shape[0]
         release = np.arange(n) < n - 1  # the exit state releases nothing
         candidates = np.ones(n, dtype=bool)
     else:
         op = closed_vortex_20()
-        n = op.matrix.shape[0]
+        n = op.shape[0]
         release = np.full(n, case == "first_block_empty")
         # the first block's rows reach at most steps * 20 states past state 63
         candidates = np.arange(n) >= BLOCK + steps * 20 + 1
     cutoff = 1e-3 * (steps + 1)
     pattern = detection_matrix(op, steps, cutoff, release, candidates)
-    expected, q = dense_oracle(op.matrix.toarray(), steps, cutoff, release, candidates)
+    expected, q = dense_oracle(op.toarray(), steps, cutoff, release, candidates)
     assert not np.any(np.abs(q - cutoff) <= 1e-9)
     assert pattern.format == "csc" and pattern.shape == (n, n)
     assert pattern.indices.dtype == np.int32 and pattern.indptr.dtype == np.int32

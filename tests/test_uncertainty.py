@@ -10,7 +10,6 @@ from scipy import integrate
 from pfsensor import uncertainty
 from pfsensor.uncertainty import (
     DistributionFitError,
-    QuadratureRule,
     basis_weights,
     cdf_points_for,
     expectation,
@@ -75,13 +74,17 @@ def test_fit_kde_mean_close_to_sample_mean():
 def test_fit_kde_rejects_degenerate_data():
     with pytest.raises(DistributionFitError):
         fit_kde([1.0])
-    with pytest.raises(DistributionFitError):
+    with pytest.raises(DistributionFitError, match="zero variance"):
         fit_kde([2.0, 2.0, 2.0])
     with pytest.raises(DistributionFitError):
         fit_kde([0.0, np.nan])
     # and with no RuntimeWarning, which the suite turns into an error
     with pytest.raises(DistributionFitError, match="standard deviation overflows"):
         fit_kde([1e308, -1e308])
+    # distinct values whose squared deviations underflow are not constant data
+    for tiny in (1e-300, 5e-324):
+        with pytest.raises(DistributionFitError, match="standard deviation underflows"):
+            fit_kde([0.0, tiny])
 
 
 def test_gaussian_normalized_over_support():
@@ -165,12 +168,14 @@ def test_basis_weights_reject_outside_support():
     lo, hi = dist.support
     with pytest.raises(ValueError):
         basis_weights([lo - 1.0, hi], dist)
+    with pytest.raises(ValueError, match="samples must be strictly increasing"):
+        basis_weights([0.5, 0.5], dist)
 
 
 def test_partition_of_unity_on_dense_grid():
     dist = gaussian(0.5, 0.05)
-    rule = quadrature_rule(dist, TABLE_POINTS)
-    hats = hat_functions(rule.samples, dist.support)
+    samples, _ = quadrature_rule(dist, TABLE_POINTS)
+    hats = hat_functions(samples, dist.support)
     xs = np.linspace(*dist.support, 1501)
     assert np.allclose(hats(xs).sum(axis=0), 1.0, atol=1e-12)
 
@@ -192,21 +197,21 @@ def test_basis_weights_positive_and_normalized(seed, m):
 def test_expectation_table_reproduction():
     # weighted sums with the 7-point rule against the reported approximate
     # column (0.499, 0.259, 1.656); exact values 0.5, 0.2525, 1.6508
-    rule = quadrature_rule(gaussian(0.5, 0.05), TABLE_POINTS)
-    assert expectation(rule, rule.samples) == pytest.approx(0.499, abs=0.01)
-    assert expectation(rule, rule.samples**2) == pytest.approx(0.259, abs=0.01)
-    assert expectation(rule, np.exp(rule.samples)) == pytest.approx(1.656, abs=0.01)
+    samples, weights = quadrature_rule(gaussian(0.5, 0.05), TABLE_POINTS)
+    assert expectation(weights, samples) == pytest.approx(0.499, abs=0.01)
+    assert expectation(weights, samples**2) == pytest.approx(0.259, abs=0.01)
+    assert expectation(weights, np.exp(samples)) == pytest.approx(1.656, abs=0.01)
 
 
 def test_expectation_of_constant_is_exact():
-    rule = quadrature_rule(gaussian(0.5, 0.05), (0.0, 0.5, 1.0))
-    assert expectation(rule, np.full(3, 4.2)) == pytest.approx(4.2, rel=1e-12)
+    _, weights = quadrature_rule(gaussian(0.5, 0.05), (0.0, 0.5, 1.0))
+    assert expectation(weights, np.full(3, 4.2)) == pytest.approx(4.2, rel=1e-12)
 
 
 def test_expectation_count_mismatch():
-    rule = quadrature_rule(gaussian(0.5, 0.05), (0.0, 0.5, 1.0))
+    _, weights = quadrature_rule(gaussian(0.5, 0.05), (0.0, 0.5, 1.0))
     with pytest.raises(ValueError):
-        expectation(rule, [1.0, 2.0])
+        expectation(weights, [1.0, 2.0])
 
 
 def test_quadrature_error_decreases_with_sample_count():
@@ -215,22 +220,9 @@ def test_quadrature_error_decreases_with_sample_count():
     exact = np.exp(0.5 + 0.05**2 / 2.0)
     errors = []
     for m in (3, 5, 7, 9):
-        rule = quadrature_rule(dist, cdf_points_for(m))
-        errors.append(abs(expectation(rule, np.exp(rule.samples)) - exact))
+        samples, weights = quadrature_rule(dist, cdf_points_for(m))
+        errors.append(abs(expectation(weights, np.exp(samples)) - exact))
     assert all(a > b for a, b in zip(errors, errors[1:]))
-
-
-def test_quadrature_rule_validates():
-    with pytest.raises(ValueError):
-        QuadratureRule(
-            samples=np.array([0.0, 0.0]),
-            weights=np.array([0.5, 0.5]),
-        )
-    with pytest.raises(ValueError):
-        QuadratureRule(
-            samples=np.array([0.0, 1.0]),
-            weights=np.array([0.9, 0.3]),
-        )
 
 
 def test_cdf_points_for_counts():
@@ -244,9 +236,9 @@ def test_kde_quadrature_pipeline_end_to_end():
     rng = np.random.default_rng(11)
     data = 0.5 + 0.05 * rng.standard_normal(200)
     kde = fit_kde(data)
-    rule = quadrature_rule(kde, TABLE_POINTS)
+    samples, weights = quadrature_rule(kde, TABLE_POINTS)
     # expectation of xi under the rule tracks the sample mean
-    assert expectation(rule, rule.samples) == pytest.approx(float(data.mean()), abs=0.01)
+    assert expectation(weights, samples) == pytest.approx(float(data.mean()), abs=0.01)
 
 
 def scipy_backed_qagse(f, a, b, args, full_output, epsabs, epsrel, limit):
@@ -263,11 +255,11 @@ def scipy_backed_qagse(f, a, b, args, full_output, epsabs, epsrel, limit):
     ids=["gaussian", "kde"],
 )
 def test_rule_is_bitwise_the_rule_scipy_quad_gives(dist, monkeypatch):
-    rule = quadrature_rule(dist, TABLE_POINTS)
+    samples, weights = quadrature_rule(dist, TABLE_POINTS)
     monkeypatch.setattr(uncertainty, "_qagse", scipy_backed_qagse)
-    oracle = quadrature_rule(dist, TABLE_POINTS)
-    assert rule.samples.tobytes() == oracle.samples.tobytes()
-    assert rule.weights.tobytes() == oracle.weights.tobytes()
+    oracle_samples, oracle_weights = quadrature_rule(dist, TABLE_POINTS)
+    assert samples.tobytes() == oracle_samples.tobytes()
+    assert weights.tobytes() == oracle_weights.tobytes()
 
 
 @settings(max_examples=20, deadline=None)
@@ -279,17 +271,17 @@ def test_rule_is_bitwise_the_rule_scipy_quad_gives(dist, monkeypatch):
 @example(mu=0.5, sigma=0.05, points=(0.0, 0.5, 1.0))
 @example(mu=0.5, sigma=0.05, points=TABLE_POINTS)
 def test_gaussian_rule_is_bitwise_the_reference_gaussians(mu, sigma, points):
-    rule = quadrature_rule(gaussian(mu, sigma), points)
-    oracle = quadrature_rule(ReferenceGaussian(mu, sigma), points)
-    assert [x.hex() for x in rule.samples.tolist()] == [x.hex() for x in oracle.samples.tolist()]
-    assert [w.hex() for w in rule.weights.tolist()] == [w.hex() for w in oracle.weights.tolist()]
+    samples, weights = quadrature_rule(gaussian(mu, sigma), points)
+    oracle_samples, oracle_weights = quadrature_rule(ReferenceGaussian(mu, sigma), points)
+    assert [x.hex() for x in samples.tolist()] == [x.hex() for x in oracle_samples.tolist()]
+    assert [w.hex() for w in weights.tolist()] == [w.hex() for w in oracle_weights.tolist()]
 
 
 def test_kde_rule_weights_are_pinned():
     # the normaliser sums its components with math.fsum, so these bits hold
     # on every Python version
-    rule = quadrature_rule(fit_kde([0.28, 0.52, 1.05, 1.66, 1.72]), cdf_points_for(5))
-    assert [w.hex() for w in rule.weights.tolist()] == [
+    _, weights = quadrature_rule(fit_kde([0.28, 0.52, 1.05, 1.66, 1.72]), cdf_points_for(5))
+    assert [w.hex() for w in weights.tolist()] == [
         "0x1.e547b1a5bf067p-5",
         "0x1.5c5c60ccabec6p-2",
         "0x1.9b0a5639ef2a5p-3",
