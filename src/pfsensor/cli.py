@@ -112,11 +112,19 @@ def cmd_place(cfg: RunConfig, args) -> int:
             f"sensor {rank}: state {sensor['state']} "
             f"marginal coverage {sensor['expected_marginal']:.6f}"
         )
-    print(f"expected coverage: {doc['cumulative_expected_coverage']:.6f}")
+    coverage = doc["cumulative_expected_coverage"]
+    print(f"expected coverage: {coverage:.6f}")
     if doc["occupied_space_coverage"] is not None:
-        print(f"occupied-space coverage: {doc['occupied_space_coverage']:.6f}")
+        # placement judges its target on the occupied zone's coverage
+        coverage = doc["occupied_space_coverage"]
+        print(f"occupied-space coverage: {coverage:.6f}")
     if doc["truncated"]:
         print("warning: placement stopped early; remaining coverage is zero")
+    elif cfg.min_coverage is not None and coverage < cfg.min_coverage:
+        print(
+            f"warning: the sensor count {cfg.sensors} stopped placement "
+            f"below min_coverage {cfg.min_coverage}"
+        )
     print(f"wrote {Path(cfg.out) / PLAN_NAME}")
     return EXIT_OK
 

@@ -37,8 +37,9 @@ class FieldEntry:
 @dataclass
 class RunConfig:
     dims: tuple[int, int, int] | None = None
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    # None when unset: a field config then takes the files' values
+    spacing: tuple[float, float, float] | None = None
+    origin: tuple[float, float, float] | None = None
     diffusivity: float = 0.0
     dt: float | None = None
     steps: int | None = None
@@ -63,7 +64,8 @@ class RunConfig:
     def grid(self) -> StructuredGrid:
         if self.dims is None:
             raise ConfigError("grid dims not configured")
-        return StructuredGrid(self.dims, self.spacing, self.origin)
+        spacing = self.spacing or (1.0, 1.0, 1.0)
+        return StructuredGrid(self.dims, spacing, self.origin or (0.0, 0.0, 0.0))
 
     def validate(self) -> None:
         """The rules that join keys; `apply` checks each key's own value."""
@@ -152,7 +154,7 @@ def _distribution(raw: str) -> tuple:
 def parse_config(path) -> RunConfig:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     cfg = RunConfig(config_dir=path.parent)

@@ -57,19 +57,14 @@ class FlowScenario:
 
 
 def synth_recirculating(grid: StructuredGrid, strength: float) -> VelocityField:
-    """Single-vortex recirculating flow from the stream function
-    ``psi = sin(pi x / Lx) * sin(pi y / Ly)`` scaled by ``strength``.
+    """Single-vortex recirculating flow on a 2D grid (nz = 1) from the stream
+    function ``psi = sin(pi x / Lx) * sin(pi y / Ly)`` scaled by ``strength``.
 
     The field is divergence-free with zero normal velocity on the domain
     boundary, so a closed-box transport operator conserves mass exactly.
     Linearity in ``strength`` is exact in floating point: the unit field is
     evaluated once and scaled by a single multiply.
     """
-    nx, ny, nz = grid.dims
-    if nz != 1:
-        raise ValueError(f"recirculating family is 2D only (nz = 1), got nz = {nz}")
-    if not math.isfinite(strength):
-        raise ValueError(f"strength must be finite, got {strength}")
     lx, ly, _ = grid.extent()
     centers = grid.cell_centers()
     x = centers[:, 0] - grid.origin[0]
@@ -196,7 +191,7 @@ def load_field(path) -> VelocityField:
     numbers, a three-line grid header and one record per state. Failures
     raise FieldFormatError naming the line, counting blank lines."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeError) as exc:
         raise FieldFormatError(f"cannot read field {path}: {exc}") from None

@@ -104,7 +104,5 @@ def box_mask(
     axis-aligned box [lo, hi]. A box that misses every cell center yields an
     all-False mask.
     """
-    if any(a > b for a, b in zip(lo, hi)):
-        raise ValueError(f"box lo {lo} exceeds hi {hi}")
     centers = grid.cell_centers()
     return np.all((centers >= np.asarray(lo)) & (centers <= np.asarray(hi)), axis=1)

@@ -167,8 +167,6 @@ def propagate(phi: np.ndarray, matrix: sparse.csr_array, steps: int) -> np.ndarr
     vector is padded with a zero exit entry and the returned vector keeps
     only the grid states; mass absorbed at the outlet simply leaves the domain.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
     n_grid = phi.size
     n_op = matrix.shape[0]
     if n_op not in (n_grid, n_grid + 1):

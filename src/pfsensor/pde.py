@@ -137,8 +137,6 @@ def compare_operator(
     built for the scenario on the closed box at step dt propagates over
     steps operator steps and the PDE reference, which marches substeps steps
     of dt / substeps per operator step."""
-    if steps < 1 or substeps < 1:
-        raise ValueError(f"steps and substeps must be >= 1, got {steps} and {substeps}")
     phi_markov = propagate(phi0, matrix, steps)
     phi_pde = solve_pde(scenario, phi0, dt / substeps, steps * substeps)
     ref = float(np.linalg.norm(phi_pde))

@@ -67,7 +67,7 @@ def make_distribution(cfg: RunConfig):
             raise ConfigError(f"distribution: {exc}") from None
     path = cfg.config_dir / cfg.distribution[1]  # an absolute path replaces the directory
     try:
-        data = [float(line) for line in path.read_text().split()]
+        data = [float(line) for line in path.read_text(encoding="utf-8-sig").split()]
     except OSError as exc:
         raise ConfigError(f"cannot read KDE data {path}: {exc}") from None
     except ValueError:
@@ -116,10 +116,10 @@ def scenario_set(cfg: RunConfig) -> tuple[StructuredGrid, list[FlowScenario]]:
                 weight=entry.theta,
             )
         )
-    if cfg.dims is not None and grid.dims != cfg.dims:
-        raise ConfigError(
-            f"configured dims {cfg.dims} do not match field dims {grid.dims}"
-        )
+    for key in ("dims", "spacing", "origin"):
+        want, got = getattr(cfg, key), getattr(grid, key)
+        if want is not None and got != want:
+            raise ConfigError(f"configured {key} {want} do not match field {key} {got}")
     return grid, scenarios
 
 

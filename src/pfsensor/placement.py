@@ -46,15 +46,8 @@ def coverage_vectors(detections: list[sparse.sparray], cell_fraction: float) -> 
 def expected_coverage(vectors: list[np.ndarray], weights) -> np.ndarray:
     """Probability-weighted mean of per-scenario coverage vectors."""
     w = np.asarray(list(weights), dtype=float)
-    if len(vectors) != w.size:
-        raise ValueError(f"{len(vectors)} vectors for {w.size} weights")
-    if not vectors:
-        raise ValueError("need at least one coverage vector")
-    n = vectors[0].shape[0]
-    if any(v.shape != (n,) for v in vectors):
-        raise ValueError("coverage vectors differ in length")
-    out = np.zeros(n)
-    for theta, vec in zip(w, vectors):
+    out = np.zeros(vectors[0].shape[0])
+    for theta, vec in zip(w, vectors, strict=True):
         out += theta * vec
     return out
 
@@ -91,25 +84,8 @@ def place_sensors(
     that zone's volume fraction: coverage is then also reported relative to
     it, and min_coverage and truncation are judged on that relative coverage.
     """
-    if k is None and min_coverage is None:
-        raise ValueError("need a sensor count k or a min_coverage target")
-    if k is not None and k < 1:
-        raise ValueError(f"sensor count must be >= 1, got {k}")
-    if min_coverage is not None and not 0.0 < min_coverage <= 1.0:
-        raise ValueError(f"min_coverage must lie in (0, 1], got {min_coverage}")
-    if occupied_volume_fraction is not None and occupied_volume_fraction <= 0.0:
-        raise ValueError("occupied volume fraction must be positive")
-    if not detections:
-        raise ValueError("need at least one scenario matrix")
     w = np.asarray(list(weights), dtype=float)
-    if w.size != len(detections):
-        raise ValueError(f"{len(detections)} matrices for {w.size} weights")
-    if np.any(w < 0.0):
-        raise ValueError("scenario weights must be non-negative")
     n = detections[0].shape[0]
-    if any(m.shape != (n, n) for m in detections):
-        raise ValueError("scenario matrices differ in size")
-
     by_col = [sparse.csc_array(m) for m in detections]
     by_row = [m.tocsr() for m in by_col]
     # intp counts: the table lookup each round is a 3x slower gather with int32

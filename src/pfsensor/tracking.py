@@ -49,8 +49,6 @@ def detection_matrix(
     block of release rows propagates only through the band it can reach
     within `steps` steps; an exit column makes that band the whole operator.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
     n = matrix.shape[0]
     release = np.asarray(release, dtype=bool)
     candidates = np.asarray(candidates, dtype=bool)

@@ -10,7 +10,7 @@ import pytest
 from pfsensor import pipeline
 from pfsensor.cli import main
 from pfsensor.config import ConfigError, RunConfig, apply, parse_config
-from pfsensor.flowfield import load_field, save_field, save_scalar_field
+from pfsensor.flowfield import VelocityField, load_field, save_field, save_scalar_field
 from pfsensor.grid import StructuredGrid, box_mask
 from pfsensor.markov import build_markov, propagate
 from pfsensor.pipeline import release_field, run_place, scenario_set
@@ -638,6 +638,96 @@ def test_validate_refuses_outlets(tmp_path, capsys):
     assert main(["validate", "--config", str(cfg)]) == 2
     assert "outlets" in capsys.readouterr().err
     assert not (tmp_path / "out" / "validation.json").exists()
+
+
+def test_validate_with_zero_steps_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("pfsensor.pipeline.quadrature_rule", refuse_quadrature)
+    cfg = base_cfg(tmp_path, steps="0")
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: validate needs steps >= 1\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_place_without_a_count_or_target_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("pfsensor.pipeline.quadrature_rule", refuse_quadrature)
+    cfg = base_cfg(tmp_path, sensors=None)
+    assert main(["place", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: set a sensor count or a min_coverage target\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, warned",
+    [
+        # one sensor covers about half the room
+        ("", True),
+        # but 0.9 of this zone, the coverage the target is then judged on
+        ("occupied_box = 0 0 0 0.5 0.5 1\n", False),
+    ],
+    ids=["room", "zone"],
+)
+def test_place_warns_when_the_sensor_count_stops_it_below_min_coverage(
+    tmp_path, capsys, extra, warned
+):
+    cfg = base_cfg(
+        tmp_path,
+        extra=extra,
+        dims="20 20 1",
+        spacing="0.05 0.05 0.2",
+        dt="0.02",
+        sensors="1",
+        min_coverage="0.9",
+    )
+    assert main(["place", "--config", str(cfg)]) == 0
+    warning = "warning: the sensor count 1 stopped placement below min_coverage 0.9\n"
+    assert (warning in capsys.readouterr().out) == warned
+    doc = json.loads((tmp_path / "out" / "plan.json").read_text())
+    assert len(doc["sensors"]) == 1 and not doc["truncated"]
+
+
+@pytest.mark.parametrize(
+    "key, value, got",
+    [
+        ("dims", "6 6 1", "(6, 6, 1) do not match field dims (4, 4, 1)"),
+        ("spacing", "0.3 0.3 0.3", "(0.3, 0.3, 0.3) do not match field spacing (0.25, 0.25, 0.2)"),
+        ("origin", "1 1 0", "(1.0, 1.0, 0.0) do not match field origin (0.0, 0.0, 0.0)"),
+    ],
+    ids=["dims", "spacing", "origin"],
+)
+def test_field_config_grid_keys_must_match_the_files(tmp_path, capsys, key, value, got):
+    save_field(tmp_path / "still.txt", zero_field(StructuredGrid((4, 4, 1), (0.25, 0.25, 0.2))))
+    text = f"dt = 0.5\nsteps = 5\nsensors = 1\nfield = still.txt 0.0 1.0\n{key} = {value}\n"
+    cfg = write_cfg(tmp_path, text + f"out = {tmp_path / 'out'}\n")
+    assert main(["place", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: configured {key} {got}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_with_a_byte_order_mark_places_the_same_plan(tmp_path):
+    plain = base_cfg(tmp_path, dims="8 8 1", dt="0.017", steps="25", out=tmp_path / "plain")
+    assert main(["place", "--config", str(plain)]) == 0
+    marked = base_cfg(tmp_path, dims="8 8 1", dt="0.017", steps="25", out=tmp_path / "bom")
+    marked.write_text(marked.read_text(), encoding="utf-8-sig")
+    assert main(["place", "--config", str(marked)]) == 0
+    plan = (tmp_path / "bom" / "plan.json").read_bytes()
+    assert plan == (tmp_path / "plain" / "plan.json").read_bytes()
+
+
+def test_kde_data_and_field_files_with_a_byte_order_mark_read_alike(tmp_path):
+    rng = np.random.default_rng(3)
+    grid = StructuredGrid((3, 2, 1), (0.5, 0.5, 0.2))
+    save_field(tmp_path / "field.txt", VelocityField(grid, *rng.uniform(-1.0, 1.0, (3, 6))))
+    (tmp_path / "data.txt").write_text("0.42 0.47 0.5 0.51 0.55 0.61\n")
+    for name in ("field.txt", "data.txt"):
+        (tmp_path / f"bom-{name}").write_bytes(b"\xef\xbb\xbf" + (tmp_path / name).read_bytes())
+    plain, marked = (load_field(tmp_path / name) for name in ("field.txt", "bom-field.txt"))
+    assert marked.grid == plain.grid
+    assert all(np.array_equal(getattr(marked, c), getattr(plain, c)) for c in "uvw")
+    plain, marked = (
+        pipeline.make_distribution(RunConfig(distribution=("kde", name), config_dir=tmp_path))
+        for name in ("data.txt", "bom-data.txt")
+    )
+    assert marked == plain
 
 
 def small_cfg(tmp_path):

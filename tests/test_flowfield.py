@@ -147,12 +147,6 @@ def test_synth_linear_in_strength(a, xi):
     assert np.allclose(scaled.v, a * base.v, rtol=1e-13, atol=0.0)
 
 
-def test_synth_rejects_3d():
-    g = StructuredGrid((4, 4, 2), (0.25, 0.25, 0.5))
-    with pytest.raises(ValueError, match="nz"):
-        synth_recirculating(g, 1.0)
-
-
 def _discrete_divergence(field):
     """Central-difference divergence at interior cells."""
     nx, ny, _ = field.grid.dims

@@ -220,16 +220,6 @@ def test_min_coverage_is_a_fraction_of_the_occupied_zone(target, truncated):
     assert plan.truncated == truncated
 
 
-def test_place_sensors_argument_validation():
-    mats = [pattern(np.eye(3))]
-    with pytest.raises(ValueError):
-        place(mats, [1.0])
-    with pytest.raises(ValueError):
-        place(mats, [1.0], k=0)
-    with pytest.raises(ValueError):
-        place(mats, [0.5, 0.5], k=1)
-
-
 def float_place_sensors(detections, weights, k=None, min_coverage=None):
     """The float greedy that the count greedy replaced, kept as its oracle.
 

@@ -105,14 +105,6 @@ def test_tracking_two_state_hand_value():
     assert np.array_equal(tracking_rows(operator_from_dense(TWO_STATE), 2, [1]), q[[1]])
 
 
-def test_tracking_rejects_negative_steps():
-    op = operator_from_dense(TWO_STATE)
-    with pytest.raises(ValueError):
-        tracking_rows(op, -1, [0])
-    with pytest.raises(ValueError):
-        detection_matrix(op, -1, 0.0, np.ones(2, dtype=bool), np.ones(2, dtype=bool))
-
-
 @given(seed=st.integers(0, 2**31 - 1), steps=st.sampled_from([0, 1, 5, 20]))
 @settings(max_examples=30, deadline=None)
 def test_tracking_row_sums_equal_steps_plus_one(seed, steps):
