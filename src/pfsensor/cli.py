@@ -72,7 +72,9 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_build = sub.add_parser("build", help="build one Markov matrix per flow scenario")
+    p_build = sub.add_parser(
+        "build", help="check dt, then export the flow ensemble (field files + manifest)"
+    )
     _add_common(p_build)
 
     p_place = sub.add_parser("place", help="place sensors; builds its own operators")

@@ -16,11 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .flowfield import FlowScenario, write_artifact
-
-MARKOV_MAGIC = "# pfsensor-markov v1"
-
-ROW_SUM_TOL = 1e-12
+from .flowfield import FlowScenario
 
 # the domain sides that `outlets` may name
 SIDES = ("x-", "x+", "y-", "y+", "z-", "z+")
@@ -180,26 +176,3 @@ def propagate(phi: np.ndarray, matrix: sparse.csr_array, steps: int) -> np.ndarr
         vec = p_t @ vec
     return vec[:n_grid]
 
-
-def save_markov(path, matrix: sparse.csr_array, dt: float) -> None:
-    """Write a matrix file: ``row col value`` for each stored entry, rows in
-    order and columns ascending within a row, read straight from the CSR
-    arrays (a sorted copy only when the indices are unsorted), under a header
-    that records the step dt. An operator whose entries leave [0, 1] or whose
-    rows drift from 1 by more than ROW_SUM_TOL raises ValueError and nothing
-    is written."""
-    mat = matrix.tocsr()
-    # stated positively so that a NaN entry fails it
-    if mat.data.size and not (mat.data.min() >= 0.0 and mat.data.max() <= 1.0):
-        raise ValueError("matrix entries outside [0, 1]")
-    drift = np.abs(mat.sum(axis=1) - 1.0)
-    if drift.size and drift.max() > ROW_SUM_TOL:
-        raise ValueError(f"row sums deviate from 1 by up to {drift.max():.3e}")
-    if not mat.has_sorted_indices:
-        mat = mat.sorted_indices()
-    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    write_artifact(
-        path,
-        [MARKOV_MAGIC, f"{mat.shape[0]} {mat.nnz} {dt!r}"],
-        (rows, mat.indices, mat.data),
-    )

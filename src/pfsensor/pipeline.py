@@ -4,11 +4,13 @@ writes (the JSON ones through `write_json`); the CLI only parses and prints.
 The config fixes the three detection-kernel inputs once per run: the
 threshold cutoff, and the release and candidate masks, which only
 `detection_zones` derives, from the config's boxes and outlets, before any
-operator is built. All five commands reach their operators through
-`each_operator` alone: it checks stability from the face rates, so an
+operator is built. The four commands that use operators (`place`,
+`converge`, `propagate` and `validate`) reach them through `each_operator`
+alone: it checks stability from the face rates with `check_step`, so an
 unstable dt fails before any operator exists, then builds, uses and drops
 each scenario's operator in its own task on a pool of `workers` threads, so
-at most `workers` operators are alive at once. `propagate` makes only the
+at most `workers` operators are alive at once. `build` only runs
+`check_step` and exports the flow ensemble. `propagate` makes only the
 scenario it runs: one synthesized field, or one slice of the loaded files.
 Cross-scenario reductions run in fixed scenario order, so results depend on
 neither completion order nor worker count.
@@ -33,13 +35,7 @@ from .flowfield import (
     write_artifact,
 )
 from .grid import StructuredGrid, box_mask
-from .markov import (
-    StabilityError,
-    admissible_dt,
-    build_markov,
-    propagate,
-    save_markov,
-)
+from .markov import StabilityError, admissible_dt, build_markov, propagate
 from .placement import (
     SensorPlan,
     coverage_vectors,
@@ -123,20 +119,25 @@ def scenario_set(cfg: RunConfig) -> tuple[StructuredGrid, list[FlowScenario]]:
     return grid, scenarios
 
 
+def check_step(cfg: RunConfig, scenarios: list[FlowScenario]) -> None:
+    """Raise StabilityError with the smallest admissible dt over all
+    scenarios when the config's dt exceeds it, reading only the face rates,
+    so no operator is built and a rerun at that dt builds every one;
+    `cli.NEEDS` checks that dt is set."""
+    bound = min(admissible_dt(scenario, cfg.outlets) for scenario in scenarios)
+    if cfg.dt > bound:
+        raise StabilityError(cfg.dt, bound)
+
+
 def each_operator(cfg: RunConfig, scenarios: list[FlowScenario], use) -> list:
     """`use(idx, matrix)` for each scenario's operator matrix at the config's
     dt and outlets, with the results in scenario order.
 
-    First, reading only the face rates, raise StabilityError with the
-    smallest admissible dt over all scenarios when the config's dt exceeds
-    it, so no operator is built and a rerun at that dt builds every one;
-    `cli.NEEDS` checks that dt is set. Each operator is then built inside
-    its scenario's task and dropped when `use` returns, so at most
-    `cfg.workers` operators are alive at once.
+    `check_step` runs first. Each operator is then built inside its
+    scenario's task and dropped when `use` returns, so at most `cfg.workers`
+    operators are alive at once.
     """
-    bound = min(admissible_dt(scenario, cfg.outlets) for scenario in scenarios)
-    if cfg.dt > bound:
-        raise StabilityError(cfg.dt, bound)
+    check_step(cfg, scenarios)
 
     def task(idx: int):
         return use(idx, build_markov(scenarios[idx], cfg.dt, cfg.outlets).matrix)
@@ -194,27 +195,20 @@ def write_json(path: Path, doc) -> None:
 
 
 def run_build(cfg: RunConfig) -> Path:
-    """Write per-scenario operator and field files plus a manifest to cfg.out,
-    and return the manifest's path. They are an export: no command reads them
-    back. Stability is checked for every scenario before anything is written."""
+    """Export the flow ensemble: check the config's dt against every
+    scenario, then write each scenario's field file and a manifest to
+    cfg.out, and return the manifest's path. No operator is assembled, and
+    an unstable dt writes nothing."""
     out = Path(cfg.out)
     grid, scenarios = scenario_set(cfg)
-
-    def export(idx: int, matrix) -> dict:
-        scenario = scenarios[idx]
-        matrix_name = f"markov-{idx:03d}.txt"
+    check_step(cfg, scenarios)
+    entries = []
+    for idx, scenario in enumerate(scenarios):
         field_name = f"field-{idx:03d}.txt"
-        save_markov(out / matrix_name, matrix, cfg.dt)
         save_field(out / field_name, scenario.field)
-        return {
-            "id": idx,
-            "xi": scenario.sample_value,
-            "theta": scenario.weight,
-            "matrix": matrix_name,
-            "field": field_name,
-        }
-
-    entries = each_operator(cfg, scenarios, export)
+        entries.append(
+            {"id": idx, "xi": scenario.sample_value, "theta": scenario.weight, "field": field_name}
+        )
     manifest = {
         "format": MANIFEST_FORMAT,
         "grid": {
@@ -345,10 +339,10 @@ def run_validate(cfg: RunConfig) -> list[dict]:
     validation.json in cfg.out.
 
     Every scenario's stability is checked before any operator is built or
-    PDE solved. Each scenario's operator is the one build writes for it.
-    The reference marches VALIDATE_SUBSTEPS substeps per operator step so
-    the measured gap reflects the operator's own time-stepping error, not
-    the reference's.
+    PDE solved. Each scenario's operator is rebuilt from the config through
+    `each_operator`, the same path `place` takes. The reference marches
+    VALIDATE_SUBSTEPS substeps per operator step so the measured gap
+    reflects the operator's own time-stepping error, not the reference's.
     """
     from .pde import compare_operator
 

@@ -3,8 +3,9 @@
 Each table holds what one command writes under desk's config from
 perfbench/workloads.py, whose `plan_sha256` is the plan pin. `KDE_PLACE`
 is desk's `place` with its distribution replaced by `kde data.txt`, the
-data being `KDE_DATA`. test_pins.py checks every table in process, and
-each CI step imports the tables it checks.
+data being `KDE_DATA`. `OPERATOR` pins one of desk's operators, which no
+command writes, through `csr_sha256`. test_pins.py checks every table in
+process, and each CI step imports the tables it checks.
 """
 
 import hashlib
@@ -23,9 +24,11 @@ PLACE = {
     "coverage-sensors.txt": "f2d0793dbd7b197b8a150bf252be6e281c42f9d24933632549ff6b85769e864a",
 }
 BUILD = {
-    "manifest.json": "dadc2d3fbb4262148ec6123988013f9411d4737ed35f8244c2d63a16fc89f8dd",
-    # the middle scenario's operator
-    "markov-003.txt": "536f70d9224d1603ebebdb5febcaab62f133dc126a5dcf440e9318e42f87ce1e",
+    "manifest.json": "f90ddd0b935acd7d08607e6dbeee372b9700f6d8275c643d513f704cbf0bf3d0",
+}
+OPERATOR = {
+    # the middle scenario's operator (int32 indptr and indices, float64 data)
+    3: "161e6f91d3f1e1b5e93b3054ad6fbc9a1ed0abbc93f068e0a02e8ece59380a50",
 }
 VALIDATE = {
     # 5 reference substeps of dt / 5 per operator step
@@ -57,3 +60,12 @@ def mismatches(directory, *tables) -> str | None:
             if digest != pinned:
                 lines.append(f"{name} sha256 {digest}")
     return "\n".join(lines) or None
+
+
+def csr_sha256(matrix) -> str:
+    """The sha256 of a CSR matrix's indptr, indices and data bytes, in that
+    order."""
+    digest = hashlib.sha256()
+    for array in (matrix.indptr, matrix.indices, matrix.data):
+        digest.update(array.tobytes())
+    return digest.hexdigest()

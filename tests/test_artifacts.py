@@ -2,7 +2,6 @@
 and fuzzed loaders."""
 
 import json
-import math
 import tracemalloc
 import warnings
 
@@ -10,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 from pfsensor import flowfield
 from pfsensor.cli import main
@@ -19,20 +17,10 @@ from pfsensor.flowfield import (
     FIELD_MAGIC,
     WRITE_BLOCK,
     FieldFormatError,
-    FlowScenario,
     load_field,
-    synth_recirculating,
     write_artifact,
 )
-from pfsensor.grid import StructuredGrid
-from pfsensor.markov import (
-    MARKOV_MAGIC,
-    build_markov,
-    save_markov,
-)
 from pfsensor.pipeline import scenario_set
-
-from oracles import admissible_dt
 
 LOADERS = [(load_field, FIELD_MAGIC, FieldFormatError)]
 
@@ -48,14 +36,6 @@ def oracle_text(head, columns) -> str:
     return "".join(line + "\n" for line in head) + "".join(
         " ".join(map(repr, row)) + "\n" for row in rows
     )
-
-
-def markov_oracle(matrix, dt) -> str:
-    """A matrix file's text from a COO copy in lexsorted row-major order."""
-    coo = matrix.tocoo()
-    order = np.lexsort((coo.coords[1], coo.coords[0]))
-    head = [MARKOV_MAGIC, f"{matrix.shape[0]} {coo.nnz} {dt!r}"]
-    return oracle_text(head, (coo.coords[0][order], coo.coords[1][order], coo.data[order]))
 
 
 def field_oracle(field) -> str:
@@ -205,24 +185,6 @@ def test_writer_transient_memory_is_bounded(tmp_path):
     assert (tmp_path / "t.txt").read_bytes() == expected.encode()
 
 
-def test_save_markov_sorts_unsorted_csr_indices(tmp_path):
-    grid = StructuredGrid((5, 4, 1), (0.25, 0.3, 0.2))
-    scenario = FlowScenario(synth_recirculating(grid, 0.7), diffusivity=1e-3)
-    dt = 0.5 * admissible_dt(scenario)
-    op = build_markov(scenario, dt, frozenset({"x+"})).matrix
-    indptr = op.indptr
-    # every row's entries in descending column order
-    perm = np.concatenate([np.arange(a, b)[::-1] for a, b in zip(indptr[:-1], indptr[1:])])
-    unsorted = sparse.csr_array(
-        (op.data[perm], op.indices[perm], indptr), shape=op.shape
-    )
-    assert not unsorted.has_sorted_indices
-    indices = unsorted.indices.copy()
-    save_markov(tmp_path / "m.txt", unsorted, dt)
-    assert (tmp_path / "m.txt").read_bytes() == markov_oracle(unsorted, dt).encode()
-    assert np.array_equal(unsorted.indices, indices)
-
-
 BUILD_CFG = """\
 dims = 7 6 1
 spacing = 0.1 0.12 0.2
@@ -246,15 +208,11 @@ def test_build_and_place_exports_match_per_row_formatting(tmp_path, outlets):
     cfg_path.write_text(BUILD_CFG.format(out=out) + outlets + "\n")
     assert main(["build", "--config", str(cfg_path)]) == 0
     assert main(["place", "--config", str(cfg_path)]) == 0
-    cfg = parse_config(cfg_path)
-    _, scenarios = scenario_set(cfg)
-    operators = [build_markov(sc, cfg.dt, cfg.outlets).matrix for sc in scenarios]
-    assert operators[0].shape[0] == 42 + bool(outlets)
-    for idx, (scenario, op) in enumerate(zip(scenarios, operators)):
-        markov = out / f"markov-{idx:03d}.txt"
-        assert markov.read_bytes() == markov_oracle(op, cfg.dt).encode()
+    _, scenarios = scenario_set(parse_config(cfg_path))
+    for idx, scenario in enumerate(scenarios):
         assert (out / f"field-{idx:03d}.txt").read_bytes() == field_oracle(scenario.field).encode()
-    assert len(list(out.glob("markov-*.txt"))) == len(list(out.glob("field-*.txt"))) == 3
+    assert len(list(out.glob("field-*.txt"))) == 3
+    assert not list(out.glob("markov-*"))  # no operator file
     # the coverage outputs are not recomputed here: their read-back values
     # must come out as the same text
     expected = out / "coverage-expected.txt"
@@ -272,24 +230,6 @@ def test_build_and_place_exports_match_per_row_formatting(tmp_path, outlets):
     assert np.all(np.diff(ranks * 42 + states) > 0)  # sorted by rank, then state
     assert set(ranks.tolist()) == set(range(1, placed + 1))
     assert table == oracle_text(head, (states, ranks, rows[:, 2]))
-
-
-def test_save_markov_refuses_non_stochastic_operator(tmp_path):
-    op = sparse.csr_array(np.array([[0.5, 0.4], [0.0, 1.0]]))
-    with pytest.raises(ValueError, match="row sums"):
-        save_markov(tmp_path / "m.txt", op, 1.0)
-    assert not any(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("entry", [-0.25, math.nan], ids=["negative", "nan"])
-def test_save_markov_refuses_an_entry_outside_the_unit_interval(tmp_path, entry):
-    # the negative entry leaves its row summing to exactly 1, and a NaN row
-    # sum passes a drift bound, so only the entry check refuses either
-    dense = np.array([[0.75, 0.5, entry], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    op = sparse.csr_array(dense)
-    with pytest.raises(ValueError, match=r"matrix entries outside \[0, 1\]"):
-        save_markov(tmp_path / "m.txt", op, 1.0)
-    assert not any(tmp_path.iterdir())
 
 
 def test_whitespace_lines_keep_real_line_numbers(tmp_path):

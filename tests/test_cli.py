@@ -63,8 +63,9 @@ def test_build_writes_manifest_and_matrices(tmp_path):
     thetas = [s["theta"] for s in manifest["scenarios"]]
     assert sum(thetas) == pytest.approx(1.0, abs=1e-9)
     for entry in manifest["scenarios"]:
-        assert (tmp_path / "out" / entry["matrix"]).exists()
+        assert sorted(entry) == ["field", "id", "theta", "xi"]
         assert (tmp_path / "out" / entry["field"]).exists()
+    assert not list((tmp_path / "out").glob("markov-*"))
 
 
 def test_build_single_scenario_weight_one(tmp_path):
@@ -129,14 +130,13 @@ def test_build_unstable_dt_writes_nothing_and_the_hint_builds_every_scenario(
     assert float(hint) == min(admissible_dt(sc) for sc in scenarios)
     assert main(["build", "--config", str(cfg), "--dt", hint]) == 0
     written = sorted(p.name for p in (tmp_path / "out").iterdir())
-    fields, matrices = [[f"{kind}-{i:03d}.txt" for i in range(3)] for kind in ("field", "markov")]
-    assert written == [*fields, "manifest.json", *matrices]
+    assert written == [*(f"field-{i:03d}.txt" for i in range(3)), "manifest.json"]
 
 
 @pytest.mark.parametrize(
     "command, calls",
     [
-        (["build"], 3),
+        (["build"], 0),
         (["validate"], 3),
         (["place"], 3),
         (["converge", "--samples", "3", "5"], 5),
@@ -165,7 +165,8 @@ def test_every_ensemble_command_holds_one_operator_at_a_time(
     cfg = base_cfg(tmp_path, dims="8 8 1", dt="0.017", steps="25", cdf_points="0 0.5 1")
     cfg.write_text(cfg.read_text() + "workers = 1\nvalidate_tol = 10\n")
     assert main([*command, "--config", str(cfg)]) == 0
-    assert (counts["calls"], counts["peak"], counts["live"]) == (calls, 1, 0)
+    # build checks dt and assembles no operator
+    assert (counts["calls"], counts["peak"], counts["live"]) == (calls, min(calls, 1), 0)
 
 
 def test_validate_unstable_dt_hint_is_the_ensemble_minimum(tmp_path, capsys, monkeypatch):
@@ -878,9 +879,9 @@ def test_workers_do_not_change_results(tmp_path):
         for command in commands:
             assert main([*command, "--config", str(cfg), "--workers", workers]) == 0
         written.append({p.name: p.read_bytes() for p in out.iterdir()})
-    # the manifest, 3 operators and 3 fields, the plan and 2 coverage files,
+    # the manifest and 3 fields, the plan and 2 coverage files,
     # validation.json and convergence.json
-    assert len(written[0]) == 12
+    assert len(written[0]) == 9
     assert written[0] == written[1]
 
 
