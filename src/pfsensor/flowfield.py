@@ -56,14 +56,15 @@ class FlowScenario:
             raise ValueError(f"weight must lie in [0, 1], got {self.weight}")
 
 
-def synth_recirculating(grid: StructuredGrid, strength: float) -> VelocityField:
-    """Single-vortex recirculating flow on a 2D grid (nz = 1) from the stream
-    function ``psi = sin(pi x / Lx) * sin(pi y / Ly)`` scaled by ``strength``.
+def synth_recirculating(grid: StructuredGrid, strengths) -> list[VelocityField]:
+    """Single-vortex recirculating flows on a 2D grid (nz = 1), one per
+    strength, from the stream function ``psi = sin(pi x / Lx) * sin(pi y / Ly)``
+    scaled by the strength.
 
-    The field is divergence-free with zero normal velocity on the domain
+    Each field is divergence-free with zero normal velocity on the domain
     boundary, so a closed-box transport operator conserves mass exactly.
-    Linearity in ``strength`` is exact in floating point: the unit field is
-    evaluated once and scaled by a single multiply.
+    Linearity in the strength is exact in floating point: the unit field is
+    evaluated once per call and scaled by a single multiply per strength.
     """
     lx, ly, _ = grid.extent()
     centers = grid.cell_centers()
@@ -73,7 +74,7 @@ def synth_recirculating(grid: StructuredGrid, strength: float) -> VelocityField:
     u_unit = (math.pi / ly) * np.sin(math.pi * x / lx) * np.cos(math.pi * y / ly)
     v_unit = -(math.pi / lx) * np.cos(math.pi * x / lx) * np.sin(math.pi * y / ly)
     zero = np.zeros(grid.n_states)
-    return VelocityField(grid, strength * u_unit, strength * v_unit, zero)
+    return [VelocityField(grid, s * u_unit, s * v_unit, zero) for s in strengths]
 
 
 def _repr_table(values: np.ndarray) -> np.ndarray:
@@ -86,47 +87,74 @@ def _repr_table(values: np.ndarray) -> np.ndarray:
     return np.concatenate(chunks) if chunks else np.zeros(0, dtype="S1")
 
 
-def _cell_tables(columns, n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``keys``. It sorts ``keys`` in place, so
+    no second copy of them is held at the writer's peak memory."""
+    keys.sort()
+    return np.append(keys[:1], keys[1:][keys[1:] != keys[:-1]])
+
+
+def _magnitudes(values: np.ndarray) -> np.ndarray:
+    """The bits of ``abs(values)`` as float64, keys that sort as the values'
+    magnitudes do; ``0.0`` and ``-0.0`` share one."""
+    return np.abs(values, dtype=np.float64).view(np.int64)
+
+
+def _cell_tables(columns, n: int) -> list[tuple[np.ndarray, np.ndarray | None, bool]]:
     """Each column's distinct cells, formatted once for the file: the table of
-    texts, the column's keys, and the sorted distinct keys that index the
-    table (None when the keys index it directly).
+    texts, the sorted distinct keys that index the table (None when the
+    column's values index it directly), and whether the column's cells are a
+    sign byte before the text of their magnitude.
 
     Integer columns of values in ``0..n-1`` (state indices) share one table of
-    ``0..max``. Other columns key floats by their bits, so ``-0.0`` keeps its
-    own text. Only the distinct values are held for the whole file.
+    ``0..max``; other integer columns each have their own table. All float
+    columns share one table of the magnitudes they hold, keyed by
+    `_magnitudes`: ``repr(-x) == "-" + repr(x)`` for every finite ``x`` with
+    a clear sign bit, ``0.0`` included. Float columns must be finite. Only
+    the distinct values are held for the whole file.
     """
     direct = [col.dtype.kind in "iu" and 0 <= col.min() and col.max() < n for col in columns]
     top = max((int(col.max()) for col, d in zip(columns, direct) if d), default=-1)
     states = _repr_table(np.arange(top + 1))
+    floats = [_distinct(_magnitudes(col)) for col in columns if col.dtype.kind == "f"]
+    if floats:
+        magnitudes = _distinct(np.concatenate(floats))
+        shared = _repr_table(magnitudes.view(np.float64))
     tables = []
     for col, is_state in zip(columns, direct):
         if is_state:
-            tables.append((states, col, None))
-            continue
-        keys = col.view(f"i{col.itemsize}") if col.dtype.kind == "f" else col
-        ordered = np.sort(keys)
-        distinct = np.append(ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]])
-        del ordered  # the sorted copy goes before the texts are made: peak memory
-        tables.append((_repr_table(distinct.view(col.dtype)), keys, distinct))
+            tables.append((states, None, False))
+        elif col.dtype.kind == "f":
+            tables.append((shared, magnitudes, True))
+        else:
+            distinct = _distinct(col.copy())
+            tables.append((_repr_table(distinct), distinct, False))
     return tables
 
 
 def _write_rows(fh, columns) -> None:
     """The rows of the columns, WRITE_BLOCK at a time: each block's cells are
-    gathered from the column tables into a fixed-width byte matrix whose
-    separator bytes are set once, and its non-NUL bytes are written."""
+    gathered from the `_cell_tables` into a fixed-width byte matrix whose
+    separator bytes are set once, the sign byte of each float cell is ``-``
+    or NUL, and the matrix's non-NUL bytes are written. Each block looks its
+    cells up in the tables on its own, so no per-row index spans the file."""
     n = len(columns[0])
     tables = _cell_tables(columns, n)
-    ends = np.cumsum([table.itemsize + 1 for table, _, _ in tables]) - 1  # separators
+    ends = np.cumsum([table.itemsize + signed + 1 for table, _, signed in tables]) - 1
     text = np.zeros((min(n, WRITE_BLOCK), ends[-1] + 1), dtype=np.uint8)
-    text[:, ends] = ord(" ")
+    text[:, ends] = ord(" ")  # separators
     text[:, -1] = ord("\n")
     for start in range(0, n, WRITE_BLOCK):
         rows = slice(start, min(start + WRITE_BLOCK, n))
         block = text[: rows.stop - start]
-        for (table, keys, distinct), end in zip(tables, ends):
-            cells = keys[rows] if distinct is None else np.searchsorted(distinct, keys[rows])
+        for col, (table, distinct, signed), end in zip(columns, tables, ends):
+            cells = col[rows]
             width = table.itemsize
+            if signed:
+                block[:, end - width - 1] = np.signbit(cells) * ord("-")
+                cells = _magnitudes(cells)
+            if distinct is not None:
+                cells = np.searchsorted(distinct, cells)
             block[:, end - width : end] = table[cells].view(np.uint8).reshape(-1, width)
         fh.write(block[block != 0].tobytes())
 
@@ -134,10 +162,12 @@ def _write_rows(fh, columns) -> None:
 def write_artifact(path, head, columns=()) -> None:
     """Write the ``head`` lines, then one line per row of the equal-length 1-D
     numpy ``columns``: the ``repr`` of each row's Python scalars, joined by
-    spaces. Each column's distinct values are formatted once per file, into a
-    table of bytes; rows are assembled from the tables and written WRITE_BLOCK
-    at a time. The text goes to ``<path>.tmp`` in a directory made if missing,
-    then is renamed over ``path``, so no reader sees a partial file. Columns of
+    spaces. Float columns must be finite. Each distinct value is formatted
+    once per file, into a table of bytes: all float columns share one table of
+    magnitudes, and each float cell's sign is a byte in front of its text.
+    Rows are assembled from the tables and written WRITE_BLOCK at a time. The
+    text goes to ``<path>.tmp`` in a directory made if missing, then is
+    renamed over ``path``, so no reader sees a partial file. Columns of
     unequal length or not 1-D raise ValueError naming ``path`` before anything
     is written. A failed write removes the ``.tmp`` file and raises OSError
     naming ``path``."""

@@ -86,14 +86,15 @@ def scenario_set(cfg: RunConfig) -> tuple[StructuredGrid, list[FlowScenario]]:
         except ValueError as exc:
             named = " ".join(map(str, cfg.distribution))
             raise ConfigError(f"cdf_points under distribution {named}: {exc}") from None
+        fields = synth_recirculating(grid, [float(xi) for xi in samples])
         return grid, [
             FlowScenario(
-                field=synth_recirculating(grid, float(xi)),
+                field=field,
                 diffusivity=cfg.diffusivity,
                 sample_value=float(xi),
                 weight=float(theta),
             )
-            for xi, theta in zip(samples, weights)
+            for field, xi, theta in zip(fields, samples, weights)
         ]
     scenarios = []
     grid = None

@@ -3,8 +3,9 @@
 Each table holds what one command writes under desk's config from
 perfbench/workloads.py, whose `plan_sha256` is the plan pin. `KDE_PLACE`
 is desk's `place` with its distribution replaced by `kde data.txt`, the
-data being `KDE_DATA`. `OPERATOR` pins one of desk's operators, which no
-command writes, through `csr_sha256`. test_pins.py checks every table in
+data being `KDE_DATA`. `FINE_BUILD` holds one file of fine's `build`.
+`OPERATOR` pins one of desk's operators, which no command writes, through
+`csr_sha256`. test_pins.py checks every table in
 process, and each CI step imports the tables it checks.
 """
 
@@ -25,6 +26,19 @@ PLACE = {
 }
 BUILD = {
     "manifest.json": "f90ddd0b935acd7d08607e6dbeee372b9700f6d8275c643d513f704cbf0bf3d0",
+    # the exported flow ensemble, one field file per scenario
+    "field-000.txt": "7666e988f66db11078a30d4e5fa08e7f452eea3e9855e763f8de467e247b5922",
+    "field-001.txt": "4ddede2688a84b637b42afd78af7f5adf2747f476c81e91f746e8d62906b53eb",
+    "field-002.txt": "d81b154fa309ed87856f6fc769952df49b3b3e57fee19b7d0a1aa97efdf79e16",
+    "field-003.txt": "a044147378776aba55f1e0a0c465f7647e303dafac6bf1412cf9d04d75e825fc",
+    "field-004.txt": "cea8e20f12b3f5d10f76a7ad3104f92685a4557be88f45a2d4cd436902112fab",
+    "field-005.txt": "f6053ed1486950d1e3d216f0bd34de1067f27d202a505b4c2a858ef827160ed4",
+    "field-006.txt": "67f656fcac3a4c28dfe01b73c9c07932381c359f1119ee8b02e590ea97008112",
+}
+FINE_BUILD = {
+    # fine's middle scenario: 22 500 rows whose distinct magnitudes span
+    # several of the writer's blocks, which desk's fields never do
+    "field-003.txt": "a22de6f8a027c13697672a2e2f7ebdb5afdd887d6f000cbe1fb0b01a75c96241",
 }
 OPERATOR = {
     # the middle scenario's operator (int32 indptr and indices, float64 data)

@@ -48,7 +48,7 @@ def random_vortex_scenario(rng, max_cells=64):
     grid = StructuredGrid((nx, ny, 1), spacing)
     xi = float(rng.uniform(-2.0, 2.0))
     diff = float(rng.uniform(0.0, 1e-3))
-    return FlowScenario(synth_recirculating(grid, xi), diffusivity=diff)
+    return FlowScenario(synth_recirculating(grid, [xi])[0], diffusivity=diff)
 
 
 def random_scaled_matrices(rng, n, m_scenarios, density=0.35):
@@ -129,7 +129,7 @@ def test_criterion_5_pde_markov_validation():
         errors = []
         for n in (25, 50, 100):
             grid = StructuredGrid((n, n, 1), (1.0 / n, 1.0 / n, 0.2))
-            scenario = FlowScenario(synth_recirculating(grid, 0.005), diffusivity=1e-5)
+            scenario = FlowScenario(synth_recirculating(grid, [0.005])[0], diffusivity=1e-5)
             steps = max(1, round(50.0 / (0.05 * admissible_dt(scenario))))
             dt = 50.0 / steps
             centers = grid.cell_centers()

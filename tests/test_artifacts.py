@@ -18,8 +18,10 @@ from pfsensor.flowfield import (
     WRITE_BLOCK,
     FieldFormatError,
     load_field,
+    synth_recirculating,
     write_artifact,
 )
+from pfsensor.grid import StructuredGrid
 from pfsensor.pipeline import scenario_set
 
 LOADERS = [(load_field, FIELD_MAGIC, FieldFormatError)]
@@ -114,8 +116,26 @@ def value_pools(draw):
     return np.array(draw(st.lists(values, min_size=1, max_size=12)), dtype=dtype)
 
 
+@st.composite
+def file_pools(draw):
+    """The pools of one file's columns. A file's float columns share one
+    table of magnitudes, so a float pool may come back as one more column
+    with a random half of its values negated."""
+    pools = draw(st.lists(value_pools(), min_size=1, max_size=3))
+    floats = [pool for pool in pools if pool.dtype.kind == "f"]
+    if floats and draw(st.booleans()):
+        pool = floats[draw(st.integers(0, len(floats) - 1))]
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        signed = np.where(rng.random(len(pool)) < 0.5, -pool, pool)
+        pools.insert(draw(st.integers(0, len(pools))), signed)
+    return pools
+
+
 ROWS = st.sampled_from([0, 1, WRITE_BLOCK - 1, WRITE_BLOCK, WRITE_BLOCK + 1, 2 * WRITE_BLOCK + 3])
 STATES = np.arange(WRITE_BLOCK + 5)
+# a vortex's u on 10 000 cells: its magnitudes repeat across the grid's
+# symmetries, and the 5 145 distinct ones are more than WRITE_BLOCK
+VORTEX_U = synth_recirculating(StructuredGrid((100, 100, 1), (0.01, 0.01, 0.2)), [0.5])[0].u
 
 # tier-1 runs 60 examples; `pytest --hypothesis-profile=ci` (tests/conftest.py) ten times as many
 WRITER_ORACLE = settings(
@@ -127,7 +147,7 @@ WRITER_ORACLE = settings(
 
 @WRITER_ORACLE
 @given(
-    pools=st.lists(value_pools(), min_size=1, max_size=3),
+    pools=file_pools(),
     n=ROWS | st.integers(0, 3 * WRITE_BLOCK),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -138,6 +158,16 @@ WRITER_ORACLE = settings(
     n=2 * WRITE_BLOCK + 3,
     seed=1,
 )
+# a zero and a negative zero in two columns of one table
+@example(pools=[np.array([0.0, 1.5]), np.array([-0.0, -1.5])], n=9, seed=2)
+# floats beside negative integers and state indices
+@example(
+    pools=[np.array([-0.5, 0.25, -0.0, 3e-7]), np.arange(-5, 0), STATES],
+    n=WRITE_BLOCK + 7,
+    seed=3,
+)
+# a vortex field's columns: u, -u and zeros
+@example(pools=[VORTEX_U, -VORTEX_U, np.zeros(1)], n=len(VORTEX_U), seed=4)
 def test_write_matches_per_row_formatting(tmp_path, pools, n, seed):
     # rows draw from a pool, so values repeat within and across blocks
     rng = np.random.default_rng(seed)

@@ -845,13 +845,14 @@ def test_propagate_synthesizes_only_the_chosen_scenario(tmp_path, monkeypatch):
     save_scalar_field(expected, grid, phi)
     calls = Counter()
 
-    def counted(*args, real=pipeline.synth_recirculating):
+    def counted(grid, strengths, real=pipeline.synth_recirculating):
         calls["synth"] += 1
-        return real(*args)
+        calls["fields"] += len(strengths)
+        return real(grid, strengths)
 
     monkeypatch.setattr(pipeline, "synth_recirculating", counted)
     assert main(["propagate", "--config", str(cfg), "--scenario", "2"]) == 0
-    assert calls["synth"] == 1
+    assert calls == {"synth": 1, "fields": 1}
     assert (tmp_path / "out" / "concentration-002.txt").read_bytes() == expected.read_bytes()
 
 

@@ -122,13 +122,13 @@ def test_scenario_validates_parameters():
 
 def test_synth_zero_strength_is_zero_field():
     g = StructuredGrid((8, 6, 1), (0.25, 0.4, 1.0))
-    f = synth_recirculating(g, 0.0)
+    f = synth_recirculating(g, [0.0])[0]
     assert not f.u.any() and not f.v.any() and not f.w.any()
 
 
 def test_synth_negation():
     g = StructuredGrid((8, 6, 1), (0.25, 0.4, 1.0))
-    f, fneg = synth_recirculating(g, 0.7), synth_recirculating(g, -0.7)
+    f, fneg = synth_recirculating(g, [0.7, -0.7])
     assert np.array_equal(f.u, -fneg.u)
     assert np.array_equal(f.v, -fneg.v)
 
@@ -141,8 +141,7 @@ def test_synth_linear_in_strength(a, xi):
     # both fields are one multiply away from the shared unit field, so the
     # mismatch is bounded by a couple of rounding ulps
     g = StructuredGrid((5, 4, 1), (0.2, 0.3, 1.0))
-    scaled = synth_recirculating(g, a * xi)
-    base = synth_recirculating(g, xi)
+    scaled, base = synth_recirculating(g, [a * xi, xi])
     assert np.allclose(scaled.u, a * base.u, rtol=1e-13, atol=0.0)
     assert np.allclose(scaled.v, a * base.v, rtol=1e-13, atol=0.0)
 
@@ -163,17 +162,17 @@ def test_synth_divergence_second_order():
     # must shrink by ~4x when the spacing halves. An anisotropic grid keeps
     # the residual finite (isotropic spacing cancels it to machine zero).
     div_coarse = np.abs(_discrete_divergence(
-        synth_recirculating(StructuredGrid((16, 32, 1), (1 / 16, 1 / 32, 1.0)), 1.0)
+        synth_recirculating(StructuredGrid((16, 32, 1), (1 / 16, 1 / 32, 1.0)), [1.0])[0]
     )).max()
     div_fine = np.abs(_discrete_divergence(
-        synth_recirculating(StructuredGrid((32, 64, 1), (1 / 32, 1 / 64, 1.0)), 1.0)
+        synth_recirculating(StructuredGrid((32, 64, 1), (1 / 32, 1 / 64, 1.0)), [1.0])[0]
     )).max()
     assert div_fine < div_coarse / 3.0
 
 
 def test_synth_divergence_machine_zero_on_isotropic_grid():
     g = StructuredGrid((24, 24, 1), (1 / 24, 1 / 24, 1.0))
-    residual = np.abs(_discrete_divergence(synth_recirculating(g, 1.0))).max()
+    residual = np.abs(_discrete_divergence(synth_recirculating(g, [1.0])[0])).max()
     assert residual < 1e-12
 
 
@@ -181,7 +180,7 @@ def test_synth_vortex_symmetries():
     # sin/cos structure of the stream function: u is even in x and odd in y
     # about the domain mid-planes, v the other way around
     g = StructuredGrid((10, 10, 1), (0.1, 0.1, 1.0))
-    f = synth_recirculating(g, 1.0)
+    f = synth_recirculating(g, [1.0])[0]
     nx, ny, _ = g.dims
     u = f.u.reshape(ny, nx)
     v = f.v.reshape(ny, nx)

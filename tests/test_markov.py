@@ -102,7 +102,7 @@ def test_admissible_dt_infinite_for_still_air():
 @example(nx=2, ny=2, xi=0.0, diff=2.2250738585e-313, frac=0.5)
 def test_built_matrices_row_stochastic(nx, ny, xi, diff, frac):
     g = StructuredGrid((nx, ny, 1), (1.0 / nx, 1.0 / ny, 0.5))
-    scenario = FlowScenario(synth_recirculating(g, xi), diffusivity=diff)
+    scenario = FlowScenario(synth_recirculating(g, [xi])[0], diffusivity=diff)
     bound = admissible_dt(scenario)
     dt = frac * bound if np.isfinite(bound) else 1.0
     op = build_markov(scenario, dt).matrix
@@ -123,7 +123,7 @@ def test_built_matrices_row_stochastic(nx, ny, xi, diff, frac):
 @example(nx=2, ny=2, xi=0.0, diff=2.2250738585e-313, outlets=frozenset({"x-", "y+"}))
 def test_admissible_dt_is_the_oracle_and_the_build_bound(nx, ny, xi, diff, outlets):
     g = StructuredGrid((nx, ny, 1), (1.0 / nx, 1.0 / ny, 0.5))
-    scenario = FlowScenario(synth_recirculating(g, xi), diffusivity=diff)
+    scenario = FlowScenario(synth_recirculating(g, [xi])[0], diffusivity=diff)
     bound = markov.admissible_dt(scenario, outlets)
     assert bound == admissible_dt(scenario, outlets)
     op = build_markov(scenario, bound if np.isfinite(bound) else 1.0, outlets).matrix
@@ -225,7 +225,7 @@ def test_outflow_through_two_sides_is_pinned():
 @pytest.mark.parametrize("outlets", [frozenset(), frozenset({"x+", "y-"})])
 def test_propagate_matches_row_vector_products_bitwise(outlets):
     g = StructuredGrid((15, 12, 1), (0.1, 0.1, 0.2))
-    scenario = FlowScenario(synth_recirculating(g, 0.5), diffusivity=1e-3)
+    scenario = FlowScenario(synth_recirculating(g, [0.5])[0], diffusivity=1e-3)
     op = build_markov(scenario, 0.8 * admissible_dt(scenario), outlets).matrix
     assert op.shape[0] == g.n_states + bool(outlets)
     values = np.random.default_rng(3).random(g.n_states)

@@ -102,7 +102,7 @@ def test_stepper_matches_flux_loop_on_lines(dims):
 
 def test_stepper_matches_flux_loop_on_vortex():
     g = StructuredGrid((23, 19, 1), (0.05, 0.07, 0.2))
-    sc = FlowScenario(synth_recirculating(g, 0.4), diffusivity=1e-3)
+    sc = FlowScenario(synth_recirculating(g, [0.4])[0], diffusivity=1e-3)
     assert_matches_flux_loop(sc, delta_field(g), 60)
 
 
@@ -139,7 +139,7 @@ def test_still_air_leaves_field_unchanged():
 
 def test_mass_conserved_with_zero_source():
     g = StructuredGrid((20, 15, 1), (0.05, 0.07, 0.2))
-    sc = FlowScenario(synth_recirculating(g, 0.4), diffusivity=1e-3)
+    sc = FlowScenario(synth_recirculating(g, [0.4])[0], diffusivity=1e-3)
     phi0 = delta_field(g)
     out = solve_pde(sc, phi0, *steps_to(sc, 2.0))
     assert out.sum() == pytest.approx(phi0.sum(), rel=1e-10)
@@ -147,7 +147,7 @@ def test_mass_conserved_with_zero_source():
 
 def test_positivity_preserved():
     g = StructuredGrid((16, 16, 1), (0.1, 0.1, 0.3))
-    sc = FlowScenario(synth_recirculating(g, 1.2), diffusivity=5e-3)
+    sc = FlowScenario(synth_recirculating(g, [1.2])[0], diffusivity=5e-3)
     out = solve_pde(sc, delta_field(g), *steps_to(sc, 1.0, fraction=0.5))
     assert out.min() >= 0.0
 
@@ -177,7 +177,7 @@ def test_step_over_bound_raises_stability_error():
 
 def test_stable_step_matches_operator_bound():
     g = StructuredGrid((12, 9, 1), (0.08, 0.11, 0.2))
-    sc = FlowScenario(synth_recirculating(g, 0.6), diffusivity=2e-3)
+    sc = FlowScenario(synth_recirculating(g, [0.6])[0], diffusivity=2e-3)
     assert stable_step(sc) == pytest.approx(admissible_dt(sc), rel=1e-12)
 
 
@@ -202,7 +202,7 @@ def test_compare_transport_vortex_scenario_is_close():
     # under 1e-2
     n = 24
     g = StructuredGrid((n, n, 1), (1 / n, 1 / n, 0.2))
-    sc = FlowScenario(synth_recirculating(g, 0.005), diffusivity=1e-5)
+    sc = FlowScenario(synth_recirculating(g, [0.005])[0], diffusivity=1e-5)
     steps = max(1, round(20.0 / (0.05 * admissible_dt(sc))))
     dt = 20.0 / steps
     centers = g.cell_centers()

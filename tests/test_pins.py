@@ -8,6 +8,7 @@ from pfsensor.pipeline import scenario_set
 from pins import (
     BUILD,
     CONVERGE,
+    FINE_BUILD,
     KDE_DATA,
     KDE_PLACE,
     OPERATOR,
@@ -41,3 +42,10 @@ def test_desk_artifacts_match_their_pins(tmp_path):
     assert main(["place", "--config", str(kde)]) == 0
     assert mismatches(tmp_path / "kde", KDE_PLACE) is None
 
+
+def test_fine_field_matches_its_pin(tmp_path):
+    # the CI step that builds fine at seed 0
+    fine = tmp_path / "fine.cfg"
+    fine.write_text(config_text(WORKLOADS["fine"], DEFAULT_SEED, tmp_path / "out"))
+    assert main(["build", "--config", str(fine)]) == 0
+    assert mismatches(tmp_path / "out", FINE_BUILD) is None

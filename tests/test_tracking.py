@@ -290,7 +290,7 @@ def flow_operator(rng, outlets):
         n = grid.n_states
         field = VelocityField(grid, np.full(n, 0.3), np.zeros(n), np.zeros(n))
     else:
-        field = synth_recirculating(grid, float(rng.uniform(-1.0, 1.0)))
+        [field] = synth_recirculating(grid, [float(rng.uniform(-1.0, 1.0))])
     sides = frozenset({"x+"} if outlets else ())
     scenario = FlowScenario(field, diffusivity=float(rng.uniform(1e-4, 1e-2)))
     dt = float(rng.uniform(0.3, 0.95)) * admissible_dt(scenario, sides)
@@ -325,7 +325,7 @@ def test_detection_streams_more_rows_than_one_block():
     # few steps each block propagates only through its band of the grid
     rng = np.random.default_rng(11)
     grid = StructuredGrid((20, 20, 1), (0.05, 0.05, 0.2))
-    scenario = FlowScenario(synth_recirculating(grid, 0.5), diffusivity=1e-4)
+    scenario = FlowScenario(synth_recirculating(grid, [0.5])[0], diffusivity=1e-4)
     op = build_markov(scenario, 0.5 * admissible_dt(scenario)).matrix
     n = op.shape[0]
     assert n > 2 * BLOCK
@@ -344,7 +344,7 @@ def test_horner_sum_matches_forward_power_sum_at_benchmark_horizon():
     # Horner's rule rounds differently from summing powers; at m = 80 on a
     # closed 20x20 vortex the two must still agree to rounding
     grid = StructuredGrid((20, 20, 1), (0.05, 0.05, 0.2))
-    scenario = FlowScenario(synth_recirculating(grid, 0.5), diffusivity=1e-4)
+    scenario = FlowScenario(synth_recirculating(grid, [0.5])[0], diffusivity=1e-4)
     op = build_markov(scenario, 0.5 * admissible_dt(scenario)).matrix
     steps, n = 80, op.shape[0]
     p_t = sparse.csr_array(op.T)
@@ -359,7 +359,7 @@ def test_horner_sum_matches_forward_power_sum_at_benchmark_horizon():
 
 def closed_vortex_20():
     grid = StructuredGrid((20, 20, 1), (0.05, 0.05, 0.2))
-    scenario = FlowScenario(synth_recirculating(grid, 0.5), diffusivity=1e-4)
+    scenario = FlowScenario(synth_recirculating(grid, [0.5])[0], diffusivity=1e-4)
     return build_markov(scenario, 0.5 * admissible_dt(scenario)).matrix
 
 
