@@ -39,23 +39,6 @@ class VelocityField:
                 raise ValueError(f"component {name} contains non-finite values")
 
 
-@dataclass(frozen=True)
-class FlowScenario:
-    """One flow realization: a velocity field with diffusivity and its
-    sample value / probability weight in the uncertainty ensemble."""
-
-    field: VelocityField
-    diffusivity: float = 0.0
-    sample_value: float = 0.0
-    weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.diffusivity < 0.0:
-            raise ValueError(f"diffusivity must be >= 0, got {self.diffusivity}")
-        if not 0.0 <= self.weight <= 1.0:
-            raise ValueError(f"weight must lie in [0, 1], got {self.weight}")
-
-
 def synth_recirculating(grid: StructuredGrid, strengths) -> list[VelocityField]:
     """Single-vortex recirculating flows on a 2D grid (nz = 1), one per
     strength, from the stream function ``psi = sin(pi x / Lx) * sin(pi y / Ly)``
@@ -100,31 +83,24 @@ def _magnitudes(values: np.ndarray) -> np.ndarray:
     return np.abs(values, dtype=np.float64).view(np.int64)
 
 
-def _cell_tables(columns, n: int) -> list[tuple[np.ndarray, np.ndarray | None, bool]]:
+def _cell_tables(columns) -> list[tuple[np.ndarray, np.ndarray, bool]]:
     """Each column's distinct cells, formatted once for the file: the table of
-    texts, the sorted distinct keys that index the table (None when the
-    column's values index it directly), and whether the column's cells are a
-    sign byte before the text of their magnitude.
+    texts, the sorted distinct keys that index the table, and whether the
+    column's cells are a sign byte before the text of their magnitude.
 
-    Integer columns of values in ``0..n-1`` (state indices) share one table of
-    ``0..max``; other integer columns each have their own table. All float
+    Each integer column has its own table of its distinct values. All float
     columns share one table of the magnitudes they hold, keyed by
     `_magnitudes`: ``repr(-x) == "-" + repr(x)`` for every finite ``x`` with
     a clear sign bit, ``0.0`` included. Float columns must be finite. Only
     the distinct values are held for the whole file.
     """
-    direct = [col.dtype.kind in "iu" and 0 <= col.min() and col.max() < n for col in columns]
-    top = max((int(col.max()) for col, d in zip(columns, direct) if d), default=-1)
-    states = _repr_table(np.arange(top + 1))
     floats = [_distinct(_magnitudes(col)) for col in columns if col.dtype.kind == "f"]
     if floats:
         magnitudes = _distinct(np.concatenate(floats))
         shared = _repr_table(magnitudes.view(np.float64))
     tables = []
-    for col, is_state in zip(columns, direct):
-        if is_state:
-            tables.append((states, None, False))
-        elif col.dtype.kind == "f":
+    for col in columns:
+        if col.dtype.kind == "f":
             tables.append((shared, magnitudes, True))
         else:
             distinct = _distinct(col.copy())
@@ -139,7 +115,7 @@ def _write_rows(fh, columns) -> None:
     or NUL, and the matrix's non-NUL bytes are written. Each block looks its
     cells up in the tables on its own, so no per-row index spans the file."""
     n = len(columns[0])
-    tables = _cell_tables(columns, n)
+    tables = _cell_tables(columns)
     ends = np.cumsum([table.itemsize + signed + 1 for table, _, signed in tables]) - 1
     text = np.zeros((min(n, WRITE_BLOCK), ends[-1] + 1), dtype=np.uint8)
     text[:, ends] = ord(" ")  # separators
@@ -153,8 +129,7 @@ def _write_rows(fh, columns) -> None:
             if signed:
                 block[:, end - width - 1] = np.signbit(cells) * ord("-")
                 cells = _magnitudes(cells)
-            if distinct is not None:
-                cells = np.searchsorted(distinct, cells)
+            cells = np.searchsorted(distinct, cells)
             block[:, end - width : end] = table[cells].view(np.uint8).reshape(-1, width)
         fh.write(block[block != 0].tobytes())
 

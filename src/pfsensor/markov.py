@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .flowfield import FlowScenario
+from .flowfield import VelocityField
 
 # the domain sides that `outlets` may name
 SIDES = ("x-", "x+", "y-", "y+", "z-", "z+")
@@ -43,7 +43,7 @@ class MarkovMatrix:
 
 
 def _outflow_rates(
-    scenario: FlowScenario, outlets: frozenset[str]
+    field: VelocityField, diffusivity: float, outlets: frozenset[str]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Off-diagonal volumetric transfer rates (volume/second).
 
@@ -52,7 +52,6 @@ def _outflow_rates(
     N). Advective rates use the upwind side of the two-point face mean;
     diffusive rates are D * A_face / center distance.
     """
-    field = scenario.field
     grid = field.grid
     dx, dy, dz = grid.spacing
     n = grid.n_states
@@ -71,14 +70,16 @@ def _outflow_rates(
         sl[ax] = index
         return tuple(sl)
 
-    rows, cols, rates = [], [], []
+    rows = [np.empty(0, dtype=np.int32)]
+    cols = [np.empty(0, dtype=np.int32)]
+    rates = [np.empty(0)]
     for ax, comp, area, dist in axes.values():
         if state.shape[ax] < 2:
             continue
         lo, hi = cut(ax, slice(0, -1)), cut(ax, slice(1, None))
         k_lo, k_hi = state[lo].ravel(), state[hi].ravel()
         u_face = 0.5 * (comp[lo].ravel() + comp[hi].ravel())
-        g = scenario.diffusivity * area / dist
+        g = diffusivity * area / dist
         rows += [k_lo, k_hi]
         cols += [k_hi, k_lo]
         rates += [np.maximum(u_face, 0.0) * area + g, np.maximum(-u_face, 0.0) * area + g]
@@ -93,10 +94,7 @@ def _outflow_rates(
         rates.append(np.maximum(outward, 0.0) * area)
 
     size = n + bool(outlets)
-    if rows:
-        return np.concatenate(rows), np.concatenate(cols), np.concatenate(rates), size
-    empty = np.empty(0, dtype=np.int32)
-    return empty, empty, np.empty(0), size
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(rates), size
 
 
 def _admissible(rows: np.ndarray, rates: np.ndarray, size: int, volume: float) -> float:
@@ -106,19 +104,22 @@ def _admissible(rows: np.ndarray, rates: np.ndarray, size: int, volume: float) -
     return volume / float(peak) if peak > 0.0 else float("inf")
 
 
-def admissible_dt(scenario: FlowScenario, outlets: frozenset[str] = frozenset()) -> float:
+def admissible_dt(
+    field: VelocityField, diffusivity: float, outlets: frozenset[str] = frozenset()
+) -> float:
     """Largest Markov step for which every diagonal entry stays non-negative:
     min over cells of V / (sum of the cell's outgoing volumetric rates), from
     the rates alone, so no operator is assembled. inf when nothing moves."""
-    rows, _, rates, size = _outflow_rates(scenario, outlets)
-    return _admissible(rows, rates, size, scenario.field.grid.cell_volume)
+    rows, _, rates, size = _outflow_rates(field, diffusivity, outlets)
+    return _admissible(rows, rates, size, field.grid.cell_volume)
 
 
 def build_markov(
-    scenario: FlowScenario, dt: float, outlets: frozenset[str] = frozenset()
+    field: VelocityField, diffusivity: float, dt: float, outlets: frozenset[str] = frozenset()
 ) -> MarkovMatrix:
-    """Assemble the one-step transition matrix for a flow scenario, with an
-    absorbing exit state after the cells when `outlets` names any side.
+    """Assemble the one-step transition matrix for a velocity field and a
+    diffusivity, with an absorbing exit state after the cells when `outlets`
+    names any side.
 
     Raises StabilityError carrying `admissible_dt` when dt exceeds it, so a
     rebuild at the reported step always succeeds. At a dt within the bound,
@@ -128,8 +129,8 @@ def build_markov(
     # before any arithmetic: a NaN or infinite dt would build NaN entries
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
-    rows, cols, rates, size = _outflow_rates(scenario, outlets)
-    vol = scenario.field.grid.cell_volume
+    rows, cols, rates, size = _outflow_rates(field, diffusivity, outlets)
+    vol = field.grid.cell_volume
     bound = _admissible(rows, rates, size, vol)
     if dt > bound:
         raise StabilityError(dt, bound)

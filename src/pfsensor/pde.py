@@ -4,7 +4,7 @@ Markov-operator transport.
 The solver marches the semi-discrete cell balance explicitly with donor-cell
 advective fluxes and central diffusive fluxes on the closed box, the same
 physics the operator builder encodes. It computes its own face rates and
-lays them out as the diagonals of one DIA matrix per scenario, the stepper,
+lays them out as the diagonals of one DIA matrix per field, the stepper,
 so the two paths share no code: each explicit step is one product with the
 stepper.
 """
@@ -16,11 +16,11 @@ import math
 import numpy as np
 from scipy import sparse
 
-from .flowfield import FlowScenario
+from .flowfield import VelocityField
 from .markov import StabilityError, propagate
 
 
-def _face_rates(scenario: FlowScenario):
+def _face_rates(field: VelocityField, diffusivity: float):
     """Per-axis transfer rates (volume/second) across interior faces.
 
     Returns a list of (lo, hi, stride, up, down) per axis with interior
@@ -29,13 +29,13 @@ def _face_rates(scenario: FlowScenario):
     and hi -> lo rates, donor-cell advection by the two-point mean face
     velocity plus central diffusion.
     """
-    grid = scenario.field.grid
+    grid = field.grid
     nx, ny, nz = grid.dims
     dx, dy, dz = grid.spacing
     comps = {
-        2: scenario.field.u.reshape(nz, ny, nx),
-        1: scenario.field.v.reshape(nz, ny, nx),
-        0: scenario.field.w.reshape(nz, ny, nx),
+        2: field.u.reshape(nz, ny, nx),
+        1: field.v.reshape(nz, ny, nx),
+        0: field.w.reshape(nz, ny, nx),
     }
     area = {2: dy * dz, 1: dx * dz, 0: dx * dy}
     dist = {2: dx, 1: dy, 0: dz}
@@ -50,7 +50,7 @@ def _face_rates(scenario: FlowScenario):
         hi[ax] = slice(1, None)
         lo, hi = tuple(lo), tuple(hi)
         u_face = 0.5 * (comps[ax][lo] + comps[ax][hi])
-        diff_rate = scenario.diffusivity * area[ax] / dist[ax]
+        diff_rate = diffusivity * area[ax] / dist[ax]
         up = np.maximum(u_face, 0.0) * area[ax] + diff_rate
         down = np.maximum(-u_face, 0.0) * area[ax] + diff_rate
         faces.append((lo, hi, stride[ax], up, down))
@@ -67,26 +67,26 @@ def _out_rate(grid, faces) -> np.ndarray:
     return out_rate
 
 
-def stable_step(scenario: FlowScenario) -> float:
+def stable_step(field: VelocityField, diffusivity: float) -> float:
     """Largest explicit step keeping the update non-negative: the cell volume
     over the summed outgoing advective and diffusive rates, minimized over
     cells. Infinite when nothing moves."""
-    grid = scenario.field.grid
-    peak = _out_rate(grid, _face_rates(scenario)).max()
+    grid = field.grid
+    peak = _out_rate(grid, _face_rates(field, diffusivity)).max()
     if peak <= 0.0:
         return math.inf
     return grid.cell_volume / peak
 
 
-def _stepper(scenario: FlowScenario, step: float) -> sparse.dia_array:
+def _stepper(field: VelocityField, diffusivity: float, step: float) -> sparse.dia_array:
     """The explicit update phi <- S phi over one step, as a DIA matrix whose
     diagonals are the stencil arrays. Column k of the diagonal at offset
     -stride (+stride) holds what cell k sends to its upper (lower) neighbour
     along that axis; the main diagonal is what each cell keeps."""
-    grid = scenario.field.grid
+    grid = field.grid
     nx, ny, nz = grid.dims
     coef = step / grid.cell_volume
-    faces = _face_rates(scenario)
+    faces = _face_rates(field, diffusivity)
     data = np.zeros((1 + 2 * len(faces), nz, ny, nx))
     data[0] = 1.0 - coef * _out_rate(grid, faces)
     offsets = [0]
@@ -98,21 +98,23 @@ def _stepper(scenario: FlowScenario, step: float) -> sparse.dia_array:
     return sparse.dia_array((data.reshape(len(data), n), offsets), shape=(n, n))
 
 
-def solve_pde(scenario: FlowScenario, phi0: np.ndarray, step: float, n_steps: int) -> np.ndarray:
+def solve_pde(
+    field: VelocityField, diffusivity: float, phi0: np.ndarray, step: float, n_steps: int
+) -> np.ndarray:
     """March the advection-diffusion balance n_steps explicit steps of size
     step on the closed box: the step's stencil is assembled once as a DIA
     matrix, and each step is one product with it. A step over stable_step
     raises StabilityError."""
-    n = scenario.field.grid.n_states
+    n = field.grid.n_states
     if phi0.shape != (n,):
         raise ValueError(f"initial field has shape {phi0.shape}, expected ({n},)")
     if not step > 0.0 or n_steps < 1:
         raise ValueError(f"need step > 0 and n_steps >= 1, got {step} and {n_steps}")
-    bound = stable_step(scenario)
+    bound = stable_step(field, diffusivity)
     if step > bound:
         raise StabilityError(step, bound)
 
-    stepper = _stepper(scenario, step)
+    stepper = _stepper(field, diffusivity, step)
     phi = phi0.astype(float, copy=True)
     for _ in range(n_steps):
         phi = stepper @ phi
@@ -126,7 +128,8 @@ def solve_pde(scenario: FlowScenario, phi0: np.ndarray, step: float, n_steps: in
 
 
 def compare_operator(
-    scenario: FlowScenario,
+    field: VelocityField,
+    diffusivity: float,
     matrix: sparse.csr_array,
     dt: float,
     phi0: np.ndarray,
@@ -134,11 +137,11 @@ def compare_operator(
     substeps: int,
 ) -> float:
     """Relative L2 distance between the concentration an operator matrix
-    built for the scenario on the closed box at step dt propagates over
-    steps operator steps and the PDE reference, which marches substeps steps
-    of dt / substeps per operator step."""
+    built for the field and diffusivity on the closed box at step dt
+    propagates over steps operator steps and the PDE reference, which marches
+    substeps steps of dt / substeps per operator step."""
     phi_markov = propagate(phi0, matrix, steps)
-    phi_pde = solve_pde(scenario, phi0, dt / substeps, steps * substeps)
+    phi_pde = solve_pde(field, diffusivity, phi0, dt / substeps, steps * substeps)
     ref = float(np.linalg.norm(phi_pde))
     if ref == 0.0:
         return float(np.linalg.norm(phi_markov))

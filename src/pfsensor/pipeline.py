@@ -1,6 +1,11 @@
 """End-to-end orchestration: each command's stages and every artifact it
 writes (the JSON ones through `write_json`); the CLI only parses and prints.
 
+`scenario_set` gives the flow ensemble as three parallel lists: the velocity
+fields, and the samples xi and weights theta as Python floats, from the
+quadrature or from the config's `field` entries. Every operator is built
+from one field and the config's diffusivity.
+
 The config fixes the three detection-kernel inputs once per run: the
 threshold cutoff, and the release and candidate masks, which only
 `detection_zones` derives, from the config's boxes and outlets, before any
@@ -27,7 +32,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig
 from .flowfield import (
-    FlowScenario,
+    VelocityField,
     load_field,
     save_field,
     save_scalar_field,
@@ -74,9 +79,13 @@ def make_distribution(cfg: RunConfig):
         raise ConfigError(f"KDE data {path}: {exc}") from None
 
 
-def scenario_set(cfg: RunConfig) -> tuple[StructuredGrid, list[FlowScenario]]:
-    """Materialize the flow ensemble from the config: either synthesize the
-    parametrized family at the quadrature samples or load field files."""
+def scenario_set(
+    cfg: RunConfig,
+) -> tuple[StructuredGrid, list[VelocityField], list[float], list[float]]:
+    """Materialize the flow ensemble from the config: the grid, each
+    scenario's velocity field, and its sample value xi and weight theta as
+    Python floats. A family config synthesizes the fields at the quadrature
+    samples; a field config loads the files its `field` entries name."""
     cfg.validate()
     if cfg.family:
         grid = cfg.grid()
@@ -86,65 +95,47 @@ def scenario_set(cfg: RunConfig) -> tuple[StructuredGrid, list[FlowScenario]]:
         except ValueError as exc:
             named = " ".join(map(str, cfg.distribution))
             raise ConfigError(f"cdf_points under distribution {named}: {exc}") from None
-        fields = synth_recirculating(grid, [float(xi) for xi in samples])
-        return grid, [
-            FlowScenario(
-                field=field,
-                diffusivity=cfg.diffusivity,
-                sample_value=float(xi),
-                weight=float(theta),
-            )
-            for field, xi, theta in zip(fields, samples, weights)
-        ]
-    scenarios = []
-    grid = None
+        samples, weights = samples.tolist(), weights.tolist()
+        return grid, synth_recirculating(grid, samples), samples, weights
+    fields = []
     for entry in cfg.fields:
         path = cfg.config_dir / entry.path
-        field = load_field(path)
-        if grid is None:
-            grid = field.grid
-        elif field.grid != grid:
+        fields.append(load_field(path))
+        if fields[-1].grid != fields[0].grid:
             raise ConfigError(f"field {path} uses a different grid")
-        scenarios.append(
-            FlowScenario(
-                field=field,
-                diffusivity=cfg.diffusivity,
-                sample_value=entry.xi,
-                weight=entry.theta,
-            )
-        )
+    grid = fields[0].grid
     for key in ("dims", "spacing", "origin"):
         want, got = getattr(cfg, key), getattr(grid, key)
         if want is not None and got != want:
             raise ConfigError(f"configured {key} {want} do not match field {key} {got}")
-    return grid, scenarios
+    return grid, fields, [entry.xi for entry in cfg.fields], [entry.theta for entry in cfg.fields]
 
 
-def check_step(cfg: RunConfig, scenarios: list[FlowScenario]) -> None:
+def check_step(cfg: RunConfig, fields: list[VelocityField]) -> None:
     """Raise StabilityError with the smallest admissible dt over all
     scenarios when the config's dt exceeds it, reading only the face rates,
     so no operator is built and a rerun at that dt builds every one;
     `cli.NEEDS` checks that dt is set."""
-    bound = min(admissible_dt(scenario, cfg.outlets) for scenario in scenarios)
+    bound = min(admissible_dt(field, cfg.diffusivity, cfg.outlets) for field in fields)
     if cfg.dt > bound:
         raise StabilityError(cfg.dt, bound)
 
 
-def each_operator(cfg: RunConfig, scenarios: list[FlowScenario], use) -> list:
+def each_operator(cfg: RunConfig, fields: list[VelocityField], use) -> list:
     """`use(idx, matrix)` for each scenario's operator matrix at the config's
-    dt and outlets, with the results in scenario order.
+    diffusivity, dt and outlets, with the results in scenario order.
 
     `check_step` runs first. Each operator is then built inside its
     scenario's task and dropped when `use` returns, so at most `cfg.workers`
     operators are alive at once.
     """
-    check_step(cfg, scenarios)
+    check_step(cfg, fields)
 
     def task(idx: int):
-        return use(idx, build_markov(scenarios[idx], cfg.dt, cfg.outlets).matrix)
+        return use(idx, build_markov(fields[idx], cfg.diffusivity, cfg.dt, cfg.outlets).matrix)
 
-    indices = range(len(scenarios))
-    if cfg.workers <= 1 or len(scenarios) <= 1:
+    indices = range(len(fields))
+    if cfg.workers <= 1 or len(fields) <= 1:
         return [task(idx) for idx in indices]
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         return list(pool.map(task, indices))
@@ -174,7 +165,7 @@ def detection_zones(cfg: RunConfig, grid: StructuredGrid) -> tuple[np.ndarray, n
 
 
 def detection_patterns(
-    cfg: RunConfig, scenarios: list[FlowScenario], zones: tuple[np.ndarray, np.ndarray]
+    cfg: RunConfig, fields: list[VelocityField], zones: tuple[np.ndarray, np.ndarray]
 ) -> list:
     """Each scenario's detection pattern over the `detection_zones` masks.
 
@@ -185,7 +176,7 @@ def detection_patterns(
     cutoff = cfg.eps_acc * (cfg.steps + 1)
     return each_operator(
         cfg,
-        scenarios,
+        fields,
         lambda idx, op: detection_matrix(op, cfg.steps, cutoff, release, candidates),
     )
 
@@ -201,15 +192,13 @@ def run_build(cfg: RunConfig) -> Path:
     cfg.out, and return the manifest's path. No operator is assembled, and
     an unstable dt writes nothing."""
     out = Path(cfg.out)
-    grid, scenarios = scenario_set(cfg)
-    check_step(cfg, scenarios)
+    grid, fields, samples, weights = scenario_set(cfg)
+    check_step(cfg, fields)
     entries = []
-    for idx, scenario in enumerate(scenarios):
+    for idx, (field, xi, theta) in enumerate(zip(fields, samples, weights)):
         field_name = f"field-{idx:03d}.txt"
-        save_field(out / field_name, scenario.field)
-        entries.append(
-            {"id": idx, "xi": scenario.sample_value, "theta": scenario.weight, "field": field_name}
-        )
+        save_field(out / field_name, field)
+        entries.append({"id": idx, "xi": xi, "theta": theta, "field": field_name})
     manifest = {
         "format": MANIFEST_FORMAT,
         "grid": {
@@ -236,12 +225,11 @@ def run_place(cfg: RunConfig) -> dict:
     out = Path(cfg.out)
     # the zones need only the grid, so a family config checks them before its quadrature
     zones = detection_zones(cfg, cfg.grid()) if cfg.family else None
-    grid, scenarios = scenario_set(cfg)
+    grid, fields, samples, weights = scenario_set(cfg)
     release, candidates = zones = zones or detection_zones(cfg, grid)
-    detections = detection_patterns(cfg, scenarios, zones)
+    detections = detection_patterns(cfg, fields, zones)
     cell_fraction = grid.cell_volume / grid.total_volume
     n = grid.n_states
-    weights = [sc.weight for sc in scenarios]
     expected_map = expected_coverage(coverage_vectors(detections, cell_fraction), weights)
 
     plan = place_sensors(
@@ -261,7 +249,7 @@ def run_place(cfg: RunConfig) -> dict:
         "dt": cfg.dt,
         "eps_acc": cfg.eps_acc,
         "threshold_mode": "scaled",
-        "scenario_xis": [sc.sample_value for sc in scenarios],
+        "scenario_xis": samples,
         "forbidden_states": np.flatnonzero(~candidates).tolist(),
         "sensing_ignore_states": np.flatnonzero(~release[:n]).tolist(),
     }
@@ -324,12 +312,13 @@ def run_propagate(cfg: RunConfig, index: int) -> tuple[np.ndarray, Path]:
     if not 0 <= index < count:
         raise ConfigError(f"scenario index {index} outside [0, {count})")
     if cfg.family:
-        grid, scenarios = scenario_set(replace(cfg, cdf_points=cfg.cdf_points[index : index + 1]))
+        points = cfg.cdf_points[index : index + 1]
+        grid, fields, _, _ = scenario_set(replace(cfg, cdf_points=points))
     else:
-        grid, scenarios = scenario_set(cfg)  # every file: the grid check needs them all
-        scenarios = scenarios[index : index + 1]
+        grid, fields, _, _ = scenario_set(cfg)  # every file: the grid check needs them all
+        fields = fields[index : index + 1]
     phi0 = release_field(cfg, grid)
-    [phi] = each_operator(cfg, scenarios, lambda _, op: propagate(phi0, op, cfg.steps))
+    [phi] = each_operator(cfg, fields, lambda _, op: propagate(phi0, op, cfg.steps))
     target = Path(cfg.out) / f"concentration-{index:03d}.txt"
     save_scalar_field(target, grid, phi)
     return phi, target
@@ -351,21 +340,22 @@ def run_validate(cfg: RunConfig) -> list[dict]:
         raise ConfigError("validate needs steps >= 1")
     if cfg.outlets:
         raise ConfigError(f"outlets {sorted(cfg.outlets)}: the PDE reference is a closed box")
-    grid, scenarios = scenario_set(cfg)
+    grid, fields, samples, _ = scenario_set(cfg)
     phi0 = release_field(cfg, grid)
 
     def compare(idx: int, matrix) -> dict:
-        scenario = scenarios[idx]
-        err = compare_operator(scenario, matrix, cfg.dt, phi0, cfg.steps, VALIDATE_SUBSTEPS)
+        err = compare_operator(
+            fields[idx], cfg.diffusivity, matrix, cfg.dt, phi0, cfg.steps, VALIDATE_SUBSTEPS
+        )
         return {
             "id": idx,
-            "xi": scenario.sample_value,
+            "xi": samples[idx],
             "l2_error": err,
             "tolerance": cfg.validate_tol,
             "ok": bool(err <= cfg.validate_tol),
         }
 
-    results = each_operator(cfg, scenarios, compare)
+    results = each_operator(cfg, fields, compare)
     write_json(Path(cfg.out) / "validation.json", results)
     return results
 
@@ -390,15 +380,14 @@ def expected_coverage_for_counts(cfg: RunConfig, counts: list[int]) -> list[dict
     vectors = {}
     for m in ordered:
         points = tuple(float(p) for p in cdf_points_for(m))
-        grid, scenarios = scenario_set(replace(cfg, cdf_points=points))
-        new = [sc for sc in scenarios if sc.sample_value.hex() not in vectors]
+        grid, fields, samples, weights = scenario_set(replace(cfg, cdf_points=points))
+        keys = [xi.hex() for xi in samples]
+        new = [idx for idx, key in enumerate(keys) if key not in vectors]
         if new:
-            detections = detection_patterns(cfg, new, zones)
+            detections = detection_patterns(cfg, [fields[idx] for idx in new], zones)
             fraction = grid.cell_volume / grid.total_volume
-            keys = (sc.sample_value.hex() for sc in new)
-            vectors.update(zip(keys, coverage_vectors(detections, fraction)))
-        level = [vectors[sc.sample_value.hex()] for sc in scenarios]
-        maps[m] = expected_coverage(level, [sc.weight for sc in scenarios])
+            vectors.update(zip([keys[idx] for idx in new], coverage_vectors(detections, fraction)))
+        maps[m] = expected_coverage([vectors[key] for key in keys], weights)
     reference = maps[ordered[-1]]
     ref_norm = float(np.linalg.norm(reference))
     rows = []

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from pfsensor.flowfield import FlowScenario, VelocityField
+from pfsensor.flowfield import VelocityField
 from pfsensor.grid import StructuredGrid
 from pfsensor.markov import _outflow_rates
 
@@ -26,14 +26,16 @@ def zero_field(grid: StructuredGrid) -> VelocityField:
     return VelocityField(grid, np.zeros(n), np.zeros(n), np.zeros(n))
 
 
-def admissible_dt(scenario: FlowScenario, outlets: frozenset[str] = frozenset()) -> float:
+def admissible_dt(
+    field: VelocityField, diffusivity: float, outlets: frozenset[str] = frozenset()
+) -> float:
     """Largest Markov step for which every diagonal entry stays non-negative:
     min_i V_i / (sum of outgoing volumetric rates of cell i).
 
     Returns inf when nothing moves (zero velocity and zero diffusivity).
     """
-    grid = scenario.field.grid
-    rows, _, rates, size = _outflow_rates(scenario, outlets)
+    grid = field.grid
+    rows, _, rates, size = _outflow_rates(field, diffusivity, outlets)
     total = np.zeros(size)
     np.add.at(total, rows, rates)
     total = total[: grid.n_states]  # exit state has no outflow

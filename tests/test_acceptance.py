@@ -14,7 +14,7 @@ import pytest
 from scipy import sparse
 
 from pfsensor.cli import main
-from pfsensor.flowfield import FlowScenario, synth_recirculating
+from pfsensor.flowfield import synth_recirculating
 from pfsensor.grid import StructuredGrid
 from pfsensor.markov import StabilityError, build_markov, propagate
 from pfsensor.pde import compare_operator
@@ -48,7 +48,7 @@ def random_vortex_scenario(rng, max_cells=64):
     grid = StructuredGrid((nx, ny, 1), spacing)
     xi = float(rng.uniform(-2.0, 2.0))
     diff = float(rng.uniform(0.0, 1e-3))
-    return FlowScenario(synth_recirculating(grid, [xi])[0], diffusivity=diff)
+    return synth_recirculating(grid, [xi])[0], diff
 
 
 def random_scaled_matrices(rng, n, m_scenarios, density=0.35):
@@ -81,19 +81,19 @@ def test_criterion_2_operator_invariants():
     with criterion(2, "operator invariants on 200 random scenarios", 30.0):
         rng = np.random.default_rng(SEED)
         for case in range(200):
-            scenario = random_vortex_scenario(rng)
-            bound = admissible_dt(scenario)
+            field, diff = random_vortex_scenario(rng)
+            bound = admissible_dt(field, diff)
             if not np.isfinite(bound):
                 bound = 1.0
             dt = float(rng.uniform(0.05, 0.95)) * bound
-            operator = build_markov(scenario, dt).matrix
+            operator = build_markov(field, diff, dt).matrix
             assert_row_stochastic(operator)
             if case % 4 == 0:
                 with pytest.raises(StabilityError) as err:
-                    build_markov(scenario, float(rng.uniform(1.05, 3.0)) * bound)
+                    build_markov(field, diff, float(rng.uniform(1.05, 3.0)) * bound)
                 reported = err.value.admissible_dt
                 assert reported == pytest.approx(bound, rel=1e-9)
-                rebuilt = build_markov(scenario, reported).matrix
+                rebuilt = build_markov(field, diff, reported).matrix
                 assert_row_stochastic(rebuilt)
 
 
@@ -101,11 +101,11 @@ def test_criterion_3_mass_conservation():
     with criterion(3, "mass conservation over 1000 steps", 30.0):
         rng = np.random.default_rng(SEED + 1)
         for _ in range(50):
-            scenario = random_vortex_scenario(rng, max_cells=32)
-            bound = admissible_dt(scenario)
+            field, diff = random_vortex_scenario(rng, max_cells=32)
+            bound = admissible_dt(field, diff)
             dt = 0.8 * (bound if np.isfinite(bound) else 1.0)
-            operator = build_markov(scenario, dt).matrix
-            phi0 = rng.random(scenario.field.grid.n_states)
+            operator = build_markov(field, diff, dt).matrix
+            phi0 = rng.random(field.grid.n_states)
             out = propagate(phi0, operator, 1000)
             drift = abs(out.sum() - phi0.sum()) / phi0.sum()
             assert drift <= 1e-10
@@ -129,15 +129,17 @@ def test_criterion_5_pde_markov_validation():
         errors = []
         for n in (25, 50, 100):
             grid = StructuredGrid((n, n, 1), (1.0 / n, 1.0 / n, 0.2))
-            scenario = FlowScenario(synth_recirculating(grid, [0.005])[0], diffusivity=1e-5)
-            steps = max(1, round(50.0 / (0.05 * admissible_dt(scenario))))
+            field = synth_recirculating(grid, [0.005])[0]
+            steps = max(1, round(50.0 / (0.05 * admissible_dt(field, 1e-5))))
             dt = 50.0 / steps
             centers = grid.cell_centers()
             phi0 = np.exp(
                 -((centers[:, 0] - 0.3) ** 2 + (centers[:, 1] - 0.3) ** 2) / (2 * 0.08**2)
             )
-            operator = build_markov(scenario, dt).matrix
-            errors.append(compare_operator(scenario, operator, dt, phi0, steps, VALIDATE_SUBSTEPS))
+            operator = build_markov(field, 1e-5, dt).matrix
+            errors.append(
+                compare_operator(field, 1e-5, operator, dt, phi0, steps, VALIDATE_SUBSTEPS)
+            )
         assert errors[1] <= 1e-2  # the 50x50 horizon-50s configuration
         assert errors[0] > errors[1] > errors[2]  # joint (dt, dx) refinement
 

@@ -98,7 +98,7 @@ def value_pools(draw):
     """A column's dtype and the values its rows repeat: up to a dozen drawn
     values, or more than WRITE_BLOCK generated ones, so that one table serves
     several blocks. Integers may be state indices below the row count,
-    negative or above it, so both of the writer's table paths run."""
+    negative or above it; each integer column has its own table."""
     dtype = draw(st.sampled_from(["int32", "int64", "float64"]))
     if draw(st.booleans()):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -238,9 +238,9 @@ def test_build_and_place_exports_match_per_row_formatting(tmp_path, outlets):
     cfg_path.write_text(BUILD_CFG.format(out=out) + outlets + "\n")
     assert main(["build", "--config", str(cfg_path)]) == 0
     assert main(["place", "--config", str(cfg_path)]) == 0
-    _, scenarios = scenario_set(parse_config(cfg_path))
-    for idx, scenario in enumerate(scenarios):
-        assert (out / f"field-{idx:03d}.txt").read_bytes() == field_oracle(scenario.field).encode()
+    _, fields, _, _ = scenario_set(parse_config(cfg_path))
+    for idx, field in enumerate(fields):
+        assert (out / f"field-{idx:03d}.txt").read_bytes() == field_oracle(field).encode()
     assert len(list(out.glob("field-*.txt"))) == 3
     assert not list(out.glob("markov-*"))  # no operator file
     # the coverage outputs are not recomputed here: their read-back values

@@ -126,8 +126,9 @@ def test_build_unstable_dt_writes_nothing_and_the_hint_builds_every_scenario(
         assert main(["build", "--config", str(cfg), "--dt", "5"]) == 2
     hint = re.search(r"largest admissible dt = (\S+)", capsys.readouterr().err).group(1)
     assert not (tmp_path / "out").exists()
-    _, scenarios = scenario_set(parse_config(cfg))
-    assert float(hint) == min(admissible_dt(sc) for sc in scenarios)
+    parsed = parse_config(cfg)
+    _, fields, _, _ = scenario_set(parsed)
+    assert float(hint) == min(admissible_dt(field, parsed.diffusivity) for field in fields)
     assert main(["build", "--config", str(cfg), "--dt", hint]) == 0
     written = sorted(p.name for p in (tmp_path / "out").iterdir())
     assert written == [*(f"field-{i:03d}.txt" for i in range(3)), "manifest.json"]
@@ -704,6 +705,98 @@ def test_field_config_grid_keys_must_match_the_files(tmp_path, capsys, key, valu
     assert not (tmp_path / "out").exists()
 
 
+# a field config: the family's three keys dropped
+FIELD_SOURCE = {"family": None, "distribution": None, "cdf_points": None}
+
+
+@pytest.mark.parametrize(
+    "command, overrides, extra, message",
+    [
+        (["build"], {"dims": None}, "", "grid dims not configured"),
+        (
+            ["build"],
+            {},
+            "field = still.txt 0.0 1.0\n",
+            "give either explicit field entries or a synthetic family",
+        ),
+        (
+            ["build"],
+            {"cdf_points": None},
+            "",
+            "synthetic family needs 'distribution' and 'cdf_points'",
+        ),
+        (
+            ["build"],
+            {"family": None, "distribution": None},
+            "field = still.txt 0.0 1.0\n",
+            "cdf_points given without a distribution",
+        ),
+        (
+            ["build"],
+            FIELD_SOURCE,
+            "field = still.txt 0.0 0.5\nfield = coarse.txt 1.0 0.5\n",
+            "field {tmp}/coarse.txt uses a different grid",
+        ),
+        (
+            ["build"],
+            FIELD_SOURCE,
+            "field = fractional.txt 0.0 1.0\n",
+            "{tmp}/fractional.txt:2: grid dimensions must be integers, got [2.5, 2.0, 1.0]",
+        ),
+        (["converge", "--samples", "3", "3"], {}, "", "sample counts must be distinct"),
+        (
+            ["converge", "--samples", "2", "3"],
+            FIELD_SOURCE,
+            "field = still.txt 0.0 1.0\n",
+            "convergence study needs a synthetic family config",
+        ),
+    ],
+    ids=[
+        "family-without-dims",
+        "family-and-fields",
+        "family-without-cdf-points",
+        "cdf-points-without-distribution",
+        "fields-on-two-grids",
+        "fractional-field-dims",
+        "repeated-sample-count",
+        "converge-on-fields",
+    ],
+)
+def test_scenario_source_errors_exit_2_before_any_operator(
+    tmp_path, capsys, monkeypatch, command, overrides, extra, message
+):
+    refuse_operators(monkeypatch)
+    monkeypatch.setattr("pfsensor.pipeline.quadrature_rule", refuse_quadrature)
+    save_field(tmp_path / "still.txt", zero_field(StructuredGrid((4, 4, 1), (0.25, 0.25, 0.2))))
+    save_field(tmp_path / "coarse.txt", zero_field(StructuredGrid((2, 2, 1), (0.5, 0.5, 0.2))))
+    (tmp_path / "fractional.txt").write_text("# pfsensor-field v1\n2.5 2 1\n1 1 1\n0 0 0\n")
+    cfg = base_cfg(tmp_path, extra=extra, **overrides)
+    assert main([*command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_unreadable_config_exits_2_naming_it(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert main(["build", "--config", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {missing}: ")
+
+
+def test_one_cell_grid_runs_every_command(tmp_path):
+    # no interior face: the operator is the 1 x 1 identity
+    cfg = base_cfg(tmp_path, dims="1 1 1")
+    for command in (["build"], ["place"], ["validate"], ["converge", "--samples", "2", "3"]):
+        assert main([*command, "--config", str(cfg)]) == 0
+    assert main(["propagate", "--config", str(cfg), "--scenario", "6"]) == 0
+    plan = json.loads((tmp_path / "out" / "plan.json").read_text())
+    assert [sensor["state"] for sensor in plan["sensors"]] == [0]
+    # the weights sum to 1 within rounding
+    assert plan["cumulative_expected_coverage"] == pytest.approx(1.0, abs=1e-12)
+    report = json.loads((tmp_path / "out" / "validation.json").read_text())
+    assert [row["l2_error"] for row in report] == [0.0] * 7
+    assert load_field(tmp_path / "out" / "concentration-006.txt").u.tolist() == [1.0]
+
+
 def test_config_with_a_byte_order_mark_places_the_same_plan(tmp_path):
     plain = base_cfg(tmp_path, dims="8 8 1", dt="0.017", steps="25", out=tmp_path / "plain")
     assert main(["place", "--config", str(plain)]) == 0
@@ -772,13 +865,14 @@ def test_converge_builds_each_distinct_sample_once(tmp_path, monkeypatch):
     maps = []
     for m in (3, 5, 7):
         points = tuple(float(p) for p in cdf_points_for(m))
-        grid, scenarios = pipeline.scenario_set(replace(run_cfg, cdf_points=points))
+        grid, fields, _, weights = pipeline.scenario_set(replace(run_cfg, cdf_points=points))
         release, candidates = pipeline.detection_zones(run_cfg, grid)
         steps, cutoff = run_cfg.steps, run_cfg.eps_acc * (run_cfg.steps + 1)
-        ops = [build_markov(sc, run_cfg.dt, run_cfg.outlets).matrix for sc in scenarios]
+        diffusivity, dt, outlets = run_cfg.diffusivity, run_cfg.dt, run_cfg.outlets
+        ops = [build_markov(field, diffusivity, dt, outlets).matrix for field in fields]
         detections = [detection_matrix(op, steps, cutoff, release, candidates) for op in ops]
         vectors = coverage_vectors(detections, grid.cell_volume / grid.total_volume)
-        maps.append(expected_coverage(vectors, [sc.weight for sc in scenarios]))
+        maps.append(expected_coverage(vectors, weights))
     norm = float(np.linalg.norm(maps[-1]))
     errors = [float(np.linalg.norm(level - maps[-1])) / norm for level in maps[:-1]]
     assert [r["error"] for r in rows] == errors + [None]
@@ -838,8 +932,8 @@ def test_propagate_synthesizes_only_the_chosen_scenario(tmp_path, monkeypatch):
     # the chosen CDF point alone gives the sample it has in the whole ensemble
     cfg = base_cfg(tmp_path, dims="8 8 1", dt="0.017", steps="25", cdf_points="0 0.5 1")
     parsed = parse_config(cfg)
-    grid, scenarios = scenario_set(parsed)
-    operator = build_markov(scenarios[2], parsed.dt, parsed.outlets).matrix
+    grid, fields, _, _ = scenario_set(parsed)
+    operator = build_markov(fields[2], parsed.diffusivity, parsed.dt, parsed.outlets).matrix
     expected = tmp_path / "expected.txt"
     phi = propagate(release_field(parsed, grid), operator, parsed.steps)
     save_scalar_field(expected, grid, phi)
@@ -966,6 +1060,9 @@ def test_file_and_flag_reject_a_bad_value_alike(tmp_path, capsys, monkeypatch, k
         ("spacing", "0 0.1 0.2", "spacing must be > 0, got (0.0, 0.1, 0.2)"),
         ("diffusivity", "-1", "diffusivity must be >= 0, got -1.0"),
         ("family", "Vortex", "unknown synthetic family 'Vortex'"),
+        ("distribution", "", "distribution: empty specification"),
+        ("distribution", "kde", "distribution: expected 'kde <datafile>', got 'kde'"),
+        ("field", "f.txt 0.5 1.5", "field: need a theta in [0, 1], got 'f.txt 0.5 1.5'"),
     ],
 )
 def test_config_value_rejected_where_it_is_read(tmp_path, capsys, monkeypatch, key, bad, message):
@@ -1025,9 +1122,9 @@ def test_config_kde_distribution(tmp_path):
     data.write_text("\n".join(str(x) for x in 0.5 + 0.05 * rng.standard_normal(60)))
     cfg = base_cfg(tmp_path, distribution=f"kde {data}")
     parsed = parse_config(cfg)
-    grid, scenarios = scenario_set(parsed)
-    assert len(scenarios) == 7
-    assert sum(s.weight for s in scenarios) == pytest.approx(1.0, abs=1e-9)
+    grid, fields, samples, weights = scenario_set(parsed)
+    assert len(fields) == len(samples) == len(weights) == 7
+    assert sum(weights) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_config_paths_join_the_config_directory_unless_absolute(tmp_path, monkeypatch):
@@ -1046,10 +1143,10 @@ def test_config_paths_join_the_config_directory_unless_absolute(tmp_path, monkey
     fields = write_cfg(configs, fields, name="fields.cfg")
     monkeypatch.chdir(tmp_path / "data")
     assert data.is_absolute()
-    _, scenarios = scenario_set(parse_config(kde))
-    assert sum(s.weight for s in scenarios) == pytest.approx(1.0, abs=1e-9)
-    grid, scenarios = scenario_set(parse_config(fields))
-    assert grid.dims == (4, 4, 1) and [s.weight for s in scenarios] == [1.0]
+    _, _, _, weights = scenario_set(parse_config(kde))
+    assert sum(weights) == pytest.approx(1.0, abs=1e-9)
+    grid, _, _, weights = scenario_set(parse_config(fields))
+    assert grid.dims == (4, 4, 1) and weights == [1.0]
 
 
 @pytest.mark.parametrize(
@@ -1058,12 +1155,16 @@ def test_config_paths_join_the_config_directory_unless_absolute(tmp_path, monkey
         ("0.4\nnan\n0.6\n", "non-finite"),
         ("0.5\n", "need at least 2 data points"),
         ("0\n1e-300\n", "standard deviation underflows"),
+        ("0.4\nabc\n0.6\n", "non-numeric entries"),
+        (None, "No such file"),  # no data file
     ],
 )
 def test_kde_data_errors_name_the_file(tmp_path, capsys, data, message):
     path = tmp_path / "k.txt"
-    path.write_text(data)
+    if data is not None:
+        path.write_text(data)
     cfg = base_cfg(tmp_path, distribution=f"kde {path}")
     assert main(["build", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert f"KDE data {path}: " in err and message in err
+    named = re.escape(f"KDE data {path}")
+    assert re.match(rf"error: (cannot read )?{named}(: | contains )", err) and message in err

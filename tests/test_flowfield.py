@@ -6,15 +6,12 @@ from hypothesis import strategies as st
 from pfsensor.flowfield import (
     FIELD_MAGIC,
     FieldFormatError,
-    FlowScenario,
     VelocityField,
     load_field,
     save_field,
     synth_recirculating,
 )
 from pfsensor.grid import StructuredGrid
-
-from oracles import zero_field
 
 
 def write_lines(path, lines):
@@ -110,14 +107,6 @@ def test_velocity_field_validates_length_and_finiteness():
     bad[2] = np.inf
     with pytest.raises(ValueError):
         VelocityField(g, bad, np.zeros(4), np.zeros(4))
-
-
-def test_scenario_validates_parameters():
-    g = StructuredGrid((2, 2, 1), (1.0, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        FlowScenario(zero_field(g), diffusivity=-1e-3)
-    with pytest.raises(ValueError):
-        FlowScenario(zero_field(g), weight=1.5)
 
 
 def test_synth_zero_strength_is_zero_field():

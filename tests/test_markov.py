@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from pfsensor import markov
-from pfsensor.flowfield import FlowScenario, VelocityField, synth_recirculating
+from pfsensor.flowfield import VelocityField, synth_recirculating
 from pfsensor.grid import StructuredGrid
 from pfsensor.markov import StabilityError, build_markov, propagate
 
@@ -33,43 +33,36 @@ def random_stochastic(rng, n):
 
 def test_no_transport_gives_identity():
     g = unit_line_grid(3)
-    op = build_markov(FlowScenario(zero_field(g), diffusivity=0.0), dt=1.0).matrix
+    op = build_markov(zero_field(g), 0.0, dt=1.0).matrix
     assert np.allclose(op.toarray(), np.eye(3))
 
 
 def test_two_cell_diffusion_hand_value():
     # G/V = D * A * dt / (d * V) = 0.1 with D = 0.1, unit everything
     g = unit_line_grid(2)
-    op = build_markov(FlowScenario(zero_field(g), diffusivity=0.1), dt=1.0).matrix
+    op = build_markov(zero_field(g), 0.1, dt=1.0).matrix
     assert np.allclose(op.toarray(), [[0.9, 0.1], [0.1, 0.9]], atol=1e-15)
 
 
 def test_three_cell_uniform_advection_hand_rows():
     # u = 0.25 -> advective fraction 0.25 per unit step; last cell is closed
     g = unit_line_grid(3)
-    scenario = FlowScenario(uniform_x_flow(g, 0.25), diffusivity=0.0)
-    op = build_markov(scenario, dt=1.0).matrix
+    op = build_markov(uniform_x_flow(g, 0.25), 0.0, dt=1.0).matrix
     dense = op.toarray()
     assert np.allclose(dense[0], [0.75, 0.25, 0.0], atol=1e-15)
     assert np.allclose(dense[1], [0.0, 0.75, 0.25], atol=1e-15)
     assert np.allclose(dense[2], [0.0, 0.0, 1.0], atol=1e-15)
 
 
-def test_negative_diffusivity_rejected():
-    g = unit_line_grid(2)
-    with pytest.raises(ValueError):
-        FlowScenario(zero_field(g), diffusivity=-0.1)
-
-
 def test_stability_error_reports_admissible_dt():
     g = unit_line_grid(2)
-    scenario = FlowScenario(zero_field(g), diffusivity=0.4)
+    still = zero_field(g)
     # off-diagonal rate is 0.4/s, so the bound is 1/0.4 = 2.5 s
-    assert admissible_dt(scenario) == pytest.approx(2.5)
+    assert admissible_dt(still, 0.4) == pytest.approx(2.5)
     with pytest.raises(StabilityError) as err:
-        build_markov(scenario, dt=5.0)
+        build_markov(still, 0.4, dt=5.0)
     assert err.value.admissible_dt == pytest.approx(2.5)
-    rebuilt = build_markov(scenario, dt=err.value.admissible_dt).matrix
+    rebuilt = build_markov(still, 0.4, dt=err.value.admissible_dt).matrix
     assert_row_stochastic(rebuilt)
 
 
@@ -79,13 +72,13 @@ def test_build_rejects_a_dt_that_is_not_finite_and_positive_before_any_arithmeti
     # an infinite dt reaching the rates would warn, then build NaN entries
     g = unit_line_grid(3)
     with pytest.raises(ValueError, match="dt must be .*positive"):
-        build_markov(FlowScenario(zero_field(g), diffusivity=0.0), dt)
+        build_markov(zero_field(g), 0.0, dt)
     assert not recwarn.list
 
 
 def test_admissible_dt_infinite_for_still_air():
     g = unit_line_grid(4)
-    assert admissible_dt(FlowScenario(zero_field(g), diffusivity=0.0)) == np.inf
+    assert admissible_dt(zero_field(g), 0.0) == np.inf
 
 
 @settings(max_examples=40, deadline=None)
@@ -102,10 +95,10 @@ def test_admissible_dt_infinite_for_still_air():
 @example(nx=2, ny=2, xi=0.0, diff=2.2250738585e-313, frac=0.5)
 def test_built_matrices_row_stochastic(nx, ny, xi, diff, frac):
     g = StructuredGrid((nx, ny, 1), (1.0 / nx, 1.0 / ny, 0.5))
-    scenario = FlowScenario(synth_recirculating(g, [xi])[0], diffusivity=diff)
-    bound = admissible_dt(scenario)
+    field = synth_recirculating(g, [xi])[0]
+    bound = admissible_dt(field, diff)
     dt = frac * bound if np.isfinite(bound) else 1.0
-    op = build_markov(scenario, dt).matrix
+    op = build_markov(field, diff, dt).matrix
     assert_row_stochastic(op)  # entries in [0, 1], row sums within 1e-12
 
 
@@ -123,22 +116,22 @@ def test_built_matrices_row_stochastic(nx, ny, xi, diff, frac):
 @example(nx=2, ny=2, xi=0.0, diff=2.2250738585e-313, outlets=frozenset({"x-", "y+"}))
 def test_admissible_dt_is_the_oracle_and_the_build_bound(nx, ny, xi, diff, outlets):
     g = StructuredGrid((nx, ny, 1), (1.0 / nx, 1.0 / ny, 0.5))
-    scenario = FlowScenario(synth_recirculating(g, [xi])[0], diffusivity=diff)
-    bound = markov.admissible_dt(scenario, outlets)
-    assert bound == admissible_dt(scenario, outlets)
-    op = build_markov(scenario, bound if np.isfinite(bound) else 1.0, outlets).matrix
+    field = synth_recirculating(g, [xi])[0]
+    bound = markov.admissible_dt(field, diff, outlets)
+    assert bound == admissible_dt(field, diff, outlets)
+    op = build_markov(field, diff, bound if np.isfinite(bound) else 1.0, outlets).matrix
     assert_row_stochastic(op)
     assert op.shape[0] == g.n_states + bool(outlets)
     assert op.indices.dtype == op.indptr.dtype == np.int32
     if np.isfinite(bound):
         with pytest.raises(StabilityError) as err:
-            build_markov(scenario, float(np.nextafter(bound, np.inf)), outlets)
+            build_markov(field, diff, float(np.nextafter(bound, np.inf)), outlets)
         assert err.value.admissible_dt == bound
 
 
 def test_propagate_zero_steps_returns_input():
     g = unit_line_grid(3)
-    op = build_markov(FlowScenario(zero_field(g), diffusivity=0.1), dt=1.0).matrix
+    op = build_markov(zero_field(g), 0.1, dt=1.0).matrix
     phi = np.array([1.0, 2.0, 3.0])
     out = propagate(phi, op, 0)
     assert np.array_equal(out, phi)
@@ -146,7 +139,7 @@ def test_propagate_zero_steps_returns_input():
 
 def test_propagate_identity_operator_fixed_point():
     g = unit_line_grid(3)
-    op = build_markov(FlowScenario(zero_field(g), diffusivity=0.0), dt=1.0).matrix
+    op = build_markov(zero_field(g), 0.0, dt=1.0).matrix
     phi = np.array([0.5, 0.0, 2.0])
     out = propagate(phi, op, 7)
     assert np.allclose(out, phi)
@@ -155,8 +148,7 @@ def test_propagate_identity_operator_fixed_point():
 def test_propagate_dimension_mismatch():
     # grids differing by one state are indistinguishable from an exit-state
     # operator, so use a clearly incompatible pair
-    scenario = FlowScenario(zero_field(unit_line_grid(4)), diffusivity=0.0)
-    op = build_markov(scenario, dt=1.0).matrix
+    op = build_markov(zero_field(unit_line_grid(4)), 0.0, dt=1.0).matrix
     with pytest.raises(ValueError, match="operator size 4 does not match grid with 2 states"):
         propagate(np.zeros(2), op, 1)
 
@@ -185,8 +177,7 @@ def test_single_step_linearity_in_operator_mixture(seed):
 
 def test_outlet_side_routes_mass_to_exit():
     g = unit_line_grid(3)
-    scenario = FlowScenario(uniform_x_flow(g, 0.25), diffusivity=0.0)
-    op = build_markov(scenario, 1.0, frozenset({"x+"})).matrix
+    op = build_markov(uniform_x_flow(g, 0.25), 0.0, 1.0, frozenset({"x+"})).matrix
     assert op.shape[0] == 4
     dense = op.toarray()
     assert np.allclose(dense[2], [0.0, 0.0, 0.75, 0.25])  # last cell drains out
@@ -199,8 +190,7 @@ def test_outlet_side_routes_mass_to_exit():
 def test_outlet_requires_outflow_direction():
     # inflow side as outlet contributes nothing (max(0, -u) = 0)
     g = unit_line_grid(3)
-    scenario = FlowScenario(uniform_x_flow(g, 0.25), diffusivity=0.0)
-    op = build_markov(scenario, 1.0, frozenset({"x-"})).matrix
+    op = build_markov(uniform_x_flow(g, 0.25), 0.0, 1.0, frozenset({"x-"})).matrix
     out = propagate(np.ones(3), op, 10)
     assert out.sum() == pytest.approx(3.0, rel=1e-12)
 
@@ -211,8 +201,8 @@ def test_outflow_through_two_sides_is_pinned():
     g = StructuredGrid((5, 4, 1), (0.25, 0.3, 0.2))
     i, j = np.meshgrid(np.arange(5), np.arange(4))
     u, v = (0.3 + 0.05 * i).ravel(), -(0.2 + 0.04 * j).ravel()
-    scenario = FlowScenario(VelocityField(g, u, v, np.zeros(g.n_states)), diffusivity=1e-3)
-    op = build_markov(scenario, 0.05, frozenset({"x+", "y-"})).matrix
+    field = VelocityField(g, u, v, np.zeros(g.n_states))
+    op = build_markov(field, 1e-3, 0.05, frozenset({"x+", "y-"})).matrix
     n = g.n_states
     dense = op.toarray()
     assert np.array_equal(dense[n], np.eye(n + 1)[n])
@@ -225,8 +215,8 @@ def test_outflow_through_two_sides_is_pinned():
 @pytest.mark.parametrize("outlets", [frozenset(), frozenset({"x+", "y-"})])
 def test_propagate_matches_row_vector_products_bitwise(outlets):
     g = StructuredGrid((15, 12, 1), (0.1, 0.1, 0.2))
-    scenario = FlowScenario(synth_recirculating(g, [0.5])[0], diffusivity=1e-3)
-    op = build_markov(scenario, 0.8 * admissible_dt(scenario), outlets).matrix
+    field = synth_recirculating(g, [0.5])[0]
+    op = build_markov(field, 1e-3, 0.8 * admissible_dt(field, 1e-3), outlets).matrix
     assert op.shape[0] == g.n_states + bool(outlets)
     values = np.random.default_rng(3).random(g.n_states)
     vec = np.append(values, 0.0) if outlets else values

@@ -1,3 +1,4 @@
+import json
 import re
 
 from pfsensor.cli import main
@@ -31,9 +32,10 @@ def test_desk_artifacts_match_their_pins(tmp_path):
     assert mismatches(tmp_path / "out", PLACE, BUILD, VALIDATE, PROPAGATE, CONVERGE) is None
     # no command writes an operator: rebuild the pinned ones from the config
     cfg = parse_config(desk)
-    _, scenarios = scenario_set(cfg)
+    _, fields, _, _ = scenario_set(cfg)
     for idx, pinned in OPERATOR.items():
-        assert csr_sha256(build_markov(scenarios[idx], cfg.dt, cfg.outlets).matrix) == pinned
+        operator = build_markov(fields[idx], cfg.diffusivity, cfg.dt, cfg.outlets).matrix
+        assert csr_sha256(operator) == pinned
 
     (tmp_path / "data.txt").write_text(KDE_DATA)
     kde = tmp_path / "kde.cfg"
@@ -41,6 +43,24 @@ def test_desk_artifacts_match_their_pins(tmp_path):
     kde.write_text(re.sub(r"(?m)^distribution = .*$", "distribution = kde data.txt", text))
     assert main(["place", "--config", str(kde)]) == 0
     assert mismatches(tmp_path / "kde", KDE_PLACE) is None
+
+
+def test_field_config_propagate_matches_its_pins(tmp_path):
+    # the CI step that places from build's exported fields: desk's config with
+    # one field line per exported scenario at the manifest's xi and theta
+    desk = tmp_path / "desk.cfg"
+    desk.write_text(config_text(WORKLOADS["desk"], DEFAULT_SEED, tmp_path / "built"))
+    assert main(["build", "--config", str(desk)]) == 0
+    family = ("family ", "distribution ", "cdf_points ")
+    lines = [line for line in desk.read_text().splitlines() if not line.startswith(family)]
+    for entry in json.loads((tmp_path / "built" / "manifest.json").read_text())["scenarios"]:
+        lines.append(f"field = built/{entry['field']} {entry['xi']!r} {entry['theta']!r}")
+    fields = tmp_path / "fields.cfg"
+    fields.write_text("\n".join(lines) + "\n")
+    out = str(tmp_path / "out")
+    for index in ("0", "4"):
+        assert main(["propagate", "--config", str(fields), "--out", out, "--scenario", index]) == 0
+    assert mismatches(tmp_path / "out", PROPAGATE) is None
 
 
 def test_fine_field_matches_its_pin(tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from pfsensor.config import ConfigError, RunConfig, apply
-from pfsensor.flowfield import FlowScenario, VelocityField, synth_recirculating
+from pfsensor.flowfield import VelocityField, synth_recirculating
 from pfsensor.grid import StructuredGrid
 from pfsensor.markov import MarkovMatrix, build_markov
 from pfsensor import pipeline
@@ -161,7 +161,7 @@ def test_threshold_scales_eps_acc_by_horizon(monkeypatch):
     )
     cfg = run_config(steps=2, eps_acc=0.28, dt=1.0)
     grid = line_grid(2)
-    still = FlowScenario(VelocityField(grid, *np.zeros((3, 2))))
+    still = VelocityField(grid, *np.zeros((3, 2)))
     # cutoff 0.28 * 3 = 0.84 drops the 0.28 off-diagonals
     [pattern] = detection_patterns(cfg, [still], detection_zones(cfg, grid))
     assert pattern.nnz == 2
@@ -292,9 +292,9 @@ def flow_operator(rng, outlets):
     else:
         [field] = synth_recirculating(grid, [float(rng.uniform(-1.0, 1.0))])
     sides = frozenset({"x+"} if outlets else ())
-    scenario = FlowScenario(field, diffusivity=float(rng.uniform(1e-4, 1e-2)))
-    dt = float(rng.uniform(0.3, 0.95)) * admissible_dt(scenario, sides)
-    return build_markov(scenario, dt, sides).matrix
+    diffusivity = float(rng.uniform(1e-4, 1e-2))
+    dt = float(rng.uniform(0.3, 0.95)) * admissible_dt(field, diffusivity, sides)
+    return build_markov(field, diffusivity, dt, sides).matrix
 
 
 @given(
@@ -325,8 +325,8 @@ def test_detection_streams_more_rows_than_one_block():
     # few steps each block propagates only through its band of the grid
     rng = np.random.default_rng(11)
     grid = StructuredGrid((20, 20, 1), (0.05, 0.05, 0.2))
-    scenario = FlowScenario(synth_recirculating(grid, [0.5])[0], diffusivity=1e-4)
-    op = build_markov(scenario, 0.5 * admissible_dt(scenario)).matrix
+    field = synth_recirculating(grid, [0.5])[0]
+    op = build_markov(field, 1e-4, 0.5 * admissible_dt(field, 1e-4)).matrix
     n = op.shape[0]
     assert n > 2 * BLOCK
     release = np.ones(n, dtype=bool)
@@ -344,8 +344,8 @@ def test_horner_sum_matches_forward_power_sum_at_benchmark_horizon():
     # Horner's rule rounds differently from summing powers; at m = 80 on a
     # closed 20x20 vortex the two must still agree to rounding
     grid = StructuredGrid((20, 20, 1), (0.05, 0.05, 0.2))
-    scenario = FlowScenario(synth_recirculating(grid, [0.5])[0], diffusivity=1e-4)
-    op = build_markov(scenario, 0.5 * admissible_dt(scenario)).matrix
+    field = synth_recirculating(grid, [0.5])[0]
+    op = build_markov(field, 1e-4, 0.5 * admissible_dt(field, 1e-4)).matrix
     steps, n = 80, op.shape[0]
     p_t = sparse.csr_array(op.T)
     x = np.eye(n)
@@ -359,8 +359,8 @@ def test_horner_sum_matches_forward_power_sum_at_benchmark_horizon():
 
 def closed_vortex_20():
     grid = StructuredGrid((20, 20, 1), (0.05, 0.05, 0.2))
-    scenario = FlowScenario(synth_recirculating(grid, [0.5])[0], diffusivity=1e-4)
-    return build_markov(scenario, 0.5 * admissible_dt(scenario)).matrix
+    field = synth_recirculating(grid, [0.5])[0]
+    return build_markov(field, 1e-4, 0.5 * admissible_dt(field, 1e-4)).matrix
 
 
 def drift_to_outlet():
@@ -368,8 +368,7 @@ def drift_to_outlet():
     n = grid.n_states
     field = VelocityField(grid, np.full(n, 0.3), np.zeros(n), np.zeros(n))
     outlets = frozenset({"x+"})
-    scenario = FlowScenario(field, diffusivity=1e-3)
-    return build_markov(scenario, 0.5 * admissible_dt(scenario, outlets), outlets).matrix
+    return build_markov(field, 1e-3, 0.5 * admissible_dt(field, 1e-3, outlets), outlets).matrix
 
 
 @pytest.mark.parametrize("case", ["first_block_empty", "no_row_kept", "exit_column"])
