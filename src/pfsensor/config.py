@@ -15,10 +15,11 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from .grid import StructuredGrid
-from .markov import SIDES
 
 Box = tuple[tuple[float, float, float], tuple[float, float, float]]
 MAX_STATES = 2**31 - 1
+# the domain sides that `outlets` may name
+SIDES = ("x-", "x+", "y-", "y+", "z-", "z+")
 
 
 class ConfigError(ValueError):

@@ -14,12 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
+from . import _compiled
+from ._compiled import CSR
 from .flowfield import VelocityField
-
-# the domain sides that `outlets` may name
-SIDES = ("x-", "x+", "y-", "y+", "z-", "z+")
 
 
 class StabilityError(ValueError):
@@ -39,7 +37,7 @@ class MarkovMatrix:
     grid states, which every consumer takes on its own. It stays a record
     because perfbench's trace counts `markov.nnz` from `result.matrix`."""
 
-    matrix: sparse.csr_array
+    matrix: CSR
 
 
 def _outflow_rates(
@@ -139,23 +137,21 @@ def build_markov(
     # near-zero (subnormal) rates admit a dt so large that dt / vol overflows;
     # dividing the rates first keeps their probabilities finite
     probs = rates * scale if np.isfinite(scale) else rates / vol * dt
-    off = sparse.coo_array((probs, (rows, cols)), shape=(size, size)).tocsr()
-    off.sum_duplicates()
+    off = _compiled.from_coo(rows, cols, probs, (size, size))
     # the exit row holds no off-diagonal entry: its sum is 0 and its diagonal 1
-    row_sum = np.asarray(off.sum(axis=1)).ravel()
+    row_sum = _compiled.row_sums(off)
 
     hot = np.flatnonzero(row_sum > 1.0)
     if hot.size:
         scale = np.ones(size)
         scale[hot] = 1.0 / row_sum[hot]
-        off = sparse.csr_array(sparse.diags_array(scale) @ off)
+        off = _compiled.matmat(_compiled.diagonal(scale), off)
         row_sum[hot] = 1.0
 
-    matrix = sparse.csr_array(off + sparse.diags_array(1.0 - row_sum))
-    return MarkovMatrix(matrix=matrix)
+    return MarkovMatrix(matrix=_compiled.add(off, _compiled.diagonal(1.0 - row_sum)))
 
 
-def propagate(phi: np.ndarray, matrix: sparse.csr_array, steps: int) -> np.ndarray:
+def propagate(phi: np.ndarray, matrix: CSR, steps: int) -> np.ndarray:
     """Apply phi <- phi P for the given number of steps, as phi <- P^T phi
     with P^T copied to CSR once, so each step is a row-wise product that sums
     every entry in ascending source order, as phi P itself does.
@@ -172,8 +168,8 @@ def propagate(phi: np.ndarray, matrix: sparse.csr_array, steps: int) -> np.ndarr
     vec = phi.astype(float, copy=True)
     if n_op == n_grid + 1:
         vec = np.append(vec, 0.0)
-    p_t = sparse.csr_array(matrix.T)
+    p_t = _compiled.transpose(matrix)
     for _ in range(steps):
-        vec = p_t @ vec
+        vec = _compiled.matvec(p_t, vec)
     return vec[:n_grid]
 

@@ -4,9 +4,9 @@ Markov-operator transport.
 The solver marches the semi-discrete cell balance explicitly with donor-cell
 advective fluxes and central diffusive fluxes on the closed box, the same
 physics the operator builder encodes. It computes its own face rates and
-lays them out as the diagonals of one DIA matrix per field, the stepper,
-so the two paths share no code: each explicit step is one product with the
-stepper.
+lays them out once per solve as the diagonals of the stepper, a DIA matrix
+given by its offsets and diagonal data, so the two paths share no flux
+code: each explicit step is one product with the stepper.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import sparse
 
+from . import _compiled
+from ._compiled import CSR
 from .flowfield import VelocityField
 from .markov import StabilityError, propagate
 
@@ -57,67 +58,69 @@ def _face_rates(field: VelocityField, diffusivity: float):
     return faces
 
 
-def _out_rate(grid, faces) -> np.ndarray:
-    """Summed outgoing rate of each cell, shaped (nz, ny, nx)."""
-    nx, ny, nz = grid.dims
+def _rates(field: VelocityField, diffusivity: float) -> tuple[list, np.ndarray]:
+    """The interior faces' rates (see _face_rates) and each cell's summed
+    outgoing rate, shaped (nz, ny, nx)."""
+    nx, ny, nz = field.grid.dims
+    faces = _face_rates(field, diffusivity)
     out_rate = np.zeros((nz, ny, nx))
     for lo, hi, _, up, down in faces:
         out_rate[lo] += up
         out_rate[hi] += down
-    return out_rate
+    return faces, out_rate
 
 
-def stable_step(field: VelocityField, diffusivity: float) -> float:
+def _stable_step(grid, out_rate: np.ndarray) -> float:
     """Largest explicit step keeping the update non-negative: the cell volume
     over the summed outgoing advective and diffusive rates, minimized over
     cells. Infinite when nothing moves."""
-    grid = field.grid
-    peak = _out_rate(grid, _face_rates(field, diffusivity)).max()
+    peak = out_rate.max()
     if peak <= 0.0:
         return math.inf
     return grid.cell_volume / peak
 
 
-def _stepper(field: VelocityField, diffusivity: float, step: float) -> sparse.dia_array:
-    """The explicit update phi <- S phi over one step, as a DIA matrix whose
-    diagonals are the stencil arrays. Column k of the diagonal at offset
-    -stride (+stride) holds what cell k sends to its upper (lower) neighbour
-    along that axis; the main diagonal is what each cell keeps."""
-    grid = field.grid
+def _stepper(grid, faces: list, out_rate: np.ndarray, step: float):
+    """The explicit update phi <- S phi over one step, as the DIA offsets and
+    diagonals of S, the diagonals being the stencil arrays. Column k of the
+    diagonal at offset -stride (+stride) holds what cell k sends to its upper
+    (lower) neighbour along that axis; the main diagonal is what each cell
+    keeps."""
     nx, ny, nz = grid.dims
     coef = step / grid.cell_volume
-    faces = _face_rates(field, diffusivity)
     data = np.zeros((1 + 2 * len(faces), nz, ny, nx))
-    data[0] = 1.0 - coef * _out_rate(grid, faces)
+    data[0] = 1.0 - coef * out_rate
     offsets = [0]
     for d, (lo, hi, stride, up, down) in enumerate(faces):
         data[2 * d + 1][lo] = coef * up
         data[2 * d + 2][hi] = coef * down
         offsets += [-stride, stride]
-    n = grid.n_states
-    return sparse.dia_array((data.reshape(len(data), n), offsets), shape=(n, n))
+    # int32 offsets: config caps cells plus the exit state at 2**31 - 1
+    return np.array(offsets, dtype=np.int32), data.reshape(len(data), grid.n_states)
 
 
 def solve_pde(
     field: VelocityField, diffusivity: float, phi0: np.ndarray, step: float, n_steps: int
 ) -> np.ndarray:
     """March the advection-diffusion balance n_steps explicit steps of size
-    step on the closed box: the step's stencil is assembled once as a DIA
-    matrix, and each step is one product with it. A step over stable_step
-    raises StabilityError."""
-    n = field.grid.n_states
+    step on the closed box: the face rates and the step's stencil are built
+    once, and each step is one product with the stencil. A step over the
+    stable step raises StabilityError carrying it."""
+    grid = field.grid
+    n = grid.n_states
     if phi0.shape != (n,):
         raise ValueError(f"initial field has shape {phi0.shape}, expected ({n},)")
     if not step > 0.0 or n_steps < 1:
         raise ValueError(f"need step > 0 and n_steps >= 1, got {step} and {n_steps}")
-    bound = stable_step(field, diffusivity)
+    faces, out_rate = _rates(field, diffusivity)
+    bound = _stable_step(grid, out_rate)
     if step > bound:
         raise StabilityError(step, bound)
 
-    stepper = _stepper(field, diffusivity, step)
+    offsets, data = _stepper(grid, faces, out_rate, step)
     phi = phi0.astype(float, copy=True)
     for _ in range(n_steps):
-        phi = stepper @ phi
+        phi = _compiled.dia_matvec(offsets, data, phi)
     # a marginally stable step can leave -1 ulp residue where the exact
     # update is zero; anything larger is a genuine scheme failure
     floor = -1e-10 * max(1.0, float(np.abs(phi).max()))
@@ -130,7 +133,7 @@ def solve_pde(
 def compare_operator(
     field: VelocityField,
     diffusivity: float,
-    matrix: sparse.csr_array,
+    matrix: CSR,
     dt: float,
     phi0: np.ndarray,
     steps: int,

@@ -1,6 +1,9 @@
 """Greedy expected-coverage sensor placement over a scenario ensemble.
 
-Each scenario enters as its detection pattern (see tracking.detection_matrix).
+Each scenario enters as its detection pattern by sensor state (see
+tracking.detection_matrix): row c lists the release rows a sensor at c
+detects. Only its `indptr`, `indices` and `shape` are read, so a scipy CSC
+array of the pattern serves as well.
 Every release cell is worth the same volume fraction x, so a column with c
 active rows covers f[c] = f[c-1] + x, f[0] = 0: bit for bit the float sum of c
 entries x. Each greedy round places the state of largest expected coverage,
@@ -12,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
+
+from . import _compiled
+from ._compiled import CSR
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,10 +42,9 @@ def _coverage_table(cell_fraction: float, n: int) -> np.ndarray:
     return np.cumsum(np.r_[0.0, np.full(n, float(cell_fraction))])
 
 
-def coverage_vectors(detections: list[sparse.sparray], cell_fraction: float) -> list[np.ndarray]:
+def coverage_vectors(detections: list[CSR], cell_fraction: float) -> list[np.ndarray]:
     """Per-scenario volume fraction of release states each column detects."""
-    mats = map(sparse.csc_array, detections)
-    return [_coverage_table(cell_fraction, m.shape[0])[np.diff(m.indptr)] for m in mats]
+    return [_coverage_table(cell_fraction, m.shape[0])[np.diff(m.indptr)] for m in detections]
 
 
 def expected_coverage(vectors: list[np.ndarray], weights) -> np.ndarray:
@@ -65,7 +69,7 @@ def sensor_coverage(covered_by: list[np.ndarray], weights) -> tuple[np.ndarray, 
 
 
 def place_sensors(
-    detections: list[sparse.sparray],
+    detections: list[CSR],
     weights,
     cell_fraction: float,
     k: int | None = None,
@@ -86,11 +90,14 @@ def place_sensors(
     """
     w = np.asarray(list(weights), dtype=float)
     n = detections[0].shape[0]
-    by_col = [sparse.csc_array(m) for m in detections]
-    by_row = [m.tocsr() for m in by_col]
+    # row-major copies: the transposed structure, under placeholder values
+    by_row = [
+        _compiled.transpose(CSR(m.indptr, m.indices, np.ones(m.indices.size, dtype=bool), m.shape))
+        for m in detections
+    ]
     # intp counts: the table lookup each round is a 3x slower gather with int32
-    counts = [np.diff(m.indptr).astype(np.intp) for m in by_col]
-    covered_by = [np.zeros(n, dtype=np.intp) for _ in by_col]
+    counts = [np.diff(m.indptr).astype(np.intp) for m in detections]
+    covered_by = [np.zeros(n, dtype=np.intp) for _ in detections]
     table = _coverage_table(cell_fraction, n)
     zone = 1.0 if occupied_volume_fraction is None else occupied_volume_fraction
 
@@ -110,7 +117,7 @@ def place_sensors(
             break
         best = int(np.argmax(expected))  # argmax takes the first (lowest) index on ties
         marginals = np.array([v[best] for v in per_scenario])
-        for i, (col_major, row_major) in enumerate(zip(by_col, by_row)):
+        for i, (col_major, row_major) in enumerate(zip(detections, by_row)):
             rows = col_major.indices[col_major.indptr[best] : col_major.indptr[best + 1]]
             covered = rows[covered_by[i][rows] == 0]
             covered_by[i][covered] = len(sensors) + 1

@@ -12,38 +12,41 @@ uniform, so placement scales pair counts by one volume fraction.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
+
+from . import _compiled
+from ._compiled import CSR
 
 # release rows summed together; a Horner step holds two (window x BLOCK)
 # arrays, its product's input and output; small blocks keep them cache-resident
 BLOCK = 64
 
 
-def _accumulate(p_t: sparse.csr_array, steps: int, rows: np.ndarray, lo: int, hi: int):
+def _accumulate(p_t: CSR, steps: int, rows: np.ndarray, lo: int, hi: int):
     """Q[rows, lo:hi] transposed, by Horner's rule acc <- e + P^T acc on the
     unit columns e of `rows`. The caller guarantees mass from `rows` stays in
     [lo, hi) for `steps` steps, so the truncated operator loses nothing."""
-    sub = p_t[lo:hi, lo:hi]
+    sub = _compiled.submatrix(p_t, lo, hi)
     units = (rows - lo, np.arange(rows.size))
     acc = np.zeros((hi - lo, rows.size))
     acc[units] = 1.0
     for _ in range(steps):
-        acc = sub @ acc
+        acc = _compiled.matvecs(sub, acc)
         acc[units] += 1.0
     return acc
 
 
 def detection_matrix(
-    matrix: sparse.csr_array,
+    matrix: CSR,
     steps: int,
     cutoff: float,
     release: np.ndarray,
     candidates: np.ndarray,
-) -> sparse.csc_array:
-    """Detection pattern of one scenario, as a boolean CSC matrix with int32
-    indices.
+) -> CSR:
+    """Detection pattern of one scenario by sensor state: the boolean CSR
+    record, with int32 indices, of the pattern's transpose, whose row c
+    lists in ascending order the release states a sensor at c detects.
 
-    Entry (r, c) is stored exactly when release[r] and candidates[c] hold
+    Pair (r, c) is stored exactly when release[r] and candidates[c] hold
     and the tracking entry Q[r, c] is positive and at least `cutoff`. One
     step moves mass at most the operator's bandwidth max|i - j| away, so each
     block of release rows propagates only through the band it can reach
@@ -57,7 +60,7 @@ def detection_matrix(
             f"release mask {release.shape} and candidates {candidates.shape} "
             f"must both have length {n}"
         )
-    p_t = sparse.csr_array(matrix.T)
+    p_t = _compiled.transpose(matrix)
     rows = np.repeat(np.arange(n), np.diff(p_t.indptr))
     reach = steps * int(np.abs(rows - p_t.indices).max(initial=0))
     kept = np.flatnonzero(release).astype(np.int32)
@@ -75,4 +78,4 @@ def detection_matrix(
     # rebinding frees the pieces before the pattern is built from the joins
     pair_rows, pair_cols = np.concatenate(pair_rows), np.concatenate(pair_cols)
     data = np.ones(pair_rows.size, dtype=bool)
-    return sparse.csc_array((data, (pair_rows, pair_cols)), shape=(n, n))
+    return _compiled.from_coo(pair_cols, pair_rows, data, (n, n))

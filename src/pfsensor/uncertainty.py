@@ -14,28 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
-from pathlib import Path
 
 import numpy as np
-import scipy
 
+from ._compiled import qagse as _qagse
 
-def _load_qagse():
-    """scipy's compiled dqagse, the routine `scipy.integrate.quad` runs on a
-    finite interval, loaded from its extension file: importing
-    `scipy.integrate` runs its package __init__, which costs about 30 MB of RSS."""
-    where = str(Path(scipy.__file__).parent / "integrate")
-    spec = PathFinder.find_spec("_quadpack", [where])
-    if spec is None:
-        raise ImportError(f"scipy's compiled QUADPACK (_quadpack) not found in {where}")
-    module = module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module._qagse
-
-
-_qagse = _load_qagse()
 # in _qagse's argument order
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-11, limit=200)
 # dqagse's failure codes, its ier (6, invalid tolerances, cannot arise from

@@ -1,7 +1,10 @@
 """Reference functions the tests share and the program never calls.
 
 ``admissible_dt`` is the oracle for the admissible step that
-``markov.StabilityError`` carries and for ``pde.stable_step``.
+``markov.StabilityError`` carries and for the step bound ``pde.solve_pde``
+checks.
+``scipy_csr`` views a CSR record as a scipy CSR array, so that
+``scipy.sparse`` stays the oracle for the records the package builds.
 ``assert_row_stochastic`` checks a built operator's invariants.
 ``PoleDensity`` is a density that QUADPACK cannot integrate.
 ``ReferenceGaussian`` is the single normal density, computed operation for
@@ -46,10 +49,16 @@ def admissible_dt(
     return grid.cell_volume / float(peak)
 
 
+def scipy_csr(matrix) -> sparse.csr_array:
+    """The scipy CSR array over a CSR record's arrays (or a scipy CSR
+    array's own); its transpose is a detection pattern's CSC array."""
+    return sparse.csr_array((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+
+
 def assert_row_stochastic(matrix) -> None:
     """Every stored entry lies in [0, 1], so a NaN fails, and every row sums
     to 1 within 1e-12, summed entry by entry in row order."""
-    coo = sparse.coo_array(matrix)
+    coo = scipy_csr(matrix).tocoo()
     assert np.all((coo.data >= 0.0) & (coo.data <= 1.0)), "entries outside [0, 1]"
     sums = np.bincount(coo.coords[0], weights=coo.data, minlength=coo.shape[0])
     assert np.abs(sums - 1.0).max() <= 1e-12, f"row sums drift by {np.abs(sums - 1.0).max()}"

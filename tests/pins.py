@@ -5,8 +5,9 @@ perfbench/workloads.py, whose `plan_sha256` is the plan pin. `KDE_PLACE`
 is desk's `place` with its distribution replaced by `kde data.txt`, the
 data being `KDE_DATA`. `FINE_BUILD` holds one file of fine's `build`.
 `OPERATOR` pins one of desk's operators, which no command writes, through
-`csr_sha256`. test_pins.py checks every table in
-process, and each CI step imports the tables it checks.
+`csr_sha256`, and `OPERATOR_AT_BOUND` one built at its own admissible dt.
+test_pins.py checks every table in process, and each CI step imports the
+tables it checks.
 """
 
 import hashlib
@@ -43,6 +44,11 @@ FINE_BUILD = {
 OPERATOR = {
     # the middle scenario's operator (int32 indptr and indices, float64 data)
     3: "161e6f91d3f1e1b5e93b3054ad6fbc9a1ed0abbc93f068e0a02e8ece59380a50",
+}
+OPERATOR_AT_BOUND = {
+    # scenario 5 at its own admissible dt: 6 rows sum above 1 by rounding and
+    # take the hot-row rescale, which leaves their indices unsorted
+    5: "a45c5087405fb48994a006a3452bffd48286f9f62e49a4003888d9ca38936f3b",
 }
 VALIDATE = {
     # 5 reference substeps of dt / 5 per operator step

@@ -11,7 +11,7 @@ from pfsensor.flowfield import VelocityField, synth_recirculating
 from pfsensor.grid import StructuredGrid
 from pfsensor.markov import StabilityError, build_markov, propagate
 
-from oracles import admissible_dt, assert_row_stochastic, zero_field
+from oracles import admissible_dt, assert_row_stochastic, scipy_csr, zero_field
 from pins import csr_sha256
 
 
@@ -34,21 +34,21 @@ def random_stochastic(rng, n):
 def test_no_transport_gives_identity():
     g = unit_line_grid(3)
     op = build_markov(zero_field(g), 0.0, dt=1.0).matrix
-    assert np.allclose(op.toarray(), np.eye(3))
+    assert np.allclose(scipy_csr(op).toarray(), np.eye(3))
 
 
 def test_two_cell_diffusion_hand_value():
     # G/V = D * A * dt / (d * V) = 0.1 with D = 0.1, unit everything
     g = unit_line_grid(2)
     op = build_markov(zero_field(g), 0.1, dt=1.0).matrix
-    assert np.allclose(op.toarray(), [[0.9, 0.1], [0.1, 0.9]], atol=1e-15)
+    assert np.allclose(scipy_csr(op).toarray(), [[0.9, 0.1], [0.1, 0.9]], atol=1e-15)
 
 
 def test_three_cell_uniform_advection_hand_rows():
     # u = 0.25 -> advective fraction 0.25 per unit step; last cell is closed
     g = unit_line_grid(3)
     op = build_markov(uniform_x_flow(g, 0.25), 0.0, dt=1.0).matrix
-    dense = op.toarray()
+    dense = scipy_csr(op).toarray()
     assert np.allclose(dense[0], [0.75, 0.25, 0.0], atol=1e-15)
     assert np.allclose(dense[1], [0.0, 0.75, 0.25], atol=1e-15)
     assert np.allclose(dense[2], [0.0, 0.0, 1.0], atol=1e-15)
@@ -179,7 +179,7 @@ def test_outlet_side_routes_mass_to_exit():
     g = unit_line_grid(3)
     op = build_markov(uniform_x_flow(g, 0.25), 0.0, 1.0, frozenset({"x+"})).matrix
     assert op.shape[0] == 4
-    dense = op.toarray()
+    dense = scipy_csr(op).toarray()
     assert np.allclose(dense[2], [0.0, 0.0, 0.75, 0.25])  # last cell drains out
     assert np.allclose(dense[3], [0.0, 0.0, 0.0, 1.0])  # absorbing exit
     assert_row_stochastic(op)
@@ -204,7 +204,7 @@ def test_outflow_through_two_sides_is_pinned():
     field = VelocityField(g, u, v, np.zeros(g.n_states))
     op = build_markov(field, 1e-3, 0.05, frozenset({"x+", "y-"})).matrix
     n = g.n_states
-    dense = op.toarray()
+    dense = scipy_csr(op).toarray()
     assert np.array_equal(dense[n], np.eye(n + 1)[n])
     assert np.flatnonzero(dense[:n, n]).tolist() == [0, 1, 2, 3, 4, 9, 14, 19]
     # rates times dt / volume: x+ face 0.5 * 0.06, y- face 0.2 * 0.05
@@ -221,7 +221,7 @@ def test_propagate_matches_row_vector_products_bitwise(outlets):
     values = np.random.default_rng(3).random(g.n_states)
     vec = np.append(values, 0.0) if outlets else values
     for _ in range(30):
-        vec = vec @ op
+        vec = vec @ scipy_csr(op)
     out = propagate(values, op, 30)
     assert np.array_equal(out, vec[: g.n_states])
 

@@ -6,7 +6,8 @@ import pytest
 from pfsensor.flowfield import VelocityField, synth_recirculating
 from pfsensor.grid import StructuredGrid
 from pfsensor.markov import StabilityError, build_markov
-from pfsensor.pde import compare_operator, solve_pde, stable_step
+from pfsensor import pde
+from pfsensor.pde import compare_operator, solve_pde
 from pfsensor.pipeline import VALIDATE_SUBSTEPS
 
 from oracles import admissible_dt, zero_field
@@ -20,6 +21,11 @@ def delta_field(grid, k=None, value=1.0):
     phi = np.zeros(grid.n_states)
     phi[grid.n_states // 2 if k is None else k] = value
     return phi
+
+
+def stable_step(field, diffusivity):
+    """The step bound solve_pde checks, from its own face rates."""
+    return pde._stable_step(field.grid, pde._rates(field, diffusivity)[1])
 
 
 def steps_to(field, diffusivity, horizon, fraction=0.45):

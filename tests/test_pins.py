@@ -3,7 +3,7 @@ import re
 
 from pfsensor.cli import main
 from pfsensor.config import parse_config
-from pfsensor.markov import build_markov
+from pfsensor.markov import admissible_dt, build_markov
 from pfsensor.pipeline import scenario_set
 
 from pins import (
@@ -13,6 +13,7 @@ from pins import (
     KDE_DATA,
     KDE_PLACE,
     OPERATOR,
+    OPERATOR_AT_BOUND,
     PLACE,
     PROPAGATE,
     VALIDATE,
@@ -35,6 +36,10 @@ def test_desk_artifacts_match_their_pins(tmp_path):
     _, fields, _, _ = scenario_set(cfg)
     for idx, pinned in OPERATOR.items():
         operator = build_markov(fields[idx], cfg.diffusivity, cfg.dt, cfg.outlets).matrix
+        assert csr_sha256(operator) == pinned
+    for idx, pinned in OPERATOR_AT_BOUND.items():
+        dt = admissible_dt(fields[idx], cfg.diffusivity, cfg.outlets)
+        operator = build_markov(fields[idx], cfg.diffusivity, dt, cfg.outlets).matrix
         assert csr_sha256(operator) == pinned
 
     (tmp_path / "data.txt").write_text(KDE_DATA)

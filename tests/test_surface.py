@@ -9,6 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from pfsensor import _compiled
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pfsensor"
 
@@ -121,6 +125,12 @@ for path in sys.argv[1:]:
 """
 
 
+def probe_env() -> dict:
+    """The environment of a fresh interpreter that imports pfsensor from src/."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 def test_commands_load_neither_scipy_integrate_nor_optimize(tmp_path):
     # nor scipy.special: both distributions normalise with math.erf
     (tmp_path / "data.txt").write_text("0.42 0.47 0.5 0.51 0.55 0.61\n")
@@ -132,10 +142,59 @@ def test_commands_load_neither_scipy_integrate_nor_optimize(tmp_path):
             f"family = vortex\ndistribution = {distribution}\ncdf_points = 0 0.5 1\n"
         )
         configs.append(str(path))
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     run = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE, *configs],
-        capture_output=True, text=True, env=env, check=True, timeout=120,
+        capture_output=True, text=True, env=probe_env(), check=True, timeout=120,
     )
     assert run.stdout.splitlines() == ["", ""]
+
+
+# Run in a fresh interpreter: the scipy modules loaded by pfsensor's import,
+# then by every command that builds operators, patterns or a PDE reference.
+COMMAND_PROBE = """
+import sys
+from pfsensor.cli import main
+
+def loaded():
+    print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+
+loaded()
+runs = (["build"], ["place"], ["validate"], ["converge", "--samples", "3", "5"], ["propagate"])
+for command in runs:
+    if main([*command, "--config", sys.argv[1]]) != 0:
+        sys.exit(f"{command[0]} failed")
+loaded()
+"""
+# The scipy modules that compiled dqagse imports on its first call: its
+# callback check looks up scipy._lib._ccallback.LowLevelCallable.
+CALLBACK_PROBE = """
+import sys
+import scipy._lib._ccallback
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+"""
+
+
+def test_commands_import_no_scipy_module_but_dqagse_callback_type(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "dims = 10 10 1\nspacing = 0.1 0.1 0.2\ndiffusivity = 1e-4\ndt = 0.02\n"
+        "steps = 10\nfamily = vortex\ndistribution = gaussian 0.5 0.05\n"
+        "cdf_points = 0 0.5 1\neps_acc = 3e-4\nsensors = 2\nvalidate_tol = 1\n"
+        f"out = {tmp_path / 'out'}\n"
+    )
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", probe, str(config)],
+            capture_output=True, text=True, env=probe_env(), timeout=120,
+        )
+        for probe in (COMMAND_PROBE, CALLBACK_PROBE)
+    ]
+    assert [run.returncode for run in runs] == [0, 0], [run.stderr for run in runs]
+    commands, callback = (run.stdout.splitlines() for run in runs)
+    assert commands[0] == "[]"
+    assert commands[-1] == callback[-1]
+
+
+def test_loader_names_a_missing_extension_file():
+    with pytest.raises(ImportError, match=r"compiled sparse/_absent not found in .*sparse$"):
+        _compiled._load("sparse", "_absent")

@@ -12,7 +12,7 @@ from pfsensor import pipeline
 from pfsensor.pipeline import detection_patterns, detection_zones
 from pfsensor.tracking import BLOCK, detection_matrix
 
-from oracles import admissible_dt
+from oracles import admissible_dt, scipy_csr
 
 
 def operator_from_dense(dense):
@@ -36,7 +36,7 @@ def tracking_rows(operator, steps, rows):
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     rows = np.asarray(rows, dtype=np.int64)
-    p_t = sparse.csr_array(operator.T)
+    p_t = sparse.csr_array(scipy_csr(operator).T)
     units = (rows, np.arange(rows.size))
     acc = np.zeros((operator.shape[0], rows.size))
     acc[units] = 1.0
@@ -50,11 +50,17 @@ def full_q(operator, steps):
     return tracking_rows(operator, steps, np.arange(operator.shape[0]))
 
 
+def pattern_array(operator, steps, cutoff, release, candidates):
+    """The detection pattern as a scipy CSC array: the transpose of the
+    record `detection_matrix` returns."""
+    return scipy_csr(detection_matrix(operator, steps, cutoff, release, candidates)).T
+
+
 def pairs(operator, steps, cutoff, release=None, candidates=None):
     n = operator.shape[0]
     rel = np.ones(n, dtype=bool) if release is None else np.asarray(release)
     cand = np.ones(n, dtype=bool) if candidates is None else np.asarray(candidates)
-    coo = detection_matrix(operator, steps, cutoff, rel, cand).tocoo()
+    coo = pattern_array(operator, steps, cutoff, rel, cand).tocoo()
     return {(int(r), int(c)) for r, c in zip(coo.coords[0], coo.coords[1])}
 
 
@@ -64,7 +70,7 @@ def scaled_dense(cfg, grid, operator):
     the cell fraction."""
     release, candidates = detection_zones(cfg, grid)
     cutoff = cfg.eps_acc * (cfg.steps + 1)
-    pattern = detection_matrix(operator, cfg.steps, cutoff, release, candidates)
+    pattern = pattern_array(operator, cfg.steps, cutoff, release, candidates)
     return pattern.toarray() * (grid.cell_volume / grid.total_volume)
 
 
@@ -314,8 +320,8 @@ def test_detection_matches_dense_oracle(seed, kind, steps, eps):
     release = rng.random(n) < 0.8
     candidates = rng.random(n) < 0.7
     cutoff = eps * (steps + 1)
-    got = detection_matrix(op, steps, cutoff, release, candidates).toarray()
-    expected, q = dense_oracle(op.toarray(), steps, cutoff, release, candidates)
+    got = pattern_array(op, steps, cutoff, release, candidates).toarray()
+    expected, q = dense_oracle(scipy_csr(op).toarray(), steps, cutoff, release, candidates)
     settled = np.abs(q - cutoff) > 1e-9
     assert np.array_equal(got[settled], expected[settled])
 
@@ -332,9 +338,9 @@ def test_detection_streams_more_rows_than_one_block():
     release = np.ones(n, dtype=bool)
     candidates = rng.random(n) < 0.5
     for steps in (3, 40):
-        got = detection_matrix(op, steps, 1e-3 * (steps + 1), release, candidates)
+        got = pattern_array(op, steps, 1e-3 * (steps + 1), release, candidates)
         expected, q = dense_oracle(
-            op.toarray(), steps, 1e-3 * (steps + 1), release, candidates
+            scipy_csr(op).toarray(), steps, 1e-3 * (steps + 1), release, candidates
         )
         assert not np.any(np.abs(q - 1e-3 * (steps + 1)) <= 1e-9)
         assert np.array_equal(got.toarray(), expected)
@@ -347,7 +353,7 @@ def test_horner_sum_matches_forward_power_sum_at_benchmark_horizon():
     field = synth_recirculating(grid, [0.5])[0]
     op = build_markov(field, 1e-4, 0.5 * admissible_dt(field, 1e-4)).matrix
     steps, n = 80, op.shape[0]
-    p_t = sparse.csr_array(op.T)
+    p_t = sparse.csr_array(scipy_csr(op).T)
     x = np.eye(n)
     expected = x.copy()
     for _ in range(steps):
@@ -389,12 +395,13 @@ def test_pattern_is_boolean_with_int32_indices(case):
         candidates = np.arange(n) >= BLOCK + steps * 20 + 1
     cutoff = 1e-3 * (steps + 1)
     pattern = detection_matrix(op, steps, cutoff, release, candidates)
-    expected, q = dense_oracle(op.toarray(), steps, cutoff, release, candidates)
+    expected, q = dense_oracle(scipy_csr(op).toarray(), steps, cutoff, release, candidates)
     assert not np.any(np.abs(q - cutoff) <= 1e-9)
-    assert pattern.format == "csc" and pattern.shape == (n, n)
+    # by sensor: each row of the record holds its release states sorted, once
+    assert pattern.shape == (n, n) and scipy_csr(pattern).has_canonical_format
     assert pattern.indices.dtype == np.int32 and pattern.indptr.dtype == np.int32
     assert pattern.data.dtype == bool and pattern.data.all()
-    assert np.array_equal(pattern.toarray(), expected)
+    assert np.array_equal(scipy_csr(pattern).T.toarray(), expected)
     if case == "first_block_empty":
         assert not expected[:BLOCK].any() and expected.any()
     elif case == "no_row_kept":
