@@ -62,7 +62,7 @@ class CSR:
         return int(self.indptr[-1])
 
 
-def _index_dtype(*arrays, maxval: int = 0):
+def index_dtype(*arrays, maxval: int = 0):
     """The index dtype of a routine's output: that of its index inputs,
     widened to int64 when `maxval` exceeds int32, as scipy.sparse picks it."""
     return np.int64 if maxval > _INT32_MAX else np.result_type(np.int32, *arrays)
@@ -82,7 +82,7 @@ def from_coo(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, shape) -> CSR
     sorted and duplicates summed."""
     n_rows, n_cols = shape
     nnz = data.size
-    dtype = _index_dtype(rows, cols, maxval=max(nnz, n_cols))
+    dtype = index_dtype(rows, cols, maxval=max(nnz, n_cols))
     indptr = np.empty(n_rows + 1, dtype=dtype)
     indices = np.empty(nnz, dtype=dtype)
     values = np.empty_like(data)
@@ -98,7 +98,7 @@ def from_coo(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, shape) -> CSR
 def diagonal(values: np.ndarray) -> CSR:
     """The square diagonal matrix of `values`, its zero entries not stored."""
     kept = np.flatnonzero(values)
-    dtype = _index_dtype(maxval=values.size)
+    dtype = index_dtype(maxval=values.size)
     indptr = np.r_[0, np.cumsum(values != 0.0)].astype(dtype)
     return CSR(indptr, kept.astype(dtype), values[kept], (values.size, values.size))
 
@@ -115,7 +115,7 @@ def row_sums(matrix: CSR) -> np.ndarray:
 def _binary(routine, a: CSR, b: CSR, size: int, shape) -> CSR:
     """The result of csr_plus_csr or csr_matmat on a and b, written to
     buffers of `size` entries."""
-    dtype = _index_dtype(a.indptr, a.indices, b.indptr, b.indices, maxval=size)
+    dtype = index_dtype(a.indptr, a.indices, b.indptr, b.indices, maxval=size)
     a_ptr, a_ind, b_ptr, b_ind = (
         array.astype(dtype, copy=False) for array in (a.indptr, a.indices, b.indptr, b.indices)
     )
@@ -145,7 +145,7 @@ def transpose(matrix: CSR) -> CSR:
     as well."""
     n_rows, n_cols = matrix.shape
     nnz = matrix.nnz
-    dtype = _index_dtype(matrix.indptr, matrix.indices, maxval=max(nnz, n_rows))
+    dtype = index_dtype(matrix.indptr, matrix.indices, maxval=max(nnz, n_rows))
     indptr = np.empty(n_cols + 1, dtype=dtype)
     indices = np.empty(nnz, dtype=dtype)
     data = np.empty(nnz, dtype=matrix.data.dtype)

@@ -1,13 +1,17 @@
 """Greedy expected-coverage sensor placement over a scenario ensemble.
 
-Each scenario enters as its detection pattern by sensor state (see
-tracking.detection_matrix): row c lists the release rows a sensor at c
-detects. Only its `indptr`, `indices` and `shape` are read, so a scipy CSC
-array of the pattern serves as well.
+Each scenario enters as its detection pattern (kept, masks) from
+tracking.detection_matrix: bit i of the 64-bit word at (block b, cell c)
+marks the release kept[64 b + i] as detected by a sensor at c, so a
+column's count of detected releases is the popcount sum of its words.
 Every release cell is worth the same volume fraction x, so a column with c
 active rows covers f[c] = f[c-1] + x, f[0] = 0: bit for bit the float sum of c
-entries x. Each greedy round places the state of largest expected coverage,
-stamps the rows it covers with its rank and decrements their columns' counts.
+entries x. Each greedy round places the state of largest expected coverage
+and, per scenario, clears the bits it covers from its blocks' active words
+and stamps their rows with its rank. Counts only fall, so each column keeps
+its last expected coverage as a bound; a round recounts, from the active
+words and by the same operations as the whole vector's, only the columns
+of largest bound until the largest is current.
 """
 
 from __future__ import annotations
@@ -18,6 +22,13 @@ import numpy as np
 
 from . import _compiled
 from ._compiled import CSR
+
+# a scenario's detection pattern: its release states and their mask words
+Pattern = tuple[np.ndarray, CSR]
+_BITS = np.arange(64, dtype=np.uint64)
+# columns recounted together when the largest bound is stale: on survey,
+# 32 to 128 ran alike, 8 twice as slow
+RECOUNT = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,9 +53,19 @@ def _coverage_table(cell_fraction: float, n: int) -> np.ndarray:
     return np.cumsum(np.r_[0.0, np.full(n, float(cell_fraction))])
 
 
-def coverage_vectors(detections: list[CSR], cell_fraction: float) -> list[np.ndarray]:
+def _column_counts(masks: CSR) -> np.ndarray:
+    """Each column's number of set bits: its count of detected releases."""
+    counts = np.bincount(masks.indices, np.bitwise_count(masks.data), minlength=masks.shape[1])
+    # float sums of small integers are exact
+    return counts.astype(np.intp)
+
+
+def coverage_vectors(detections: list[Pattern], cell_fraction: float) -> list[np.ndarray]:
     """Per-scenario volume fraction of release states each column detects."""
-    return [_coverage_table(cell_fraction, m.shape[0])[np.diff(m.indptr)] for m in detections]
+    return [
+        _coverage_table(cell_fraction, masks.shape[1])[_column_counts(masks)]
+        for _, masks in detections
+    ]
 
 
 def expected_coverage(vectors: list[np.ndarray], weights) -> np.ndarray:
@@ -68,8 +89,40 @@ def sensor_coverage(covered_by: list[np.ndarray], weights) -> tuple[np.ndarray, 
     return keys % size, keys // size, probability
 
 
+def _by_cell(detections: list[Pattern]) -> CSR:
+    """All scenarios' patterns by sensor column in one record: row i * n + c
+    lists the blocks of scenario i that detect at c, numbered on from the
+    blocks of scenarios 0 to i - 1, with their words. One scenario's
+    transpose is alive at a time."""
+    n = detections[0][1].shape[1]
+    nnz = sum(masks.nnz for _, masks in detections)
+    dtype = _compiled.index_dtype(maxval=nnz)
+    indptr = np.empty(len(detections) * n + 1, dtype=dtype)
+    indptr[-1] = nnz
+    blocks = np.empty(nnz, dtype=dtype)
+    words = np.empty(nnz, dtype=np.uint64)
+    at = first = 0
+    for i, (_, masks) in enumerate(detections):
+        part = _compiled.transpose(masks)
+        indptr[i * n : (i + 1) * n] = part.indptr[:-1] + at
+        blocks[at : at + part.nnz] = part.indices + first
+        words[at : at + part.nnz] = part.data
+        at += part.nnz
+        first += masks.shape[0]
+    return CSR(indptr, blocks, words, (len(detections) * n, first))
+
+
+def _entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the stored entries of `rows`, row after row, and
+    each row's entry count."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return np.arange(shift.size) + shift, lengths
+
+
 def place_sensors(
-    detections: list[CSR],
+    detections: list[Pattern],
     weights,
     cell_fraction: float,
     k: int | None = None,
@@ -78,7 +131,7 @@ def place_sensors(
 ) -> SensorPlan:
     """Greedily place sensors maximizing expected volumetric coverage.
 
-    Every stored pair of the `detections` patterns is worth `cell_fraction`.
+    Every detected pair of the `detections` patterns is worth `cell_fraction`.
     Each round picks the argmax of the expected coverage (ties to the lowest
     state index) and, per scenario, strikes every active release row it
     covers. Stops after k sensors, when min_coverage is reached, or, flagged
@@ -89,16 +142,26 @@ def place_sensors(
     it, and min_coverage and truncation are judged on that relative coverage.
     """
     w = np.asarray(list(weights), dtype=float)
-    n = detections[0].shape[0]
-    # row-major copies: the transposed structure, under placeholder values
-    by_row = [
-        _compiled.transpose(CSR(m.indptr, m.indices, np.ones(m.indices.size, dtype=bool), m.shape))
-        for m in detections
-    ]
-    # intp counts: the table lookup each round is a 3x slower gather with int32
-    counts = [np.diff(m.indptr).astype(np.intp) for m in detections]
-    covered_by = [np.zeros(n, dtype=np.intp) for _ in detections]
+    n = detections[0][1].shape[1]
+    by_cell = _by_cell(detections)
+    # scenario i's row of column c in by_cell is first_rows[i] + c
+    first_rows = np.arange(len(detections)) * n
+    # block g's release i at position 64 g + i, as a flat index of covered_by
+    members = np.concatenate(
+        [
+            np.pad(kept.astype(np.intp) + i * n, (0, 64 * masks.shape[0] - kept.size))
+            for i, (kept, masks) in enumerate(detections)
+        ]
+    )
+    # per block, the bits of releases no placed sensor covers yet
+    active = np.full(by_cell.shape[1], ~np.uint64(0))
+    counts = np.stack([_column_counts(masks) for _, masks in detections])
+    covered_by = np.zeros(counts.shape, dtype=np.intp)
     table = _coverage_table(cell_fraction, n)
+    # counts only fall, so a column's expected coverage from an earlier round
+    # bounds its current one; it is exact where fresh
+    bound = expected_coverage(table[counts], w)
+    fresh = np.ones(n, dtype=bool)
     zone = 1.0 if occupied_volume_fraction is None else occupied_volume_fraction
 
     sensors: list[PlacedSensor] = []
@@ -109,31 +172,38 @@ def place_sensors(
             break
         if min_coverage is not None and cumulative / zone >= min_coverage:
             break
-        per_scenario = [table[c] for c in counts]
-        expected = expected_coverage(per_scenario, w)
-        if expected.max() <= 0.0:
+        best = int(np.argmax(bound))  # argmax takes the first (lowest) index on ties
+        while not fresh[best]:
+            # recount the largest stale bounds from the active words; once the
+            # largest bound is fresh, no other column can exceed it, and any
+            # that equal it come later
+            stale = np.where(fresh, -np.inf, bound)
+            batch = np.argpartition(stale, -min(RECOUNT, n))[-RECOUNT:]
+            entries, lengths = _entries(by_cell.indptr, (first_rows[:, None] + batch).ravel())
+            live = np.bitwise_count(by_cell.data[entries] & active[by_cell.indices[entries]])
+            live = np.bincount(np.repeat(np.arange(lengths.size), lengths), live, lengths.size)
+            counts[:, batch] = live.reshape(counts.shape[0], -1).astype(np.intp)
+            bound[batch] = expected_coverage(table[counts[:, batch]], w)
+            fresh[batch] = True
+            best = int(np.argmax(bound))
+        if bound[best] <= 0.0:
             # residual coverage exhausted: the checks above left the budget or target open
             truncated = True
             break
-        best = int(np.argmax(expected))  # argmax takes the first (lowest) index on ties
-        marginals = np.array([v[best] for v in per_scenario])
-        for i, (col_major, row_major) in enumerate(zip(detections, by_row)):
-            rows = col_major.indices[col_major.indptr[best] : col_major.indptr[best + 1]]
-            covered = rows[covered_by[i][rows] == 0]
-            covered_by[i][covered] = len(sensors) + 1
-            # each struck row's columns lose one active row; one gather of its CSR slices
-            starts = row_major.indptr[covered]
-            lengths = row_major.indptr[covered + 1] - starts
-            shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-            struck = row_major.indices[np.arange(shift.size) + shift]
-            counts[i] -= np.bincount(struck, minlength=n)
-        cumulative += float(expected[best])
-        sensors.append(PlacedSensor(best, float(expected[best]), marginals))
+        sensors.append(PlacedSensor(best, float(bound[best]), table[counts[:, best]]))
+        cumulative += float(bound[best])
+        entries, _ = _entries(by_cell.indptr, first_rows + best)
+        blocks = by_cell.indices[entries]
+        new = by_cell.data[entries] & active[blocks]
+        active[blocks] ^= new  # new holds only active bits
+        j, bit = np.nonzero((new[:, None] >> _BITS) & np.uint64(1))
+        covered_by.ravel()[members[64 * blocks[j] + bit]] = len(sensors)
+        fresh[:] = False
 
     return SensorPlan(
         sensors=sensors,
         cumulative_expected_coverage=cumulative,
-        covered_by=covered_by,
+        covered_by=list(covered_by),
         occupied_space_coverage=None if occupied_volume_fraction is None else cumulative / zone,
         truncated=truncated,
     )

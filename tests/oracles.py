@@ -6,6 +6,10 @@ checks.
 ``scipy_csr`` views a CSR record as a scipy CSR array, so that
 ``scipy.sparse`` stays the oracle for the records the package builds.
 ``assert_row_stochastic`` checks a built operator's invariants.
+``unpack_pattern`` reads a detection pattern's (kept, masks) pair back as a
+dense boolean matrix, checking the record's invariants on the way, and
+``pack_pattern`` writes a dense boolean matrix as such a pair, with plain
+shifts and sums rather than the kernel's ``np.packbits``.
 ``PoleDensity`` is a density that QUADPACK cannot integrate.
 ``ReferenceGaussian`` is the single normal density, computed operation for
 operation as the package did before one Gaussian mixture served both
@@ -19,6 +23,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
+from pfsensor._compiled import CSR
 from pfsensor.flowfield import VelocityField
 from pfsensor.grid import StructuredGrid
 from pfsensor.markov import _outflow_rates
@@ -51,8 +56,52 @@ def admissible_dt(
 
 def scipy_csr(matrix) -> sparse.csr_array:
     """The scipy CSR array over a CSR record's arrays (or a scipy CSR
-    array's own); its transpose is a detection pattern's CSC array."""
+    array's own)."""
     return sparse.csr_array((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+
+
+WORD = 64  # release rows per mask word
+SHIFTS = np.arange(WORD, dtype=np.uint64)
+
+
+def unpack_pattern(kept, masks) -> np.ndarray:
+    """The dense boolean detection matrix, by release state and sensor
+    column, of a (kept, masks) pair: bit i of the word at (b, c) marks the
+    pair (kept[64 b + i], c). Asserts int32 ascending `kept`, int32 indices
+    ascending in each row, uint64 words, no zero word stored, one row per
+    block of 64 kept states and no bit past the last of them."""
+    n = masks.shape[1]
+    blocks = -(-kept.size // WORD)
+    assert kept.dtype == np.int32 and np.all(np.diff(kept) > 0)
+    assert masks.shape == (blocks, n) and masks.indptr.size == blocks + 1
+    assert masks.indices.dtype == np.int32 and masks.data.dtype == np.uint64
+    assert masks.indptr[0] == 0 and np.all(masks.data != 0)
+    dense = np.zeros((n, n), dtype=bool)
+    for b in range(blocks):
+        cells = masks.indices[masks.indptr[b] : masks.indptr[b + 1]]
+        assert np.all(np.diff(cells) > 0) and np.all((cells >= 0) & (cells < n))
+        words = masks.data[masks.indptr[b] : masks.indptr[b + 1]]
+        bits = ((words[:, None] >> SHIFTS) & np.uint64(1)).astype(bool)  # (cells, 64)
+        members = kept[b * WORD : (b + 1) * WORD]
+        assert not bits[:, members.size :].any(), "a bit past the last kept state"
+        dense[np.ix_(members, cells)] = bits[:, : members.size].T
+    return dense
+
+
+def pack_pattern(dense) -> tuple[np.ndarray, CSR]:
+    """The (kept, masks) pair of a dense boolean detection matrix by release
+    state and sensor column, every state kept: the word at (b, c) has bit i
+    set when dense[64 b + i, c] holds, and zero words are not stored."""
+    dense = np.asarray(dense, dtype=bool)
+    n = dense.shape[1]
+    kept = np.arange(dense.shape[0], dtype=np.int32)
+    blocks = -(-kept.size // WORD)
+    bits = np.zeros((blocks * WORD, n), dtype=np.uint64)
+    bits[: kept.size] = dense
+    words = (bits.reshape(blocks, WORD, n) << SHIFTS[:, None]).sum(axis=1, dtype=np.uint64)
+    rows, cols = np.nonzero(words)
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=blocks))].astype(np.int32)
+    return kept, CSR(indptr, cols.astype(np.int32), words[rows, cols], (blocks, n))
 
 
 def assert_row_stochastic(matrix) -> None:

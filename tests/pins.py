@@ -1,13 +1,16 @@
 """The sha256 of each pinned artifact at seed 0, written once.
 
 Each table holds what one command writes under desk's config from
-perfbench/workloads.py, whose `plan_sha256` is the plan pin. `KDE_PLACE`
-is desk's `place` with its distribution replaced by `kde data.txt`, the
-data being `KDE_DATA`. `FINE_BUILD` holds one file of fine's `build`.
-`OPERATOR` pins one of desk's operators, which no command writes, through
-`csr_sha256`, and `OPERATOR_AT_BOUND` one built at its own admissible dt.
-test_pins.py checks every table in process, and each CI step imports the
-tables it checks.
+perfbench/workloads.py, whose `plan_sha256` is the plan pin. `OUTLET_PLACE`
+is desk's `place` with `outlets = x+ y-` added, so each operator carries the
+absorbing exit state n, and `OUTLET_EXIT_PAIRS` counts, per scenario, the
+releases a sensor at n detects. `KDE_PLACE` is desk's `place` with its
+distribution replaced by `kde data.txt`, the data being `KDE_DATA`.
+`FINE_BUILD` holds one file of fine's `build`. `OPERATOR` pins one of desk's
+operators, which no command writes, through `csr_sha256`, and
+`OPERATOR_AT_BOUND` one built at its own admissible dt. test_pins.py
+checks every table in process, and each CI step imports the tables it
+checks.
 """
 
 import hashlib
@@ -63,6 +66,15 @@ CONVERGE = {
     # --samples 3 5 7
     "convergence.json": "136ae3bf2207a62ee8ef4fb12c594ed9389635e452575571d5fc5e62f7315747",
 }
+OUTLET_PLACE = {
+    # the plan and sensor table hold desk's own bytes: no sensor lands on
+    # the exit, but the exit's pairs enter every greedy round
+    "plan.json": WORKLOADS["desk"].plan_sha256,
+    "coverage-sensors.txt": PLACE["coverage-sensors.txt"],
+    "coverage-expected.txt": "02d67cbf92f840423c9232d9b5be136ea5d8c1b919002b3171079cff18bd1038",
+}
+# the exit column's band window spans the whole operator
+OUTLET_EXIT_PAIRS = (29, 60, 64, 66, 69, 74, 92)
 KDE_DATA = "0.44\n0.47\n0.49\n0.5\n0.52\n0.55\n0.58\n"
 KDE_PLACE = {
     # the KDE fit, its inverse CDF and its hat weights, end to end

@@ -22,7 +22,7 @@ from pfsensor.pipeline import VALIDATE_SUBSTEPS
 from pfsensor.placement import coverage_vectors, expected_coverage, place_sensors
 from pfsensor.tracking import detection_matrix
 from pfsensor.uncertainty import expectation, gaussian, quadrature_rule
-from oracles import admissible_dt, assert_row_stochastic
+from oracles import admissible_dt, assert_row_stochastic, pack_pattern
 from test_tracking import tracking_rows
 
 SEED = int(os.environ.get("PFSENSOR_SEED", "0"))
@@ -151,7 +151,7 @@ def test_criterion_6_greedy_first_sensor_optimality():
             n = int(rng.integers(2, 21))
             m = int(rng.integers(1, 5))
             mats, weights = random_scaled_matrices(rng, n, m)
-            patterns = [mat.astype(bool) for mat in mats]
+            patterns = [pack_pattern(mat.toarray() != 0) for mat in mats]
             plan = place_sensors(patterns, weights, 1.0 / n, k=min(4, n))
             # exhaustive oracle: plain loops over every candidate state
             best_state, best_value = 0, -1.0

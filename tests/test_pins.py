@@ -4,7 +4,8 @@ import re
 from pfsensor.cli import main
 from pfsensor.config import parse_config
 from pfsensor.markov import admissible_dt, build_markov
-from pfsensor.pipeline import scenario_set
+from pfsensor.pipeline import detection_patterns, detection_zones, scenario_set
+from pfsensor.placement import coverage_vectors
 
 from pins import (
     BUILD,
@@ -14,6 +15,8 @@ from pins import (
     KDE_PLACE,
     OPERATOR,
     OPERATOR_AT_BOUND,
+    OUTLET_EXIT_PAIRS,
+    OUTLET_PLACE,
     PLACE,
     PROPAGATE,
     VALIDATE,
@@ -48,6 +51,21 @@ def test_desk_artifacts_match_their_pins(tmp_path):
     kde.write_text(re.sub(r"(?m)^distribution = .*$", "distribution = kde data.txt", text))
     assert main(["place", "--config", str(kde)]) == 0
     assert mismatches(tmp_path / "kde", KDE_PLACE) is None
+
+
+def test_outlet_place_matches_its_pins(tmp_path):
+    # the exit state n is the one column whose band window spans the whole operator
+    outlet = tmp_path / "outlet.cfg"
+    text = config_text(WORKLOADS["desk"], DEFAULT_SEED, tmp_path / "out")
+    outlet.write_text(text + "outlets = x+ y-\n")
+    assert main(["place", "--config", str(outlet)]) == 0
+    assert mismatches(tmp_path / "out", OUTLET_PLACE) is None
+    cfg = parse_config(outlet)
+    grid, fields, _, _ = scenario_set(cfg)
+    patterns = detection_patterns(cfg, fields, detection_zones(cfg, grid))
+    # at a cell fraction of 1 a column's coverage is its exact pair count
+    exit_pairs = tuple(float(v[grid.n_states]) for v in coverage_vectors(patterns, 1.0))
+    assert exit_pairs == OUTLET_EXIT_PAIRS
 
 
 def test_field_config_propagate_matches_its_pins(tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from pfsensor.placement import (
+    RECOUNT,
     PlacedSensor,
     SensorPlan,
     coverage_vectors,
@@ -13,15 +14,17 @@ from pfsensor.placement import (
     sensor_coverage,
 )
 
+from oracles import pack_pattern, unpack_pattern
+
 
 def pattern(dense_bool):
     """Detection pattern on n uniform cells; each pair is worth 1/n."""
-    return sparse.csc_array(np.asarray(dense_bool, dtype=bool))
+    return pack_pattern(dense_bool)
 
 
 def place(mats, weights, **kwargs):
     """place_sensors on patterns of n uniform cells (cell fraction 1/n)."""
-    return place_sensors(mats, weights, 1.0 / mats[0].shape[0], **kwargs)
+    return place_sensors(mats, weights, 1.0 / mats[0][1].shape[1], **kwargs)
 
 
 def states(plan):
@@ -38,12 +41,12 @@ def random_instance(rng, n, m_scenarios, density=0.35):
 def brute_force_first_sensor(mats, weights):
     """Exhaustive argmax of probability-weighted covered volume, written as
     plain loops over matrix entries (independent of the library path)."""
-    n = mats[0].shape[0]
+    n = mats[0][1].shape[1]
     best_state, best_value = 0, -1.0
     for j in range(n):
         value = 0.0
         for w, m in zip(weights, mats):
-            dense = m.toarray() / n
+            dense = unpack_pattern(*m) / n
             col_total = 0.0
             for i in range(n):
                 col_total += dense[i, j]
@@ -54,7 +57,7 @@ def brute_force_first_sensor(mats, weights):
 
 
 def test_coverage_vector_empty_matrix():
-    empty = sparse.csc_array((3, 3), dtype=bool)
+    empty = pattern(np.zeros((3, 3), dtype=bool))
     assert coverage_vectors([empty], 1.0 / 3)[0].tolist() == [0.0, 0.0, 0.0]
 
 
@@ -155,7 +158,7 @@ def test_covered_rows_disjoint_between_sensors(seed, m):
     plan = place(mats, weights, k=5)
     placed = states(plan)
     for mat, ranks in zip(mats, plan.covered_by):
-        dense = mat.toarray()
+        dense = unpack_pattern(*mat)
         for r in range(10):
             first = next((j for j, s in enumerate(placed, start=1) if dense[r, s]), 0)
             assert ranks[r] == first
@@ -270,6 +273,35 @@ def bits(value):
     return np.asarray(value, dtype=float).tobytes()
 
 
+def assert_count_greedy_is_float_greedy(patterns, floats, weights, fraction, k, target):
+    """The count greedy on `patterns` places, reports and tables bit for bit
+    what the float greedy does on `floats`, the same pairs valued at
+    `fraction`."""
+    n = floats[0].shape[0]
+    got = place_sensors(patterns, weights, fraction, k=k, min_coverage=target)
+    want, want_maps = float_place_sensors(floats, weights, k=k, min_coverage=target)
+    assert states(got) == states(want)
+    assert got.truncated == want.truncated
+    assert bits(got.cumulative_expected_coverage) == bits(want.cumulative_expected_coverage)
+    for a, b in zip(got.sensors, want.sensors):
+        assert bits(a.expected_marginal) == bits(b.expected_marginal)
+        assert bits(a.per_scenario_marginal) == bits(b.per_scenario_marginal)
+    # the per-sensor table rebuilt as dense maps, one row per rank
+    table_states, ranks, probability = sensor_coverage(got.covered_by, weights)
+    assert np.all(np.diff(ranks * n + table_states) > 0)  # sorted by rank, then state
+    maps = np.zeros((len(got.sensors), n))
+    maps[ranks - 1, table_states] = probability
+    assert bits(maps) == bits(np.reshape(want_maps, (-1, n)))
+    for rank, sensor in enumerate(got.sensors, start=1):
+        covered = fraction * probability[ranks == rank].sum()
+        assert covered == pytest.approx(sensor.expected_marginal, rel=0.0, abs=1e-12)
+    # the expected coverage map written before placement
+    ones = [np.ones(n) @ f for f in floats]
+    assert bits(expected_coverage(coverage_vectors(patterns, fraction), weights)) == bits(
+        expected_coverage(ones, weights)
+    )
+
+
 @given(
     seed=st.integers(0, 2**31 - 1),
     cells=st.integers(1, 14),
@@ -293,7 +325,7 @@ def test_count_greedy_matches_float_greedy_bitwise(seed, cells, m, exit_state, d
         dense[:, b] = dense[:, a]  # two columns tie in this scenario
         if exit_state:
             dense[n - 1] = False  # the exit state releases nothing
-        patterns.append(sparse.csc_array(dense))
+        patterns.append(pattern(dense))
         floats.append(sparse.csc_array(np.where(dense, fraction, 0.0)))
     weights = np.where(rng.random(m) < 0.2, 0.0, rng.random(m))
     if weights.sum() > 0.0:
@@ -301,25 +333,28 @@ def test_count_greedy_matches_float_greedy_bitwise(seed, cells, m, exit_state, d
     k = int(rng.integers(1, n + 2)) if stop != "min_coverage" else None
     target = float(rng.uniform(0.05, 1.0)) if stop != "k" else None
 
-    got = place_sensors(patterns, weights, fraction, k=k, min_coverage=target)
-    want, want_maps = float_place_sensors(floats, weights, k=k, min_coverage=target)
-    assert states(got) == states(want)
-    assert got.truncated == want.truncated
-    assert bits(got.cumulative_expected_coverage) == bits(want.cumulative_expected_coverage)
-    for a, b in zip(got.sensors, want.sensors):
-        assert bits(a.expected_marginal) == bits(b.expected_marginal)
-        assert bits(a.per_scenario_marginal) == bits(b.per_scenario_marginal)
-    # the per-sensor table rebuilt as dense maps, one row per rank
-    table_states, ranks, probability = sensor_coverage(got.covered_by, weights)
-    assert np.all(np.diff(ranks * n + table_states) > 0)  # sorted by rank, then state
-    maps = np.zeros((len(got.sensors), n))
-    maps[ranks - 1, table_states] = probability
-    assert bits(maps) == bits(np.reshape(want_maps, (-1, n)))
-    for rank, sensor in enumerate(got.sensors, start=1):
-        covered = fraction * probability[ranks == rank].sum()
-        assert covered == pytest.approx(sensor.expected_marginal, rel=0.0, abs=1e-12)
-    # the expected coverage map written before placement
-    ones = [np.ones(n) @ f for f in floats]
-    assert bits(expected_coverage(coverage_vectors(patterns, fraction), weights)) == bits(
-        expected_coverage(ones, weights)
-    )
+    assert_count_greedy_is_float_greedy(patterns, floats, weights, fraction, k, target)
+
+
+@given(seed=st.integers(0, 2**31 - 1), m=st.integers(1, 3), ties=st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_lazy_recount_matches_float_greedy_past_one_batch(seed, m, ties):
+    # more columns than one recount batch, so stale bounds are recounted in
+    # batches; tied columns must still resolve to the lowest state
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(RECOUNT + 1, 4 * RECOUNT))
+    fraction = 1.0 / n
+    distance = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    patterns, floats = [], []
+    for _ in range(m):
+        # banded, as a flow detects each release near its own state; a wide
+        # band leaves more stale bounds above the best than one batch holds
+        dense = (distance <= rng.integers(1, n // 2)) & (rng.random((n, n)) < 0.6)
+        if ties:
+            dense[:, 1::2] = dense[:, ::2][:, : n // 2]  # odd columns copy their left neighbours
+        patterns.append(pattern(dense))
+        floats.append(sparse.csc_array(np.where(dense, fraction, 0.0)))
+    weights = rng.random(m)
+    weights /= weights.sum()
+    k = int(rng.integers(1, n))
+    assert_count_greedy_is_float_greedy(patterns, floats, weights, fraction, k, None)

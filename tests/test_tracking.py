@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,10 @@ from pfsensor.grid import StructuredGrid
 from pfsensor.markov import MarkovMatrix, build_markov
 from pfsensor import pipeline
 from pfsensor.pipeline import detection_patterns, detection_zones
+from pfsensor.placement import coverage_vectors, place_sensors
 from pfsensor.tracking import BLOCK, detection_matrix
 
-from oracles import admissible_dt, scipy_csr
+from oracles import admissible_dt, scipy_csr, unpack_pattern
 
 
 def operator_from_dense(dense):
@@ -51,17 +54,17 @@ def full_q(operator, steps):
 
 
 def pattern_array(operator, steps, cutoff, release, candidates):
-    """The detection pattern as a scipy CSC array: the transpose of the
-    record `detection_matrix` returns."""
-    return scipy_csr(detection_matrix(operator, steps, cutoff, release, candidates)).T
+    """The detection pattern as a dense boolean matrix by release state and
+    sensor column, unpacked from the pair `detection_matrix` returns."""
+    return unpack_pattern(*detection_matrix(operator, steps, cutoff, release, candidates))
 
 
 def pairs(operator, steps, cutoff, release=None, candidates=None):
     n = operator.shape[0]
     rel = np.ones(n, dtype=bool) if release is None else np.asarray(release)
     cand = np.ones(n, dtype=bool) if candidates is None else np.asarray(candidates)
-    coo = pattern_array(operator, steps, cutoff, rel, cand).tocoo()
-    return {(int(r), int(c)) for r, c in zip(coo.coords[0], coo.coords[1])}
+    rows, cols = np.nonzero(pattern_array(operator, steps, cutoff, rel, cand))
+    return {(int(r), int(c)) for r, c in zip(rows, cols)}
 
 
 def scaled_dense(cfg, grid, operator):
@@ -71,7 +74,7 @@ def scaled_dense(cfg, grid, operator):
     release, candidates = detection_zones(cfg, grid)
     cutoff = cfg.eps_acc * (cfg.steps + 1)
     pattern = pattern_array(operator, cfg.steps, cutoff, release, candidates)
-    return pattern.toarray() * (grid.cell_volume / grid.total_volume)
+    return pattern * (grid.cell_volume / grid.total_volume)
 
 
 def run_config(**fields):
@@ -170,7 +173,7 @@ def test_threshold_scales_eps_acc_by_horizon(monkeypatch):
     still = VelocityField(grid, *np.zeros((3, 2)))
     # cutoff 0.28 * 3 = 0.84 drops the 0.28 off-diagonals
     [pattern] = detection_patterns(cfg, [still], detection_zones(cfg, grid))
-    assert pattern.nnz == 2
+    assert np.count_nonzero(unpack_pattern(*pattern)) == 2
 
 
 @given(
@@ -259,8 +262,8 @@ def test_volumetric_scale_uniform_grid():
 def test_volumetric_scale_empty_matrix():
     rng = np.random.default_rng(5)
     op = random_stochastic(rng, 3)
-    detection = detection_matrix(op, 2, 0.0, np.zeros(3, dtype=bool), np.ones(3, dtype=bool))
-    assert detection.shape == (3, 3) and detection.nnz == 0
+    kept, masks = detection_matrix(op, 2, 0.0, np.zeros(3, dtype=bool), np.ones(3, dtype=bool))
+    assert unpack_pattern(kept, masks).shape == (3, 3) and masks.nnz == 0
 
 
 def test_volumetric_scale_full_matrix_column_sums_are_one():
@@ -320,7 +323,7 @@ def test_detection_matches_dense_oracle(seed, kind, steps, eps):
     release = rng.random(n) < 0.8
     candidates = rng.random(n) < 0.7
     cutoff = eps * (steps + 1)
-    got = pattern_array(op, steps, cutoff, release, candidates).toarray()
+    got = pattern_array(op, steps, cutoff, release, candidates)
     expected, q = dense_oracle(scipy_csr(op).toarray(), steps, cutoff, release, candidates)
     settled = np.abs(q - cutoff) > 1e-9
     assert np.array_equal(got[settled], expected[settled])
@@ -343,7 +346,7 @@ def test_detection_streams_more_rows_than_one_block():
             scipy_csr(op).toarray(), steps, 1e-3 * (steps + 1), release, candidates
         )
         assert not np.any(np.abs(q - 1e-3 * (steps + 1)) <= 1e-9)
-        assert np.array_equal(got.toarray(), expected)
+        assert np.array_equal(got, expected)
 
 
 def test_horner_sum_matches_forward_power_sum_at_benchmark_horizon():
@@ -379,8 +382,8 @@ def drift_to_outlet():
 
 @pytest.mark.parametrize("case", ["first_block_empty", "no_row_kept", "exit_column"])
 def test_pattern_is_boolean_with_int32_indices(case):
-    # 5 bytes per pair: no float weight, and no int64 piece (an empty first
-    # block included) may promote the index arrays
+    # one bit per pair in uint64 words over int32 cells: no float weight, and
+    # no int64 piece (an empty first block included) may promote the indices
     steps = 3
     if case == "exit_column":
         op = drift_to_outlet()
@@ -394,17 +397,130 @@ def test_pattern_is_boolean_with_int32_indices(case):
         # the first block's rows reach at most steps * 20 states past state 63
         candidates = np.arange(n) >= BLOCK + steps * 20 + 1
     cutoff = 1e-3 * (steps + 1)
-    pattern = detection_matrix(op, steps, cutoff, release, candidates)
+    kept, masks = detection_matrix(op, steps, cutoff, release, candidates)
     expected, q = dense_oracle(scipy_csr(op).toarray(), steps, cutoff, release, candidates)
     assert not np.any(np.abs(q - cutoff) <= 1e-9)
-    # by sensor: each row of the record holds its release states sorted, once
-    assert pattern.shape == (n, n) and scipy_csr(pattern).has_canonical_format
-    assert pattern.indices.dtype == np.int32 and pattern.indptr.dtype == np.int32
-    assert pattern.data.dtype == bool and pattern.data.all()
-    assert np.array_equal(scipy_csr(pattern).T.toarray(), expected)
+    # by block: each row of the record holds its cells sorted, once, with no
+    # zero word (unpack_pattern asserts both)
+    assert masks.shape == (-(-kept.size // BLOCK), n) and np.array_equal(kept, np.flatnonzero(release))
+    assert masks.indices.dtype == np.int32 and masks.indptr.dtype == np.int32
+    assert kept.dtype == np.int32 and masks.data.dtype == np.uint64 and masks.data.all()
+    assert np.array_equal(unpack_pattern(kept, masks), expected)
     if case == "first_block_empty":
         assert not expected[:BLOCK].any() and expected.any()
+        assert masks.indptr[1] == 0  # the empty block stores no word
     elif case == "no_row_kept":
-        assert pattern.nnz == 0
+        assert masks.nnz == 0
     else:
         assert expected[:, n - 1].any() and not expected[n - 1].any()
+
+
+def line_walk(rng, cells, outlet):
+    """A random walk on a line of cells, bandwidth 1, so each block's window
+    is its rows +- steps clipped at 0 and n. With an outlet, cell 0's leftward
+    mass drains into the absorbing exit state n - 1, whose column's band
+    then spans the whole operator."""
+    n = cells + outlet
+    left, right = rng.uniform(0.0, 0.4, (2, cells))
+    left[0] = rng.uniform(0.1, 0.4) if outlet else 0.0
+    right[-1] = 0.0
+    p = np.zeros((n, n))
+    idx = np.arange(cells)
+    p[idx[1:], idx[:-1]] = left[1:]
+    p[idx[:-1], idx[1:]] = right[:-1]
+    if outlet:
+        p[0, n - 1] = left[0]
+        p[n - 1, n - 1] = 1.0
+    p[idx, idx] = 1.0 - left - right
+    return sparse.csr_array(p)
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    size=st.sampled_from([1, 63, 64, 65, 128]),
+    where=st.sampled_from(["start", "end", "scattered"]),
+    outlet=st.booleans(),
+    empty_block=st.booleans(),
+    steps=st.sampled_from([1, 3, 8]),
+    eps=st.sampled_from([0.0, 1e-3, 0.05]),
+)
+@settings(max_examples=80, deadline=None)
+def test_mask_record_matches_dense_oracle_at_block_edges(
+    seed, size, where, outlet, empty_block, steps, eps
+):
+    # kept sizes put bit 63 in use (64, 65, 128), leave a last block partial
+    # (1, 63, 65) or fill every block exactly (64, 128)
+    rng = np.random.default_rng(seed)
+    cells = size + int(rng.integers(0, 40))
+    op = line_walk(rng, cells, outlet)
+    n = op.shape[0]
+    release = np.zeros(n, dtype=bool)
+    if where == "start":
+        release[:size] = True  # the first window clips at 0
+    elif where == "end":
+        release[cells - size : cells] = True  # the last window clips at n
+    else:
+        release[rng.choice(cells, size, replace=False)] = True
+    kept = np.flatnonzero(release)
+    candidates = rng.random(n) < 0.7
+    candidates[n - 1] = True  # the last cell, or the exit column
+    if empty_block and size > BLOCK:
+        # the second block's rows reach no state below kept[BLOCK] - steps
+        candidates[kept[BLOCK] - steps :] = False
+    elif size >= BLOCK:
+        candidates[kept[BLOCK - 1]] = True  # Q[r, r] >= 1 sets bit 63
+    cutoff = eps * (steps + 1)
+
+    got_kept, masks = detection_matrix(op, steps, cutoff, release, candidates)
+    q = np.zeros((n, n))
+    q[kept] = tracking_rows(op, steps, kept)
+    expected = (q > 0.0) & (q >= cutoff) & candidates & release[:, None]
+    settled = np.abs(q - cutoff) > 1e-9
+    got = unpack_pattern(got_kept, masks)
+    assert np.array_equal(got_kept, kept)
+    assert np.array_equal(got[settled], expected[settled])
+    # a block stores one word per column its members are detected at
+    blocks = [kept[start : start + BLOCK] for start in range(0, size, BLOCK)]
+    assert np.diff(masks.indptr).tolist() == [np.count_nonzero(got[b].any(axis=0)) for b in blocks]
+    if empty_block and size > BLOCK:
+        assert masks.indptr[2] == masks.indptr[1]
+    elif size >= BLOCK:
+        assert got[kept[BLOCK - 1], kept[BLOCK - 1]]
+    if outlet and release[0] and candidates[n - 1]:
+        assert got[0, n - 1]  # the exit column: Q[0, exit] >= left[0] >= 0.1
+
+
+# traced bytes per detected pair at the peak of the kernel then the greedy on
+# the config below: one bit per pair in 12-byte words read about 4.0; a
+# boolean pattern of 5 bytes per pair, built from 16-byte COO pieces and
+# copied row-major for the greedy, read about 13.2
+PEAK_BYTES_PER_PAIR = 7.0
+
+
+def test_kernel_and_greedy_peak_memory_per_detected_pair():
+    # a mid-like family: 1 600 states, 3 scenarios, 80 steps, about 870 000 pairs
+    cfg = RunConfig(
+        dims=(40, 40, 1),
+        spacing=(0.0375, 0.0375, 0.2),
+        diffusivity=1e-4,
+        dt=0.012,
+        steps=80,
+        family="vortex",
+        distribution=("gaussian", 0.5, 0.05),
+        cdf_points=(0.0, 0.5, 1.0),
+        eps_acc=3e-4,
+    )
+    grid, fields, _, weights = pipeline.scenario_set(cfg)
+    zones = detection_zones(cfg, grid)
+    tracemalloc.start()
+    try:
+        patterns = detection_patterns(cfg, fields, zones)
+        plan = place_sensors(patterns, weights, grid.cell_volume / grid.total_volume, k=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(plan.sensors) == 4
+    # at a cell fraction of 1 each column's coverage is its pair count
+    pairs = sum(float(vector.sum()) for vector in coverage_vectors(patterns, 1.0))
+    assert pairs > 800_000
+    assert peak / pairs < PEAK_BYTES_PER_PAIR
