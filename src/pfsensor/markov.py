@@ -68,12 +68,9 @@ def _outflow_rates(
         sl[ax] = index
         return tuple(sl)
 
-    rows = [np.empty(0, dtype=np.int32)]
-    cols = [np.empty(0, dtype=np.int32)]
-    rates = [np.empty(0)]
+    rows, cols, rates = [], [], []
     for ax, comp, area, dist in axes.values():
-        if state.shape[ax] < 2:
-            continue
+        # a one-cell axis has no interior face: its slices are empty
         lo, hi = cut(ax, slice(0, -1)), cut(ax, slice(1, None))
         k_lo, k_hi = state[lo].ravel(), state[hi].ravel()
         u_face = 0.5 * (comp[lo].ravel() + comp[hi].ravel())
@@ -165,9 +162,8 @@ def propagate(phi: np.ndarray, matrix: CSR, steps: int) -> np.ndarray:
     if n_op not in (n_grid, n_grid + 1):
         raise ValueError(f"operator size {n_op} does not match grid with {n_grid} states")
 
-    vec = phi.astype(float, copy=True)
-    if n_op == n_grid + 1:
-        vec = np.append(vec, 0.0)
+    vec = np.zeros(n_op)
+    vec[:n_grid] = phi
     p_t = _compiled.transpose(matrix)
     for _ in range(steps):
         vec = _compiled.matvec(p_t, vec)

@@ -49,7 +49,7 @@ from .placement import (
     sensor_coverage,
 )
 from .tracking import detection_matrix
-from .uncertainty import DistributionFitError, cdf_points_for, fit_kde, gaussian, quadrature_rule
+from .uncertainty import DistributionFitError, fit_kde, gaussian, ladder_rules, quadrature_rule
 
 MANIFEST_NAME = "manifest.json"
 PLAN_NAME = "plan.json"
@@ -79,6 +79,17 @@ def make_distribution(cfg: RunConfig):
         raise ConfigError(f"KDE data {path}: {exc}") from None
 
 
+def _quadrature(cfg: RunConfig, rule, arg):
+    """`rule(dist, arg)` at the config's distribution, a quadrature failure
+    being a ConfigError that names the distribution."""
+    dist = make_distribution(cfg)
+    try:
+        return rule(dist, arg)
+    except ValueError as exc:
+        named = " ".join(map(str, cfg.distribution))
+        raise ConfigError(f"cdf_points under distribution {named}: {exc}") from None
+
+
 def scenario_set(
     cfg: RunConfig,
 ) -> tuple[StructuredGrid, list[VelocityField], list[float], list[float]]:
@@ -89,12 +100,7 @@ def scenario_set(
     cfg.validate()
     if cfg.family:
         grid = cfg.grid()
-        dist = make_distribution(cfg)
-        try:
-            samples, weights = quadrature_rule(dist, cfg.cdf_points)
-        except ValueError as exc:
-            named = " ".join(map(str, cfg.distribution))
-            raise ConfigError(f"cdf_points under distribution {named}: {exc}") from None
+        samples, weights = _quadrature(cfg, quadrature_rule, cfg.cdf_points)
         samples, weights = samples.tolist(), weights.tolist()
         return grid, synth_recirculating(grid, samples), samples, weights
     fields = []
@@ -373,26 +379,19 @@ def expected_coverage_for_counts(cfg: RunConfig, counts: list[int]) -> list[dict
     if not cfg.family:
         raise ConfigError("convergence study needs a synthetic family config")
     ordered = sorted(counts)
-    zones = detection_zones(cfg, cfg.grid())
-    maps = {}
-    # nested CDF points give bit-identical samples, so each distinct sample
-    # value's operator and detection pattern are built once, keyed by its bits
-    vectors = {}
-    for m in ordered:
-        points = tuple(float(p) for p in cdf_points_for(m))
-        grid, fields, samples, weights = scenario_set(replace(cfg, cdf_points=points))
-        keys = [xi.hex() for xi in samples]
-        new = [idx for idx, key in enumerate(keys) if key not in vectors]
-        if new:
-            detections = detection_patterns(cfg, [fields[idx] for idx in new], zones)
-            fraction = grid.cell_volume / grid.total_volume
-            vectors.update(zip([keys[idx] for idx in new], coverage_vectors(detections, fraction)))
-        maps[m] = expected_coverage([vectors[key] for key in keys], weights)
-    reference = maps[ordered[-1]]
-    ref_norm = float(np.linalg.norm(reference))
+    grid = cfg.grid()
+    zones = detection_zones(cfg, grid)
+    rules = _quadrature(cfg, ladder_rules, ordered)
+    # CDF points an ulp apart on two levels (6's 0.6000000000000001, 9's 0.6) share a sample
+    distinct = sorted({xi for samples, _ in rules for xi in samples.tolist()})
+    detections = detection_patterns(cfg, synth_recirculating(grid, distinct), zones)
+    fraction = grid.cell_volume / grid.total_volume
+    vectors = dict(zip(distinct, coverage_vectors(detections, fraction)))
+    maps = [expected_coverage([vectors[xi] for xi in xs.tolist()], w) for xs, w in rules]
+    ref_norm = float(np.linalg.norm(maps[-1]))
     rows = []
-    for m in ordered[:-1]:
-        err = float(np.linalg.norm(maps[m] - reference))
+    for m, level in zip(ordered[:-1], maps):
+        err = float(np.linalg.norm(level - maps[-1]))
         error = err / ref_norm if ref_norm > 0.0 else err
         rows.append({"samples": m, "error": error, "reference": False})
     rows.append({"samples": ordered[-1], "error": None, "reference": True})

@@ -111,10 +111,8 @@ def fit_kde(data) -> GaussianMixture:
 
 
 def _integral(f, a: float, b: float) -> float:
-    """Integral of f over [a, b] (0 when b <= a); a QUADPACK failure is a
-    ValueError naming the interval and the code."""
-    if b <= a:
-        return 0.0
+    """Integral of f over [a, b], a <= b (0.0 when a == b); a QUADPACK
+    failure is a ValueError naming the interval and the code."""
     value, _, ier = _qagse(f, a, b, (), 0, *_QUAD_OPTS.values())
     if ier != 0:
         raise ValueError(
@@ -184,16 +182,10 @@ def basis_weights(samples, dist: GaussianMixture) -> np.ndarray:
 
 
 def quadrature_rule(dist: GaussianMixture, cdf_points) -> tuple[np.ndarray, np.ndarray]:
-    """Samples at the given CDF positions and their basis-function weights.
-
-    A single sample carries the whole probability mass (its hat function is
-    identically 1 on the support)."""
+    """Samples at the given CDF positions and their basis-function weights; a
+    lone sample weighs its two terminal flats over their own sum, 1.0."""
     samples = icdf_samples(dist, cdf_points)
-    if samples.size == 1:
-        weights = np.array([1.0])
-    else:
-        weights = basis_weights(samples, dist)
-    return samples, weights
+    return samples, basis_weights(samples, dist)
 
 
 def expectation(weights: np.ndarray, values) -> float:
@@ -219,3 +211,14 @@ def cdf_points_for(m: int) -> np.ndarray:
     if m in _NESTED_CDF_SETS:
         return np.array(_NESTED_CDF_SETS[m])
     return np.linspace(0.0, 1.0, m)
+
+
+def ladder_rules(dist: GaussianMixture, counts) -> list[tuple[np.ndarray, np.ndarray]]:
+    """`quadrature_rule` at each count's `cdf_points_for` points, sampling the
+    union of the points once: the inverse CDF maps each point on its own, so
+    every rule keeps its own samples' bits."""
+    levels = [cdf_points_for(m).tolist() for m in counts]
+    union = sorted(set().union(*levels))
+    sample_at = dict(zip(union, icdf_samples(dist, union).tolist()))
+    samples = [np.array([sample_at[p] for p in points]) for points in levels]
+    return [(xs, basis_weights(xs, dist)) for xs in samples]

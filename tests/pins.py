@@ -6,6 +6,8 @@ is desk's `place` with `outlets = x+ y-` added, so each operator carries the
 absorbing exit state n, and `OUTLET_EXIT_PAIRS` counts, per scenario, the
 releases a sensor at n detects. `KDE_PLACE` is desk's `place` with its
 distribution replaced by `kde data.txt`, the data being `KDE_DATA`.
+`CONVERGE` and `CONVERGE_LADDER` are desk's `converge` on two sample
+ladders, and `KDE_CONVERGE` the longer ladder under the KDE.
 `FINE_BUILD` holds one file of fine's `build`. `OPERATOR` pins one of desk's
 operators, which no command writes, through `csr_sha256`, and
 `OPERATOR_AT_BOUND` one built at its own admissible dt. test_pins.py
@@ -66,6 +68,10 @@ CONVERGE = {
     # --samples 3 5 7
     "convergence.json": "136ae3bf2207a62ee8ef4fb12c594ed9389635e452575571d5fc5e62f7315747",
 }
+CONVERGE_LADDER = {
+    # --samples 2 3 5 7 9: level 9 alone samples CDF points 0.4 and 0.6
+    "convergence.json": "474eff5af347b60a1290b81437f284e9b73bda992d1dd1ed4f7edb6948742fa8",
+}
 OUTLET_PLACE = {
     # the plan and sensor table hold desk's own bytes: no sensor lands on
     # the exit, but the exit's pairs enter every greedy round
@@ -79,6 +85,10 @@ KDE_DATA = "0.44\n0.47\n0.49\n0.5\n0.52\n0.55\n0.58\n"
 KDE_PLACE = {
     # the KDE fit, its inverse CDF and its hat weights, end to end
     "plan.json": "c30f98819ad71c0e033d3c807fa5882c4ff506df8abd6ccdc722d1ca1d381d9c",
+}
+KDE_CONVERGE = {
+    # --samples 2 3 5 7 9: the KDE's weights on every level of the ladder
+    "convergence.json": "c33ad2fb3d854f0cd4fe8fa0542526523744a5a6d64786dbcf419dd274a16554",
 }
 
 

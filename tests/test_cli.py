@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pfsensor import pipeline
+from pfsensor import pipeline, uncertainty
 from pfsensor.cli import main
 from pfsensor.config import ConfigError, RunConfig, apply, parse_config
 from pfsensor.flowfield import VelocityField, load_field, save_field, save_scalar_field
@@ -486,6 +486,7 @@ def test_place_and_converge_refuse_the_same_empty_zones(
     # or runs the quadrature
     refuse_operators(monkeypatch)
     monkeypatch.setattr("pfsensor.pipeline.quadrature_rule", refuse_quadrature)
+    monkeypatch.setattr("pfsensor.pipeline.ladder_rules", refuse_quadrature)
     cfg = small_cfg(tmp_path)
     cfg.write_text(cfg.read_text() + extra)
     assert main(["place", "--config", str(cfg)]) == 2
@@ -619,8 +620,12 @@ def test_spread_that_overflows_exits_2_naming_the_key_or_file(
 
 def test_quadpack_failure_exits_2_naming_interval_and_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("pfsensor.pipeline.make_distribution", lambda cfg: PoleDensity())
-    assert main(["build", "--config", str(base_cfg(tmp_path))]) == 2
-    assert "over [0.0, 0.5]: the density is too irregular" in capsys.readouterr().err
+    cfg = str(base_cfg(tmp_path))
+    for command in (["build"], ["converge", "--samples", "2", "3"]):
+        assert main([*command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cdf_points under distribution gaussian 0.5 0.05: ")
+        assert "over [0.0, 0.5]: the density is too irregular" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -844,26 +849,34 @@ def test_converge_table_layout_and_reference_row(tmp_path):
     assert all(r["error"] is not None for r in rows[:-1])
 
 
-def test_converge_builds_each_distinct_sample_once(tmp_path, monkeypatch):
-    # 3, 5 and 7 nested CDF points hold 7 distinct samples; the table must
-    # equal the one built from each level's own operators
+def counted_converge(tmp_path, monkeypatch, ladder) -> Counter:
+    """Run converge over `ladder` on a small family config; return the calls
+    to the inverse CDF, the field synthesis (counting fields), the operator
+    builder and the detection kernel, after checking the table against one
+    built from each level's own operators."""
     cfg = base_cfg(tmp_path, dims="8 8 1", dt="0.017", steps="25")
     calls = Counter()
     with monkeypatch.context() as patch:
-        for name in ("build_markov", "detection_matrix"):
-            real = getattr(pipeline, name)
+        for module, name in (
+            (uncertainty, "_icdf_one"),
+            (pipeline, "synth_recirculating"),
+            (pipeline, "build_markov"),
+            (pipeline, "detection_matrix"),
+        ):
+            real = getattr(module, name)
 
             def counted(*args, real=real, name=name):
-                calls[name] += 1
+                calls[name] += len(args[1]) if name == "synth_recirculating" else 1
                 return real(*args)
 
-            patch.setattr(pipeline, name, counted)
-        assert main(["converge", "--config", str(cfg), "--samples", "3", "5", "7"]) == 0
-    assert calls == {"build_markov": 7, "detection_matrix": 7}
+            patch.setattr(module, name, counted)
+        samples = [str(m) for m in ladder]
+        assert main(["converge", "--config", str(cfg), "--samples", *samples]) == 0
     rows = json.loads((tmp_path / "out" / "convergence.json").read_text())
+    # the errors of the table built from each level's own operators
     run_cfg = parse_config(cfg)
     maps = []
-    for m in (3, 5, 7):
+    for m in ladder:
         points = tuple(float(p) for p in cdf_points_for(m))
         grid, fields, _, weights = pipeline.scenario_set(replace(run_cfg, cdf_points=points))
         release, candidates = pipeline.detection_zones(run_cfg, grid)
@@ -876,6 +889,31 @@ def test_converge_builds_each_distinct_sample_once(tmp_path, monkeypatch):
     norm = float(np.linalg.norm(maps[-1]))
     errors = [float(np.linalg.norm(level - maps[-1])) / norm for level in maps[:-1]]
     assert [r["error"] for r in rows] == errors + [None]
+    return calls
+
+
+def test_converge_builds_each_distinct_sample_once(tmp_path, monkeypatch):
+    # 2, 3, 5, 7 and 9 nested CDF points hold 9 distinct points over 26 level
+    # entries; each point is sampled, synthesized and built once
+    calls = counted_converge(tmp_path, monkeypatch, (2, 3, 5, 7, 9))
+    assert calls == {
+        "_icdf_one": 9,
+        "synth_recirculating": 9,
+        "build_markov": 9,
+        "detection_matrix": 9,
+    }
+
+
+def test_converge_builds_ulp_close_points_sample_once(tmp_path, monkeypatch):
+    # 6's 0.6000000000000001 and 9's 0.6 are two of the 12 points but give
+    # one sample, so the union's own rule would find equal samples
+    calls = counted_converge(tmp_path, monkeypatch, (6, 9))
+    assert calls == {
+        "_icdf_one": 12,
+        "synth_recirculating": 11,
+        "build_markov": 11,
+        "detection_matrix": 11,
+    }
 
 
 def test_converge_degenerate_family_all_errors_zero(tmp_path):

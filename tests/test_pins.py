@@ -10,7 +10,9 @@ from pfsensor.placement import coverage_vectors
 from pins import (
     BUILD,
     CONVERGE,
+    CONVERGE_LADDER,
     FINE_BUILD,
+    KDE_CONVERGE,
     KDE_DATA,
     KDE_PLACE,
     OPERATOR,
@@ -34,6 +36,9 @@ def test_desk_artifacts_match_their_pins(tmp_path):
     for command in (*runs, ["converge", "--samples", "3", "5", "7"]):
         assert main([*command, "--config", str(desk)]) == 0
     assert mismatches(tmp_path / "out", PLACE, BUILD, VALIDATE, PROPAGATE, CONVERGE) is None
+    ladder = ["converge", "--samples", "2", "3", "5", "7", "9"]
+    assert main([*ladder, "--config", str(desk), "--out", str(tmp_path / "ladder")]) == 0
+    assert mismatches(tmp_path / "ladder", CONVERGE_LADDER) is None
     # no command writes an operator: rebuild the pinned ones from the config
     cfg = parse_config(desk)
     _, fields, _, _ = scenario_set(cfg)
@@ -50,7 +55,8 @@ def test_desk_artifacts_match_their_pins(tmp_path):
     text = config_text(WORKLOADS["desk"], DEFAULT_SEED, tmp_path / "kde")
     kde.write_text(re.sub(r"(?m)^distribution = .*$", "distribution = kde data.txt", text))
     assert main(["place", "--config", str(kde)]) == 0
-    assert mismatches(tmp_path / "kde", KDE_PLACE) is None
+    assert main([*ladder, "--config", str(kde)]) == 0
+    assert mismatches(tmp_path / "kde", KDE_PLACE, KDE_CONVERGE) is None
 
 
 def test_outlet_place_matches_its_pins(tmp_path):

@@ -264,6 +264,25 @@ def test_gaussian_rule_is_bitwise_the_reference_gaussians(mu, sigma, points):
     assert [w.hex() for w in weights.tolist()] == [w.hex() for w in oracle_weights.tolist()]
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    dist=st.one_of(
+        st.builds(gaussian, st.floats(-10.0, 10.0), st.floats(-3.0, 1.0).map(lambda e: 10.0**e)),
+        # data 0.01 apart at least, so the fit never sees zero or underflowing spread
+        st.lists(st.integers(-1000, 1000), min_size=2, max_size=8, unique=True).map(
+            lambda ints: fit_kde([i / 100 for i in ints])
+        ),
+    ),
+    p=st.floats(0.0, 1.0),
+)
+@example(dist=gaussian(0.5, 0.05), p=0.0)
+@example(dist=gaussian(0.5, 0.05), p=1.0)
+def test_single_point_rule_weighs_exactly_one(dist, p):
+    # the general rule: the two terminal flats over their own sum
+    _, weights = quadrature_rule(dist, [p])
+    assert [w.hex() for w in weights.tolist()] == [(1.0).hex()]
+
+
 def test_kde_rule_weights_are_pinned():
     # the normaliser sums its components with math.fsum, so these bits hold
     # on every Python version
@@ -304,14 +323,17 @@ SMOOTH = gaussian(0.5, 0.05)
         (lambda x: 1.0 / x, 0.0, 1.0, 1),
         (lambda x: 1.0 / abs(x - 1.0 / 3.0), 0.0, 1.0, 3),
         (lambda x: math.sin(1e4 * x), 0.0, 1.0, 5),
+        # the terminal flat of CDF point 0: [lo, lo] at the support's low end
+        (SMOOTH.pdf, 0.25, 0.25, 0),
     ],
-    ids=["smooth", "divergent", "pole", "fast-sine"],
+    ids=["smooth", "divergent", "pole", "fast-sine", "zero-length"],
 )
 def test_integral_is_scipy_quad_or_the_failure_scipy_reports(f, a, b, ier):
     value, _, _, *message = integrate.quad(f, a, b, **uncertainty._QUAD_OPTS, full_output=1)
     if ier == 0:
         assert message == []
         assert uncertainty._integral(f, a, b).hex() == value.hex()
+        assert a < b or value.hex() == "0x0.0p+0"
         return
     assert message[0].startswith(SCIPY_MESSAGES[ier])
     want = f"{uncertainty._QUAD_FAILURES[ier]} (QUADPACK ier={ier})"
