@@ -174,13 +174,14 @@ def matvec(matrix: CSR, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def matvecs(matrix: CSR, x: np.ndarray) -> np.ndarray:
-    """matrix @ x for a C-ordered block x of column vectors."""
-    y = np.zeros((matrix.shape[0], x.shape[1]), dtype=np.result_type(matrix.data, x))
+def matvecs(matrix: CSR, a: int, b: int, x: np.ndarray, y: np.ndarray) -> None:
+    """Rows [a, b) of matrix @ x into y[a:b], for C-ordered blocks x and y
+    of column vectors, through the view indptr[a : b + 1]: no row is copied."""
+    y[a:b] = 0.0
     _sparsetools.csr_matvecs(
-        *matrix.shape, x.shape[1], matrix.indptr, matrix.indices, matrix.data, x.ravel(), y.ravel()
+        b - a, matrix.shape[1], x.shape[1],
+        matrix.indptr[a : b + 1], matrix.indices, matrix.data, x.ravel(), y[a:b].ravel(),
     )
-    return y
 
 
 def dia_matvec(offsets: np.ndarray, data: np.ndarray, x: np.ndarray) -> np.ndarray:

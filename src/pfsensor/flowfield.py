@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,7 +41,22 @@ class VelocityField:
                 raise ValueError(f"component {name} contains non-finite values")
 
 
-def synth_recirculating(grid: StructuredGrid, strengths) -> list[VelocityField]:
+class _Vortices(Sequence):
+    """`synth_recirculating`'s fields, each made when it is indexed."""
+
+    def __init__(self, grid: StructuredGrid, strengths, u_unit, v_unit):
+        self._grid, self._strengths = grid, tuple(strengths)
+        self._u, self._v, self._zero = u_unit, v_unit, np.zeros(grid.n_states)
+
+    def __len__(self) -> int:
+        return len(self._strengths)
+
+    def __getitem__(self, idx: int) -> VelocityField:
+        s = self._strengths[operator.index(idx)]
+        return VelocityField(self._grid, s * self._u, s * self._v, self._zero)
+
+
+def synth_recirculating(grid: StructuredGrid, strengths) -> Sequence[VelocityField]:
     """Single-vortex recirculating flows on a 2D grid (nz = 1), one per
     strength, from the stream function ``psi = sin(pi x / Lx) * sin(pi y / Ly)``
     scaled by the strength.
@@ -47,7 +64,8 @@ def synth_recirculating(grid: StructuredGrid, strengths) -> list[VelocityField]:
     Each field is divergence-free with zero normal velocity on the domain
     boundary, so a closed-box transport operator conserves mass exactly.
     Linearity in the strength is exact in floating point: the unit field is
-    evaluated once per call and scaled by a single multiply per strength.
+    evaluated once per call and scaled by a single multiply per strength,
+    when the returned read-only sequence is indexed: one field at a time.
     """
     lx, ly, _ = grid.extent()
     centers = grid.cell_centers()
@@ -56,8 +74,7 @@ def synth_recirculating(grid: StructuredGrid, strengths) -> list[VelocityField]:
     # u = d(psi)/dy, v = -d(psi)/dx
     u_unit = (math.pi / ly) * np.sin(math.pi * x / lx) * np.cos(math.pi * y / ly)
     v_unit = -(math.pi / lx) * np.cos(math.pi * x / lx) * np.sin(math.pi * y / ly)
-    zero = np.zeros(grid.n_states)
-    return [VelocityField(grid, s * u_unit, s * v_unit, zero) for s in strengths]
+    return _Vortices(grid, strengths, u_unit, v_unit)
 
 
 def _repr_table(values: np.ndarray) -> np.ndarray:

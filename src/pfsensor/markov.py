@@ -42,13 +42,13 @@ class MarkovMatrix:
 
 def _outflow_rates(
     field: VelocityField, diffusivity: float, outlets: frozenset[str]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], int]:
     """Off-diagonal volumetric transfer rates (volume/second).
 
-    Returns COO triplets (rows, cols, rates) and the matrix size, which is
-    N + 1 when any side is an outlet (the extra absorbing exit state, index
-    N). Advective rates use the upwind side of the two-point face mean;
-    diffusive rates are D * A_face / center distance.
+    Returns COO triplets (rows, cols, rates) in pieces, one per face direction
+    of an axis or outlet side, none holding a row twice, and the matrix size,
+    N + 1 when any side is an outlet (absorbing exit state N). Advective rates
+    use the upwind side of the face mean; diffusive ones D * A_face / distance.
     """
     grid = field.grid
     dx, dy, dz = grid.spacing
@@ -68,34 +68,32 @@ def _outflow_rates(
         sl[ax] = index
         return tuple(sl)
 
-    rows, cols, rates = [], [], []
+    pieces = []
     for ax, comp, area, dist in axes.values():
         # a one-cell axis has no interior face: its slices are empty
         lo, hi = cut(ax, slice(0, -1)), cut(ax, slice(1, None))
         k_lo, k_hi = state[lo].ravel(), state[hi].ravel()
         u_face = 0.5 * (comp[lo].ravel() + comp[hi].ravel())
         g = diffusivity * area / dist
-        rows += [k_lo, k_hi]
-        cols += [k_hi, k_lo]
-        rates += [np.maximum(u_face, 0.0) * area + g, np.maximum(-u_face, 0.0) * area + g]
+        pieces.append((k_lo, k_hi, np.maximum(u_face, 0.0) * area + g))
+        pieces.append((k_hi, k_lo, np.maximum(-u_face, 0.0) * area + g))
 
     for side in sorted(outlets):
         ax, comp, area, _ = axes[side[0]]
         sl = cut(ax, -1 if side[1] == "+" else 0)
         k_bnd = state[sl].ravel()
         outward = comp[sl].ravel() if side[1] == "+" else -comp[sl].ravel()
-        rows.append(k_bnd)
-        cols.append(np.full(k_bnd.shape, n, dtype=np.int32))
-        rates.append(np.maximum(outward, 0.0) * area)
+        exits = np.full(k_bnd.shape, n, dtype=np.int32)
+        pieces.append((k_bnd, exits, np.maximum(outward, 0.0) * area))
 
-    size = n + bool(outlets)
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(rates), size
+    return pieces, n + bool(outlets)
 
 
-def _admissible(rows: np.ndarray, rates: np.ndarray, size: int, volume: float) -> float:
+def _admissible(pieces, size: int, volume: float) -> float:
     """The cell volume over the largest summed outgoing rate, inf when nothing
-    moves. A Python float division: a subnormal peak gives inf, not a warning."""
-    peak = np.bincount(rows, weights=rates, minlength=size).max()
+    moves; no row repeats in a piece, so the summed bincounts have the bits of
+    one over all. A Python float division: a subnormal peak gives inf."""
+    peak = sum(np.bincount(rows, weights=rates, minlength=size) for rows, _, rates in pieces).max()
     return volume / float(peak) if peak > 0.0 else float("inf")
 
 
@@ -105,8 +103,7 @@ def admissible_dt(
     """Largest Markov step for which every diagonal entry stays non-negative:
     min over cells of V / (sum of the cell's outgoing volumetric rates), from
     the rates alone, so no operator is assembled. inf when nothing moves."""
-    rows, _, rates, size = _outflow_rates(field, diffusivity, outlets)
-    return _admissible(rows, rates, size, field.grid.cell_volume)
+    return _admissible(*_outflow_rates(field, diffusivity, outlets), field.grid.cell_volume)
 
 
 def build_markov(
@@ -124,17 +121,22 @@ def build_markov(
     # before any arithmetic: a NaN or infinite dt would build NaN entries
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
-    rows, cols, rates, size = _outflow_rates(field, diffusivity, outlets)
+    pieces, size = _outflow_rates(field, diffusivity, outlets)
     vol = field.grid.cell_volume
-    bound = _admissible(rows, rates, size, vol)
+    bound = _admissible(pieces, size, vol)
     if dt > bound:
         raise StabilityError(dt, bound)
+    rows, cols, rates = map(np.concatenate, zip(*pieces))
 
     scale = dt / vol
     # near-zero (subnormal) rates admit a dt so large that dt / vol overflows;
     # dividing the rates first keeps their probabilities finite
-    probs = rates * scale if np.isfinite(scale) else rates / vol * dt
-    off = _compiled.from_coo(rows, cols, probs, (size, size))
+    if not np.isfinite(scale):
+        rates /= vol
+        scale = dt
+    rates *= scale
+    off = _compiled.from_coo(rows, cols, rates, (size, size))
+    del pieces, rows, cols, rates  # the record holds its own copies
     # the exit row holds no off-diagonal entry: its sum is 0 and its diagonal 1
     row_sum = _compiled.row_sums(off)
 

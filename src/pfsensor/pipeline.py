@@ -1,10 +1,10 @@
 """End-to-end orchestration: each command's stages and every artifact it
 writes (the JSON ones through `write_json`); the CLI only parses and prints.
 
-`scenario_set` gives the flow ensemble as three parallel lists: the velocity
-fields, and the samples xi and weights theta as Python floats, from the
-quadrature or from the config's `field` entries. Every operator is built
-from one field and the config's diffusivity.
+`scenario_set` gives the flow ensemble as parallel sequences: the velocity
+fields (a family's made as each is indexed) and the samples xi and weights
+theta as Python floats, from the quadrature or the config's `field` entries.
+Every operator is built from one field and the config's diffusivity.
 
 The config fixes the three detection-kernel inputs once per run: the
 threshold cutoff, and the release and candidate masks, which only
@@ -14,17 +14,17 @@ operator is built. The four commands that use operators (`place`,
 alone: it checks stability from the face rates with `check_step`, so an
 unstable dt fails before any operator exists, then builds, uses and drops
 each scenario's operator in its own task on a pool of `workers` threads, so
-at most `workers` operators are alive at once. `build` only runs
-`check_step` and exports the flow ensemble. `propagate` makes only the
-scenario it runs: one synthesized field, or one slice of the loaded files.
-Cross-scenario reductions run in fixed scenario order, so results depend on
-neither completion order nor worker count.
+at most `workers` operators are alive at once; one worker imports no pool.
+`build` only runs `check_step` and exports the flow ensemble. `propagate`
+makes only the scenario it runs: one synthesized field, or one slice of the
+loaded files. Cross-scenario reductions run in fixed scenario order, so
+results depend on neither completion order nor worker count.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
 from dataclasses import replace
 from pathlib import Path
 
@@ -79,20 +79,20 @@ def make_distribution(cfg: RunConfig):
         raise ConfigError(f"KDE data {path}: {exc}") from None
 
 
-def _quadrature(cfg: RunConfig, rule, arg):
+def _quadrature(cfg: RunConfig, rule, arg, source: str):
     """`rule(dist, arg)` at the config's distribution, a quadrature failure
-    being a ConfigError that names the distribution."""
+    being a ConfigError naming `source`, the points' origin, and the distribution."""
     dist = make_distribution(cfg)
     try:
         return rule(dist, arg)
     except ValueError as exc:
         named = " ".join(map(str, cfg.distribution))
-        raise ConfigError(f"cdf_points under distribution {named}: {exc}") from None
+        raise ConfigError(f"{source} under distribution {named}: {exc}") from None
 
 
 def scenario_set(
     cfg: RunConfig,
-) -> tuple[StructuredGrid, list[VelocityField], list[float], list[float]]:
+) -> tuple[StructuredGrid, Sequence[VelocityField], list[float], list[float]]:
     """Materialize the flow ensemble from the config: the grid, each
     scenario's velocity field, and its sample value xi and weight theta as
     Python floats. A family config synthesizes the fields at the quadrature
@@ -100,7 +100,7 @@ def scenario_set(
     cfg.validate()
     if cfg.family:
         grid = cfg.grid()
-        samples, weights = _quadrature(cfg, quadrature_rule, cfg.cdf_points)
+        samples, weights = _quadrature(cfg, quadrature_rule, cfg.cdf_points, "cdf_points")
         samples, weights = samples.tolist(), weights.tolist()
         return grid, synth_recirculating(grid, samples), samples, weights
     fields = []
@@ -117,7 +117,7 @@ def scenario_set(
     return grid, fields, [entry.xi for entry in cfg.fields], [entry.theta for entry in cfg.fields]
 
 
-def check_step(cfg: RunConfig, fields: list[VelocityField]) -> None:
+def check_step(cfg: RunConfig, fields: Sequence[VelocityField]) -> None:
     """Raise StabilityError with the smallest admissible dt over all
     scenarios when the config's dt exceeds it, reading only the face rates,
     so no operator is built and a rerun at that dt builds every one;
@@ -127,7 +127,7 @@ def check_step(cfg: RunConfig, fields: list[VelocityField]) -> None:
         raise StabilityError(cfg.dt, bound)
 
 
-def each_operator(cfg: RunConfig, fields: list[VelocityField], use) -> list:
+def each_operator(cfg: RunConfig, fields: Sequence[VelocityField], use) -> list:
     """`use(idx, matrix)` for each scenario's operator matrix at the config's
     diffusivity, dt and outlets, with the results in scenario order.
 
@@ -143,6 +143,7 @@ def each_operator(cfg: RunConfig, fields: list[VelocityField], use) -> list:
     indices = range(len(fields))
     if cfg.workers <= 1 or len(fields) <= 1:
         return [task(idx) for idx in indices]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         return list(pool.map(task, indices))
 
@@ -171,7 +172,7 @@ def detection_zones(cfg: RunConfig, grid: StructuredGrid) -> tuple[np.ndarray, n
 
 
 def detection_patterns(
-    cfg: RunConfig, fields: list[VelocityField], zones: tuple[np.ndarray, np.ndarray]
+    cfg: RunConfig, fields: Sequence[VelocityField], zones: tuple[np.ndarray, np.ndarray]
 ) -> list:
     """Each scenario's detection pattern over the `detection_zones` masks.
 
@@ -381,7 +382,7 @@ def expected_coverage_for_counts(cfg: RunConfig, counts: list[int]) -> list[dict
     ordered = sorted(counts)
     grid = cfg.grid()
     zones = detection_zones(cfg, grid)
-    rules = _quadrature(cfg, ladder_rules, ordered)
+    rules = _quadrature(cfg, ladder_rules, ordered, "--samples " + " ".join(map(str, counts)))
     # CDF points an ulp apart on two levels (6's 0.6000000000000001, 9's 0.6) share a sample
     distinct = sorted({xi for samples, _ in rules for xi in samples.tolist()})
     detections = detection_patterns(cfg, synth_recirculating(grid, distinct), zones)

@@ -26,16 +26,21 @@ from ._compiled import CSR
 BLOCK = 64
 
 
-def _accumulate(p_t: CSR, steps: int, rows: np.ndarray, lo: int, hi: int):
+def _accumulate(p_t: CSR, steps: int, rows: np.ndarray, band: int, lo: int, hi: int):
     """Q[rows, lo:hi] transposed, by Horner's rule acc <- e + P^T acc on the
-    unit columns e of `rows`. The caller guarantees mass from `rows` stays in
-    [lo, hi) for `steps` steps, so the truncated operator loses nothing."""
+    unit columns e of `rows`, whose mass stays in [lo, hi) for `steps` steps
+    as the caller guarantees. Mass moves at most `band` states a step, so
+    step j computes only the rows within j * band of `rows`, into the other
+    of two buffers: each product skipped would add +0.0, so acc keeps its bits."""
     sub = _compiled.submatrix(p_t, lo, hi)
+    first, last = int(rows[0]) - lo, int(rows[-1]) - lo + 1
     units = (rows - lo, np.arange(rows.size))
-    acc = np.zeros((hi - lo, rows.size))
+    acc, out = np.zeros((hi - lo, rows.size)), np.zeros((hi - lo, rows.size))
     acc[units] = 1.0
-    for _ in range(steps):
-        acc = _compiled.matvecs(sub, acc)
+    for j in range(1, steps + 1):
+        a, b = max(0, first - j * band), min(hi - lo, last + j * band)
+        _compiled.matvecs(sub, a, b, acc, out)
+        acc, out = out, acc
         acc[units] += 1.0
     return acc
 
@@ -68,16 +73,15 @@ def detection_matrix(
             f"must both have length {n}"
         )
     p_t = _compiled.transpose(matrix)
-    rows = np.repeat(np.arange(n), np.diff(p_t.indptr))
-    reach = steps * int(np.abs(rows - p_t.indices).max(initial=0))
+    band = int(np.abs(np.repeat(np.arange(n), np.diff(p_t.indptr)) - p_t.indices).max(initial=0))
     kept = np.flatnonzero(release).astype(np.int32)
     # sizes starts with indptr's leading 0, and the empty first pieces keep
     # the joins' dtypes when no row is kept
     sizes, cells, words = [0], [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.uint64)]
     for start in range(0, kept.size, BLOCK):
         block = kept[start : start + BLOCK]
-        lo, hi = max(0, int(block[0]) - reach), min(n, int(block[-1]) + reach + 1)
-        acc = _accumulate(p_t, steps, block, lo, hi)
+        lo, hi = max(0, int(block[0]) - steps * band), min(n, int(block[-1]) + steps * band + 1)
+        acc = _accumulate(p_t, steps, block, band, lo, hi)
         hit = np.zeros((hi - lo, BLOCK), dtype=bool)  # a last, partial block pads with zeros
         hit[:, : block.size] = (acc > 0.0) & (acc >= cutoff) & candidates[lo:hi, None]
         word = np.packbits(hit, axis=1, bitorder="little").view("<u8")[:, 0]

@@ -43,7 +43,8 @@ def admissible_dt(
     Returns inf when nothing moves (zero velocity and zero diffusivity).
     """
     grid = field.grid
-    rows, _, rates, size = _outflow_rates(field, diffusivity, outlets)
+    pieces, size = _outflow_rates(field, diffusivity, outlets)
+    rows, _, rates = map(np.concatenate, zip(*pieces))
     total = np.zeros(size)
     np.add.at(total, rows, rates)
     total = total[: grid.n_states]  # exit state has no outflow

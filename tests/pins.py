@@ -8,7 +8,8 @@ releases a sensor at n detects. `KDE_PLACE` is desk's `place` with its
 distribution replaced by `kde data.txt`, the data being `KDE_DATA`.
 `CONVERGE` and `CONVERGE_LADDER` are desk's `converge` on two sample
 ladders, and `KDE_CONVERGE` the longer ladder under the KDE.
-`FINE_BUILD` holds one file of fine's `build`. `OPERATOR` pins one of desk's
+`FINE_BUILD` holds one file of fine's `build`, and `FINE_VALIDATE` the
+manifest of that `build` and what fine's `validate` writes. `OPERATOR` pins one of desk's
 operators, which no command writes, through `csr_sha256`, and
 `OPERATOR_AT_BOUND` one built at its own admissible dt. test_pins.py
 checks every table in process, and each CI step imports the tables it
@@ -45,6 +46,11 @@ FINE_BUILD = {
     # fine's middle scenario: 22 500 rows whose distinct magnitudes span
     # several of the writer's blocks, which desk's fields never do
     "field-003.txt": "a22de6f8a027c13697672a2e2f7ebdb5afdd887d6f000cbe1fb0b01a75c96241",
+}
+FINE_VALIDATE = {
+    "manifest.json": "844ccf6ffcbcc06886ec91f726cbf8b58d60398200123497efa67afb5458e59b",
+    # seven scenarios on 22 500 cells, each made, compared and dropped in turn
+    "validation.json": "a67569fc1514f9a7e25f70810b1546bd2c39ea854e8ed56cf1c0d0d63cbec67b",
 }
 OPERATOR = {
     # the middle scenario's operator (int32 indptr and indices, float64 data)

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -168,6 +169,31 @@ def test_every_ensemble_command_holds_one_operator_at_a_time(
     assert main([*command, "--config", str(cfg)]) == 0
     # build checks dt and assembles no operator
     assert (counts["calls"], counts["peak"], counts["live"]) == (calls, min(calls, 1), 0)
+
+
+@pytest.mark.parametrize(
+    "run", [pipeline.run_build, pipeline.run_validate], ids=["build", "validate"]
+)
+def test_build_and_validate_peak_memory_is_about_one_scenario(tmp_path, capsys, run):
+    # 11 scenarios on 6 400 cells: holding every field, or every scenario's
+    # rate triplets joined at once, reads above 4 of the units below
+    cfg = base_cfg(tmp_path, dims="80 80 1", dt="0.003", steps="10", validate_tol="10")
+    cfg = replace(parse_config(cfg), cdf_points=tuple(i / 10 for i in range(11)))
+    _, fields, _, _ = scenario_set(cfg)
+    field = fields[5]
+    operator = build_markov(field, cfg.diffusivity, cfg.dt, cfg.outlets).matrix
+    arrays = (field.u, field.v, operator.indptr, operator.indices, operator.data)
+    unit = sum(array.nbytes for array in arrays)
+    del fields, field, operator, arrays
+    run(cfg)  # first-call set-up stays out of the measured call
+    tracemalloc.start()
+    try:
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 3.5 * unit
 
 
 def test_validate_unstable_dt_hint_is_the_ensemble_minimum(tmp_path, capsys, monkeypatch):
@@ -621,10 +647,13 @@ def test_spread_that_overflows_exits_2_naming_the_key_or_file(
 def test_quadpack_failure_exits_2_naming_interval_and_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("pfsensor.pipeline.make_distribution", lambda cfg: PoleDensity())
     cfg = str(base_cfg(tmp_path))
-    for command in (["build"], ["converge", "--samples", "2", "3"]):
+    # converge's points come from its sample counts, not from cdf_points
+    for command, source in (
+        (["build"], "cdf_points"), (["converge", "--samples", "3", "2"], "--samples 3 2")
+    ):
         assert main([*command, "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: cdf_points under distribution gaussian 0.5 0.05: ")
+        assert err.startswith(f"error: {source} under distribution gaussian 0.5 0.05: ")
         assert "over [0.0, 0.5]: the density is too irregular" in err
     assert not (tmp_path / "out").exists()
 

@@ -135,6 +135,26 @@ def test_synth_linear_in_strength(a, xi):
     assert np.allclose(scaled.v, a * base.v, rtol=1e-13, atol=0.0)
 
 
+@given(strengths=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=5))
+def test_synth_fields_are_made_on_demand_from_one_unit_field(strengths):
+    # 1.0 * x is exact, so the unit strength gives the unit field itself
+    g = StructuredGrid((5, 4, 1), (0.2, 0.3, 1.0))
+    [unit] = synth_recirculating(g, [1.0])
+    fields = synth_recirculating(g, strengths)
+    assert len(fields) == len(strengths)
+    first, *_ = fields
+    assert first.u.tobytes() == fields[0].u.tobytes() == fields[-len(strengths)].u.tobytes()
+    for idx, (s, field) in enumerate(zip(strengths, fields)):
+        assert field.u.tobytes() == (s * unit.u).tobytes()
+        assert field.v.tobytes() == (s * unit.v).tobytes()
+        assert field.w.tobytes() == np.zeros(g.n_states).tobytes()
+        assert fields[idx - len(strengths)].v.tobytes() == field.v.tobytes()
+    with pytest.raises(IndexError):
+        fields[len(strengths)]
+    with pytest.raises(TypeError):
+        fields[0:1]
+
+
 def _discrete_divergence(field):
     """Central-difference divergence at interior cells."""
     nx, ny, _ = field.grid.dims

@@ -12,6 +12,7 @@ from pins import (
     CONVERGE,
     CONVERGE_LADDER,
     FINE_BUILD,
+    FINE_VALIDATE,
     KDE_CONVERGE,
     KDE_DATA,
     KDE_PLACE,
@@ -93,8 +94,10 @@ def test_field_config_propagate_matches_its_pins(tmp_path):
 
 
 def test_fine_field_matches_its_pin(tmp_path):
-    # the CI step that builds fine at seed 0
+    # the CI step that builds and validates fine at seed 0; validate makes
+    # each scenario's field and operator when its turn comes
     fine = tmp_path / "fine.cfg"
     fine.write_text(config_text(WORKLOADS["fine"], DEFAULT_SEED, tmp_path / "out"))
-    assert main(["build", "--config", str(fine)]) == 0
-    assert mismatches(tmp_path / "out", FINE_BUILD) is None
+    for command in ("build", "validate"):
+        assert main([command, "--config", str(fine)]) == 0
+    assert mismatches(tmp_path / "out", FINE_BUILD, FINE_VALIDATE) is None

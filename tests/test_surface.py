@@ -150,7 +150,9 @@ def test_commands_load_neither_scipy_integrate_nor_optimize(tmp_path):
 
 
 # Run in a fresh interpreter: the scipy modules loaded by pfsensor's import,
-# then by every command that builds operators, patterns or a PDE reference.
+# then by every command that builds operators, patterns or a PDE reference;
+# and whether the thread pool's module is loaded after those one-worker runs
+# and after a two-worker place.
 COMMAND_PROBE = """
 import sys
 from pfsensor.cli import main
@@ -158,11 +160,17 @@ from pfsensor.cli import main
 def loaded():
     print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
 
+def run(*command):
+    if main([*command, "--config", sys.argv[1]]) != 0:
+        sys.exit(f"{command[0]} failed")
+
 loaded()
 runs = (["build"], ["place"], ["validate"], ["converge", "--samples", "3", "5"], ["propagate"])
 for command in runs:
-    if main([*command, "--config", sys.argv[1]]) != 0:
-        sys.exit(f"{command[0]} failed")
+    run(*command)
+print("pool", "concurrent.futures" in sys.modules)
+run("place", "--workers", "2")
+print("pool", "concurrent.futures" in sys.modules)
 loaded()
 """
 # The scipy modules that compiled dqagse imports on its first call: its
@@ -192,6 +200,9 @@ def test_commands_import_no_scipy_module_but_dqagse_callback_type(tmp_path):
     assert [run.returncode for run in runs] == [0, 0], [run.stderr for run in runs]
     commands, callback = (run.stdout.splitlines() for run in runs)
     assert commands[0] == "[]"
+    # one worker runs each scenario in turn; only two import the thread pool
+    pool = [line for line in commands if line.startswith("pool ")]
+    assert pool == ["pool False", "pool True"]
     assert commands[-1] == callback[-1]
 
 
