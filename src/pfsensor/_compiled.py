@@ -50,7 +50,8 @@ class CSR:
     """A sparse matrix in compressed sparse row form: row i holds the column
     indices indices[indptr[i]:indptr[i + 1]] and, at the same positions,
     their values in data. The CSR record of a matrix's transpose is that
-    matrix's compressed sparse column form."""
+    matrix's compressed sparse column form. The record is frozen but its
+    arrays are not: `build_markov` rescales rows in place through `data[:]`."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -112,31 +113,22 @@ def row_sums(matrix: CSR) -> np.ndarray:
     return sums
 
 
-def _binary(routine, a: CSR, b: CSR, size: int, shape) -> CSR:
-    """The result of csr_plus_csr or csr_matmat on a and b, written to
-    buffers of `size` entries."""
+def add(a: CSR, b: CSR) -> CSR:
+    """a + b by csr_plus_csr, zero sums not stored. Both records come from
+    `from_coo` or `diagonal`, each row's indices sorted and unique, so the
+    routine merges rows in order: the sum's indices are sorted too."""
+    size = a.nnz + b.nnz
     dtype = index_dtype(a.indptr, a.indices, b.indptr, b.indices, maxval=size)
     a_ptr, a_ind, b_ptr, b_ind = (
         array.astype(dtype, copy=False) for array in (a.indptr, a.indices, b.indptr, b.indices)
     )
-    indptr = np.empty(shape[0] + 1, dtype=dtype)
+    indptr = np.empty(a.shape[0] + 1, dtype=dtype)
     indices = np.empty(size, dtype=dtype)
     data = np.empty(size, dtype=np.result_type(a.data, b.data))
-    routine(*shape, a_ptr, a_ind, a.data, b_ptr, b_ind, b.data, indptr, indices, data)
-    return _record(indptr, indices, data, shape)
-
-
-def add(a: CSR, b: CSR) -> CSR:
-    """a + b, zero sums not stored."""
-    return _binary(_sparsetools.csr_plus_csr, a, b, a.nnz + b.nnz, a.shape)
-
-
-def matmat(a: CSR, b: CSR) -> CSR:
-    """The product a @ b, zero entries not stored; each row's indices come
-    in the routine's order, which need not be sorted."""
-    shape = (a.shape[0], b.shape[1])
-    size = _sparsetools.csr_matmat_maxnnz(*shape, a.indptr, a.indices, b.indptr, b.indices)
-    return _binary(_sparsetools.csr_matmat, a, b, size, shape)
+    _sparsetools.csr_plus_csr(
+        *a.shape, a_ptr, a_ind, a.data, b_ptr, b_ind, b.data, indptr, indices, data
+    )
+    return _record(indptr, indices, data, a.shape)
 
 
 def transpose(matrix: CSR) -> CSR:

@@ -144,7 +144,8 @@ def build_markov(
     if hot.size:
         scale = np.ones(size)
         scale[hot] = 1.0 / row_sum[hot]
-        off = _compiled.matmat(_compiled.diagonal(scale), off)
+        # the one multiply per entry that a diagonal product makes; indices stay sorted
+        off.data[:] *= np.repeat(scale, np.diff(off.indptr))
         row_sum[hot] = 1.0
 
     return MarkovMatrix(matrix=_compiled.add(off, _compiled.diagonal(1.0 - row_sum)))

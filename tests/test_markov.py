@@ -129,6 +129,36 @@ def test_admissible_dt_is_the_oracle_and_the_build_bound(nx, ny, xi, diff, outle
         assert err.value.admissible_dt == bound
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    nx=st.integers(1, 9),
+    ny=st.integers(1, 9),
+    diff=st.sampled_from([0.0, 1e-3, 0.05]),
+    frac=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+    outlets=st.frozensets(st.sampled_from(["x-", "x+", "y-", "y+"])),
+)
+# at the bound, each with rows that sum above 1 by rounding
+@example(seed=0, nx=4, ny=3, diff=1e-3, frac=1.0, outlets=frozenset())
+@example(seed=14, nx=4, ny=3, diff=0.0, frac=1.0, outlets=frozenset({"x+", "y-"}))
+def test_built_records_hold_sorted_unique_indices_and_no_stored_zero(
+    seed, nx, ny, diff, frac, outlets
+):
+    # still cells at zero diffusivity give zero rates; at the bound, rows can
+    # sum above 1 by rounding and take the hot-row rescale; two perpendicular
+    # outlet sides give their shared corner cell two exit rates
+    rng = np.random.default_rng(seed)
+    g = StructuredGrid((nx, ny, 1), (1.0 / nx, 1.0 / ny, 0.5))
+    u, v = rng.normal(size=(2, g.n_states)) * (rng.random((2, g.n_states)) < 0.7)
+    field = VelocityField(g, u, v, np.zeros(g.n_states))
+    bound = admissible_dt(field, diff, outlets)
+    op = build_markov(field, diff, frac * bound if np.isfinite(bound) else 1.0, outlets).matrix
+    for row in range(op.shape[0]):
+        cols = op.indices[op.indptr[row] : op.indptr[row + 1]]
+        assert np.all(np.diff(cols) > 0), f"row {row} indices {cols.tolist()}"
+    assert np.all(op.data != 0.0)
+
+
 def test_propagate_zero_steps_returns_input():
     g = unit_line_grid(3)
     op = build_markov(zero_field(g), 0.1, dt=1.0).matrix
