@@ -141,12 +141,20 @@ def transpose(matrix: CSR) -> CSR:
     indptr = np.empty(n_cols + 1, dtype=dtype)
     indices = np.empty(nnz, dtype=dtype)
     data = np.empty(nnz, dtype=matrix.data.dtype)
+    transpose_into(matrix, indptr, indices, data)
+    return CSR(indptr, indices, data, (n_cols, n_rows))
+
+
+def transpose_into(matrix: CSR, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> None:
+    """Write the transpose's record into indptr (n_cols + 1 entries), indices
+    and data (nnz entries each), which may be views of larger arrays. The
+    matrix's index arrays are cast to indptr's dtype, which indices shares."""
+    dtype = indptr.dtype
     _sparsetools.csr_tocsc(
-        n_rows, n_cols,
+        *matrix.shape,
         matrix.indptr.astype(dtype, copy=False), matrix.indices.astype(dtype, copy=False),
         matrix.data, indptr, indices, data,
     )
-    return CSR(indptr, indices, data, (n_cols, n_rows))
 
 
 def submatrix(matrix: CSR, lo: int, hi: int) -> CSR:

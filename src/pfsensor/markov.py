@@ -127,6 +127,7 @@ def build_markov(
     if dt > bound:
         raise StabilityError(dt, bound)
     rows, cols, rates = map(np.concatenate, zip(*pieces))
+    del pieces  # so assembly never holds the triplets twice
 
     scale = dt / vol
     # near-zero (subnormal) rates admit a dt so large that dt / vol overflows;
@@ -136,7 +137,7 @@ def build_markov(
         scale = dt
     rates *= scale
     off = _compiled.from_coo(rows, cols, rates, (size, size))
-    del pieces, rows, cols, rates  # the record holds its own copies
+    del rows, cols, rates  # the record holds its own copies
     # the exit row holds no off-diagonal entry: its sum is 0 and its diagonal 1
     row_sum = _compiled.row_sums(off)
 

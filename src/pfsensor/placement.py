@@ -92,22 +92,23 @@ def sensor_coverage(covered_by: list[np.ndarray], weights) -> tuple[np.ndarray, 
 def _by_cell(detections: list[Pattern]) -> CSR:
     """All scenarios' patterns by sensor column in one record: row i * n + c
     lists the blocks of scenario i that detect at c, numbered on from the
-    blocks of scenarios 0 to i - 1, with their words. One scenario's
-    transpose is alive at a time."""
+    blocks of scenarios 0 to i - 1, with their words. Each scenario's
+    transpose is written straight into its stretch of the record."""
     n = detections[0][1].shape[1]
     nnz = sum(masks.nnz for _, masks in detections)
     dtype = _compiled.index_dtype(maxval=nnz)
     indptr = np.empty(len(detections) * n + 1, dtype=dtype)
-    indptr[-1] = nnz
     blocks = np.empty(nnz, dtype=dtype)
     words = np.empty(nnz, dtype=np.uint64)
     at = first = 0
     for i, (_, masks) in enumerate(detections):
-        part = _compiled.transpose(masks)
-        indptr[i * n : (i + 1) * n] = part.indptr[:-1] + at
-        blocks[at : at + part.nnz] = part.indices + first
-        words[at : at + part.nnz] = part.data
-        at += part.nnz
+        # part's last entry is the next part's first, rewritten to the same offset
+        part = indptr[i * n : (i + 1) * n + 1]
+        stored = slice(at, at + masks.nnz)
+        _compiled.transpose_into(masks, part, blocks[stored], words[stored])
+        part += at
+        blocks[stored] += first
+        at += masks.nnz
         first += masks.shape[0]
     return CSR(indptr, blocks, words, (len(detections) * n, first))
 

@@ -10,10 +10,11 @@ from pfsensor.config import ConfigError, RunConfig, apply
 from pfsensor.flowfield import VelocityField, synth_recirculating
 from pfsensor.grid import StructuredGrid
 from pfsensor.markov import MarkovMatrix, build_markov
-from pfsensor import pipeline
+from pfsensor import _compiled, pipeline
 from pfsensor.pipeline import detection_patterns, detection_zones
 from pfsensor.placement import coverage_vectors, place_sensors
-from pfsensor.tracking import BLOCK, detection_matrix
+from pfsensor._compiled import CSR
+from pfsensor.tracking import BLOCK, _bandwidth, detection_matrix
 
 from oracles import admissible_dt, scipy_csr, unpack_pattern
 
@@ -415,6 +416,49 @@ def test_pattern_is_boolean_with_int32_indices(case):
         assert expected[:, n - 1].any() and not expected[n - 1].any()
 
 
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 40),
+    density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    exit_column=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_bandwidth_is_the_farthest_stored_entry(seed, n, density, exit_column):
+    # empty rows, one-entry rows and a busy last column, as an exit state's
+    rng = np.random.default_rng(seed)
+    dense = rng.random((n, n)) < density
+    for row in np.flatnonzero(rng.random(n) < 0.3):
+        dense[row] = False
+        dense[row, rng.integers(n)] = True
+    dense[rng.random(n) < 0.2] = False
+    if exit_column:
+        dense[:, n - 1] |= rng.random(n) < 0.5
+    rows, cols = np.nonzero(dense)
+    expected = int(np.abs(rows - cols).max(initial=0))
+    record = sparse.csr_array(dense * rng.uniform(0.1, 1.0, (n, n)))
+    matrix = CSR(record.indptr, record.indices, record.data, record.shape)
+    assert _bandwidth(matrix) == expected
+    assert _bandwidth(_compiled.transpose(matrix)) == expected
+
+
+@pytest.mark.parametrize("cutoff", [0.0, -1.0])
+@pytest.mark.parametrize("case", ["closed", "exit_column"])
+def test_zero_cutoff_detects_exactly_the_positive_entries(case, cutoff):
+    # a cutoff of 0 (eps_acc = 0) or below admits every entry that reaches it,
+    # the exact zeros beyond a block's reach included, but only acc > 0 is a
+    # detection; 3 steps leave most of a 20x20 room unreached
+    steps = 3
+    op = closed_vortex_20() if case == "closed" else drift_to_outlet()
+    n = op.shape[0]
+    release = np.arange(n) % 7 != 3  # scattered rows and a partial last block
+    candidates = np.ones(n, dtype=bool)
+    q = np.zeros((n, n))
+    q[release] = tracking_rows(op, steps, np.flatnonzero(release))
+    got = pattern_array(op, steps, cutoff, release, candidates)
+    assert np.array_equal(got, q > 0.0)
+    assert got.any() and not got[release].all()
+
+
 def line_walk(rng, cells, outlet):
     """A random walk on a line of cells, bandwidth 1, so each block's window
     is its rows +- steps clipped at 0 and n. With an outlet, cell 0's leftward
@@ -497,9 +541,9 @@ def test_mask_record_matches_dense_oracle_at_block_edges(
 PEAK_BYTES_PER_PAIR = 7.0
 
 
-def test_kernel_and_greedy_peak_memory_per_detected_pair():
-    # a mid-like family: 1 600 states, 3 scenarios, 80 steps, about 870 000 pairs
-    cfg = RunConfig(
+def mid_like(cdf_points):
+    """A mid-like family on 1 600 states at 80 steps."""
+    return RunConfig(
         dims=(40, 40, 1),
         spacing=(0.0375, 0.0375, 0.2),
         diffusivity=1e-4,
@@ -507,9 +551,14 @@ def test_kernel_and_greedy_peak_memory_per_detected_pair():
         steps=80,
         family="vortex",
         distribution=("gaussian", 0.5, 0.05),
-        cdf_points=(0.0, 0.5, 1.0),
+        cdf_points=cdf_points,
         eps_acc=3e-4,
     )
+
+
+def test_kernel_and_greedy_peak_memory_per_detected_pair():
+    # 3 scenarios, about 870 000 pairs
+    cfg = mid_like((0.0, 0.5, 1.0))
     grid, fields, _, weights = pipeline.scenario_set(cfg)
     zones = detection_zones(cfg, grid)
     tracemalloc.start()
@@ -524,3 +573,29 @@ def test_kernel_and_greedy_peak_memory_per_detected_pair():
     pairs = sum(float(vector.sum()) for vector in coverage_vectors(patterns, 1.0))
     assert pairs > 800_000
     assert peak / pairs < PEAK_BYTES_PER_PAIR
+
+
+def test_kernel_peak_memory_is_one_block_working_set():
+    # one mid-like scenario: every block's window is the whole room, so a
+    # Horner buffer is n x BLOCK floats. The kernel holds two of them, one
+    # block's boolean threshold and the pattern it returns; the slack is the
+    # transposed operator and eight n-sized int64 arrays, which hold a block's
+    # packed words and stored cells. A block that allocated its own buffers
+    # while the previous block's accumulator was alive would hold three.
+    cfg = mid_like((0.5,))
+    grid, fields, _, _ = pipeline.scenario_set(cfg)
+    op = build_markov(fields[0], cfg.diffusivity, cfg.dt).matrix
+    release, candidates = detection_zones(cfg, grid)
+    cutoff = cfg.eps_acc * (cfg.steps + 1)
+    n = op.shape[0]
+    tracemalloc.start()
+    try:
+        kept, masks = detection_matrix(op, cfg.steps, cutoff, release, candidates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    horner = n * BLOCK * np.dtype(float).itemsize
+    pattern = sum(a.nbytes for a in (kept, masks.indptr, masks.indices, masks.data))
+    slack = sum(a.nbytes for a in (op.indptr, op.indices, op.data)) + 8 * n * 8
+    assert masks.nnz > 10_000
+    assert peak < 2 * horner + n * BLOCK + pattern + slack
