@@ -11,7 +11,10 @@ ladders, and `KDE_CONVERGE` the longer ladder under the KDE.
 `FINE_BUILD` holds one file of fine's `build`, and `FINE_VALIDATE` the
 manifest of that `build` and what fine's `validate` writes. `OPERATOR` pins one of desk's
 operators, which no command writes, through `csr_sha256`, and
-`OPERATOR_AT_BOUND` one built at its own admissible dt. test_pins.py
+`OPERATOR_AT_BOUND` one built at its own admissible dt. `PATTERNS` pins
+each scenario's detection pattern through `pattern_sha256` on desk, mid and
+the outlet config: a flipped pair moves a plan only when it moves a pick,
+so the plan pins alone can miss one. test_pins.py
 checks every table in process, and each CI step imports the tables it
 checks.
 """
@@ -87,6 +90,33 @@ OUTLET_PLACE = {
     "coverage-sensors.txt": PLACE["coverage-sensors.txt"],
     "coverage-expected.txt": "02d67cbf92f840423c9232d9b5be136ea5d8c1b919002b3171079cff18bd1038",
 }
+PATTERNS = {
+    # each scenario's (kept, masks) of `detection_patterns`, in scenario order
+    "desk": (
+        "ea1e58e0ab65aea678f30512a63a2220e178eaf1083680dd5452d7fe06e7af87",
+        "45abe84c0d9c6440ff23f0120e112092fd8812c2a872cb36bf02243324d71b97",
+        "ac818a0664b512973b786238763422ecb0a683148d979c751118c2664ad1085b",
+        "84402d1144c49cdb458a77979e49ef44e4267ee291dfad6adbbb853b7002a6c8",
+        "f452a3524100643ce146d00f7ac7dec925216b9895058ae98f8f9a0496f225a4",
+        "d3de665fd6dab6dccb1407f3e255b1bd067f6ece71cbba8146c42b51cc264245",
+        "f300ee98d7bab17c458587836b556c1057a4f3cf03098ac9487e0c71ca8188cf",
+    ),
+    "mid": (
+        "a4bccba4a6ffb1929d69c78d61c20f9847ecdec46320b21721c356477f182f5c",
+        "28eed8abc65279cc67ba3c6a12704a1f4928f910cfcbc9d7c22ef14321b85f7f",
+        "32b9b3940b22a39dceab81fcabe411dc7042de598fd41ce7f16c058716d7a0cb",
+    ),
+    # desk with `outlets = x+ y-`: the exit row makes the band of the bound widest
+    "outlet": (
+        "b49fed80877c86d5abfe025361b4bc2eb83a9210b17ae68dd02f6b4750f882e7",
+        "7866d8398767c6ddd6922f40564898383f7e1b2607ee17f2817c1a966e8bd1ed",
+        "5793bc90e68dab7e9c754df4e49cb697e17e9112d32c969814814090501d167e",
+        "cfe0a7711f410ca9626fb74d0cf2bca080aa50fd9b3fb2055c6e2ac49412f4e2",
+        "174223908da7a884fda3c1570f91c176a975d459efc12ab489cb308a0e2b3418",
+        "ab5fc8eb2658ea0331d2432c3c9a7b96e99a77bd516dde15667a2e90e2deb601",
+        "e18405bd89907ee52b42e96b194b4c89dcaed1055395e51aad117dd907d60e2f",
+    ),
+}
 # the exit column's band window spans the whole operator
 OUTLET_EXIT_PAIRS = (29, 60, 64, 66, 69, 74, 92)
 KDE_DATA = "0.44\n0.47\n0.49\n0.5\n0.52\n0.55\n0.58\n"
@@ -117,5 +147,14 @@ def csr_sha256(matrix) -> str:
     order."""
     digest = hashlib.sha256()
     for array in (matrix.indptr, matrix.indices, matrix.data):
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def pattern_sha256(kept, masks) -> str:
+    """The sha256 of a detection pattern's kept, indptr, indices and data
+    bytes, in that order."""
+    digest = hashlib.sha256()
+    for array in (kept, masks.indptr, masks.indices, masks.data):
         digest.update(array.tobytes())
     return digest.hexdigest()

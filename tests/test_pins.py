@@ -1,6 +1,8 @@
 import json
 import re
 
+import pytest
+
 from pfsensor.cli import main
 from pfsensor.config import parse_config
 from pfsensor.markov import admissible_dt, build_markov
@@ -20,11 +22,13 @@ from pins import (
     OPERATOR_AT_BOUND,
     OUTLET_EXIT_PAIRS,
     OUTLET_PLACE,
+    PATTERNS,
     PLACE,
     PROPAGATE,
     VALIDATE,
     csr_sha256,
     mismatches,
+    pattern_sha256,
 )
 from workloads import DEFAULT_SEED, WORKLOADS, config_text  # pins puts perfbench/ on the path
 
@@ -73,6 +77,19 @@ def test_outlet_place_matches_its_pins(tmp_path):
     # at a cell fraction of 1 a column's coverage is its exact pair count
     exit_pairs = tuple(float(v[grid.n_states]) for v in coverage_vectors(patterns, 1.0))
     assert exit_pairs == OUTLET_EXIT_PAIRS
+
+
+@pytest.mark.parametrize("name", sorted(PATTERNS))
+def test_detection_patterns_match_their_pins(tmp_path, name):
+    # every detected pair, where the plan pins see only those that move a pick
+    workload = WORKLOADS["desk" if name == "outlet" else name]
+    path = tmp_path / f"{name}.cfg"
+    text = config_text(workload, DEFAULT_SEED, tmp_path / "out")
+    path.write_text(text + ("outlets = x+ y-\n" if name == "outlet" else ""))
+    cfg = parse_config(path)
+    grid, fields, _, _ = scenario_set(cfg)
+    patterns = detection_patterns(cfg, fields, detection_zones(cfg, grid))
+    assert tuple(pattern_sha256(*pattern) for pattern in patterns) == PATTERNS[name]
 
 
 def test_field_config_propagate_matches_its_pins(tmp_path):

@@ -10,11 +10,11 @@ from pfsensor.config import ConfigError, RunConfig, apply
 from pfsensor.flowfield import VelocityField, synth_recirculating
 from pfsensor.grid import StructuredGrid
 from pfsensor.markov import MarkovMatrix, build_markov
-from pfsensor import _compiled, pipeline
+from pfsensor import _compiled, pipeline, tracking
 from pfsensor.pipeline import detection_patterns, detection_zones
 from pfsensor.placement import coverage_vectors, place_sensors
 from pfsensor._compiled import CSR
-from pfsensor.tracking import BLOCK, _bandwidth, detection_matrix
+from pfsensor.tracking import BLOCK, LEAST, _accumulate, _band, _bandwidth, _bound, detection_matrix
 
 from oracles import admissible_dt, scipy_csr, unpack_pattern
 
@@ -455,6 +455,7 @@ def test_zero_cutoff_detects_exactly_the_positive_entries(case, cutoff):
     q = np.zeros((n, n))
     q[release] = tracking_rows(op, steps, np.flatnonzero(release))
     got = pattern_array(op, steps, cutoff, release, candidates)
+    assert _band(_compiled.transpose(op), steps, cutoff) is None
     assert np.array_equal(got, q > 0.0)
     assert got.any() and not got[release].all()
 
@@ -519,10 +520,11 @@ def test_mask_record_matches_dense_oracle_at_block_edges(
     q = np.zeros((n, n))
     q[kept] = tracking_rows(op, steps, kept)
     expected = (q > 0.0) & (q >= cutoff) & candidates & release[:, None]
-    settled = np.abs(q - cutoff) > 1e-9
     got = unpack_pattern(got_kept, masks)
     assert np.array_equal(got_kept, kept)
-    assert np.array_equal(got[settled], expected[settled])
+    # tracking_rows runs the kernel's float64 product, so every entry's bits
+    # are the kernel's, and those near the cutoff are decided alike
+    assert np.array_equal(got, expected)
     # a block stores one word per column its members are detected at
     blocks = [kept[start : start + BLOCK] for start in range(0, size, BLOCK)]
     assert np.diff(masks.indptr).tolist() == [np.count_nonzero(got[b].any(axis=0)) for b in blocks]
@@ -532,6 +534,178 @@ def test_mask_record_matches_dense_oracle_at_block_edges(
         assert got[kept[BLOCK - 1], kept[BLOCK - 1]]
     if outlet and release[0] and candidates[n - 1]:
         assert got[0, n - 1]  # the exit column: Q[0, exit] >= left[0] >= 0.1
+
+
+def entry_at(rng, q):
+    """A drawn positive entry (r, c) of q."""
+    rows, cols = np.nonzero(q > 0.0)
+    pick = rng.integers(rows.size)
+    return int(rows[pick]), int(cols[pick])
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    case=st.sampled_from(["line", "line_outlet", "closed", "outlet"]),
+    steps=st.sampled_from([1, 3, 8, 40]),
+    side=st.sampled_from([-1, 0, 1]),
+)
+@settings(max_examples=60, deadline=None)
+def test_cutoff_at_a_tracking_entry_is_exact(seed, case, steps, side):
+    # a cutoff equal to a tracking entry, or one float beside it, lies inside
+    # the float32 screen's band: that entry's row is rerun in float64, and
+    # every pair is decided on the float64 sum's own bits (drift_to_outlet
+    # at 40 steps is not certified and reruns every row)
+    rng = np.random.default_rng(seed)
+    if case in ("line", "line_outlet"):
+        op = line_walk(rng, int(rng.integers(1, 150)), case == "line_outlet")
+    else:
+        op = closed_vortex_20() if case == "closed" else drift_to_outlet()
+    n = op.shape[0]
+    release = rng.random(n) < 0.8
+    release[rng.integers(n)] = True
+    candidates = rng.random(n) < 0.7
+    kept = np.flatnonzero(release)
+    q = np.zeros((n, n))
+    q[kept] = tracking_rows(op, steps, kept)
+    r, c = entry_at(rng, q)
+    candidates[c] = True
+    cutoff = float(q[r, c] if side == 0 else np.nextafter(q[r, c], side * np.inf))
+    got = pattern_array(op, steps, cutoff, release, candidates)
+    expected = (q > 0.0) & (q >= cutoff) & candidates & release[:, None]
+    assert np.array_equal(got, expected)
+    assert got[r, c] == (side <= 0)
+
+
+def rerun_rows(monkeypatch):
+    """The release rows of every later `tracking._rerun` call, one list a
+    call."""
+    rerun, calls = tracking._rerun, []
+
+    def counted(p_t, steps, rows, *args):
+        calls.append(rows.tolist())
+        rerun(p_t, steps, rows, *args)
+
+    monkeypatch.setattr(tracking, "_rerun", counted)
+    return calls
+
+
+def test_screen_reruns_only_the_undecided_rows(monkeypatch):
+    # a cutoff at one entry of a closed 20x20 vortex: the float32 screen
+    # decides most rows, and the rerun ones include the entry's own
+    op = closed_vortex_20()
+    n, steps = op.shape[0], 40
+    everywhere = np.ones(n, dtype=bool)
+    q = full_q(op, steps)
+    r, c = 200, 221
+    cutoff = float(q[r, c])
+    assert _band(_compiled.transpose(op), steps, cutoff) is not None
+    calls = rerun_rows(monkeypatch)
+    got = pattern_array(op, steps, cutoff, everywhere, everywhere)
+    reruns = sum(calls, [])
+    assert np.array_equal(got, (q > 0.0) & (q >= cutoff)) and got[r, c]
+    assert r in reruns and len(reruns) < n // 4
+
+
+def stochastic(rng, n, density, exit_row):
+    """A random row-stochastic operator whose entries are all at least
+    0.05 / (n + 2) > LEAST. With `exit_row`, an absorbing state n collects
+    mass from about half of the others, as an outlet's exit state does, so
+    its row of P^T holds many entries."""
+    size = n + exit_row
+    p = rng.uniform(0.05, 1.0, (size, size)) * (rng.random((size, size)) < density)
+    p[np.arange(size), np.arange(size)] += 0.5
+    if exit_row:
+        p[n] = 0.0
+        p[n, n] = 1.0
+        p[:n, n] = rng.uniform(0.05, 1.0, n) * (rng.random(n) < 0.5)
+    return sparse.csr_array(p / p.sum(axis=1, keepdims=True))
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    kind=st.sampled_from(["dense", "exit", "closed", "outlet"]),
+    steps=st.sampled_from([1, 5, 20, 80]),
+)
+@settings(max_examples=60, deadline=None)
+def test_float32_sum_stays_within_the_certified_bound(seed, kind, steps):
+    # entry by entry, |q32 - q64| <= ((1 + r32)(1 + r64) - 1) q64 + 3 A, the
+    # bound `_band` widens the cutoff by; rows of up to 41 entries, and an
+    # exit row that sums about half the states
+    rng = np.random.default_rng(seed)
+    if kind in ("dense", "exit"):
+        density = float(rng.choice([0.05, 0.3, 1.0]))
+        op = stochastic(rng, int(rng.integers(1, 41)), density, kind == "exit")
+    else:
+        op = flow_operator(rng, outlets=kind == "outlet")
+    p_t = _compiled.transpose(op)
+    if not p_t.data.min() >= LEAST:
+        assert _band(p_t, steps, 1.0) is None
+        return
+    n = p_t.shape[0]
+    rows, band = np.arange(n), _bandwidth(p_t)
+    single = CSR(p_t.indptr, p_t.indices, p_t.data.astype(np.float32), p_t.shape)
+    q32 = _accumulate(single, steps, rows, band, 0, n, np.empty((2, n * n), dtype=np.float32))
+    q64 = _accumulate(p_t, steps, rows, band, 0, n, np.empty((2, n * n)))
+    r32, r64, absolute = _bound(p_t, steps)
+    assert q32.dtype == np.float32 and 0.0 < r32 < 1.0 and 0.0 < r64 < r32
+    rho = (1.0 + r32) * (1.0 + r64) - 1.0
+    assert np.all(np.abs(q32 - q64) <= rho * q64 + 3.0 * absolute)
+
+
+def test_screen_holds_no_subnormal_float32(monkeypatch):
+    # unflushed, the plume's front in a closed 20x20 vortex passes about
+    # 12 000 subnormal float32 values through the products of 80 steps,
+    # each of which made a float32 product slower than a float64 one
+    tiny = np.finfo(np.float32).tiny
+    matvecs, screened = _compiled.matvecs, []
+
+    def checked(matrix, a, b, x, y):
+        operands = (matrix.data, x)
+        matvecs(matrix, a, b, x, y)
+        if x.dtype == np.float32:
+            screened.append(b - a)
+            for operand in (*operands, y):
+                assert not np.any((operand > 0.0) & (operand < tiny))
+
+    monkeypatch.setattr(_compiled, "matvecs", checked)
+    op = closed_vortex_20()
+    n, steps = op.shape[0], 80
+    everywhere = np.ones(n, dtype=bool)
+    detection_matrix(op, steps, 1e-3 * (steps + 1), everywhere, everywhere)
+    assert len(screened) == steps * -(-n // BLOCK)
+
+
+def tiny_drift():
+    """Uniform drift along x with a crosswind of 1e-9 and no diffusion: the
+    crosswind's entries of P lie near 1e-9, below LEAST."""
+    grid = StructuredGrid((6, 5, 1), (1.0 / 6, 0.2, 0.2))
+    n = grid.n_states
+    field = VelocityField(grid, np.full(n, 0.3), np.full(n, 1e-9), np.zeros(n))
+    return build_markov(field, 0.0, 0.5 * admissible_dt(field, 0.0)).matrix
+
+
+@pytest.mark.parametrize(
+    "case, steps",
+    [("zero_cutoff", 8), ("negative_cutoff", 8), ("tiny_entries", 8), ("outlet", 40)],
+)
+def test_uncertified_screen_reruns_every_row_in_float64(monkeypatch, case, steps):
+    # a cutoff of 0 or below, an entry below LEAST, or an exit row whose
+    # absolute term R^m outgrows the cutoff: every kept row is rerun, so the
+    # pattern is the float64 Horner sum's, entry for entry
+    op = tiny_drift() if case == "tiny_entries" else drift_to_outlet()
+    n = op.shape[0]
+    cutoff = {"zero_cutoff": 0.0, "negative_cutoff": -1.0}.get(case, 1e-3 * (steps + 1))
+    release = np.arange(n) % 5 != 2
+    release[-1] = case == "tiny_entries"  # an exit state releases nothing
+    candidates = np.ones(n, dtype=bool)
+    assert _band(_compiled.transpose(op), steps, cutoff) is None
+    calls = rerun_rows(monkeypatch)
+    got = pattern_array(op, steps, cutoff, release, candidates)
+    q = np.zeros((n, n))
+    q[release] = tracking_rows(op, steps, np.flatnonzero(release))
+    expected = (q > 0.0) & (q >= cutoff) & release[:, None]
+    assert sorted(sum(calls, [])) == np.flatnonzero(release).tolist()
+    assert np.array_equal(got, expected) and got.any() and not got[release].all()
 
 
 # traced bytes per detected pair at the peak of the kernel then the greedy on
@@ -575,12 +749,13 @@ def test_kernel_and_greedy_peak_memory_per_detected_pair():
     assert peak / pairs < PEAK_BYTES_PER_PAIR
 
 
-def test_kernel_peak_memory_is_one_block_working_set():
+def test_kernel_peak_memory_is_one_block_working_set(monkeypatch):
     # one mid-like scenario: every block's window is the whole room, so a
-    # Horner buffer is n x BLOCK floats. The kernel holds two of them, one
-    # block's boolean threshold and the pattern it returns; the slack is the
-    # transposed operator and eight n-sized int64 arrays, which hold a block's
-    # packed words and stored cells. A block that allocated its own buffers
+    # float32 Horner buffer and a boolean array are n x BLOCK each. The kernel
+    # holds two of each, the two float64 buffers of the rows a block reruns
+    # and the pattern it returns; the slack is the transposed operator, its
+    # float32 copy and eight n-sized int64 arrays, which hold a block's packed
+    # words and stored cells. A block that allocated its own Horner buffers
     # while the previous block's accumulator was alive would hold three.
     cfg = mid_like((0.5,))
     grid, fields, _, _ = pipeline.scenario_set(cfg)
@@ -588,14 +763,18 @@ def test_kernel_peak_memory_is_one_block_working_set():
     release, candidates = detection_zones(cfg, grid)
     cutoff = cfg.eps_acc * (cfg.steps + 1)
     n = op.shape[0]
+    calls = rerun_rows(monkeypatch)
     tracemalloc.start()
     try:
         kept, masks = detection_matrix(op, cfg.steps, cutoff, release, candidates)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    horner = n * BLOCK * np.dtype(float).itemsize
+    horner = n * BLOCK * np.dtype(np.float32).itemsize
+    most = max(map(len, calls), default=0)
+    exact = 2 * n * most * np.dtype(float).itemsize
     pattern = sum(a.nbytes for a in (kept, masks.indptr, masks.indices, masks.data))
-    slack = sum(a.nbytes for a in (op.indptr, op.indices, op.data)) + 8 * n * 8
-    assert masks.nnz > 10_000
-    assert peak < 2 * horner + n * BLOCK + pattern + slack
+    operator = sum(a.nbytes for a in (op.indptr, op.indices, op.data))
+    slack = operator + op.data.nbytes // 2 + 8 * n * 8
+    assert masks.nnz > 10_000 and most < BLOCK
+    assert peak < 2 * horner + 2 * n * BLOCK + exact + pattern + slack
