@@ -1,4 +1,4 @@
-"""Command-line pipeline: build / place / validate / converge / propagate.
+"""Command-line pipeline: build / place / validate / converge.
 
 Exit codes: 0 success, 2 input or parse error, 3 validation tolerance
 failure.
@@ -16,23 +16,12 @@ from .pipeline import (
     expected_coverage_for_counts,
     run_build,
     run_place,
-    run_propagate,
     run_validate,
 )
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_TOLERANCE = 3
-
-# the run keys each command cannot start without
-NEEDS = {
-    "build": ("dt",),
-    "place": ("dt", "steps"),
-    "validate": ("dt", "steps"),
-    "converge": ("dt", "steps"),
-    "propagate": ("dt", "steps"),
-}
-
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="run configuration file")
@@ -54,7 +43,7 @@ def _load_config(args) -> RunConfig:
         if raw is not None:
             apply(cfg, key, raw)
     cfg.validate()
-    missing = [key for key in NEEDS[args.command] if getattr(cfg, key) is None]
+    missing = [key for key in args.needs if getattr(cfg, key) is None]
     if missing:
         raise ConfigError(f"{args.command} needs {' and '.join(missing)}")
     # checked before any work, since the artifacts are written last
@@ -66,6 +55,8 @@ def _load_config(args) -> RunConfig:
 
 
 def make_parser() -> argparse.ArgumentParser:
+    """One subparser per command; each names its handler (`run`) and the run
+    keys it cannot start without (`needs`)."""
     parser = argparse.ArgumentParser(
         prog="pfsensor",
         description="Transfer-operator sensor placement under flow uncertainty",
@@ -75,18 +66,22 @@ def make_parser() -> argparse.ArgumentParser:
     p_build = sub.add_parser(
         "build", help="check dt, then export the flow ensemble (field files + manifest)"
     )
+    p_build.set_defaults(run=cmd_build, needs=("dt",))
     _add_common(p_build)
 
     p_place = sub.add_parser("place", help="place sensors; builds its own operators")
+    p_place.set_defaults(run=cmd_place, needs=("dt", "steps"))
     _add_common(p_place)
 
     p_val = sub.add_parser("validate", help="compare operator transport against the PDE solver")
+    p_val.set_defaults(run=cmd_validate, needs=("dt", "steps"))
     _add_common(p_val)
     p_val.add_argument(
         "--tolerance", dest="validate_tol", help="L2 error tolerance (validate_tol)"
     )
 
     p_conv = sub.add_parser("converge", help="expected-coverage convergence in sample count")
+    p_conv.set_defaults(run=cmd_converge, needs=("dt", "steps"))
     _add_common(p_conv)
     p_conv.add_argument(
         "--samples",
@@ -95,10 +90,6 @@ def make_parser() -> argparse.ArgumentParser:
         required=True,
         help="sample counts, e.g. --samples 2 3 5 7 9 (largest is the reference)",
     )
-
-    p_prop = sub.add_parser("propagate", help="single-scenario transport demo")
-    _add_common(p_prop)
-    p_prop.add_argument("--scenario", type=int, default=0, help="scenario index")
     return parser
 
 
@@ -152,27 +143,11 @@ def cmd_converge(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_propagate(cfg: RunConfig, args) -> int:
-    phi, target = run_propagate(cfg, args.scenario)
-    print(f"total mass after {cfg.steps} steps: {float(phi.sum())!r}")
-    print(f"wrote {target}")
-    return EXIT_OK
-
-
-_COMMANDS = {
-    "build": cmd_build,
-    "place": cmd_place,
-    "validate": cmd_validate,
-    "converge": cmd_converge,
-    "propagate": cmd_propagate,
-}
-
-
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](_load_config(args), args)
+        return args.run(_load_config(args), args)
     except (ValueError, OSError) as exc:
         # covers config/parse errors, format errors, stability violations
         # (StabilityError's message carries the admissible dt) and artifacts

@@ -9,23 +9,21 @@ Every operator is built from one field and the config's diffusivity.
 The config fixes the three detection-kernel inputs once per run: the
 threshold cutoff, and the release and candidate masks, which only
 `detection_zones` derives, from the config's boxes and outlets, before any
-operator is built. The four commands that use operators (`place`,
-`converge`, `propagate` and `validate`) reach them through `each_operator`
-alone: it checks stability from the face rates with `check_step`, so an
-unstable dt fails before any operator exists, then builds, uses and drops
-each scenario's operator in its own task on a pool of `workers` threads, so
-at most `workers` operators are alive at once; one worker imports no pool.
-`build` only runs `check_step` and exports the flow ensemble. `propagate`
-makes only the scenario it runs: one synthesized field, or one slice of the
-loaded files. Cross-scenario reductions run in fixed scenario order, so
-results depend on neither completion order nor worker count.
+operator is built. The three commands that use operators (`place`,
+`converge` and `validate`) reach them through `each_operator` alone: it
+checks stability from the face rates with `check_step`, so an unstable dt
+fails before any operator exists, then builds, uses and drops each
+scenario's operator in its own task on a pool of `workers` threads, so at
+most `workers` operators are alive at once; one worker imports no pool.
+`build` only runs `check_step` and exports the flow ensemble.
+Cross-scenario reductions run in fixed scenario order, so results depend on
+neither completion order nor worker count.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +38,7 @@ from .flowfield import (
     write_artifact,
 )
 from .grid import StructuredGrid, box_mask
-from .markov import StabilityError, admissible_dt, build_markov, propagate
+from .markov import StabilityError, admissible_dt, build_markov
 from .placement import (
     SensorPlan,
     coverage_vectors,
@@ -120,8 +118,8 @@ def scenario_set(
 def check_step(cfg: RunConfig, fields: Sequence[VelocityField]) -> None:
     """Raise StabilityError with the smallest admissible dt over all
     scenarios when the config's dt exceeds it, reading only the face rates,
-    so no operator is built and a rerun at that dt builds every one;
-    `cli.NEEDS` checks that dt is set."""
+    so no operator is built and a rerun at that dt builds every one; the
+    CLI checks that dt is set."""
     bound = min(admissible_dt(field, cfg.diffusivity, cfg.outlets) for field in fields)
     if cfg.dt > bound:
         raise StabilityError(cfg.dt, bound)
@@ -133,7 +131,11 @@ def each_operator(cfg: RunConfig, fields: Sequence[VelocityField], use) -> list:
 
     `check_step` runs first. Each operator is then built inside its
     scenario's task and dropped when `use` returns, so at most `cfg.workers`
-    operators are alive at once.
+    operators are alive at once. `build_markov` computes each scenario's face
+    rates again: the check must name the smallest bound over the ensemble
+    before any operator exists, and holding every scenario's rates until its
+    assembly would keep them all alive at once (the fine workload's 7 x 89 400
+    triplets of 16 bytes, about 10 MB).
     """
     check_step(cfg, fields)
 
@@ -308,27 +310,6 @@ def release_field(cfg: RunConfig, grid: StructuredGrid) -> np.ndarray:
         nx, ny, nz = grid.dims
         values[grid.state_index((nx // 2, ny // 2, nz // 2))] = 1.0
     return values
-
-
-def run_propagate(cfg: RunConfig, index: int) -> tuple[np.ndarray, Path]:
-    """The release field after cfg.steps steps of scenario `index`'s operator,
-    and the path it is written to; a bad index fails before any work. A family
-    config samples only the chosen CDF point, which keeps its bits: the
-    inverse CDF maps each point on its own."""
-    count = len(cfg.fields) or len(cfg.cdf_points)
-    if not 0 <= index < count:
-        raise ConfigError(f"scenario index {index} outside [0, {count})")
-    if cfg.family:
-        points = cfg.cdf_points[index : index + 1]
-        grid, fields, _, _ = scenario_set(replace(cfg, cdf_points=points))
-    else:
-        grid, fields, _, _ = scenario_set(cfg)  # every file: the grid check needs them all
-        fields = fields[index : index + 1]
-    phi0 = release_field(cfg, grid)
-    [phi] = each_operator(cfg, fields, lambda _, op: propagate(phi0, op, cfg.steps))
-    target = Path(cfg.out) / f"concentration-{index:03d}.txt"
-    save_scalar_field(target, grid, phi)
-    return phi, target
 
 
 def run_validate(cfg: RunConfig) -> list[dict]:

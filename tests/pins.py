@@ -70,11 +70,6 @@ VALIDATE = {
     # 5 reference substeps of dt / 5 per operator step
     "validation.json": "91ce2e57d4c51038443ded853aed68f011a33b3069ee8d26119d3864c2fce49e",
 }
-PROPAGATE = {
-    "concentration-000.txt": "229db7cc73014c91332f3f33d5ad66945e9aa56560eae1c8c2fca141202ddb90",
-    # scenario 4 samples only its own CDF point, the one pin where that point is not the first
-    "concentration-004.txt": "3ff9bcdbc5ae2606d83789f22edb5e6df14b280396f0130c660b3fab50f2b78e",
-}
 CONVERGE = {
     # --samples 3 5 7
     "convergence.json": "136ae3bf2207a62ee8ef4fb12c594ed9389635e452575571d5fc5e62f7315747",

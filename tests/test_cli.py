@@ -11,7 +11,7 @@ import pytest
 from pfsensor import pipeline, uncertainty
 from pfsensor.cli import main
 from pfsensor.config import ConfigError, RunConfig, apply, parse_config
-from pfsensor.flowfield import VelocityField, load_field, save_field, save_scalar_field
+from pfsensor.flowfield import VelocityField, load_field, save_field
 from pfsensor.grid import StructuredGrid, box_mask
 from pfsensor.markov import build_markov, propagate
 from pfsensor.pipeline import release_field, run_place, scenario_set
@@ -142,9 +142,8 @@ def test_build_unstable_dt_writes_nothing_and_the_hint_builds_every_scenario(
         (["validate"], 3),
         (["place"], 3),
         (["converge", "--samples", "3", "5"], 5),
-        (["propagate"], 1),
     ],
-    ids=["build", "validate", "place", "converge", "propagate"],
+    ids=["build", "validate", "place", "converge"],
 )
 def test_every_ensemble_command_holds_one_operator_at_a_time(
     tmp_path, monkeypatch, command, calls
@@ -522,7 +521,7 @@ def test_place_and_converge_refuse_the_same_empty_zones(
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["validate", "propagate"])
+@pytest.mark.parametrize("command", ["validate"])
 def test_empty_release_box_exits_2_before_any_operator(tmp_path, capsys, monkeypatch, command):
     refuse_operators(monkeypatch)
     cfg = small_cfg(tmp_path)
@@ -539,11 +538,10 @@ def test_empty_release_box_exits_2_before_any_operator(tmp_path, capsys, monkeyp
         ("place", ("dt",)),
         ("validate", ("dt",)),
         ("converge", ("dt",)),
-        ("propagate", ("dt",)),
         ("place", ("steps",)),
         ("converge", ("dt", "steps")),
     ],
-    ids=["build", "place", "validate", "converge", "propagate", "place-steps", "converge-both"],
+    ids=["build", "place", "validate", "converge", "place-steps", "converge-both"],
 )
 def test_command_without_a_needed_key_exits_2_before_any_work(
     tmp_path, capsys, monkeypatch, command, missing
@@ -821,14 +819,12 @@ def test_one_cell_grid_runs_every_command(tmp_path):
     cfg = base_cfg(tmp_path, dims="1 1 1")
     for command in (["build"], ["place"], ["validate"], ["converge", "--samples", "2", "3"]):
         assert main([*command, "--config", str(cfg)]) == 0
-    assert main(["propagate", "--config", str(cfg), "--scenario", "6"]) == 0
     plan = json.loads((tmp_path / "out" / "plan.json").read_text())
     assert [sensor["state"] for sensor in plan["sensors"]] == [0]
     # the weights sum to 1 within rounding
     assert plan["cumulative_expected_coverage"] == pytest.approx(1.0, abs=1e-12)
     report = json.loads((tmp_path / "out" / "validation.json").read_text())
     assert [row["l2_error"] for row in report] == [0.0] * 7
-    assert load_field(tmp_path / "out" / "concentration-006.txt").u.tolist() == [1.0]
 
 
 def test_config_with_a_byte_order_mark_places_the_same_plan(tmp_path):
@@ -967,14 +963,6 @@ def test_converge_rejects_a_count_below_two_naming_the_counts(tmp_path, capsys):
     assert capsys.readouterr().err == "error: sample counts must each be >= 2, got [1, 3]\n"
 
 
-@pytest.mark.parametrize("index", ["7", "-1"])
-def test_propagate_rejects_a_scenario_index_before_any_work(tmp_path, capsys, monkeypatch, index):
-    monkeypatch.setattr("pfsensor.pipeline.quadrature_rule", refuse_quadrature)
-    cfg = base_cfg(tmp_path, cdf_points="0 0.5 1")
-    assert main(["propagate", "--config", str(cfg), "--scenario", index]) == 2
-    assert capsys.readouterr().err == f"error: scenario index {index} outside [0, 3)\n"
-
-
 def test_vortex_with_nz_above_one_exits_2_naming_dims_before_any_work(
     tmp_path, capsys, monkeypatch
 ):
@@ -986,35 +974,16 @@ def test_vortex_with_nz_above_one_exits_2_naming_dims_before_any_work(
     assert not (tmp_path / "out").exists()
 
 
-def test_propagate_writes_concentration_field(tmp_path):
-    cfg = base_cfg(tmp_path, extra="release_box = 0.2 0.2 0 0.5 0.5 1\n")
-    assert main(["propagate", "--config", str(cfg), "--scenario", "3"]) == 0
-    field = load_field(tmp_path / "out" / "concentration-003.txt")
-    # closed domain: the release mass is still in the u-component payload
-    release = box_mask(field.grid, (0.2, 0.2, 0.0), (0.5, 0.5, 1.0))
-    assert field.u.sum() == pytest.approx(float(np.count_nonzero(release)), rel=1e-9)
-
-
-def test_propagate_synthesizes_only_the_chosen_scenario(tmp_path, monkeypatch):
-    # the chosen CDF point alone gives the sample it has in the whole ensemble
-    cfg = base_cfg(tmp_path, dims="8 8 1", dt="0.017", steps="25", cdf_points="0 0.5 1")
-    parsed = parse_config(cfg)
-    grid, fields, _, _ = scenario_set(parsed)
-    operator = build_markov(fields[2], parsed.diffusivity, parsed.dt, parsed.outlets).matrix
-    expected = tmp_path / "expected.txt"
-    phi = propagate(release_field(parsed, grid), operator, parsed.steps)
-    save_scalar_field(expected, grid, phi)
-    calls = Counter()
-
-    def counted(grid, strengths, real=pipeline.synth_recirculating):
-        calls["synth"] += 1
-        calls["fields"] += len(strengths)
-        return real(grid, strengths)
-
-    monkeypatch.setattr(pipeline, "synth_recirculating", counted)
-    assert main(["propagate", "--config", str(cfg), "--scenario", "2"]) == 0
-    assert calls == {"synth": 1, "fields": 1}
-    assert (tmp_path / "out" / "concentration-002.txt").read_bytes() == expected.read_bytes()
+def test_release_box_mass_stays_in_the_closed_box(tmp_path):
+    # the release validate carries: unit density on the box's cells
+    cfg = parse_config(base_cfg(tmp_path, extra="release_box = 0.2 0.2 0 0.5 0.5 1\n"))
+    grid, fields, _, _ = scenario_set(cfg)
+    release = box_mask(grid, (0.2, 0.2, 0.0), (0.5, 0.5, 1.0))
+    phi0 = release_field(cfg, grid)
+    assert phi0.tolist() == release.astype(float).tolist()
+    operator = build_markov(fields[3], cfg.diffusivity, cfg.dt, cfg.outlets).matrix
+    phi = propagate(phi0, operator, cfg.steps)
+    assert phi.sum() == pytest.approx(float(np.count_nonzero(release)), rel=1e-9)
 
 
 def test_end_to_end_determinism(tmp_path):

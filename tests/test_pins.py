@@ -24,7 +24,6 @@ from pins import (
     OUTLET_PLACE,
     PATTERNS,
     PLACE,
-    PROPAGATE,
     VALIDATE,
     csr_sha256,
     mismatches,
@@ -37,10 +36,9 @@ def test_desk_artifacts_match_their_pins(tmp_path):
     # the runs of the CI steps that check the same tables
     desk = tmp_path / "desk.cfg"
     desk.write_text(config_text(WORKLOADS["desk"], DEFAULT_SEED, tmp_path / "out"))
-    runs = (["build"], ["validate"], ["place"], ["propagate"], ["propagate", "--scenario", "4"])
-    for command in (*runs, ["converge", "--samples", "3", "5", "7"]):
+    for command in (["build"], ["validate"], ["place"], ["converge", "--samples", "3", "5", "7"]):
         assert main([*command, "--config", str(desk)]) == 0
-    assert mismatches(tmp_path / "out", PLACE, BUILD, VALIDATE, PROPAGATE, CONVERGE) is None
+    assert mismatches(tmp_path / "out", PLACE, BUILD, VALIDATE, CONVERGE) is None
     ladder = ["converge", "--samples", "2", "3", "5", "7", "9"]
     assert main([*ladder, "--config", str(desk), "--out", str(tmp_path / "ladder")]) == 0
     assert mismatches(tmp_path / "ladder", CONVERGE_LADDER) is None
@@ -92,9 +90,10 @@ def test_detection_patterns_match_their_pins(tmp_path, name):
     assert tuple(pattern_sha256(*pattern) for pattern in patterns) == PATTERNS[name]
 
 
-def test_field_config_propagate_matches_its_pins(tmp_path):
+def test_field_config_place_matches_its_pins(tmp_path):
     # the CI step that places from build's exported fields: desk's config with
     # one field line per exported scenario at the manifest's xi and theta
+    # writes the family config's plan and coverage bytes
     desk = tmp_path / "desk.cfg"
     desk.write_text(config_text(WORKLOADS["desk"], DEFAULT_SEED, tmp_path / "built"))
     assert main(["build", "--config", str(desk)]) == 0
@@ -104,10 +103,8 @@ def test_field_config_propagate_matches_its_pins(tmp_path):
         lines.append(f"field = built/{entry['field']} {entry['xi']!r} {entry['theta']!r}")
     fields = tmp_path / "fields.cfg"
     fields.write_text("\n".join(lines) + "\n")
-    out = str(tmp_path / "out")
-    for index in ("0", "4"):
-        assert main(["propagate", "--config", str(fields), "--out", out, "--scenario", index]) == 0
-    assert mismatches(tmp_path / "out", PROPAGATE) is None
+    assert main(["place", "--config", str(fields), "--out", str(tmp_path / "out")]) == 0
+    assert mismatches(tmp_path / "out", PLACE) is None
 
 
 def test_fine_field_matches_its_pin(tmp_path):

@@ -165,8 +165,7 @@ def run(*command):
         sys.exit(f"{command[0]} failed")
 
 loaded()
-runs = (["build"], ["place"], ["validate"], ["converge", "--samples", "3", "5"], ["propagate"])
-for command in runs:
+for command in (["build"], ["place"], ["validate"], ["converge", "--samples", "3", "5"]):
     run(*command)
 print("pool", "concurrent.futures" in sys.modules)
 run("place", "--workers", "2")
